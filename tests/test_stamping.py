@@ -1,0 +1,135 @@
+"""Stamped system against the dense oracle away from the plain operating point,
+and the voltage-collapse guard of the nonlinear stamps."""
+
+import numpy as np
+import pytest
+
+from netgen import random_combined, random_state
+from oracles import dense_mismatch
+from tandem.netmodel import (
+    Bus,
+    BusKind,
+    Connection,
+    DerInjection,
+    ElementKind,
+    Load,
+    Network,
+    SeriesElement,
+    build_index_map,
+    flat_voltages,
+    initial_state,
+)
+from tandem.newton import SolveFailure, SolverOptions, solve_direct
+from tandem.sparse import assemble
+from tandem.stamping import HomotopyState, VoltageCollapseError, stamp_system
+
+_MODE_CYCLE = ("pv", "qmax", "pv", "qmin")
+
+
+def test_homotopy_and_q_limit_states_match_dense_oracle():
+    """A@x - b equals the dense mismatch for lam in {0, 0.3, 1}, shunt
+    relaxation on and off, and generators cycling through pv/qmax/qmin."""
+    rng = np.random.default_rng(7321)
+    worst = 0.0
+    for k in range(40):
+        net = random_combined(rng)
+        imap = build_index_map(net)
+        x = random_state(rng, net, imap, vm_range=(0.5, 1.5), ang_spread=0.4)
+        gens = sorted(g.bus for g in net.generators if g.bus in imap.gen_q)
+        modes = {bus: _MODE_CYCLE[(i + k) % len(_MODE_CYCLE)] for i, bus in enumerate(gens)}
+        # pin only the qmin generators: qmax ones fall back to their q_max
+        q_fixed = {bus: -0.25 for bus, mode in modes.items() if mode == "qmin"}
+        for lam in (0.0, 0.3, 1.0):
+            for relax in (True, False):
+                hs = HomotopyState(lam, 1e3, relax)
+                lin, nonlin = stamp_system(net, imap, x, hs, modes, q_fixed)
+                system = assemble([lin, nonlin], imap.n)
+                got = system.matrix @ x - system.rhs
+                want = dense_mismatch(net, imap, x, lam, 1e3, relax, modes, q_fixed)
+                worst = max(worst, float(np.abs(got - want).max()))
+    assert worst < 1e-9
+
+
+def _feeder(loads=(), ders=()):
+    z = np.eye(3, dtype=complex) * complex(0.02, 0.06)
+    return Network(
+        base_mva=100.0,
+        buses=(
+            Bus(10, BusKind.FEEDER_HEAD, "abc", 12.47, flat_voltages("abc")),
+            Bus(11, BusKind.LOAD_NODE, "abc", 12.47, flat_voltages("abc")),
+            Bus(12, BusKind.LOAD_NODE, "abc", 12.47, flat_voltages("abc")),
+        ),
+        elements=(
+            SeriesElement(0, 10, 11, ElementKind.LINE, "abc", np.linalg.inv(z)),
+            SeriesElement(1, 11, 12, ElementKind.LINE, "abc", np.linalg.inv(z)),
+        ),
+        loads=tuple(loads),
+        ders=tuple(ders),
+    )
+
+
+def _zero(imap, x, bus, phase):
+    x = x.copy()
+    x[imap.vr[(bus, phase)]] = 0.0
+    x[imap.vi[(bus, phase)]] = 0.0
+    return x
+
+
+def _collapse(net, x):
+    imap = build_index_map(net)
+    with pytest.raises(VoltageCollapseError) as info:
+        stamp_system(net, imap, x)
+    return info.value
+
+
+S3 = (0.02 + 0.01j,) * 3
+
+
+@pytest.mark.parametrize("zip_fractions", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+def test_collapse_guard_names_wye_terminal(zip_fractions):
+    net = _feeder([Load(12, "abc", S3, Connection.WYE, zip_fractions)])
+    imap = build_index_map(net)
+    err = _collapse(net, _zero(imap, initial_state(net, imap), 12, "b"))
+    assert (err.bus, err.phase) == (12, "b")
+
+
+@pytest.mark.parametrize("zip_fractions", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+def test_collapse_guard_names_delta_leg(zip_fractions):
+    net = _feeder([Load(12, "abc", S3, Connection.DELTA, zip_fractions)])
+    imap = build_index_map(net)
+    x = initial_state(net, imap)
+    # V_c = V_b leaves leg bc with zero voltage
+    x[imap.vr[(12, "c")]] = x[imap.vr[(12, "b")]]
+    x[imap.vi[(12, "c")]] = x[imap.vi[(12, "b")]]
+    err = _collapse(net, x)
+    assert (err.bus, err.phase) == (12, "bc")
+
+
+def test_collapse_guard_reports_first_device_in_order():
+    # bus 12's load comes first in the device list, so it is named even
+    # though bus 11 collapses too; the DER (same bus as the second load)
+    # comes after every load
+    net = _feeder(
+        loads=[Load(12, "abc", S3), Load(11, "abc", S3)],
+        ders=[DerInjection(11, "abc", (0.01 + 0j,) * 3)],
+    )
+    imap = build_index_map(net)
+    x = _zero(imap, _zero(imap, initial_state(net, imap), 11, "a"), 12, "c")
+    err = _collapse(net, x)
+    assert (err.bus, err.phase) == (12, "c")
+
+
+def test_collapse_guard_skips_zero_power_legs():
+    net = _feeder([Load(12, "abc", (0.02 + 0.01j, 0j, 0.02 + 0.01j))])
+    imap = build_index_map(net)
+    stamp_system(net, imap, _zero(imap, initial_state(net, imap), 12, "b"))
+
+
+def test_collapse_reason_in_lambda_trajectory():
+    net = _feeder([Load(12, "abc", S3)])
+    imap = build_index_map(net)
+    x0 = _zero(imap, initial_state(net, imap), 12, "a")
+    with pytest.raises(SolveFailure) as info:
+        solve_direct(net, SolverOptions(homotopy="off"), x0=x0, imap=imap)
+    reason = info.value.report.lambda_trajectory[0]["reason"]
+    assert reason.startswith("collapse:") and "bus 12 phase a" in reason
