@@ -91,7 +91,8 @@ def _load_network(args):
             fpath = cmap.feeder_path(entry)
             if not fpath.exists():
                 raise InputError(f"feeder file {fpath} not found")
-            docs[entry.feeder] = parse_feeder_doc(fpath)
+            if entry.feeder not in docs:
+                docs[entry.feeder] = parse_feeder_doc(fpath)
         net = build_combined(tnet, cmap, docs, keep_bus_load=args.keep_bus_load)
     else:
         net = tnet

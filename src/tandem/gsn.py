@@ -28,6 +28,7 @@ import scipy.sparse as sp
 
 from .netmodel import (
     PHASE_ROTATION,
+    POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
     IndexMap,
@@ -39,11 +40,8 @@ from .netmodel import (
 from .newton import SolveFailure, SolverOptions, solve_direct
 from .sparse import assemble
 from .stamping import stamp_system
-from .netmodel import ALPHA
 
 log = logging.getLogger(__name__)
-
-_POS_SEQ_WEIGHT = {"a": 1.0 + 0.0j, "b": ALPHA, "c": ALPHA**2}
 
 
 class GsnError(RuntimeError):
@@ -509,7 +507,7 @@ class _Boundary:
 
 
 def _positive_sequence_current(currents: dict[str, complex]) -> complex:
-    return sum(_POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
+    return sum(POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
 
 
 def solve_gsn(

@@ -26,6 +26,10 @@ ALPHA = cmath.exp(2j * cmath.pi / 3)
 # b lagging 120 degrees, c leading 120 degrees.
 PHASE_ROTATION = {"a": 1.0 + 0.0j, "b": ALPHA**2, "c": ALPHA}
 
+# Phase weights of the inverse symmetrical-component transform row that
+# extracts the positive sequence: I_p = (1/3) (I_a + a I_b + a^2 I_c).
+POS_SEQ_WEIGHT = {"a": 1.0 + 0.0j, "b": ALPHA, "c": ALPHA**2}
+
 POSITIVE_SEQUENCE = "p"
 THREE_PHASE = "abc"
 

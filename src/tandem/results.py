@@ -8,15 +8,13 @@ import math
 import numpy as np
 
 from .netmodel import (
-    ALPHA,
     PHASE_ROTATION,
+    POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
     IndexMap,
     Network,
 )
-
-_POS_SEQ_WEIGHT = {"a": 1.0 + 0.0j, "b": ALPHA, "c": ALPHA**2}
 
 
 def solution_dict(network: Network, imap: IndexMap, x: np.ndarray) -> dict:
@@ -72,7 +70,7 @@ def port_power_balance(network: Network, imap: IndexMap, x: np.ndarray, port) ->
         ph: complex(x[imap.port_current[(port.id, ph)][0]], x[imap.port_current[(port.id, ph)][1]])
         for ph in THREE_PHASE
     }
-    ip = sum(_POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
+    ip = sum(POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
     s_tx = vp * ip.conjugate()
     s_head = sum(
         imap.voltage(x, port.feeder_head, ph) * currents[ph].conjugate() for ph in THREE_PHASE

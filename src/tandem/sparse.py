@@ -2,9 +2,8 @@
 
 The MNA matrices here are unsymmetric and indefinite, so the solve uses
 LU with partial pivoting and a fill-reducing column ordering.  Assembly
-sums duplicate triplets; the triplet-to-CSC scatter is cached so
-iterations that keep the same sparsity pattern only pay for a value
-update.
+sums duplicate triplets through a cached triplet-to-CSC scatter, so
+iterations on the same sparsity pattern only pay for one ``bincount``.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-from .stamping import StampSet
 
 SOLVE_TOL = 1e-10
 _REFINE_STEPS = 3
@@ -32,86 +29,75 @@ class SparseSystem:
     rhs: np.ndarray
 
 
-def assemble(stamps: list[StampSet], n: int) -> SparseSystem:
-    """Sum triplet/rhs contributions into a compressed-column system."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs = np.zeros(n)
-    for st in stamps:
-        rows += st.rows
-        cols += st.cols
-        vals += st.vals
-        for r, v in zip(st.rhs_rows, st.rhs_vals):
-            rhs[r] += v
-    if rows:
-        r = np.asarray(rows, dtype=np.int64)
-        c = np.asarray(cols, dtype=np.int64)
-        v = np.asarray(vals, dtype=float)
-        if r.max(initial=0) >= n or c.max(initial=0) >= n or r.min(initial=0) < 0:
-            raise IndexError("triplet index outside system")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite triplet value")
-        m = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsc()
-        m.sum_duplicates()
-    else:
-        m = sp.csc_matrix((n, n))
-    return SparseSystem(n=n, matrix=m, rhs=rhs)
+def _concat(parts, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _same_pattern(old, new) -> bool:
+    """Keys are (n, row arrays, column arrays); identical arrays skip the comparison."""
+    if old is None or old[0] != new[0] or len(old[1]) != len(new[1]):
+        return False
+    return all(a is b or np.array_equal(a, b) for a, b in zip(old[1] + old[2], new[1] + new[2]))
 
 
 class AssemblyPlan:
-    """Caches the triplet-to-CSC mapping for a fixed sparsity pattern.
+    """Caches the triplet-to-CSC scatter of one sparsity pattern.
 
-    The pattern only changes when the continuation toggles shunt
-    relaxation or a PV/PQ switch alters a constraint row, so most NR
-    iterations reuse the symbolic structure and just scatter values.
+    The pattern is keyed on the stamp sets' index arrays.  A compiled
+    circuit hands out the same arrays on every iteration, so the key
+    check is an identity test and assembly is one ``bincount`` into the
+    cached slots.  Index bounds are checked when a pattern is built,
+    finite values on every call.
     """
 
     def __init__(self):
         self._key = None
-        self._order = None
-        self._shape = None
-        self._template = None
+        self._slot = None  # triplet -> position in the CSC data array
+        self._template = None  # the pattern's CSC structure
+        self._col = None  # column of each CSC position
 
-    def assemble(self, stamps: list[StampSet], n: int) -> SparseSystem:
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.zeros(n)
-        for st in stamps:
-            rows += st.rows
-            cols += st.cols
-            vals += st.vals
-            for r, v in zip(st.rhs_rows, st.rhs_vals):
-                rhs[r] += v
-        if not rows:
-            return SparseSystem(n=n, matrix=sp.csc_matrix((n, n)), rhs=rhs)
-        r = np.asarray(rows, dtype=np.int64)
-        c = np.asarray(cols, dtype=np.int64)
-        v = np.asarray(vals, dtype=float)
-        if r.max() >= n or c.max() >= n or r.min() < 0 or c.min() < 0:
+    def _build(self, key) -> None:
+        n, rows, cols = key
+        r, c = _concat(rows, np.int64), _concat(cols, np.int64)
+        if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise IndexError("triplet index outside system")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite triplet value")
-        key = (n, r.tobytes(), c.tobytes())
-        if self._key != key:
-            order = np.lexsort((r, c))
-            rs, cs = r[order], c[order]
-            template = sp.csc_matrix((np.ones(len(order)), (rs, cs)), shape=(n, n))
-            template.sum_duplicates()
-            # map each sorted triplet to its slot in the deduplicated data array
-            boundary = np.ones(len(order), dtype=bool)
-            boundary[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-            slot = np.cumsum(boundary) - 1
-            self._key = key
-            self._order = (order, slot, template.data.shape[0])
-            self._template = template
-        order, slot, nnz = self._order
-        data = np.zeros(nnz)
-        np.add.at(data, slot, v[order])
-        m = self._template.copy()
-        m.data = data
-        return SparseSystem(n=n, matrix=m, rhs=rhs)
+        width = max(n, 1)
+        pos, self._slot = np.unique(c * width + r, return_inverse=True)
+        self._col = pos // width
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col, minlength=n))])
+        self._template = sp.csc_matrix((np.zeros(pos.size), pos % width, indptr), shape=(n, n))
+        self._key = key
+
+    def assemble(self, stamps, n: int) -> SparseSystem:
+        key = (n, tuple(st.rows for st in stamps), tuple(st.cols for st in stamps))
+        if not _same_pattern(self._key, key):
+            self._build(key)
+        vals = _concat([st.vals for st in stamps], float)
+        rhs_rows = _concat([st.rhs_rows for st in stamps], np.int64)
+        rhs_vals = _concat([st.rhs_vals for st in stamps], float)
+        if rhs_rows.size and (rhs_rows.min() < 0 or rhs_rows.max() >= n):
+            raise IndexError("rhs row outside system")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"non-finite stamp at ({np.concatenate(key[1])[k]},{np.concatenate(key[2])[k]})")
+        if not np.isfinite(rhs_vals).all():
+            raise ValueError("non-finite rhs stamp")
+        t = self._template
+        data = np.bincount(self._slot, weights=vals, minlength=t.nnz)
+        matrix = sp.csc_matrix((data, t.indices, t.indptr), shape=(n, n))
+        # a position enters the structure only while some triplet on it is
+        # nonzero, so the LU ordering sees the same pattern as zero-free stamps
+        live = np.bincount(self._slot[vals != 0.0], minlength=t.nnz).astype(bool)
+        if not live.all():
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col[live], minlength=n))])
+            matrix = sp.csc_matrix((data[live], t.indices[live], indptr), shape=(n, n))
+        return SparseSystem(n=n, matrix=matrix, rhs=np.bincount(rhs_rows, weights=rhs_vals, minlength=n))
+
+
+def assemble(stamps, n: int) -> SparseSystem:
+    """Sum triplet/rhs contributions into a compressed-column system."""
+    return AssemblyPlan().assemble(stamps, n)
 
 
 def factor_solve(system: SparseSystem) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""MNA stamping: linear device stamps plus per-iteration linearized stamps.
+"""MNA stamping: a circuit compiled once, then vectorized per-iteration stamps.
 
 Conventions used throughout (and relied on by the solver):
 
@@ -14,19 +14,25 @@ Conventions used throughout (and relied on by the solver):
 * A nonlinear device with consumption current c(x) is stamped as its
   Jacobian block J_c on the left and J_c . x_k - c(x_k) on the right,
   so J(x) . x - b(x) is the exact nonlinear mismatch at x.
+
+A network is compiled once per index map (``compile_circuit``): every
+stamp position is fixed there, and every ZIP leg and generator becomes
+an entry of index and parameter arrays.  Each Newton iteration then
+evaluates all nonlinear currents and Jacobian entries in one vectorized
+pass, the approach of MATPOWER's makeYbus/dSbus_dV.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .netmodel import (
-    ALPHA,
     PHASE_ROTATION,
+    POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     Connection,
     IndexMap,
@@ -41,9 +47,10 @@ EPS_V = 1e-6
 # admittance in practice.
 DEFAULT_GAMMA = 1e3
 
-# Phase weights of the inverse symmetrical-component transform row that
-# extracts the positive sequence: I_p = (1/3) (I_a + a I_b + a^2 I_c).
-_POS_SEQ_WEIGHT = {"a": 1.0 + 0.0j, "b": ALPHA, "c": ALPHA**2}
+_DELTA_LEGS = (("a", "b"), ("b", "c"), ("c", "a"))
+
+# continuation classes of the linear values
+_SCALED, _RELAXED, _REST = 0, 1, 2
 
 
 class VoltageCollapseError(ArithmeticError):
@@ -76,57 +83,21 @@ class HomotopyState:
         return 1.0 - self.lam if self.shunt_relax else 1.0
 
 
+@dataclass(frozen=True)
 class StampSet:
-    """Triplet contributions to the system matrix plus right-hand-side entries."""
+    """Matrix triplets plus right-hand-side entries, as numpy arrays."""
 
-    __slots__ = ("n", "rows", "cols", "vals", "rhs_rows", "rhs_vals", "tag")
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    rhs_rows: np.ndarray = ()
+    rhs_vals: np.ndarray = ()
 
-    def __init__(self, n: int, tag: str = ""):
-        self.n = n
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.rhs_rows: list[int] = []
-        self.rhs_vals: list[float] = []
-        self.tag = tag
-
-    def add(self, row: int, col: int, val: float) -> None:
-        if val == 0.0:
-            return
-        if not (0 <= row < self.n and 0 <= col < self.n):
-            raise IndexError(f"stamp ({row},{col}) outside system of size {self.n}")
-        if not math.isfinite(val):
-            raise ValueError(f"non-finite stamp at ({row},{col})")
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(val)
-
-    def add_rhs(self, row: int, val: float) -> None:
-        if val == 0.0:
-            return
-        if not 0 <= row < self.n:
-            raise IndexError(f"rhs stamp row {row} outside system of size {self.n}")
-        if not math.isfinite(val):
-            raise ValueError(f"non-finite rhs stamp at row {row}")
-        self.rhs_rows.append(row)
-        self.rhs_vals.append(val)
-
-    def add_complex(self, row_pair, col_pair, w: complex) -> None:
-        """Stamp complex admittance w: I = w V expanded on (R, I) row/column pairs."""
-        rr, ri = row_pair
-        cr, ci = col_pair
-        self.add(rr, cr, w.real)
-        self.add(rr, ci, -w.imag)
-        self.add(ri, cr, w.imag)
-        self.add(ri, ci, w.real)
-
-    def merge(self, other: "StampSet") -> "StampSet":
-        self.rows += other.rows
-        self.cols += other.cols
-        self.vals += other.vals
-        self.rhs_rows += other.rhs_rows
-        self.rhs_vals += other.rhs_vals
-        return self
+    def __post_init__(self):
+        for name in ("rows", "cols", "rhs_rows"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        for name in ("vals", "rhs_vals"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 # ----------------------------------------------------------------------
@@ -134,19 +105,15 @@ class StampSet:
 # ----------------------------------------------------------------------
 
 
-def eval_pq(p: float, q: float, vr: float, vi: float, bus=None, phase=""):
-    """Current drawn by a constant-PQ demand and its exact partials.
+def pq_partials(p, q, vr, vi):
+    """Current drawn by constant-PQ demands and its exact partials, elementwise.
 
     Returns (ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi) for
 
         ir = (p vr + q vi) / (vr^2 + vi^2)
         ii = (p vi - q vr) / (vr^2 + vi^2)
     """
-    if p == 0.0 and q == 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     m2 = vr * vr + vi * vi
-    if m2 <= EPS_V * EPS_V:
-        raise VoltageCollapseError(bus, phase, m2)
     ir = (p * vr + q * vi) / m2
     ii = (p * vi - q * vr) / m2
     m4 = m2 * m2
@@ -154,34 +121,17 @@ def eval_pq(p: float, q: float, vr: float, vi: float, bus=None, phase=""):
     cross = 2.0 * vr * vi
     dir_dvr = -(p * d + q * cross) / m4
     dir_dvi = (q * d - p * cross) / m4
-    dii_dvr = dir_dvi
-    dii_dvi = -dir_dvr
-    return ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi
+    return ir, ii, dir_dvr, dir_dvi, dir_dvi, -dir_dvr
 
 
-def eval_pq_three_phase(load, voltages: dict[str, complex]):
-    """Per-terminal currents and Jacobian blocks for a three-phase ZIP load's PQ share.
-
-    ``voltages`` maps the load's phases to complex nodal voltages.
-    Returns a list of (phase, sign, current, jac) contributions where
-    ``jac`` is the 2x2 partial block with respect to the voltage the
-    current was evaluated on; delta legs contribute to both terminals
-    with opposite signs.
-    """
-    out = []
-    connection = getattr(load, "connection", Connection.WYE)
-    if connection is Connection.WYE or load.phases == POSITIVE_SEQUENCE:
-        for ph, s in zip(load.phases, load.s):
-            v = voltages[ph]
-            ir, ii, a, b, c, d = eval_pq(s.real, s.imag, v.real, v.imag, load.bus, ph)
-            out.append(((ph,), (1.0,), complex(ir, ii), np.array([[a, b], [c, d]])))
-        return out
-    legs = (("a", "b"), ("b", "c"), ("c", "a"))
-    for (ph1, ph2), s in zip(legs, load.s):
-        vleg = voltages[ph1] - voltages[ph2]
-        ir, ii, a, b, c, d = eval_pq(s.real, s.imag, vleg.real, vleg.imag, load.bus, ph1 + ph2)
-        out.append(((ph1, ph2), (1.0, -1.0), complex(ir, ii), np.array([[a, b], [c, d]])))
-    return out
+def eval_pq(p: float, q: float, vr: float, vi: float, bus=None, phase=""):
+    """``pq_partials`` of one demand behind the collapse guard; zero demand draws nothing."""
+    if p == 0.0 and q == 0.0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    m2 = vr * vr + vi * vi
+    if m2 <= EPS_V * EPS_V:
+        raise VoltageCollapseError(bus, phase, m2)
+    return pq_partials(p, q, vr, vi)
 
 
 # ----------------------------------------------------------------------
@@ -206,96 +156,304 @@ def apply_homotopy_three_phase(y_block: np.ndarray, hs: HomotopyState | None) ->
     return y
 
 
-def element_terminal_blocks(el, hs: HomotopyState | None):
-    """Complex admittance blocks (Yff, Yft, Ytf, Ytt) of a series element.
+# ----------------------------------------------------------------------
+# Compilation
+# ----------------------------------------------------------------------
+#
+# Compiled stamps keep the arithmetic of per-device stamping bit for bit:
+# triplets stay in device order (assembly sums duplicates in that order)
+# and values come from the same expressions.  Newton runs that fail to
+# converge are chaotic, so a last-bit change would change their length.
+
+
+def _expand(w):
+    """Values of I = w V on (R, I) pairs, [w_R, -w_I, w_I, w_R] block by block."""
+    w = np.asarray(w, dtype=complex)
+    return np.ravel([w.real, -w.imag, w.imag, w.real])
+
+
+def _expand_pairs(rr, ri, cr, ci):
+    """Row and column indices matching ``_expand``."""
+    return np.ravel([rr, rr, ri, ri]), np.ravel([cr, ci, cr, ci])
+
+
+def _libm(fn, *args):
+    """A math-module function elementwise: numpy's SIMD kernels can differ from libm in the last bit."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), dtype=float, count=len(args[0]))
+
+
+class _Legs:
+    """Two-terminal legs in device order: wye phases and delta legs.
+
+    ``t`` holds (R1, I1, R2, I2) per leg; a wye leg's second terminal is
+    the ground slot n of a state padded with one zero.  A leg with the
+    2x2 block J stamps +J on (1, 1) and (2, 2) and -J on (1, 2) and
+    (2, 1), and a right-hand side h at terminal 1 is -h at terminal 2.
+    """
+
+    def __init__(self, t: np.ndarray, n: int):
+        self.t = t
+        node2 = t[:, 2] < n
+        every = np.ones_like(node2)
+        self.block_mask = np.repeat(np.stack([every, node2, node2, node2], axis=1), 4, axis=1)
+        self.rhs_mask = np.stack([every, every, node2, node2], axis=1)
+
+    def block_pattern(self):
+        r1, i1, r2, i2 = self.t.T
+        rows = np.stack([r1, r1, i1, i1, r1, r1, i1, i1, r2, r2, i2, i2, r2, r2, i2, i2], axis=1)
+        cols = np.stack([r1, i1, r1, i1, r2, i2, r2, i2, r1, i1, r1, i1, r2, i2, r2, i2], axis=1)
+        return rows[self.block_mask], cols[self.block_mask]
+
+    def block_values(self, j_rr, j_ri, j_ir, j_ii):
+        """Values on ``block_pattern`` for per-leg blocks [[j_rr, j_ri], [j_ir, j_ii]]."""
+        j = np.stack([j_rr, j_ri, j_ir, j_ii], axis=1)
+        return np.concatenate([j, -j, -j, j], axis=1)[self.block_mask]
+
+    def rhs_values(self, hr, hi):
+        return np.stack([hr, hi, -hr, -hi], axis=1)[self.rhs_mask]
+
+
+def _legs(terminals, n: int) -> _Legs:
+    return _Legs(np.array([(*t1, *(t2 or (n, n))) for t1, t2 in terminals], dtype=np.int64).reshape(-1, 4), n)
+
+
+def _device_legs(dev, imap: IndexMap):
+    """(label, terminal pair, second terminal pair or None, s) per wye phase or delta leg."""
+    if getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE:
+        return [
+            (p1 + p2, imap.v_pair(dev.bus, p1), imap.v_pair(dev.bus, p2), s)
+            for (p1, p2), s in zip(_DELTA_LEGS, dev.s)
+        ]
+    return [(ph, imap.v_pair(dev.bus, ph), None, s) for ph, s in zip(dev.phases, dev.s)]
+
+
+def _one_class(kind: int, rows, cols, vals):
+    return rows, cols, np.where(np.arange(3)[:, None] == kind, vals, 0.0), np.ones(len(vals))
+
+
+def _element_triplets(network: Network, imap: IndexMap):
+    """(rows, cols, class values, divisor) of every series element, in element order.
 
     Positive-sequence elements use the pi model with tap and phase
-    shift; three-phase elements couple their full phase blocks.  Line
-    charging counts as a shunt and is relaxed toward open circuit by
-    the continuation.
+    shift; the from-side self term (y s + ysh r) / tap^2 needs the
+    divisor.  Three-phase elements couple their full phase blocks, self
+    terms scaled and mutuals not.  Work is vectorized per phase set.
     """
-    if el.phases == POSITIVE_SEQUENCE:
-        y = apply_homotopy_positive_sequence(complex(el.y_series[0, 0]), hs)
-        bc = el.b_charge * (hs.shunt_scale if hs is not None else 1.0)
-        t = el.tap * cmath.exp(1j * el.shift)
-        ysh = 0.5j * bc
-        yff = (y + ysh) / (el.tap * el.tap)
-        yft = -y / t.conjugate()
-        ytf = -y / t
-        ytt = y + ysh
-        return (
-            np.array([[yff]]),
-            np.array([[yft]]),
-            np.array([[ytf]]),
-            np.array([[ytt]]),
+    groups: dict[str, list] = {}
+    for k, el in enumerate(network.elements):
+        groups.setdefault(el.phases, []).append((k, el))
+    parts = []
+    for phases, members in groups.items():
+        order, els = zip(*members)
+        f = np.array([[imap.v_pair(el.from_bus, ph) for ph in phases] for el in els])
+        t = np.array([[imap.v_pair(el.to_bus, ph) for ph in phases] for el in els])
+        if phases == POSITIVE_SEQUENCE:
+            # per element (scaled, relaxed, rest, divisor) of the ff, ft, tf, tt blocks
+            pi = []
+            for el in els:
+                y, a, ysh = complex(el.y_series[0, 0]), el.tap * cmath.exp(1j * el.shift), 0.5j * el.b_charge
+                pi.append([(y, ysh, 0, el.tap * el.tap), (-y / a.conjugate(), 0, 0, 1), (-y / a, 0, 0, 1), (y, ysh, 0, 1)])
+            w = np.array(pi, dtype=complex).transpose(2, 1, 0)[..., None, None]
+        else:
+            y = np.array([el.y_series for el in els])
+            blocks = np.stack([y, -y, -y, y])
+            self_terms = np.eye(len(phases), dtype=bool)
+            zero = np.zeros_like(blocks)
+            w = np.stack([np.where(self_terms, blocks, 0), zero, np.where(self_terms, 0, blocks), zero + 1])
+        shape = w.shape[1:]  # (block, element, phase, phase)
+        rs, cs = np.stack([f, f, t, t]), np.stack([f, t, f, t])
+        rows, cols = _expand_pairs(
+            *(np.broadcast_to(rs[:, :, :, None, j], shape) for j in (0, 1)),
+            *(np.broadcast_to(cs[:, :, None, :, j], shape) for j in (0, 1)),
         )
-    y = apply_homotopy_three_phase(el.y_series, hs)
-    return y, -y, -y, y
+        ordinal = np.broadcast_to(np.array(order).reshape(1, -1, 1, 1), shape)
+        classes = np.stack([_expand(np.broadcast_to(w[k], shape)) for k in (_SCALED, _RELAXED, _REST)])
+        parts.append((np.tile(ordinal.ravel(), 4), rows, cols, classes, np.tile(np.broadcast_to(w[3].real, shape).ravel(), 4)))
+    if not parts:
+        return _one_class(_REST, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    ordinal, rows, cols, classes, div = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    perm = np.argsort(ordinal, kind="stable")
+    return rows[perm], cols[perm], classes[:, perm], div[perm]
+
+
+class CompiledCircuit:
+    """Stamp positions and device parameters of one (network, index map) pair.
+
+    Linear triplets carry three value vectors: ``scaled`` (series self
+    terms, times 1 + lam gamma under continuation), ``relaxed`` (line
+    charging and shunts, times 1 - lam) and ``rest`` (mutual phase
+    couplings, constant-impedance load shares, sources and ports).
+    Every ZIP leg is a row of index and parameter arrays: constant-power
+    legs carry (p, q) with the ZIP fraction and the load/DER sign folded
+    in, constant-current legs a signed magnitude and the demand angle.
+    Index bounds are checked here, once.
+    """
+
+    def __init__(self, network: Network, imap: IndexMap):
+        self.imap = imap
+        n = self.n = imap.n
+        self._compile_linear(network, imap)
+
+        legs = []  # (is_pq, (bus, label), t1, t2, sign, s) in stamping order
+        for sign, devices in ((1.0, network.loads), (-1.0, network.ders)):
+            for dev in devices:
+                fp, fi, _ = getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))
+                for is_pq, share in ((True, fp), (False, fi)):
+                    for label, t1, t2, s in _device_legs(dev, imap) if share != 0.0 else ():
+                        if share * s != 0:
+                            legs.append((is_pq, (dev.bus, label), t1, t2, sign, share * s))
+        self.legs = _legs([(t1, t2) for _, _, t1, t2, _, _ in legs], n)
+        self.labels = [row[1] for row in legs]
+        self.is_pq = np.array([row[0] for row in legs], dtype=bool)
+        self.pq, self.cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
+        self.jac = _Legs(self.legs.t[self.pq], n)
+        self.p = np.array([sign * s.real for is_pq, *_, sign, s in legs if is_pq])
+        self.q = np.array([sign * s.imag for is_pq, *_, sign, s in legs if is_pq])
+        # delta legs see sqrt(3) pu at nominal
+        self.mag = np.array(
+            [sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s) for is_pq, _, _, t2, sign, s in legs if not is_pq]
+        )
+        self.angle = np.array([cmath.phase(s) for is_pq, *_, s in legs if not is_pq])
+
+        self.gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
+        g = np.array([(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in self.gens], dtype=np.int64)
+        gr, gi, gq = self.gr, self.gi, self.gq = g.reshape(-1, 3).T
+        self.gen_p = np.array([g.p_set for g in self.gens])
+        self.gen_v2 = np.array([g.v_set * g.v_set for g in self.gens])
+
+        jac_rows, jac_cols = self.jac.block_pattern()
+        self.nl_rows = np.concatenate([jac_rows, gr, gi, gr, gi, gr, gi, gq, gq, gq])
+        self.nl_cols = np.concatenate([jac_cols, gr, gr, gi, gi, gq, gq, gr, gi, gq])
+        self.nl_rhs_rows = np.concatenate([self.legs.t[self.legs.rhs_mask], gr, gi, gq])
+
+        for idx in (self.lin_rows, self.lin_cols, self.src_rhs_rows, self.nl_rows, self.nl_cols, self.nl_rhs_rows):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise IndexError(f"stamp index outside system of size {n}")
+
+    def _compile_linear(self, network: Network, imap: IndexMap) -> None:
+        """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
+        parts = [_element_triplets(network, imap)]
+        shunts = [(*imap.v_pair(sh.bus, ph), y) for sh in network.shunts for ph, y in zip(sh.phases, sh.y)]
+        rr, ri = np.array([row[:2] for row in shunts], dtype=np.int64).reshape(-1, 2).T
+        parts.append(_one_class(_RELAXED, *_expand_pairs(rr, ri, rr, ri), _expand([row[2] for row in shunts])))
+
+        # constant-impedance ZIP share: admittance fixed by the nominal-voltage
+        # demand; delta legs see sqrt(3) pu at nominal, so |Vref|^2 = 3
+        zlegs = [
+            (t1, t2, ld.zip_fractions[2] * s.conjugate() / 3.0 if t2 else ld.zip_fractions[2] * s.conjugate())
+            for ld in network.loads
+            if ld.zip_fractions[2] != 0.0
+            for _, t1, t2, s in _device_legs(ld, imap)
+        ]
+        z = _legs([row[:2] for row in zlegs], self.n)
+        y = np.array([row[2] for row in zlegs], dtype=complex)
+        parts.append(_one_class(_REST, *z.block_pattern(), z.block_values(y.real, -y.imag, y.imag, y.real)))
+
+        # ideal sources: voltage rows owned by the source current unknowns,
+        # injection into the node KCL
+        src = [
+            (*imap.source_current[(b.id, ph)], *imap.v_pair(b.id, ph), v)
+            for b in network.source_buses()
+            for ph, v in zip(b.phases, b.v0)
+        ]
+        ir, ii, vr, vi = np.array([row[:4] for row in src], dtype=np.int64).reshape(-1, 4).T
+        ones = np.ones(len(src))
+        parts.append(_one_class(_REST, np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), np.ravel([ones, ones, -ones, -ones])))
+        self.src_rhs_rows = np.concatenate([ir, ii])
+        self.src_rhs_vals = np.array([row[4].real for row in src] + [row[4].imag for row in src])
+
+        for port in network.ports:
+            st = stamp_coupling_port(port, network, imap)
+            parts.append(_one_class(_REST, st.rows, st.cols, st.vals))
+
+        rows, cols, classes, div = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        keep = classes.any(axis=0)
+        self.lin_rows, self.lin_cols, self.div = rows[keep], cols[keep], div[keep]
+        self.scaled, self.relaxed, self.rest = classes[:, keep]
+
+    # -- per-state evaluation ------------------------------------------
+
+    def linear(self, hs: HomotopyState | None) -> StampSet:
+        series, shunt = (hs.series_scale, hs.shunt_scale) if hs is not None else (1.0, 1.0)
+        vals = (self.scaled * series + self.relaxed * shunt + self.rest) / self.div
+        return StampSet(self.lin_rows, self.lin_cols, vals, self.src_rhs_rows, self.src_rhs_vals)
+
+    def nonlinear(self, x: np.ndarray, gen_modes: dict, gen_q_fixed: dict) -> StampSet:
+        x1r, x1i, x2r, x2i = np.append(x, 0.0)[self.legs.t].T
+        vr, vi = x1r - x2r, x1i - x2i
+        pq, cu = self.pq, self.cu
+        m2 = vr * vr + vi * vi
+        low = np.empty(len(vr), dtype=bool)
+        low[pq] = m2[pq] <= EPS_V * EPS_V
+        low[cu] = np.hypot(vr[cu], vi[cu]) <= EPS_V
+        for k in np.flatnonzero(low)[:1]:
+            raise VoltageCollapseError(*self.labels[k], m2[k] if self.is_pq[k] else math.hypot(vr[k], vi[k]) ** 2)
+        gvr, gvi, qg = x[self.gr], x[self.gi], x[self.gq]
+        gm2 = gvr * gvr + gvi * gvi
+        for k in np.flatnonzero(gm2 <= EPS_V * EPS_V)[:1]:
+            raise VoltageCollapseError(self.gens[k].bus, POSITIVE_SEQUENCE, gm2[k])
+
+        # constant-power share: J on the left, J.x_k - c(x_k) on the right
+        hr, hi = np.empty(len(vr)), np.empty(len(vr))
+        ir, ii, a, b, c, d = pq_partials(self.p, self.q, vr[pq], vi[pq])
+        hr[pq] = -ir + a * x1r[pq] + b * x1i[pq] - a * x2r[pq] - b * x2i[pq]
+        hi[pq] = -ii + c * x1r[pq] + d * x1i[pq] - c * x2r[pq] - d * x2i[pq]
+        # constant-current share: fixed magnitude at the demand's power-factor
+        # angle off the present voltage angle; no Jacobian entry (secant update)
+        theta = _libm(math.atan2, vi[cu], vr[cu]) - self.angle
+        hr[cu] = -(self.mag * _libm(math.cos, theta))
+        hi[cu] = -(self.mag * _libm(math.sin, theta))
+
+        # generators are PQ demands of -(P + jQ) with Q an unknown
+        gir, gii, ga, gb, gc, gd = pq_partials(-self.gen_p, -qg, gvr, gvi)
+        dq_r, dq_i = -gvi / gm2, gvr / gm2
+        modes = [gen_modes.get(g.bus, "pv") for g in self.gens]
+        pv = np.array([m == "pv" for m in modes], dtype=bool)
+        q_pin = np.array(
+            [gen_q_fixed.get(g.bus, g.q_max if m == "qmax" else g.q_min) for g, m in zip(self.gens, modes)]
+        )
+        # pv: |V|^2 = Vset^2 linearized, 2 vr V_R + 2 vi V_I = Vset^2 + vr^2 + vi^2;
+        # at a limit the row pins Q at the bound instead
+        vals = np.concatenate(
+            [
+                self.jac.block_values(a, b, c, d),
+                ga, gc, gb, gd, dq_r, dq_i,
+                np.where(pv, 2.0 * gvr, 0.0), np.where(pv, 2.0 * gvi, 0.0), np.where(pv, 0.0, 1.0),
+            ]
+        )
+        rhs = np.concatenate(
+            [
+                self.legs.rhs_values(hr, hi),
+                -gir + ga * gvr + gb * gvi + dq_r * qg,
+                -gii + gc * gvr + gd * gvi + dq_i * qg,
+                np.where(pv, self.gen_v2 + gm2, q_pin),
+            ]
+        )
+        return StampSet(self.nl_rows, self.nl_cols, vals, self.nl_rhs_rows, rhs)
+
+
+def compile_circuit(network: Network, imap: IndexMap) -> CompiledCircuit:
+    """The network's compiled circuit for ``imap``: built on first use, then kept.
+
+    The cache rides on the (immutable) network, like its bus lookup, so
+    every Newton attempt and iteration of a solve shares one compilation.
+    """
+    circuit = network.__dict__.get("_circuit")
+    if circuit is None or circuit.imap is not imap:
+        circuit = CompiledCircuit(network, imap)
+        object.__setattr__(network, "_circuit", circuit)
+    return circuit
 
 
 # ----------------------------------------------------------------------
-# Linear stamps
+# Stamps
 # ----------------------------------------------------------------------
 
 
 def stamp_linear(network: Network, imap: IndexMap, hs: HomotopyState | None = None) -> StampSet:
     """All state-independent stamps: series elements, shunts, constant-impedance
-    load shares, and ideal source rows."""
-    st = StampSet(imap.n, tag="linear")
-
-    for el in network.elements:
-        yff, yft, ytf, ytt = element_terminal_blocks(el, hs)
-        fph = el.phases
-        for i, pi_ in enumerate(fph):
-            rowf = imap.v_pair(el.from_bus, pi_)
-            rowt = imap.v_pair(el.to_bus, pi_)
-            for j, pj in enumerate(fph):
-                colf = imap.v_pair(el.from_bus, pj)
-                colt = imap.v_pair(el.to_bus, pj)
-                st.add_complex(rowf, colf, complex(yff[i, j]))
-                st.add_complex(rowf, colt, complex(yft[i, j]))
-                st.add_complex(rowt, colf, complex(ytf[i, j]))
-                st.add_complex(rowt, colt, complex(ytt[i, j]))
-
-    shunt_scale = hs.shunt_scale if hs is not None else 1.0
-    for sh in network.shunts:
-        for ph, y in zip(sh.phases, sh.y):
-            pair = imap.v_pair(sh.bus, ph)
-            st.add_complex(pair, pair, y * shunt_scale)
-
-    # constant-impedance ZIP share: admittance fixed by the nominal-voltage demand
-    for ld in network.loads:
-        fz = ld.zip_fractions[2]
-        if fz == 0.0:
-            continue
-        if ld.connection is Connection.WYE or ld.phases == POSITIVE_SEQUENCE:
-            for ph, s in zip(ld.phases, ld.s):
-                pair = imap.v_pair(ld.bus, ph)
-                st.add_complex(pair, pair, fz * s.conjugate())
-        else:
-            # delta legs see sqrt(3) pu at nominal, so |Vref|^2 = 3
-            pairs = {ph: imap.v_pair(ld.bus, ph) for ph in "abc"}
-            for (ph1, ph2), s in zip((("a", "b"), ("b", "c"), ("c", "a")), ld.s):
-                y = fz * s.conjugate() / 3.0
-                st.add_complex(pairs[ph1], pairs[ph1], y)
-                st.add_complex(pairs[ph1], pairs[ph2], -y)
-                st.add_complex(pairs[ph2], pairs[ph1], -y)
-                st.add_complex(pairs[ph2], pairs[ph2], y)
-
-    # ideal sources: voltage rows owned by the source current unknowns,
-    # injection into the node KCL
-    for b in network.source_buses():
-        for ph, v in zip(b.phases, b.v0):
-            ir, ii = imap.source_current[(b.id, ph)]
-            vr, vi = imap.v_pair(b.id, ph)
-            st.add(ir, vr, 1.0)
-            st.add_rhs(ir, v.real)
-            st.add(ii, vi, 1.0)
-            st.add_rhs(ii, v.imag)
-            st.add(vr, ir, -1.0)
-            st.add(vi, ii, -1.0)
-
-    return st
+    load shares, ideal source rows and coupling ports."""
+    return compile_circuit(network, imap).linear(hs)
 
 
 def stamp_coupling_port(port, network: Network, imap: IndexMap) -> StampSet:
@@ -307,52 +465,24 @@ def stamp_coupling_port(port, network: Network, imap: IndexMap) -> StampSet:
     back into the transmission bus (zero and negative sequence
     components stay inside the port's ideal sources).
     """
-    st = StampSet(imap.n, tag=f"port:{port.id}")
     poi_r, poi_i = imap.v_pair(port.transmission_bus, POSITIVE_SEQUENCE)
+    triplets = []
     for ph in "abc":
         rot = PHASE_ROTATION[ph]
+        w = POS_SEQ_WEIGHT[ph] / 3.0
         cur_r, cur_i = imap.port_current[(port.id, ph)]
         head_r, head_i = imap.v_pair(port.feeder_head, ph)
-        # voltage rows: V_head - rot * V_poi = 0
-        st.add(cur_r, head_r, 1.0)
-        st.add(cur_r, poi_r, -rot.real)
-        st.add(cur_r, poi_i, rot.imag)
-        st.add(cur_i, head_i, 1.0)
-        st.add(cur_i, poi_r, -rot.imag)
-        st.add(cur_i, poi_i, -rot.real)
-        # source current injects into the head node
-        st.add(head_r, cur_r, -1.0)
-        st.add(head_i, cur_i, -1.0)
-        # positive-sequence share of the phase current leaves the POI
-        w = _POS_SEQ_WEIGHT[ph] / 3.0
-        st.add(poi_r, cur_r, w.real)
-        st.add(poi_r, cur_i, -w.imag)
-        st.add(poi_i, cur_r, w.imag)
-        st.add(poi_i, cur_i, w.real)
-    return st
-
-
-# ----------------------------------------------------------------------
-# Nonlinear (per-iteration) stamps
-# ----------------------------------------------------------------------
-
-
-def _stamp_linearized_current(st, row_pair, contributions, current_at_xk):
-    """Stamp J on the left and J.x_k - c(x_k) on the right for one current.
-
-    ``contributions`` is a list of (column, coeff_row_r, coeff_row_i,
-    value_at_xk) items; ``current_at_xk`` is the complex c(x_k).
-    """
-    rr, ri = row_pair
-    acc_r = -current_at_xk.real
-    acc_i = -current_at_xk.imag
-    for col, coef_r, coef_i, xval in contributions:
-        st.add(rr, col, coef_r)
-        st.add(ri, col, coef_i)
-        acc_r += coef_r * xval
-        acc_i += coef_i * xval
-    st.add_rhs(rr, acc_r)
-    st.add_rhs(ri, acc_i)
+        triplets += [
+            # voltage rows: V_head - rot * V_poi = 0
+            (cur_r, head_r, 1.0), (cur_r, poi_r, -rot.real), (cur_r, poi_i, rot.imag),
+            (cur_i, head_i, 1.0), (cur_i, poi_r, -rot.imag), (cur_i, poi_i, -rot.real),
+            # source current injects into the head node
+            (head_r, cur_r, -1.0), (head_i, cur_i, -1.0),
+            # positive-sequence share of the phase current leaves the POI
+            (poi_r, cur_r, w.real), (poi_r, cur_i, -w.imag), (poi_i, cur_r, w.imag), (poi_i, cur_i, w.real),
+        ]
+    rows, cols, vals = zip(*triplets)
+    return StampSet(rows, cols, vals)
 
 
 def stamp_nonlinear(
@@ -368,127 +498,10 @@ def stamp_nonlinear(
     ``gen_modes`` maps a generator bus to 'pv' (default), 'qmax' or
     'qmin'; at a limit the voltage-magnitude row is replaced by a row
     pinning the reactive unknown at the bound from ``gen_q_fixed``.
+    Raises VoltageCollapseError naming the first load terminal (in
+    device order) below the guard.
     """
-    st = StampSet(imap.n, tag="nonlinear")
-    gen_modes = gen_modes or {}
-    gen_q_fixed = gen_q_fixed or {}
-
-    for ld in network.loads:
-        _stamp_zip(st, imap, x, ld, sign=1.0)
-    for der in network.ders:
-        _stamp_zip(st, imap, x, der, sign=-1.0)
-
-    for g in network.generators:
-        if not g.status or g.bus not in imap.gen_q:
-            continue
-        qi = imap.gen_q[g.bus]
-        vr_i, vi_i = imap.v_pair(g.bus, POSITIVE_SEQUENCE)
-        vr, vi = x[vr_i], x[vi_i]
-        qg = x[qi]
-        m2 = vr * vr + vi * vi
-        if m2 <= EPS_V * EPS_V:
-            raise VoltageCollapseError(g.bus, POSITIVE_SEQUENCE, m2)
-        # generator modeled as a PQ demand of -(P + jQ); Q is an unknown
-        ir, ii, d_rr, d_ri, d_ir, d_ii = eval_pq(-g.p_set, -qg, vr, vi, g.bus)
-        dq_r = -vi / m2
-        dq_i = vr / m2
-        _stamp_linearized_current(
-            st,
-            (vr_i, vi_i),
-            [
-                (vr_i, d_rr, d_ir, vr),
-                (vi_i, d_ri, d_ii, vi),
-                (qi, dq_r, dq_i, qg),
-            ],
-            complex(ir, ii),
-        )
-        mode = gen_modes.get(g.bus, "pv")
-        if mode == "pv":
-            # |V|^2 = Vset^2 linearized: 2 vr V_R + 2 vi V_I = Vset^2 + vr^2 + vi^2
-            st.add(qi, vr_i, 2.0 * vr)
-            st.add(qi, vi_i, 2.0 * vi)
-            st.add_rhs(qi, g.v_set * g.v_set + m2)
-        else:
-            st.add(qi, qi, 1.0)
-            st.add_rhs(qi, gen_q_fixed.get(g.bus, g.q_max if mode == "qmax" else g.q_min))
-
-    return st
-
-
-def _stamp_zip(st: StampSet, imap: IndexMap, x: np.ndarray, dev, sign: float) -> None:
-    """Constant-power and constant-current shares of a load (sign=1) or DER (sign=-1)."""
-    fp, fi_, _ = getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))
-    conn = getattr(dev, "connection", Connection.WYE)
-    voltages = {ph: imap.voltage(x, dev.bus, ph) for ph in dev.phases}
-    if conn is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE:
-        voltages = {ph: imap.voltage(x, dev.bus, ph) for ph in "abc"}
-
-    if fp != 0.0:
-        probe = dev if fp == 1.0 else _scaled(dev, fp)
-        for terms, signs, cur, jac in eval_pq_three_phase(probe, voltages):
-            cur *= sign
-            jac = jac * sign
-            for ph_t, sg_t in zip(terms, signs):
-                row_pair = imap.v_pair(dev.bus, ph_t)
-                contribs = []
-                for ph_c, sg_c in zip(terms, signs):
-                    cr, ci = imap.v_pair(dev.bus, ph_c)
-                    blk = jac * sg_t * sg_c
-                    contribs.append((cr, blk[0, 0], blk[1, 0], x[cr]))
-                    contribs.append((ci, blk[0, 1], blk[1, 1], x[ci]))
-                _stamp_linearized_current(st, row_pair, contribs, cur * sg_t)
-
-    if fi_ != 0.0:
-        # fixed-magnitude current at the demand's power-factor angle off the
-        # present voltage angle; no Jacobian contribution (secant update)
-        if conn is Connection.WYE or dev.phases == POSITIVE_SEQUENCE:
-            for ph, s in zip(dev.phases, dev.s):
-                s = s * fi_
-                if s == 0:
-                    continue
-                v = voltages[ph]
-                if abs(v) <= EPS_V:
-                    raise VoltageCollapseError(dev.bus, ph, abs(v) ** 2)
-                cur = sign * abs(s) * cmath.exp(1j * (cmath.phase(v) - cmath.phase(s)))
-                rr, ri = imap.v_pair(dev.bus, ph)
-                st.add_rhs(rr, -cur.real)
-                st.add_rhs(ri, -cur.imag)
-        else:
-            for (ph1, ph2), s in zip((("a", "b"), ("b", "c"), ("c", "a")), dev.s):
-                s = s * fi_
-                if s == 0:
-                    continue
-                vleg = voltages[ph1] - voltages[ph2]
-                if abs(vleg) <= EPS_V:
-                    raise VoltageCollapseError(dev.bus, ph1 + ph2, abs(vleg) ** 2)
-                cur = sign * (abs(s) / math.sqrt(3.0)) * cmath.exp(
-                    1j * (cmath.phase(vleg) - cmath.phase(s))
-                )
-                r1 = imap.v_pair(dev.bus, ph1)
-                r2 = imap.v_pair(dev.bus, ph2)
-                st.add_rhs(r1[0], -cur.real)
-                st.add_rhs(r1[1], -cur.imag)
-                st.add_rhs(r2[0], cur.real)
-                st.add_rhs(r2[1], cur.imag)
-
-
-def _scaled(dev, f: float):
-    from dataclasses import replace
-
-    return replace(dev, s=tuple(f * s for s in dev.s))
-
-
-def stamp_injections(
-    injections: dict[int, dict[str, complex]], imap: IndexMap
-) -> StampSet:
-    """Constant per-phase current consumptions (the torn-network boundary drive)."""
-    st = StampSet(imap.n, tag="injections")
-    for bus_id, per_phase in injections.items():
-        for ph, cur in per_phase.items():
-            rr, ri = imap.v_pair(bus_id, ph)
-            st.add_rhs(rr, -cur.real)
-            st.add_rhs(ri, -cur.imag)
-    return st
+    return compile_circuit(network, imap).nonlinear(x, gen_modes or {}, gen_q_fixed or {})
 
 
 def stamp_system(
@@ -503,14 +516,16 @@ def stamp_system(
 ) -> tuple[StampSet, StampSet]:
     """Produce (linear, nonlinear) stamps for the full system at state x.
 
-    The linear part depends only on the continuation state and can be
-    cached across NR iterations; pass it back via ``linear_cache``.
+    The linear part depends only on the continuation state and the
+    ``injections`` (constant per-phase current consumptions, the
+    torn-network boundary drive) and can be cached across NR iterations;
+    pass it back via ``linear_cache``.
     """
     if linear_cache is None:
         linear_cache = stamp_linear(network, imap, hs)
-        for port in network.ports:
-            linear_cache.merge(stamp_coupling_port(port, network, imap))
         if injections:
-            linear_cache.merge(stamp_injections(injections, imap))
-    nonlin = stamp_nonlinear(network, imap, x, gen_modes, gen_q_fixed)
-    return linear_cache, nonlin
+            rows = [i for bus, per in injections.items() for ph in per for i in imap.v_pair(bus, ph)]
+            vals = [v for per in injections.values() for cur in per.values() for v in (-cur.real, -cur.imag)]
+            lin = linear_cache
+            linear_cache = replace(lin, rhs_rows=np.r_[lin.rhs_rows, rows], rhs_vals=np.r_[lin.rhs_vals, vals])
+    return linear_cache, stamp_nonlinear(network, imap, x, gen_modes, gen_q_fixed)

@@ -13,13 +13,10 @@ from tandem.sparse import (
 from tandem.stamping import StampSet
 
 
-def stamps_from(triplets, rhs=(), n=4):
-    st_ = StampSet(n)
-    for r, c, v in triplets:
-        st_.add(r, c, v)
-    for r, v in rhs:
-        st_.add_rhs(r, v)
-    return st_
+def stamps_from(triplets, rhs=()):
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    rhs_rows, rhs_vals = zip(*rhs) if rhs else ((), ())
+    return StampSet(rows, cols, vals, rhs_rows, rhs_vals)
 
 
 def test_duplicates_summed():
@@ -39,15 +36,13 @@ def test_rhs_accumulates():
 
 
 def test_out_of_range_rejected():
-    st_ = StampSet(4)
     with pytest.raises(IndexError):
-        st_.add(4, 0, 1.0)
+        assemble([stamps_from([(4, 0, 1.0)])], 4)
 
 
 def test_nonfinite_rejected():
-    st_ = StampSet(4)
     with pytest.raises(ValueError):
-        st_.add(0, 0, float("nan"))
+        assemble([stamps_from([(0, 0, float("nan"))])], 4)
 
 
 @settings(deadline=None, max_examples=20)
@@ -60,10 +55,9 @@ def test_random_assembly_matches_dense_sum(seed):
     cols = rng.integers(0, n, size=k)
     vals = rng.normal(size=k)
     dense = np.zeros((n, n))
-    st_ = StampSet(n)
     for r, c, v in zip(rows, cols, vals):
         dense[r, c] += v
-        st_.add(int(r), int(c), float(v))
+    st_ = StampSet(rows, cols, vals)
     sys_ = assemble([st_], n)
     assert np.allclose(sys_.matrix.toarray(), dense, atol=0)
 
@@ -87,9 +81,7 @@ def test_assembly_plan_matches_plain_assemble():
     cols = rng.integers(0, n, size=200)
     for _ in range(3):
         vals = rng.normal(size=200)
-        st_ = StampSet(n)
-        for r, c, v in zip(rows, cols, vals):
-            st_.add(int(r), int(c), float(v))
+        st_ = StampSet(rows, cols, vals)
         got = plan.assemble([st_], n)
         want = assemble([st_], n)
         assert np.allclose(got.matrix.toarray(), want.matrix.toarray(), atol=0)
@@ -105,18 +97,17 @@ def test_random_sparse_solve_residual():
     rng = np.random.default_rng(5)
     n = 100
     dense = np.zeros((n, n))
-    st_ = StampSet(n)
+    triplets = []
     for i in range(n):
-        st_.add(i, i, 5.0 + rng.random())
-        dense[i, i] += st_.vals[-1]
+        triplets.append((i, i, 5.0 + rng.random()))
+        dense[i, i] += triplets[-1][2]
     for _ in range(300):
         r, c = rng.integers(0, n, size=2)
         v = rng.normal()
-        st_.add(int(r), int(c), v)
+        triplets.append((int(r), int(c), v))
         dense[r, c] += v
     b = rng.normal(size=n)
-    for i, v in enumerate(b):
-        st_.add_rhs(i, float(v))
+    st_ = stamps_from(triplets, rhs=list(enumerate(b)))
     sys_ = assemble([st_], n)
     x = factor_solve(sys_)
     resid = np.abs(sys_.matrix @ x - sys_.rhs).max() / max(1.0, np.abs(b).max())
@@ -139,13 +130,10 @@ def test_numerically_singular_raises():
 def test_bitwise_deterministic_solve():
     rng = np.random.default_rng(9)
     n = 60
-    st_ = StampSet(n)
-    for i in range(n):
-        st_.add(i, i, 3.0 + rng.random())
+    triplets = [(i, i, 3.0 + rng.random()) for i in range(n)]
     for _ in range(150):
-        st_.add(int(rng.integers(0, n)), int(rng.integers(0, n)), float(rng.normal()))
-    for i in range(n):
-        st_.add_rhs(i, float(rng.normal()))
+        triplets.append((int(rng.integers(0, n)), int(rng.integers(0, n)), float(rng.normal())))
+    st_ = stamps_from(triplets, rhs=[(i, float(rng.normal())) for i in range(n)])
     a = factor_solve(assemble([st_], n))
     b = factor_solve(assemble([st_], n))
     assert a.tobytes() == b.tobytes()
