@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from .netmodel import (
-    PHASE_ROTATION,
     POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
@@ -77,16 +76,3 @@ def port_power_balance(network: Network, imap: IndexMap, x: np.ndarray, port) ->
     )
     return s_tx, s_head
 
-
-def voltage_magnitudes(network: Network, imap: IndexMap, x: np.ndarray) -> dict[tuple[int, str], float]:
-    """|V| keyed by (bus, phase) for whole-solution comparisons."""
-    out = {}
-    for b in network.buses:
-        for ph in b.phases:
-            out[(b.id, ph)] = abs(imap.voltage(x, b.id, ph))
-    return out
-
-
-def head_rotation(vp: complex) -> tuple[complex, complex, complex]:
-    """Feeder-head phase voltages mirrored from a transmission pair."""
-    return tuple(PHASE_ROTATION[ph] * vp for ph in THREE_PHASE)

@@ -386,11 +386,13 @@ class CompiledCircuit:
         low = np.empty(len(vr), dtype=bool)
         low[pq] = m2[pq] <= EPS_V * EPS_V
         low[cu] = np.hypot(vr[cu], vi[cu]) <= EPS_V
-        for k in np.flatnonzero(low)[:1]:
+        if low.any():  # name the first leg in device order
+            k = int(np.argmax(low))
             raise VoltageCollapseError(*self.labels[k], m2[k] if self.is_pq[k] else math.hypot(vr[k], vi[k]) ** 2)
         gvr, gvi, qg = x[self.gr], x[self.gi], x[self.gq]
         gm2 = gvr * gvr + gvi * gvi
-        for k in np.flatnonzero(gm2 <= EPS_V * EPS_V)[:1]:
+        if (gm2 <= EPS_V * EPS_V).any():
+            k = int(np.argmax(gm2 <= EPS_V * EPS_V))
             raise VoltageCollapseError(self.gens[k].bus, POSITIVE_SEQUENCE, gm2[k])
 
         # constant-power share: J on the left, J.x_k - c(x_k) on the right
