@@ -25,8 +25,8 @@ from .netmodel import (
     build_index_map,
     initial_state,
 )
-from .sparse import AssemblyPlan, SingularSystemError, factor_solve
-from .stamping import DEFAULT_GAMMA, HomotopyState, VoltageCollapseError, stamp_system
+from .sparse import SingularSystemError, factor_solve
+from .stamping import DEFAULT_GAMMA, CompiledCircuit, HomotopyState, VoltageCollapseError, stamp_system
 
 log = logging.getLogger(__name__)
 
@@ -266,7 +266,7 @@ def _nr_attempt(
     q_fixed,
     injections,
     vmask: np.ndarray,
-    plan: AssemblyPlan,
+    circuit: CompiledCircuit,
     residual_log: list[float],
 ):
     """One NR run at fixed continuation state.  Returns (x, converged, reason)."""
@@ -276,12 +276,12 @@ def _nr_attempt(
     for _ in range(options.max_iter):
         try:
             linear_cache, nonlin = stamp_system(
-                network, imap, x, hs, modes, q_fixed, injections, linear_cache
+                network, imap, x, hs, modes, q_fixed, injections, linear_cache, circuit
             )
         except VoltageCollapseError as exc:
             residual_log.extend(history)
             return x, False, f"collapse: {exc}"
-        system = plan.assemble([linear_cache, nonlin], imap.n)
+        system = circuit.plan.assemble([linear_cache, nonlin], imap.n)
         if options.debug_matrix_dir:
             from pathlib import Path
 
@@ -315,14 +315,14 @@ def _nr_attempt(
 
 
 def _solve_with_continuation(
-    network, imap, x, options, modes, q_fixed, injections, vmask, plan, report
+    network, imap, x, options, modes, q_fixed, injections, vmask, circuit, report
 ):
     """NR plus the lam schedule; returns the converged state at lam = 0."""
 
     def attempt(lam, start):
         hs = None if lam == 0.0 else HomotopyState(lam, options.gamma, options.shunt_relax)
         xr, ok, reason = _nr_attempt(
-            network, imap, start, hs, options, modes, q_fixed, injections, vmask, plan,
+            network, imap, start, hs, options, modes, q_fixed, injections, vmask, circuit,
             report.residual_history,
         )
         report.lambda_trajectory.append(
@@ -392,7 +392,7 @@ def solve_direct(
     imap = imap or build_index_map(network)
     x = x0.copy() if x0 is not None else initial_state(network, imap, flat=options.flat_start)
     vmask = voltage_index_mask(imap)
-    plan = AssemblyPlan()
+    circuit = CompiledCircuit(network, imap)
     report = SolveReport()
     modes: dict[int, str] = {}
     q_fixed: dict[int, float] = {}
@@ -400,7 +400,7 @@ def solve_direct(
 
     for _ in range(_MAX_CONTROL_ROUNDS):
         x = _solve_with_continuation(
-            network, imap, x, options, modes, q_fixed, injections, vmask, plan, report
+            network, imap, x, options, modes, q_fixed, injections, vmask, circuit, report
         )
         if not options.q_limits:
             break

@@ -62,7 +62,9 @@ class AssemblyPlan:
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise IndexError("triplet index outside system")
         width = max(n, 1)
-        pos, self._slot = np.unique(c * width + r, return_inverse=True)
+        flat = c * width + r
+        del r, c  # keep the sort's transient memory low on large systems
+        pos, self._slot = np.unique(flat, return_inverse=True)
         self._col = pos // width
         indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col, minlength=n))])
         self._template = sp.csc_matrix((np.zeros(pos.size), pos % width, indptr), shape=(n, n))

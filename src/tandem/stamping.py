@@ -15,9 +15,9 @@ Conventions used throughout (and relied on by the solver):
   Jacobian block J_c on the left and J_c . x_k - c(x_k) on the right,
   so J(x) . x - b(x) is the exact nonlinear mismatch at x.
 
-A network is compiled once per index map (``compile_circuit``): every
-stamp position is fixed there, and every ZIP leg and generator becomes
-an entry of index and parameter arrays.  Each Newton iteration then
+A solve compiles its network once (``CompiledCircuit``): every stamp
+position is fixed there, and every ZIP leg and generator becomes an
+entry of index and parameter arrays.  Each Newton iteration then
 evaluates all nonlinear currents and Jacobian entries in one vectorized
 pass, the approach of MATPOWER's makeYbus/dSbus_dV.
 """
@@ -38,6 +38,7 @@ from .netmodel import (
     IndexMap,
     Network,
 )
+from .sparse import AssemblyPlan
 
 # Voltage-collapse guard: below this magnitude the PQ model denominator
 # is meaningless and the step limiter is expected to intervene.
@@ -49,7 +50,8 @@ DEFAULT_GAMMA = 1e3
 
 _DELTA_LEGS = (("a", "b"), ("b", "c"), ("c", "a"))
 
-# continuation classes of the linear values
+# continuation classes of linear values: series self terms times 1 + lam gamma,
+# line charging and shunts times 1 - lam, the rest unscaled
 _SCALED, _RELAXED, _REST = 0, 1, 2
 
 
@@ -160,10 +162,10 @@ def apply_homotopy_three_phase(y_block: np.ndarray, hs: HomotopyState | None) ->
 # Compilation
 # ----------------------------------------------------------------------
 #
-# Compiled stamps keep the arithmetic of per-device stamping bit for bit:
-# triplets stay in device order (assembly sums duplicates in that order)
-# and values come from the same expressions.  Newton runs that fail to
-# converge are chaotic, so a last-bit change would change their length.
+# Triplets keep device order (assembly sums duplicates in that order) and
+# each value keeps one scalar expression, with libm where numpy's kernels
+# differ: Newton runs that fail to converge are chaotic, so a last-bit
+# change to the stamps would change how long they run.
 
 
 def _expand(w):
@@ -227,17 +229,16 @@ def _device_legs(dev, imap: IndexMap):
     return [(ph, imap.v_pair(dev.bus, ph), None, s) for ph, s in zip(dev.phases, dev.s)]
 
 
-def _one_class(kind: int, rows, cols, vals):
-    return rows, cols, np.where(np.arange(3)[:, None] == kind, vals, 0.0), np.ones(len(vals))
-
-
 def _element_triplets(network: Network, imap: IndexMap):
-    """(rows, cols, class values, divisor) of every series element, in element order.
+    """Series-element triplets in element order: (rows, cols, vals, class, pi).
 
     Positive-sequence elements use the pi model with tap and phase
-    shift; the from-side self term (y s + ysh r) / tap^2 needs the
-    divisor.  Three-phase elements couple their full phase blocks, self
-    terms scaled and mutuals not.  Work is vectorized per phase set.
+    shift; three-phase elements couple their full phase blocks, self
+    terms scaled and mutuals not.  A pi model's self terms mix classes,
+    (y s + ysh r) / tap^2 on the from side, so ``pi`` gives those
+    triplets' indices, relaxed values and divisors.  Blocks are built
+    per phase set, then put in element order and expanded to real
+    triplets.
     """
     groups: dict[str, list] = {}
     for k, el in enumerate(network.elements):
@@ -248,50 +249,54 @@ def _element_triplets(network: Network, imap: IndexMap):
         f = np.array([[imap.v_pair(el.from_bus, ph) for ph in phases] for el in els])
         t = np.array([[imap.v_pair(el.to_bus, ph) for ph in phases] for el in els])
         if phases == POSITIVE_SEQUENCE:
-            # per element (scaled, relaxed, rest, divisor) of the ff, ft, tf, tt blocks
+            # per element (value, class, relaxed value, divisor) of the ff, ft, tf, tt blocks
             pi = []
             for el in els:
                 y, a, ysh = complex(el.y_series[0, 0]), el.tap * cmath.exp(1j * el.shift), 0.5j * el.b_charge
-                pi.append([(y, ysh, 0, el.tap * el.tap), (-y / a.conjugate(), 0, 0, 1), (-y / a, 0, 0, 1), (y, ysh, 0, 1)])
+                pi.append([(y, _SCALED, ysh, el.tap * el.tap), (-y / a.conjugate(), _SCALED, 0, 1),
+                           (-y / a, _SCALED, 0, 1), (y, _SCALED, ysh, 1)])
             w = np.array(pi, dtype=complex).transpose(2, 1, 0)[..., None, None]
         else:
             y = np.array([el.y_series for el in els])
             blocks = np.stack([y, -y, -y, y])
-            self_terms = np.eye(len(phases), dtype=bool)
-            zero = np.zeros_like(blocks)
-            w = np.stack([np.where(self_terms, blocks, 0), zero, np.where(self_terms, 0, blocks), zero + 1])
+            kind = np.where(np.eye(len(phases), dtype=bool), _SCALED, _REST)
+            w = np.stack([blocks, np.broadcast_to(kind, blocks.shape), 0 * blocks, 0 * blocks + 1])
         shape = w.shape[1:]  # (block, element, phase, phase)
         rs, cs = np.stack([f, f, t, t]), np.stack([f, t, f, t])
-        rows, cols = _expand_pairs(
-            *(np.broadcast_to(rs[:, :, :, None, j], shape) for j in (0, 1)),
-            *(np.broadcast_to(cs[:, :, None, :, j], shape) for j in (0, 1)),
+        parts.append(
+            [np.broadcast_to(np.array(order).reshape(1, -1, 1, 1), shape).ravel()]
+            + [np.broadcast_to(rs[:, :, :, None, j], shape).ravel() for j in (0, 1)]
+            + [np.broadcast_to(cs[:, :, None, :, j], shape).ravel() for j in (0, 1)]
+            + [np.broadcast_to(w[k], shape).ravel() for k in range(4)]
         )
-        ordinal = np.broadcast_to(np.array(order).reshape(1, -1, 1, 1), shape)
-        classes = np.stack([_expand(np.broadcast_to(w[k], shape)) for k in (_SCALED, _RELAXED, _REST)])
-        parts.append((np.tile(ordinal.ravel(), 4), rows, cols, classes, np.tile(np.broadcast_to(w[3].real, shape).ravel(), 4)))
     if not parts:
-        return _one_class(_REST, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-    ordinal, rows, cols, classes, div = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    perm = np.argsort(ordinal, kind="stable")
-    return rows[perm], cols[perm], classes[:, perm], div[perm]
+        empty = np.zeros(0, np.int64)
+        return empty, empty, np.zeros(0), np.zeros(0, np.int8), (empty, np.zeros(0), np.zeros(0))
+    perm = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
+    rr, ri, cr, ci, w, kind, relaxed, div = (np.concatenate([p[i] for p in parts])[perm] for i in range(1, 9))
+    mixed = np.flatnonzero((relaxed != 0) | (div != 1))
+    pi = ((np.arange(4)[:, None] * len(w) + mixed).ravel(), _expand(relaxed[mixed]), np.tile(div[mixed].real, 4))
+    return *_expand_pairs(rr, ri, cr, ci), _expand(w), np.tile(kind.real.astype(np.int8), 4), pi
 
 
 class CompiledCircuit:
     """Stamp positions and device parameters of one (network, index map) pair.
 
-    Linear triplets carry three value vectors: ``scaled`` (series self
-    terms, times 1 + lam gamma under continuation), ``relaxed`` (line
-    charging and shunts, times 1 - lam) and ``rest`` (mutual phase
-    couplings, constant-impedance load shares, sources and ports).
+    Each linear triplet carries its value and continuation class:
+    scaled (series self terms, times 1 + lam gamma), relaxed (line
+    charging and shunts, times 1 - lam) or rest (mutual phase couplings,
+    constant-impedance load shares, sources and ports); pi-model self
+    terms, which mix the first two, are listed apart.
     Every ZIP leg is a row of index and parameter arrays: constant-power
     legs carry (p, q) with the ZIP fraction and the load/DER sign folded
     in, constant-current legs a signed magnitude and the demand angle.
-    Index bounds are checked here, once.
+    Index bounds are checked here, once.  ``plan`` caches the CSC
+    scatter of the pattern from the first assembly on.
     """
 
     def __init__(self, network: Network, imap: IndexMap):
-        self.imap = imap
-        n = self.n = imap.n
+        n = imap.n
+        self.plan = AssemblyPlan()
         self._compile_linear(network, imap)
 
         legs = []  # (is_pq, (bus, label), t1, t2, sign, s) in stamping order
@@ -332,10 +337,11 @@ class CompiledCircuit:
 
     def _compile_linear(self, network: Network, imap: IndexMap) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
-        parts = [_element_triplets(network, imap)]
+        *element, (self.pi, self.pi_relaxed, self.pi_div) = _element_triplets(network, imap)
+        parts = [element]
         shunts = [(*imap.v_pair(sh.bus, ph), y) for sh in network.shunts for ph, y in zip(sh.phases, sh.y)]
         rr, ri = np.array([row[:2] for row in shunts], dtype=np.int64).reshape(-1, 2).T
-        parts.append(_one_class(_RELAXED, *_expand_pairs(rr, ri, rr, ri), _expand([row[2] for row in shunts])))
+        parts.append((*_expand_pairs(rr, ri, rr, ri), _expand([row[2] for row in shunts]), _RELAXED))
 
         # constant-impedance ZIP share: admittance fixed by the nominal-voltage
         # demand; delta legs see sqrt(3) pu at nominal, so |Vref|^2 = 3
@@ -345,9 +351,9 @@ class CompiledCircuit:
             if ld.zip_fractions[2] != 0.0
             for _, t1, t2, s in _device_legs(ld, imap)
         ]
-        z = _legs([row[:2] for row in zlegs], self.n)
+        z = _legs([row[:2] for row in zlegs], imap.n)
         y = np.array([row[2] for row in zlegs], dtype=complex)
-        parts.append(_one_class(_REST, *z.block_pattern(), z.block_values(y.real, -y.imag, y.imag, y.real)))
+        parts.append((*z.block_pattern(), z.block_values(y.real, -y.imag, y.imag, y.real), _REST))
 
         # ideal sources: voltage rows owned by the source current unknowns,
         # injection into the node KCL
@@ -358,24 +364,23 @@ class CompiledCircuit:
         ]
         ir, ii, vr, vi = np.array([row[:4] for row in src], dtype=np.int64).reshape(-1, 4).T
         ones = np.ones(len(src))
-        parts.append(_one_class(_REST, np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), np.ravel([ones, ones, -ones, -ones])))
+        parts.append((np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), np.ravel([ones, ones, -ones, -ones]), _REST))
         self.src_rhs_rows = np.concatenate([ir, ii])
         self.src_rhs_vals = np.array([row[4].real for row in src] + [row[4].imag for row in src])
 
         for port in network.ports:
             st = stamp_coupling_port(port, network, imap)
-            parts.append(_one_class(_REST, st.rows, st.cols, st.vals))
+            parts.append((st.rows, st.cols, st.vals, _REST))
 
-        rows, cols, classes, div = (np.concatenate(x, axis=-1) for x in zip(*parts))
-        keep = classes.any(axis=0)
-        self.lin_rows, self.lin_cols, self.div = rows[keep], cols[keep], div[keep]
-        self.scaled, self.relaxed, self.rest = classes[:, keep]
+        self.lin_rows, self.lin_cols, self.lin_vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        self.lin_kind = np.concatenate([np.broadcast_to(np.int8(p[3]), len(p[2])) for p in parts])
 
     # -- per-state evaluation ------------------------------------------
 
     def linear(self, hs: HomotopyState | None) -> StampSet:
         series, shunt = (hs.series_scale, hs.shunt_scale) if hs is not None else (1.0, 1.0)
-        vals = (self.scaled * series + self.relaxed * shunt + self.rest) / self.div
+        vals = self.lin_vals * np.array([series, shunt, 1.0])[self.lin_kind]
+        vals[self.pi] = (self.lin_vals[self.pi] * series + self.pi_relaxed * shunt) / self.pi_div
         return StampSet(self.lin_rows, self.lin_cols, vals, self.src_rhs_rows, self.src_rhs_vals)
 
     def nonlinear(self, x: np.ndarray, gen_modes: dict, gen_q_fixed: dict) -> StampSet:
@@ -434,28 +439,18 @@ class CompiledCircuit:
         return StampSet(self.nl_rows, self.nl_cols, vals, self.nl_rhs_rows, rhs)
 
 
-def compile_circuit(network: Network, imap: IndexMap) -> CompiledCircuit:
-    """The network's compiled circuit for ``imap``: built on first use, then kept.
-
-    The cache rides on the (immutable) network, like its bus lookup, so
-    every Newton attempt and iteration of a solve shares one compilation.
-    """
-    circuit = network.__dict__.get("_circuit")
-    if circuit is None or circuit.imap is not imap:
-        circuit = CompiledCircuit(network, imap)
-        object.__setattr__(network, "_circuit", circuit)
-    return circuit
-
-
 # ----------------------------------------------------------------------
 # Stamps
 # ----------------------------------------------------------------------
 
 
-def stamp_linear(network: Network, imap: IndexMap, hs: HomotopyState | None = None) -> StampSet:
+def stamp_linear(
+    network: Network, imap: IndexMap, hs: HomotopyState | None = None, circuit: CompiledCircuit | None = None
+) -> StampSet:
     """All state-independent stamps: series elements, shunts, constant-impedance
-    load shares, ideal source rows and coupling ports."""
-    return compile_circuit(network, imap).linear(hs)
+    load shares, ideal source rows and coupling ports.  Pass the solve's
+    ``circuit`` to skip compiling the network again."""
+    return (circuit or CompiledCircuit(network, imap)).linear(hs)
 
 
 def stamp_coupling_port(port, network: Network, imap: IndexMap) -> StampSet:
@@ -493,6 +488,7 @@ def stamp_nonlinear(
     x: np.ndarray,
     gen_modes: dict[int, str] | None = None,
     gen_q_fixed: dict[int, float] | None = None,
+    circuit: CompiledCircuit | None = None,
 ) -> StampSet:
     """Linearized stamps at the current state: ZIP loads, DER injections,
     PV generators.
@@ -503,7 +499,7 @@ def stamp_nonlinear(
     Raises VoltageCollapseError naming the first load terminal (in
     device order) below the guard.
     """
-    return compile_circuit(network, imap).nonlinear(x, gen_modes or {}, gen_q_fixed or {})
+    return (circuit or CompiledCircuit(network, imap)).nonlinear(x, gen_modes or {}, gen_q_fixed or {})
 
 
 def stamp_system(
@@ -515,19 +511,21 @@ def stamp_system(
     gen_q_fixed: dict[int, float] | None = None,
     injections: dict[int, dict[str, complex]] | None = None,
     linear_cache: StampSet | None = None,
+    circuit: CompiledCircuit | None = None,
 ) -> tuple[StampSet, StampSet]:
     """Produce (linear, nonlinear) stamps for the full system at state x.
 
     The linear part depends only on the continuation state and the
     ``injections`` (constant per-phase current consumptions, the
     torn-network boundary drive) and can be cached across NR iterations;
-    pass it back via ``linear_cache``.
+    pass it back via ``linear_cache``, and the solve's ``circuit``.
     """
+    circuit = circuit or CompiledCircuit(network, imap)
     if linear_cache is None:
-        linear_cache = stamp_linear(network, imap, hs)
+        linear_cache = stamp_linear(network, imap, hs, circuit)
         if injections:
             rows = [i for bus, per in injections.items() for ph in per for i in imap.v_pair(bus, ph)]
             vals = [v for per in injections.values() for cur in per.values() for v in (-cur.real, -cur.imag)]
             lin = linear_cache
             linear_cache = replace(lin, rhs_rows=np.r_[lin.rhs_rows, rows], rhs_vals=np.r_[lin.rhs_vals, vals])
-    return linear_cache, stamp_nonlinear(network, imap, x, gen_modes, gen_q_fixed)
+    return linear_cache, stamp_nonlinear(network, imap, x, gen_modes, gen_q_fixed, circuit)
