@@ -87,13 +87,14 @@ class AssemblyPlan:
             raise ValueError("non-finite rhs stamp")
         t = self._template
         data = np.bincount(self._slot, weights=vals, minlength=t.nnz)
-        matrix = sp.csc_matrix((data, t.indices, t.indptr), shape=(n, n))
-        # a position enters the structure only while some triplet on it is
-        # nonzero, so the LU ordering sees the same pattern as zero-free stamps
+        indices, indptr = t.indices, t.indptr
+        # positions with no nonzero triplet at this state (say, the voltage row
+        # of a generator held at a Q limit) stay out of the LU's structure
         live = np.bincount(self._slot[vals != 0.0], minlength=t.nnz).astype(bool)
         if not live.all():
+            data, indices = data[live], indices[live]
             indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col[live], minlength=n))])
-            matrix = sp.csc_matrix((data[live], t.indices[live], indptr), shape=(n, n))
+        matrix = sp.csc_matrix((data, indices, indptr), shape=(n, n))
         return SparseSystem(n=n, matrix=matrix, rhs=np.bincount(rhs_rows, weights=rhs_vals, minlength=n))
 
 
