@@ -250,12 +250,12 @@ def _element_triplets(network: Network, imap: IndexMap):
         t = np.array([[imap.v_pair(el.to_bus, ph) for ph in phases] for el in els])
         if phases == POSITIVE_SEQUENCE:
             # per element (value, class, relaxed value, divisor) of the ff, ft, tf, tt blocks
-            pi = []
+            vals = []
             for el in els:
                 y, a, ysh = complex(el.y_series[0, 0]), el.tap * cmath.exp(1j * el.shift), 0.5j * el.b_charge
-                pi.append([(y, _SCALED, ysh, el.tap * el.tap), (-y / a.conjugate(), _SCALED, 0, 1),
-                           (-y / a, _SCALED, 0, 1), (y, _SCALED, ysh, 1)])
-            w = np.array(pi, dtype=complex).transpose(2, 1, 0)[..., None, None]
+                vals.append([(y, _SCALED, ysh, el.tap * el.tap), (-y / a.conjugate(), _SCALED, 0, 1),
+                             (-y / a, _SCALED, 0, 1), (y, _SCALED, ysh, 1)])
+            w = np.array(vals, dtype=complex).transpose(2, 1, 0)[..., None, None]
         else:
             y = np.array([el.y_series for el in els])
             blocks = np.stack([y, -y, -y, y])
@@ -315,14 +315,15 @@ class CompiledCircuit:
         self.p = np.array([sign * s.real for is_pq, *_, sign, s in legs if is_pq])
         self.q = np.array([sign * s.imag for is_pq, *_, sign, s in legs if is_pq])
         # delta legs see sqrt(3) pu at nominal
-        self.mag = np.array(
-            [sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s) for is_pq, _, _, t2, sign, s in legs if not is_pq]
-        )
+        self.mag = np.array([
+            sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s)
+            for is_pq, _, _, t2, sign, s in legs if not is_pq
+        ])
         self.angle = np.array([cmath.phase(s) for is_pq, *_, s in legs if not is_pq])
 
         self.gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
-        g = np.array([(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in self.gens], dtype=np.int64)
-        gr, gi, gq = self.gr, self.gi, self.gq = g.reshape(-1, 3).T
+        g = [(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in self.gens]
+        gr, gi, gq = self.gr, self.gi, self.gq = np.array(g, dtype=np.int64).reshape(-1, 3).T
         self.gen_p = np.array([g.p_set for g in self.gens])
         self.gen_v2 = np.array([g.v_set * g.v_set for g in self.gens])
 
@@ -364,7 +365,8 @@ class CompiledCircuit:
         ]
         ir, ii, vr, vi = np.array([row[:4] for row in src], dtype=np.int64).reshape(-1, 4).T
         ones = np.ones(len(src))
-        parts.append((np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), np.ravel([ones, ones, -ones, -ones]), _REST))
+        src_vals = np.ravel([ones, ones, -ones, -ones])
+        parts.append((np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), src_vals, _REST))
         self.src_rhs_rows = np.concatenate([ir, ii])
         self.src_rhs_vals = np.array([row[4].real for row in src] + [row[4].imag for row in src])
 
