@@ -58,21 +58,26 @@ class InternalConsistencyError(GsnError):
     pass
 
 
+INNER_MAX_ITER = 20  # Newton iteration cap of every subcircuit solve
+# auto-stabilization: a feedback shunt of AUTO_FEEDBACK_SHUNT pu engages after
+# STALL_EPOCHS epochs without a boundary-change decrease, and an active shunt
+# shrinks by FEEDBACK_DECAY every epoch
+STALL_EPOCHS = 10
+AUTO_FEEDBACK_SHUNT = 10.0
+FEEDBACK_DECAY = 0.5
+MAX_EXTERNAL_RATIO = 0.1  # weak-coupling bound on a subcircuit's external/internal ratio
+
+
 @dataclass
 class GsnOptions:
-    """Outer-loop knobs; inner solves take the caller's SolverOptions."""
+    """Outer-loop knobs; inner solves take the caller's SolverOptions capped at
+    INNER_MAX_ITER, and stalls engage the shunt schedule of STALL_EPOCHS,
+    AUTO_FEEDBACK_SHUNT and FEEDBACK_DECAY."""
 
     outer_tol: float = 1e-3
     max_epochs: int = 100
-    inner_max_iter: int = 20
     workers: int = 1
     feedback_shunt: float = 0.0  # stabilizing susceptance at feedback nodes, pu
-    auto_stabilize: bool = True
-    auto_feedback_shunt: float = 10.0
-    feedback_decay: float = 0.5
-    stall_epochs: int = 10
-    max_external_ratio: float = 0.1
-    strict_weak_coupling: bool = False
     progress: bool = True
     epoch_log_path: Any = None
 
@@ -125,10 +130,6 @@ class Partition:
     port_vars: list[PortVars]
     feedback_shunt: float = 0.0
 
-    @property
-    def transmission(self) -> SubCircuit:
-        return self.subs[0]
-
     def weak_coupling_report(self, max_ratio: float) -> list[dict]:
         return [
             {
@@ -155,116 +156,70 @@ def _subnetwork(network: Network, bus_ids: set[int]) -> Network:
     )
 
 
-def _local_to_global(sub_net: Network, sub_imap: IndexMap, gmap: IndexMap, ports_at_head) -> np.ndarray:
-    out = np.full(sub_imap.n, -1, dtype=np.int64)
-    for key, li in sub_imap.vr.items():
-        out[li] = gmap.vr[key]
-    for key, li in sub_imap.vi.items():
-        out[li] = gmap.vi[key]
-    for (bus, ph), (lr, lii) in sub_imap.source_current.items():
-        if bus in ports_at_head:
-            gr, gi = gmap.port_current[(ports_at_head[bus].id, ph)]
-        else:
-            gr, gi = gmap.source_current[(bus, ph)]
-        out[lr], out[lii] = gr, gi
-    for bus, li in sub_imap.gen_q.items():
-        out[li] = gmap.gen_q[bus]
-    if np.any(out < 0):
-        raise InternalConsistencyError("incomplete local-to-global variable mapping")
-    return out
-
-
 def tear(
     network: Network,
     imap: IndexMap | None = None,
-    max_external_ratio: float = 0.1,
+    max_external_ratio: float = MAX_EXTERNAL_RATIO,
     strict: bool = False,
 ) -> Partition:
     """Tear the combined network at its coupling ports into a Partition.
 
-    The transmission block comes first, then one block per feeder.
+    Every block of the index map but the trailing port border becomes
+    one subcircuit: the transmission block first, then one per feeder.
+    A subcircuit's own unknowns are its block's index range; a feeder's
+    head-source currents (the last unknowns of its local map, its head
+    being the component's only source) are its ports' port currents.
     Boundary bookkeeping counts eight external variables per port (the
     transmission-side pair plus the six port currents) for every
     subcircuit the port touches; the weak-coupling ratio of each block
     is reported, and with ``strict`` a violation refuses to tear.
     """
     imap = imap or build_index_map(network)
-
-    port_vars = []
-    for p in sorted(network.ports, key=lambda p: p.id):
-        port_vars.append(
-            PortVars(
-                port=p,
-                poi=imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
-                head={ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
-                currents={ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE},
-            )
+    ports = sorted(network.ports, key=lambda p: p.id)
+    port_vars = [
+        PortVars(
+            port=p,
+            poi=imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
+            head={ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
+            currents={ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE},
         )
+        for p in ports
+    ]
+
+    bus_ids: dict[str, set[int]] = {"transmission": {b.id for b in network.transmission_buses()}}
+    for bus_id, comp in imap.feeder_of_bus.items():
+        bus_ids.setdefault(f"feeder:{comp}", set()).add(bus_id)
 
     subs: list[SubCircuit] = []
-    t_ids = {b.id for b in network.transmission_buses()}
-    ports_by_head = {p.feeder_head: p for p in network.ports}
-
-    def boundary_of(ports) -> np.ndarray:
-        idx: list[int] = []
-        for pv in port_vars:
-            if pv.port in ports:
-                idx.extend(pv.boundary_indices())
-        return np.array(sorted(idx), dtype=np.int64)
-
-    if t_ids:
-        tnet = _subnetwork(network, t_ids)
-        tmap = build_index_map(tnet)
-        tports = tuple(p for p in network.ports)
-        internal = np.array(
-            sorted(
-                [imap.vr[(b, ph)] for (b, ph) in imap.vr if b in t_ids]
-                + [imap.vi[(b, ph)] for (b, ph) in imap.vi if b in t_ids]
-                + [i for (b, ph), pair in imap.source_current.items() if b in t_ids for i in pair]
-                + [i for b, i in imap.gen_q.items() if b in t_ids]
-            ),
-            dtype=np.int64,
-        )
-        subs.append(
-            SubCircuit(
-                index=0,
-                name="transmission",
-                kind="transmission",
-                network=tnet,
-                imap=tmap,
-                ports=tports,
-                internal_global=internal,
-                external_global=boundary_of(set(tports)),
-                local_to_global=_local_to_global(tnet, tmap, imap, {}),
+    for name, start, stop in imap.blocks:
+        ids = bus_ids.get(name)
+        if not ids:  # the port border, or no transmission side at all
+            continue
+        sub_net = _subnetwork(network, ids)
+        sub_imap = build_index_map(sub_net)
+        if name == "transmission":
+            kind, sub_ports, heads = "transmission", tuple(network.ports), []
+        else:
+            kind, sub_ports = "feeder", tuple(p for p in ports if p.feeder_head in ids)
+            heads = [i for p in sub_ports for ph in THREE_PHASE for i in imap.port_current[(p.id, ph)]]
+        internal = np.arange(start, stop, dtype=np.int64)
+        local_to_global = np.concatenate([internal, np.array(heads, dtype=np.int64)])
+        if len(local_to_global) != sub_imap.n:
+            raise InternalConsistencyError(
+                f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones"
             )
-        )
-
-    comp_buses: dict[int, set[int]] = {}
-    for bus_id, comp in imap.feeder_of_bus.items():
-        comp_buses.setdefault(comp, set()).add(bus_id)
-    for comp in sorted(comp_buses):
-        ids = comp_buses[comp]
-        fnet = _subnetwork(network, ids)
-        fmap = build_index_map(fnet)
-        fports = tuple(p for p in network.ports if p.feeder_head in ids)
-        internal = np.array(
-            sorted(
-                [imap.vr[(b, ph)] for (b, ph) in imap.vr if b in ids]
-                + [imap.vi[(b, ph)] for (b, ph) in imap.vi if b in ids]
-            ),
-            dtype=np.int64,
-        )
+        boundary = sorted(i for pv in port_vars if pv.port in sub_ports for i in pv.boundary_indices())
         subs.append(
             SubCircuit(
                 index=len(subs),
-                name=f"feeder:{comp}",
-                kind="feeder",
-                network=fnet,
-                imap=fmap,
-                ports=fports,
+                name=name,
+                kind=kind,
+                network=sub_net,
+                imap=sub_imap,
+                ports=sub_ports,
                 internal_global=internal,
-                external_global=boundary_of(set(fports)),
-                local_to_global=_local_to_global(fnet, fmap, imap, {h: p for h, p in ports_by_head.items() if h in ids}),
+                external_global=np.array(boundary, dtype=np.int64),
+                local_to_global=local_to_global,
             )
         )
 
@@ -484,30 +439,8 @@ class GsnReport:
         }
 
 
-@dataclass
-class _Boundary:
-    """Per-port exchanged quantities."""
-
-    vp: dict[int, complex]
-    currents: dict[tuple[int, str], complex]
-
-    def copy(self) -> "_Boundary":
-        return _Boundary(dict(self.vp), dict(self.currents))
-
-    def delta(self, other: "_Boundary") -> float:
-        """Infinity norm of the boundary change over all real components."""
-        worst = 0.0
-        for k in self.vp:
-            d = self.vp[k] - other.vp[k]
-            worst = max(worst, abs(d.real), abs(d.imag))
-        for k in self.currents:
-            d = self.currents[k] - other.currents[k]
-            worst = max(worst, abs(d.real), abs(d.imag))
-        return worst
-
-
-def _positive_sequence_current(currents: dict[str, complex]) -> complex:
-    return sum(POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
+def _positive_sequence_current(currents) -> complex:
+    return sum(POS_SEQ_WEIGHT[ph] * i for ph, i in zip(THREE_PHASE, currents)) / 3.0
 
 
 def solve_gsn(
@@ -523,7 +456,7 @@ def solve_gsn(
     """
     options = options or SolverOptions()
     gsn = gsn or GsnOptions()
-    inner_opts = replace(options, max_iter=gsn.inner_max_iter)
+    inner_opts = replace(options, max_iter=INNER_MAX_ITER)
     report = GsnReport()
 
     imap = build_index_map(network)
@@ -536,95 +469,87 @@ def solve_gsn(
         report.global_residual = direct_rep.final_residual
         return x, report
 
-    partition = tear(network, imap, gsn.max_external_ratio, gsn.strict_weak_coupling)
-    report.weak_coupling = partition.weak_coupling_report(gsn.max_external_ratio)
+    partition = tear(network, imap)
+    report.weak_coupling = partition.weak_coupling_report(MAX_EXTERNAL_RATIO)
     b_fb = gsn.feedback_shunt
     active = apply_feedback_augmentation(partition, b_fb)
 
-    # initial boundary: transmission-side voltages from the case data, zero currents
-    boundary = _Boundary(vp={}, currents={})
+    # one boundary row per port in port-id order: the transmission-side
+    # voltage, then the head currents of phases a, b, c; the first
+    # snapshot takes the voltages from the case data and zero currents
+    row = {pv.port.id: k for k, pv in enumerate(partition.port_vars)}
+    boundary = np.zeros((len(row), 1 + len(THREE_PHASE)), dtype=complex)
     for pv in partition.port_vars:
-        bus = partition.network.bus(pv.port.transmission_bus)
-        boundary.vp[pv.port.id] = bus.v0[0]
-        for ph in THREE_PHASE:
-            boundary.currents[(pv.port.id, ph)] = 0.0 + 0.0j
+        boundary[row[pv.port.id], 0] = network.bus(pv.port.transmission_bus).v0[0]
 
-    warm: dict[int, np.ndarray] = {}
-    prev_vp = dict(boundary.vp)
+    warm: list[np.ndarray | None] = [None] * len(partition.subs)
+    prev = boundary
     stall = 0
     prev_delta = None
     log_file = open(gsn.epoch_log_path, "w") if gsn.epoch_log_path else None
 
-    def run_sub(sub: SubCircuit, snap: _Boundary):
+    def run_sub(sub: SubCircuit, snap: np.ndarray):
         try:
             if sub.kind == "transmission":
-                injections = {}
-                for p in sub.ports:
-                    cur = {ph: snap.currents[(p.id, ph)] for ph in THREE_PHASE}
-                    injections[p.transmission_bus] = {POSITIVE_SEQUENCE: _positive_sequence_current(cur)}
-                x, rep = solve_direct(
-                    sub.network, inner_opts, injections=injections,
-                    x0=warm.get(sub.index), imap=sub.imap,
-                )
-            else:
-                overrides = {
-                    p.feeder_head: tuple(PHASE_ROTATION[ph] * snap.vp[p.id] for ph in THREE_PHASE)
+                injections = {
+                    p.transmission_bus: {POSITIVE_SEQUENCE: _positive_sequence_current(snap[row[p.id], 1:].tolist())}
                     for p in sub.ports
                 }
-                net = sub.network.with_source_voltages(overrides)
-                x0 = warm.get(sub.index)
-                if x0 is not None:
-                    x0 = x0.copy()
-                    for p in sub.ports:
-                        for ph in THREE_PHASE:
-                            vr, vi = sub.imap.v_pair(p.feeder_head, ph)
-                            v = PHASE_ROTATION[ph] * snap.vp[p.id]
-                            x0[vr], x0[vi] = v.real, v.imag
-                x, rep = solve_direct(net, inner_opts, x0=x0, imap=sub.imap)
+                return solve_direct(
+                    sub.network, inner_opts, injections=injections, x0=warm[sub.index], imap=sub.imap,
+                )
+            head_volts = {
+                p.feeder_head: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
+                for p in sub.ports
+            }
+            net = sub.network.with_source_voltages(head_volts)
+            x0 = warm[sub.index]
+            if x0 is not None:
+                x0 = x0.copy()
+                for head, volts in head_volts.items():
+                    for ph, v in zip(THREE_PHASE, volts):
+                        vr, vi = sub.imap.v_pair(head, ph)
+                        x0[vr], x0[vi] = v.real, v.imag
+            return solve_direct(net, inner_opts, x0=x0, imap=sub.imap)
         except SolveFailure as exc:
             raise GsnError(f"subcircuit {sub.name} failed to converge: {exc}", report) from exc
-        return sub.index, x, rep
 
     gen_modes: dict[int, str] = {}
     gen_q_fixed: dict[int, float] = {}
     try:
         for epoch in range(1, gsn.max_epochs + 1):
-            snap = boundary.copy()
+            snap = boundary
             report.feedback_shunt_trace.append(b_fb)
             subs = active.subs
-            results = {}
             if gsn.workers > 1 and len(subs) > 1:
                 with ThreadPoolExecutor(max_workers=min(gsn.workers, len(subs))) as pool:
-                    for idx, x, rep in pool.map(lambda s: run_sub(s, snap), subs):
-                        results[idx] = (x, rep)
+                    outcomes = list(pool.map(lambda s: run_sub(s, snap), subs))
             else:
-                for sub in subs:
-                    idx, x, rep = run_sub(sub, snap)
-                    results[idx] = (x, rep)
+                outcomes = [run_sub(sub, snap) for sub in subs]
 
             new = snap.copy()
             iters: dict[str, int] = {}
-            for sub in subs:
-                x, rep = results[sub.index]
+            for sub, (x, rep) in zip(subs, outcomes):
                 warm[sub.index] = x
                 iters[sub.name] = rep.iterations
                 if sub.kind == "transmission":
                     gen_modes, gen_q_fixed = rep.gen_modes, rep.gen_q_fixed
                     for p in sub.ports:
-                        new.vp[p.id] = sub.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
-                else:
-                    for p in sub.ports:
-                        for ph in THREE_PHASE:
-                            ir, ii = sub.imap.source_current[(p.feeder_head, ph)]
-                            i_src = complex(x[ir], x[ii])
-                            if b_fb:
-                                # compensate the stabilizing shunt at the previous
-                                # snapshot voltage so the fixed point is untouched
-                                v_prev = PHASE_ROTATION[ph] * prev_vp[p.id]
-                                i_src -= 1j * b_fb * v_prev
-                            new.currents[(p.id, ph)] = i_src
+                        new[row[p.id], 0] = sub.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
+                    continue
+                for p in sub.ports:
+                    k = row[p.id]
+                    for j, ph in enumerate(THREE_PHASE, start=1):
+                        ir, ii = sub.imap.source_current[(p.feeder_head, ph)]
+                        i_src = complex(x[ir], x[ii])
+                        if b_fb:
+                            # compensate the stabilizing shunt at the previous
+                            # snapshot voltage so the fixed point is untouched
+                            i_src -= 1j * b_fb * (PHASE_ROTATION[ph] * complex(prev[k, 0]))
+                        new[k, j] = i_src
 
-            delta = new.delta(snap)
+            # infinity norm of the boundary change over all real components
+            delta = float(np.abs((new - snap).view(float)).max())
             report.boundary_deltas.append(delta)
             report.inner_iterations.append(iters)
             report.epochs = epoch
@@ -635,7 +560,7 @@ def solve_gsn(
                 log_file.write(json.dumps({"epoch": epoch, "boundary_delta": delta, "inner_iters": iters}) + "\n")
                 log_file.flush()
 
-            prev_vp = dict(snap.vp)
+            prev = snap
             boundary = new
             if delta <= gsn.outer_tol:
                 report.converged = True
@@ -647,10 +572,10 @@ def solve_gsn(
                 stall = 0
             prev_delta = delta
             if b_fb:
-                b_fb *= gsn.feedback_decay
+                b_fb *= FEEDBACK_DECAY
                 active = apply_feedback_augmentation(partition, b_fb)
-            elif gsn.auto_stabilize and stall >= gsn.stall_epochs:
-                b_fb = gsn.auto_feedback_shunt
+            elif stall >= STALL_EPOCHS:
+                b_fb = AUTO_FEEDBACK_SHUNT
                 active = apply_feedback_augmentation(partition, b_fb)
                 log.warning("outer loop stalled %d epochs; engaging feedback shunt %.1f pu", stall, b_fb)
     finally:

@@ -43,7 +43,7 @@ log = logging.getLogger(__name__)
 FEEDER_SCHEMA_VERSION = 1
 DEFAULT_BASE_MVA = 100.0
 
-_KNOWN_SECTIONS = {"baseMVA", "bus", "gen", "branch"}
+_KNOWN_SECTIONS = {"version", "baseMVA", "bus", "gen", "branch"}
 
 
 class CaseFormatError(ValueError):

@@ -196,11 +196,6 @@ class HomotopySchedule:
         return max(0.0, self.lam_converged - self.step)
 
 
-def schedule_homotopy(lam: float, converged: bool, schedule: HomotopySchedule) -> float | None:
-    """Functional wrapper over HomotopySchedule.next_lambda."""
-    return schedule.next_lambda(lam, converged)
-
-
 # ----------------------------------------------------------------------
 # Reactive-limit control
 # ----------------------------------------------------------------------
@@ -332,22 +327,16 @@ def _solve_with_continuation(
             report.homotopy_states[lam] = xr.copy()
         return xr, ok
 
-    if options.homotopy in ("auto", "off"):
-        x1, ok = attempt(0.0, x)
-        if ok:
-            return x1
-        if options.homotopy == "off":
-            report.error = "non-convergence with continuation disabled"
-            raise SolveFailure(report.error, report)
-        lam, start = 0.0, x
-    else:  # forced continuation: begin from the trivially solvable end
-        lam = 1.0
-        x1, ok = attempt(lam, x)
-        sched = HomotopySchedule(options.lambda_step0, options.lambda_min_step)
-        return _walk_schedule(sched, lam, ok, x1 if ok else x, x, attempt, report)
-
+    # forced continuation begins from the trivially solvable end
+    lam = 1.0 if options.homotopy == "on" else 0.0
+    x1, ok = attempt(lam, x)
+    if ok and lam == 0.0:
+        return x1
+    if options.homotopy == "off":
+        report.error = "non-convergence with continuation disabled"
+        raise SolveFailure(report.error, report)
     sched = HomotopySchedule(options.lambda_step0, options.lambda_min_step)
-    return _walk_schedule(sched, lam, False, x, x, attempt, report)
+    return _walk_schedule(sched, lam, ok, x1 if ok else x, x, attempt, report)
 
 
 def _walk_schedule(sched, lam, ok, x_best, x_init, attempt, report):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netgen import random_combined
 from tandem.gsn import (
     GsnError,
     GsnOptions,
@@ -21,6 +22,7 @@ from tandem.netmodel import (
     BusKind,
     build_index_map,
     initial_state,
+    validate,
 )
 from tandem.newton import SolverOptions, solve_direct
 from tandem.sparse import assemble
@@ -86,6 +88,40 @@ class TestTear:
         for sub in part.subs:
             covered.update(sub.local_to_global.tolist())
         assert covered == set(range(part.imap.n))
+
+    def test_local_global_mapping_random(self):
+        # every local unknown maps to the same global quantity, feeder
+        # head currents to their port's currents, and the internal sets
+        # split everything before the port border
+        rng = np.random.default_rng(4051)
+        checked = 0
+        for _ in range(40):
+            net = random_combined(rng)
+            if not net.ports or validate(net):
+                continue
+            part = tear(net)
+            imap = part.imap
+            port_at_head = {p.feeder_head: p.id for p in net.ports}
+            for sub in part.subs:
+                l2g, local = sub.local_to_global, sub.imap
+                for key, li in local.vr.items():
+                    assert l2g[li] == imap.vr[key]
+                for key, li in local.vi.items():
+                    assert l2g[li] == imap.vi[key]
+                for bus, li in local.gen_q.items():
+                    assert l2g[li] == imap.gen_q[bus]
+                for (bus, ph), pair in local.source_current.items():
+                    if bus in port_at_head:
+                        want = imap.port_current[(port_at_head[bus], ph)]
+                    else:
+                        want = imap.source_current[(bus, ph)]
+                    assert (l2g[pair[0]], l2g[pair[1]]) == want
+            internal = [set(s.internal_global.tolist()) for s in part.subs]
+            union = set().union(*internal)
+            assert sum(len(i) for i in internal) == len(union)
+            assert union == set(range(imap.block("ports")[0]))
+            checked += 1
+        assert checked >= 5
 
 
 class TestFeedbackFeedforward:

@@ -95,10 +95,12 @@ class TestMatpower:
             parse_transmission(write_case(tmp_path, body))
         assert any("gencost" in r.message for r in caplog.records)
 
-    def test_bundled_cases_clean(self, case2, case9, case27, case_radial7):
+    def test_bundled_cases_clean(self, case2, case9, case27, case_radial7, caplog):
         for path in (case2, case9, case27, case_radial7):
-            net = parse_transmission(path)
+            with caplog.at_level("WARNING"):
+                net = parse_transmission(path)
             assert validate(net) == []
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
 
 
 FEEDER_DOC = {

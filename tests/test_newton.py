@@ -148,12 +148,10 @@ class TestSchedule:
         _, rep = solve_direct(net, SolverOptions(homotopy="auto"))
         assert [t["lambda"] for t in rep.lambda_trajectory] == [0.0]
 
-    def test_functional_wrapper(self):
-        from tandem.newton import schedule_homotopy
-
+    def test_escalation_then_relaxation(self):
         s = HomotopySchedule()
-        assert schedule_homotopy(0.0, False, s) == pytest.approx(0.1)
-        assert schedule_homotopy(0.1, True, s) == pytest.approx(0.05)
+        assert s.next_lambda(0.0, False) == pytest.approx(0.1)
+        assert s.next_lambda(0.1, True) == pytest.approx(0.05)
 
 
 def three_bus_qlimit():

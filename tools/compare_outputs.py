@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Snapshot tandem's outputs on the bundled cases and compare two snapshots.
+
+A refactor that claims "same behaviour" can be checked by taking one
+snapshot with the old sources and one with the new, then comparing:
+
+    PYTHONPATH=<old checkout>/src python tools/compare_outputs.py snapshot old/
+    PYTHONPATH=src python tools/compare_outputs.py snapshot new/
+    python tools/compare_outputs.py compare old/ new/
+
+``snapshot DIR`` runs, in-process and with the ``tandem`` found on the
+path (its own bundled data):
+
+- ``tandem solve`` on case9 with ``case9_feeder1``, ``case9_feeder4`` and
+  ``case9_stressed``, and on case27 with one ``feeder_medium`` on each of
+  its 24 PQ buses, under ``direct``, ``gsn --workers 1`` and
+  ``gsn --workers 2``;
+- the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
+  (load factor 1.0-3.0 step 0.1, DER scale 0 and 1);
+- ``solve_gsn`` with a feedback shunt of 10 pu on the two case9 feeder
+  maps (``solution.json`` and ``report.json``).
+
+``compare A B`` prints one line per file: ``identical`` when the bytes
+match, otherwise the largest voltage difference |dV| in pu for
+``solution.json`` (complex per-node voltages) and ``pvcurve.csv`` (POI
+magnitudes), or ``differs`` for any other file.  It exits 1 when a file
+is missing on one side or a voltage differs by more than 1e-9 pu.
+Uses only the standard library and ``tandem``.
+"""
+
+from __future__ import annotations
+
+import cmath
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+V_BOUND = 1e-9  # pu; same-behaviour bound on every bundled case's voltages
+
+CASE9_MAPS = ("case9_feeder1", "case9_feeder4", "case9_stressed")
+SOLVERS = {
+    "direct": ["--solver", "direct"],
+    "gsn-w1": ["--solver", "gsn", "--workers", "1"],
+    "gsn-w2": ["--solver", "gsn", "--workers", "2"],
+}
+PVCURVE_ARGS = ["--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1"]
+
+
+def _write_k24_map(data: Path, path: Path) -> None:
+    """Coupling map with one feeder_medium on every PQ bus of case27, next to a copy of the feeder."""
+    from tandem.ingest import parse_transmission
+    from tandem.netmodel import BusKind
+
+    net = parse_transmission(data / "case27.m")
+    buses = sorted(b.id for b in net.buses if b.kind is BusKind.PQ)
+    couplings = [{"feeder": "feeder_medium.json", "bus": b} for b in buses]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    (path.parent / "feeder_medium.json").write_bytes((data / "feeder_medium.json").read_bytes())
+    path.write_text(json.dumps({"schema": 1, "couplings": couplings}, indent=1) + "\n")
+
+
+def snapshot(out: Path) -> int:
+    import tandem
+    from tandem.cli import main
+    from tandem.gsn import GsnOptions, solve_gsn
+    from tandem.ingest import load_combined_case
+    from tandem.netmodel import build_index_map
+    from tandem.newton import SolverOptions
+    from tandem.results import solution_dict
+
+    out = out.resolve()
+    data = Path(tandem.__file__).resolve().parent / "data"
+    k24_map = out / "inputs" / "case27_k24.json"
+    _write_k24_map(data, k24_map)
+
+    runs = {f"case9+{m}": ["--case", "case9.m", "--coupling", f"{m}.json"] for m in CASE9_MAPS}
+    runs["case27+k24"] = ["--case", "case27.m", "--coupling", str(k24_map)]
+
+    failed = 0
+    cwd = os.getcwd()
+    # relative case names keep the checkout's path out of summary.txt
+    os.chdir(data)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for name, case_args in runs.items():
+                for solver, solver_args in SOLVERS.items():
+                    rc = main(["solve", *case_args, *solver_args, "--out", str(out / name / solver)])
+                    failed += rc != 0
+            rc = main(["pvcurve", *runs["case9+case9_stressed"], *PVCURVE_ARGS,
+                       "--out", str(out / "pvcurve-stressed")])
+            failed += rc != 0
+            for m in CASE9_MAPS[:2]:
+                net = load_combined_case(data / "case9.m", data / f"{m}.json")
+                x, rep = solve_gsn(net, SolverOptions(), GsnOptions(feedback_shunt=10.0, progress=False))
+                target = out / f"case9+{m}" / "gsn-shunt10"
+                target.mkdir(parents=True, exist_ok=True)
+                sol = solution_dict(net, build_index_map(net), x)
+                (target / "solution.json").write_text(json.dumps(sol, indent=2) + "\n")
+                (target / "report.json").write_text(json.dumps(rep.to_dict(), indent=2) + "\n")
+    finally:
+        os.chdir(cwd)
+    files = sum(1 for p in out.rglob("*") if p.is_file())
+    print(f"snapshot: {files} files under {out}, {failed} run(s) with a nonzero exit code")
+    return 1 if failed else 0
+
+
+def _solution_dv(a: Path, b: Path) -> float:
+    def volts(path: Path) -> dict:
+        nodes = json.loads(path.read_text())["nodes"]
+        return {(n["bus"], n["phase"]): cmath.rect(n["vm"], math.radians(n["va_deg"])) for n in nodes}
+
+    va, vb = volts(a), volts(b)
+    if va.keys() != vb.keys():
+        return math.inf
+    return max((abs(va[k] - vb[k]) for k in va), default=0.0)
+
+
+def _pvcurve_dv(a: Path, b: Path) -> float:
+    ra = list(csv.reader(a.read_text().splitlines()))
+    rb = list(csv.reader(b.read_text().splitlines()))
+    if len(ra) != len(rb) or ra[:1] != rb[:1]:
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        if len(row_a) != len(row_b) or row_a[0] != row_b[0]:
+            return math.inf
+        for ca, cb in zip(row_a[1:], row_b[1:]):
+            if (ca == "") != (cb == ""):
+                return math.inf
+            if ca:
+                worst = max(worst, abs(float(ca) - float(cb)))
+    return worst
+
+
+VOLTAGE_FILES = {"solution.json": _solution_dv, "pvcurve.csv": _pvcurve_dv}
+
+
+def compare(a: Path, b: Path) -> int:
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    bad = 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"{rel}: only in {a if rel in files_a else b}")
+            bad += 1
+            continue
+        fa, fb = a / rel, b / rel
+        if fa.read_bytes() == fb.read_bytes():
+            print(f"{rel}: identical")
+            continue
+        dv_of = VOLTAGE_FILES.get(rel.name)
+        if dv_of is None:
+            print(f"{rel}: differs")
+            continue
+        dv = dv_of(fa, fb)
+        over = dv > V_BOUND
+        bad += over
+        print(f"{rel}: max |dV| {dv:.3e} pu{'  > bound' if over else ''}")
+    print(f"compare: {len(files_a | files_b)} files, {bad} over the {V_BOUND:g} pu bound or missing")
+    return 1 if bad else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "snapshot":
+        return snapshot(Path(argv[1]))
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    print("usage: compare_outputs.py snapshot DIR | compare A B", file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -51,7 +51,6 @@ moved 5, 10 or 15 percent either way) still separate at 1.05.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 import random
 import sys
@@ -261,7 +260,6 @@ def describe(loads, bs_end) -> str:
 
 
 def main() -> int:
-    logging.disable(logging.WARNING)  # every parse warns about mpc.version
     rng = random.Random(SEED)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
