@@ -39,7 +39,7 @@ from .netmodel import (
 )
 from .newton import SolveFailure, SolverOptions, solve_direct
 from .sparse import assemble
-from .stamping import stamp_system
+from .stamping import CompiledCircuit, stamp_system
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +128,6 @@ class Partition:
     imap: IndexMap
     subs: list[SubCircuit]
     port_vars: list[PortVars]
-    feedback_shunt: float = 0.0
 
     def weak_coupling_report(self, max_ratio: float) -> list[dict]:
         return [
@@ -315,7 +314,7 @@ def apply_feedback_augmentation(partition: Partition, b_fb: float) -> Partition:
     if b_fb < 0:
         raise ValueError("feedback shunt must be non-negative")
     if b_fb == 0.0:
-        return replace(partition, feedback_shunt=0.0)
+        return partition
     subs = []
     for sub in partition.subs:
         if sub.kind != "feeder":
@@ -325,7 +324,7 @@ def apply_feedback_augmentation(partition: Partition, b_fb: float) -> Partition:
             Shunt(bus=p.feeder_head, phases=THREE_PHASE, y=(1j * b_fb,) * 3) for p in sub.ports
         )
         subs.append(replace(sub, network=replace(sub.network, shunts=sub.network.shunts + extra)))
-    return replace(partition, subs=subs, feedback_shunt=b_fb)
+    return replace(partition, subs=subs)
 
 
 # ----------------------------------------------------------------------
@@ -471,8 +470,15 @@ def solve_gsn(
 
     partition = tear(network, imap)
     report.weak_coupling = partition.weak_coupling_report(MAX_EXTERNAL_RATIO)
+
+    def augment(b: float):
+        """Subcircuits with feedback shunt b, each compiled once: an epoch's
+        snapshot changes only source voltages and injections, not topology."""
+        part = apply_feedback_augmentation(partition, b)
+        return part, [CompiledCircuit(sub.network, sub.imap) for sub in part.subs]
+
     b_fb = gsn.feedback_shunt
-    active = apply_feedback_augmentation(partition, b_fb)
+    active, circuits = augment(b_fb)
 
     # one boundary row per port in port-id order: the transmission-side
     # voltage, then the head currents of phases a, b, c; the first
@@ -487,6 +493,8 @@ def solve_gsn(
     stall = 0
     prev_delta = None
     log_file = open(gsn.epoch_log_path, "w") if gsn.epoch_log_path else None
+    n_pool = min(gsn.workers, len(partition.subs))
+    pool = ThreadPoolExecutor(max_workers=n_pool) if n_pool > 1 else None
 
     def run_sub(sub: SubCircuit, snap: np.ndarray):
         try:
@@ -497,6 +505,7 @@ def solve_gsn(
                 }
                 return solve_direct(
                     sub.network, inner_opts, injections=injections, x0=warm[sub.index], imap=sub.imap,
+                    circuit=circuits[sub.index],
                 )
             head_volts = {
                 p.feeder_head: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
@@ -510,7 +519,7 @@ def solve_gsn(
                     for ph, v in zip(THREE_PHASE, volts):
                         vr, vi = sub.imap.v_pair(head, ph)
                         x0[vr], x0[vi] = v.real, v.imag
-            return solve_direct(net, inner_opts, x0=x0, imap=sub.imap)
+            return solve_direct(net, inner_opts, x0=x0, imap=sub.imap, circuit=circuits[sub.index])
         except SolveFailure as exc:
             raise GsnError(f"subcircuit {sub.name} failed to converge: {exc}", report) from exc
 
@@ -521,9 +530,8 @@ def solve_gsn(
             snap = boundary
             report.feedback_shunt_trace.append(b_fb)
             subs = active.subs
-            if gsn.workers > 1 and len(subs) > 1:
-                with ThreadPoolExecutor(max_workers=min(gsn.workers, len(subs))) as pool:
-                    outcomes = list(pool.map(lambda s: run_sub(s, snap), subs))
+            if pool:
+                outcomes = list(pool.map(lambda s: run_sub(s, snap), subs))
             else:
                 outcomes = [run_sub(sub, snap) for sub in subs]
 
@@ -573,14 +581,17 @@ def solve_gsn(
             prev_delta = delta
             if b_fb:
                 b_fb *= FEEDBACK_DECAY
-                active = apply_feedback_augmentation(partition, b_fb)
+                active, circuits = augment(b_fb)
             elif stall >= STALL_EPOCHS:
                 b_fb = AUTO_FEEDBACK_SHUNT
-                active = apply_feedback_augmentation(partition, b_fb)
+                active, circuits = augment(b_fb)
                 log.warning("outer loop stalled %d epochs; engaging feedback shunt %.1f pu", stall, b_fb)
     finally:
+        if pool:
+            pool.shutdown()
         if log_file:
             log_file.close()
+    circuits = None  # kept alive into the global compile below, they raise peak RSS
 
     if not report.converged:
         report.error = f"boundary exchange did not converge in {gsn.max_epochs} epochs"

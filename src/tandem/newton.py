@@ -370,18 +370,24 @@ def solve_direct(
     injections: dict[int, dict[str, complex]] | None = None,
     x0: np.ndarray | None = None,
     imap: IndexMap | None = None,
+    circuit: CompiledCircuit | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Full direct solve: NR with limiting, continuation rescue, and the
     reactive-limit outer loop.  Raises SolveFailure when no solution is found.
 
     ``injections`` maps a bus id to constant per-phase complex current
-    consumption (the boundary drive of a torn subproblem).
+    consumption (the boundary drive of a torn subproblem).  A ``circuit``
+    compiled from a network of the same topology is reused, its source
+    voltages taken from ``network``; otherwise ``network`` is compiled.
     """
     options = options or SolverOptions()
     imap = imap or build_index_map(network)
     x = x0.copy() if x0 is not None else initial_state(network, imap, flat=options.flat_start)
     vmask = voltage_index_mask(imap)
-    circuit = CompiledCircuit(network, imap)
+    if circuit is None:
+        circuit = CompiledCircuit(network, imap)
+    else:
+        circuit.set_sources(network)
     report = SolveReport()
     modes: dict[int, str] = {}
     q_fixed: dict[int, float] = {}

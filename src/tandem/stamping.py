@@ -358,17 +358,14 @@ class CompiledCircuit:
 
         # ideal sources: voltage rows owned by the source current unknowns,
         # injection into the node KCL
-        src = [
-            (*imap.source_current[(b.id, ph)], *imap.v_pair(b.id, ph), v)
-            for b in network.source_buses()
-            for ph, v in zip(b.phases, b.v0)
-        ]
-        ir, ii, vr, vi = np.array([row[:4] for row in src], dtype=np.int64).reshape(-1, 4).T
+        self.src_keys = [(b.id, ph) for b in network.source_buses() for ph in b.phases]
+        src = [(*imap.source_current[key], *imap.v_pair(*key)) for key in self.src_keys]
+        ir, ii, vr, vi = np.array(src, dtype=np.int64).reshape(-1, 4).T
         ones = np.ones(len(src))
         src_vals = np.ravel([ones, ones, -ones, -ones])
         parts.append((np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), src_vals, _REST))
         self.src_rhs_rows = np.concatenate([ir, ii])
-        self.src_rhs_vals = np.array([row[4].real for row in src] + [row[4].imag for row in src])
+        self.set_sources(network)
 
         for port in network.ports:
             st = stamp_coupling_port(port, network, imap)
@@ -376,6 +373,20 @@ class CompiledCircuit:
 
         self.lin_rows, self.lin_cols, self.lin_vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
         self.lin_kind = np.concatenate([np.broadcast_to(np.int8(p[3]), len(p[2])) for p in parts])
+
+    def set_sources(self, network: Network) -> None:
+        """Take the ideal-source voltages from ``network``, which has this circuit's topology.
+
+        A torn subcircuit's new boundary snapshot changes only its head
+        voltages, so one compile serves every epoch.  Raises ValueError
+        when ``network`` drives a different set of (bus, phase) sources.
+        """
+        buses = network.source_buses()
+        keys = [(b.id, ph) for b in buses for ph in b.phases]
+        if keys != self.src_keys:
+            raise ValueError(f"source terminals {keys} differ from the compiled {self.src_keys}")
+        v = [v for b in buses for v in b.v0]
+        self.src_rhs_vals = np.array([z.real for z in v] + [z.imag for z in v])
 
     # -- per-state evaluation ------------------------------------------
 

@@ -335,6 +335,25 @@ class TestSolveGsn:
         assert r1.epochs == r4.epochs
         assert np.array_equal(x1, x4)
 
+    def test_one_compile_per_subcircuit(self, combined4, monkeypatch):
+        # each subcircuit compiles once per solve, plus one global-residual compile
+        import tandem.gsn
+        import tandem.newton
+        import tandem.stamping
+
+        compiled = []
+
+        class Counting(tandem.stamping.CompiledCircuit):
+            def __init__(self, *args, **kwargs):
+                compiled.append(1)
+                super().__init__(*args, **kwargs)
+
+        for module in (tandem.stamping, tandem.newton, tandem.gsn):
+            monkeypatch.setattr(module, "CompiledCircuit", Counting, raising=False)
+        _, rep = solve_gsn(combined4, SolverOptions(), GsnOptions(progress=False, feedback_shunt=0.0))
+        assert rep.epochs > 1
+        assert len(compiled) == len(tear(combined4).subs) + 1
+
     def test_epoch_snapshot_independence(self, combined4):
         # two runs, same options: identical epoch-by-epoch boundary deltas
         opts = SolverOptions()

@@ -19,9 +19,10 @@ from tandem.netmodel import (
     flat_voltages,
     initial_state,
 )
+from tandem.gsn import tear
 from tandem.newton import SolveFailure, SolverOptions, solve_direct
 from tandem.sparse import assemble
-from tandem.stamping import HomotopyState, VoltageCollapseError, stamp_system
+from tandem.stamping import CompiledCircuit, HomotopyState, VoltageCollapseError, stamp_system
 
 _MODE_CYCLE = ("pv", "qmax", "pv", "qmin")
 
@@ -48,6 +49,47 @@ def test_homotopy_and_q_limit_states_match_dense_oracle():
                 want = dense_mismatch(net, imap, x, lam, 1e3, relax, modes, q_fixed)
                 worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-9
+
+
+def _stamp_bytes(st):
+    return [np.asarray(a).tobytes() for a in (st.rows, st.cols, st.vals, st.rhs_rows, st.rhs_vals)]
+
+
+def test_set_sources_matches_fresh_compile():
+    """A feeder subcircuit compiled at one set of head voltages and re-pointed
+    at a second stamps bytewise what a fresh compile at the second stamps."""
+    rng = np.random.default_rng(5519)
+    checked = 0
+    for _ in range(40):
+        net = random_combined(rng)
+        if not net.ports:
+            continue
+        for sub in tear(net).subs:
+            if sub.kind != "feeder":
+                continue
+            v1, v2 = (
+                {
+                    p.feeder_head: tuple(
+                        rng.uniform(0.9, 1.1) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+                        for _ in sub.network.bus(p.feeder_head).phases
+                    )
+                    for p in sub.ports
+                }
+                for _ in range(2)
+            )
+            circuit = CompiledCircuit(sub.network.with_source_voltages(v1), sub.imap)
+            net2 = sub.network.with_source_voltages(v2)
+            circuit.set_sources(net2)
+            fresh = CompiledCircuit(net2, sub.imap)
+            x = random_state(rng, net2, sub.imap)
+            for hs in (None, HomotopyState(0.3)):
+                assert _stamp_bytes(circuit.linear(hs)) == _stamp_bytes(fresh.linear(hs))
+            assert _stamp_bytes(circuit.nonlinear(x, {}, {})) == _stamp_bytes(fresh.nonlinear(x, {}, {}))
+            # the combined network drives its slack buses, not the feeder head
+            with pytest.raises(ValueError, match="source terminals"):
+                circuit.set_sources(net)
+            checked += 1
+    assert checked >= 5
 
 
 def _feeder(loads=(), ders=()):
