@@ -31,6 +31,7 @@ from .ingest import (
 from .netmodel import NetworkError, build_index_map, validate
 from .newton import SolveFailure, SolverOptions, solve_direct
 from .results import poi_extremes, poi_voltages, solution_dict
+from .stamping import CompiledCircuit
 
 log = logging.getLogger(__name__)
 
@@ -272,6 +273,7 @@ def cmd_pvcurve(args) -> int:
 
     columns: dict[str, dict[float, float]] = {name: {} for name, _, _ in scenarios}
     alive = {name: True for name, _, _ in scenarios}
+    compiled: dict[str, tuple] = {}  # scenario -> index map, direct solver's circuit
     for lf in lfs:
         scaled = net.with_loading_factor(lf)
         for name, der, cont in scenarios:
@@ -280,17 +282,24 @@ def cmd_pvcurve(args) -> int:
             case = scaled.with_der_scale(der)
             if cont:
                 case = case.without_elements(contingency[0]).without_generators(contingency[1])
+            if name not in compiled:
+                imap = build_index_map(case)
+                compiled[name] = imap, None if args.solver == "gsn" else CompiledCircuit(case, imap)
+            imap, circuit = compiled[name]
             try:
-                if args.solver == "gsn":
+                if circuit is None:
                     x, _ = solve_gsn(case, opts, _gsn_options(args, None))
                 else:
-                    x, _ = solve_direct(case, opts)
+                    try:
+                        circuit.set_demands(case)
+                    except ValueError:  # a zero load factor drops the load legs
+                        circuit = CompiledCircuit(case, imap)
+                        compiled[name] = imap, circuit
+                    x, _ = solve_direct(case, opts, imap=imap, circuit=circuit)
             except (SolveFailure, GsnError):
                 alive[name] = False  # past the nose; scenario stops here
                 continue
-            imap = build_index_map(case)
-            v = dict(poi_voltages(case, imap, x))[poi_bus]
-            columns[name][lf] = v
+            columns[name][lf] = dict(poi_voltages(case, imap, x))[poi_bus]
 
     header = PVCURVE_HEADER + "".join(f",{name}" for name, _, _ in scenarios)
     rows = [header]

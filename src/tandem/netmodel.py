@@ -248,9 +248,6 @@ class Network:
             object.__setattr__(self, "_bus_by_id", {b.id: b for b in self.buses})
             return self._bus_by_id[bus_id]
 
-    def has_bus(self, bus_id: int) -> bool:
-        return any(b.id == bus_id for b in self.buses)
-
     def label(self, bus_id: int) -> str:
         return self.labels.get(bus_id, str(bus_id))
 
@@ -347,12 +344,6 @@ class IndexMap:
             if bname == name:
                 return start, stop
         raise KeyError(name)
-
-    def block_of_index(self, idx: int) -> str:
-        for bname, start, stop in self.blocks:
-            if start <= idx < stop:
-                return bname
-        raise IndexError(idx)
 
 
 def _feeder_components(network: Network) -> list[list[Bus]]:

@@ -1,7 +1,7 @@
 """Robust direct Newton-Raphson driver.
 
 The driver solves J(x_k) x_{k+1} = b(x_k) with per-iteration voltage
-step limiting, watches the mismatch profile for divergence, escalates
+step limiting, gives up attempts that diverge or cycle, escalates
 into an admittance-scaling continuation when needed (series elements
 scaled by 1 + lam*gamma, shunts relaxed toward open circuit, then lam
 walked back to zero), and runs a reactive-limit outer loop over PV
@@ -129,20 +129,31 @@ def apply_voltage_limit(
     return out
 
 
-def detect_divergence(history: list[float], window: int = 3, blowup_ratio: float = 1e3) -> bool:
-    """Diverging iff the residual rose over each of the last ``window`` steps,
-    blew past ``blowup_ratio`` times the initial residual, or went non-finite."""
+def divergence_reason(history: list[float], window: int = 3, blowup_ratio: float = 1e3) -> str | None:
+    """Why an attempt with this residual history should be given up, or None.
+
+    "diverging": the residual rose over each of the last ``window`` steps,
+    blew past ``blowup_ratio`` times the initial residual, or went
+    non-finite.  "cycling": the last ``3 * window`` residuals all stayed
+    above half the best one before them, as in a limiter cycle.
+    """
     if not history:
-        return False
-    if not np.isfinite(history[-1]):
-        return True
-    if history[-1] > blowup_ratio * history[0]:
-        return True
+        return None
+    if not np.isfinite(history[-1]) or history[-1] > blowup_ratio * history[0]:
+        return "diverging"
     if len(history) > window:
         tail = history[-(window + 1):]
         if all(tail[i + 1] > tail[i] for i in range(window)):
-            return True
-    return False
+            return "diverging"
+    w = 3 * window  # converging attempts on the bundled cases stall for up to 6
+    if len(history) > w and min(history[-w:]) > 0.5 * min(history[:-w]):
+        return "cycling"
+    return None
+
+
+def detect_divergence(history: list[float], window: int = 3, blowup_ratio: float = 1e3) -> bool:
+    """True iff ``divergence_reason`` gives the attempt up."""
+    return divergence_reason(history, window, blowup_ratio) is not None
 
 
 # ----------------------------------------------------------------------
@@ -291,9 +302,9 @@ def _nr_attempt(
         if rnorm <= options.tol:
             residual_log.extend(history)
             return x, True, None
-        if detect_divergence(history, options.divergence_window, options.blowup_ratio):
+        if reason := divergence_reason(history, options.divergence_window, options.blowup_ratio):
             residual_log.extend(history)
-            return x, False, "diverging"
+            return x, False, reason
         try:
             x_new = factor_solve(system)
         except SingularSystemError as exc:
@@ -377,8 +388,9 @@ def solve_direct(
 
     ``injections`` maps a bus id to constant per-phase complex current
     consumption (the boundary drive of a torn subproblem).  A ``circuit``
-    compiled from a network of the same topology is reused, its source
-    voltages taken from ``network``; otherwise ``network`` is compiled.
+    compiled from a network of the same topology and legs is reused, its
+    source voltages and demands taken from ``network``; otherwise
+    ``network`` is compiled.
     """
     options = options or SolverOptions()
     imap = imap or build_index_map(network)
@@ -388,6 +400,7 @@ def solve_direct(
         circuit = CompiledCircuit(network, imap)
     else:
         circuit.set_sources(network)
+        circuit.set_demands(network)
     report = SolveReport()
     modes: dict[int, str] = {}
     q_fixed: dict[int, float] = {}

@@ -53,6 +53,7 @@ _DELTA_LEGS = (("a", "b"), ("b", "c"), ("c", "a"))
 # continuation classes of linear values: series self terms times 1 + lam gamma,
 # line charging and shunts times 1 - lam, the rest unscaled
 _SCALED, _RELAXED, _REST = 0, 1, 2
+_P, _I, _Z = 0, 1, 2  # ZIP shares: constant power, current and impedance
 
 
 class VoltageCollapseError(ArithmeticError):
@@ -126,38 +127,6 @@ def pq_partials(p, q, vr, vi):
     return ir, ii, dir_dvr, dir_dvi, dir_dvi, -dir_dvr
 
 
-def eval_pq(p: float, q: float, vr: float, vi: float, bus=None, phase=""):
-    """``pq_partials`` of one demand behind the collapse guard; zero demand draws nothing."""
-    if p == 0.0 and q == 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    m2 = vr * vr + vi * vi
-    if m2 <= EPS_V * EPS_V:
-        raise VoltageCollapseError(bus, phase, m2)
-    return pq_partials(p, q, vr, vi)
-
-
-# ----------------------------------------------------------------------
-# Homotopy scaling
-# ----------------------------------------------------------------------
-
-
-def apply_homotopy_positive_sequence(y: complex, hs: HomotopyState | None) -> complex:
-    """Series admittance under continuation: (G + jB)(1 + lam gamma)."""
-    if hs is None:
-        return y
-    return y * hs.series_scale
-
-
-def apply_homotopy_three_phase(y_block: np.ndarray, hs: HomotopyState | None) -> np.ndarray:
-    """Phase-block continuation: self terms scaled by (1 + gamma lam), mutuals unchanged."""
-    y = np.array(y_block, dtype=complex)
-    if hs is None:
-        return y
-    n = y.shape[0]
-    y[np.arange(n), np.arange(n)] *= hs.series_scale
-    return y
-
-
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
@@ -229,6 +198,19 @@ def _device_legs(dev, imap: IndexMap):
     return [(ph, imap.v_pair(dev.bus, ph), None, s) for ph, s in zip(dev.phases, dev.s)]
 
 
+def _demand_legs(network: Network, imap: IndexMap):
+    """(share, (bus, label), t1, t2, sign, s) per leg of each ZIP share, loads then DERs, in
+    stamping order; power and current legs of zero demand are left out."""
+    legs = []
+    for sign, devices in ((1.0, network.loads), (-1.0, network.ders)):
+        for dev in devices:
+            for share, f in enumerate(getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))):
+                for label, t1, t2, s in _device_legs(dev, imap) if f != 0.0 else ():
+                    if share == _Z or f * s != 0:
+                        legs.append((share, (dev.bus, label), t1, t2, sign, f * s))
+    return legs
+
+
 def _element_triplets(network: Network, imap: IndexMap):
     """Series-element triplets in element order: (rows, cols, vals, class, pi).
 
@@ -296,36 +278,23 @@ class CompiledCircuit:
 
     def __init__(self, network: Network, imap: IndexMap):
         n = imap.n
+        self.imap = imap
         self.plan = AssemblyPlan()
-        self._compile_linear(network, imap)
+        legs = _demand_legs(network, imap)
+        gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
+        self.keys = [row[:5] for row in legs], [g.bus for g in gens]
+        self._compile_linear(network, imap, [row for row in legs if row[0] == _Z])
 
-        legs = []  # (is_pq, (bus, label), t1, t2, sign, s) in stamping order
-        for sign, devices in ((1.0, network.loads), (-1.0, network.ders)):
-            for dev in devices:
-                fp, fi, _ = getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))
-                for is_pq, share in ((True, fp), (False, fi)):
-                    for label, t1, t2, s in _device_legs(dev, imap) if share != 0.0 else ():
-                        if share * s != 0:
-                            legs.append((is_pq, (dev.bus, label), t1, t2, sign, share * s))
-        self.legs = _legs([(t1, t2) for _, _, t1, t2, _, _ in legs], n)
-        self.labels = [row[1] for row in legs]
-        self.is_pq = np.array([row[0] for row in legs], dtype=bool)
+        nonlinear = [row for row in legs if row[0] != _Z]
+        self.legs = _legs([row[2:4] for row in nonlinear], n)
+        self.labels = [row[1] for row in nonlinear]
+        self.is_pq = np.array([row[0] == _P for row in nonlinear], dtype=bool)
         self.pq, self.cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
         self.jac = _Legs(self.legs.t[self.pq], n)
-        self.p = np.array([sign * s.real for is_pq, *_, sign, s in legs if is_pq])
-        self.q = np.array([sign * s.imag for is_pq, *_, sign, s in legs if is_pq])
-        # delta legs see sqrt(3) pu at nominal
-        self.mag = np.array([
-            sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s)
-            for is_pq, _, _, t2, sign, s in legs if not is_pq
-        ])
-        self.angle = np.array([cmath.phase(s) for is_pq, *_, s in legs if not is_pq])
 
-        self.gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
-        g = [(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in self.gens]
+        g = [(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in gens]
         gr, gi, gq = self.gr, self.gi, self.gq = np.array(g, dtype=np.int64).reshape(-1, 3).T
-        self.gen_p = np.array([g.p_set for g in self.gens])
-        self.gen_v2 = np.array([g.v_set * g.v_set for g in self.gens])
+        self._take_demands(network, legs, gens)
 
         jac_rows, jac_cols = self.jac.block_pattern()
         self.nl_rows = np.concatenate([jac_rows, gr, gi, gr, gi, gr, gi, gq, gq, gq])
@@ -336,7 +305,7 @@ class CompiledCircuit:
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise IndexError(f"stamp index outside system of size {n}")
 
-    def _compile_linear(self, network: Network, imap: IndexMap) -> None:
+    def _compile_linear(self, network: Network, imap: IndexMap, zlegs) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
         *element, (self.pi, self.pi_relaxed, self.pi_div) = _element_triplets(network, imap)
         parts = [element]
@@ -344,17 +313,12 @@ class CompiledCircuit:
         rr, ri = np.array([row[:2] for row in shunts], dtype=np.int64).reshape(-1, 2).T
         parts.append((*_expand_pairs(rr, ri, rr, ri), _expand([row[2] for row in shunts]), _RELAXED))
 
-        # constant-impedance ZIP share: admittance fixed by the nominal-voltage
-        # demand; delta legs see sqrt(3) pu at nominal, so |Vref|^2 = 3
-        zlegs = [
-            (t1, t2, ld.zip_fractions[2] * s.conjugate() / 3.0 if t2 else ld.zip_fractions[2] * s.conjugate())
-            for ld in network.loads
-            if ld.zip_fractions[2] != 0.0
-            for _, t1, t2, s in _device_legs(ld, imap)
-        ]
-        z = _legs([row[:2] for row in zlegs], imap.n)
-        y = np.array([row[2] for row in zlegs], dtype=complex)
-        parts.append((*z.block_pattern(), z.block_values(y.real, -y.imag, y.imag, y.real), _REST))
+        # constant-impedance ZIP share: values set by _take_demands
+        self.z = _legs([row[2:4] for row in zlegs], imap.n)
+        z_rows, z_cols = self.z.block_pattern()
+        start = sum(len(part[2]) for part in parts)
+        self.z_slice = slice(start, start + len(z_rows))
+        parts.append((z_rows, z_cols, np.zeros(len(z_rows)), _REST))
 
         # ideal sources: voltage rows owned by the source current unknowns,
         # injection into the node KCL
@@ -387,6 +351,36 @@ class CompiledCircuit:
             raise ValueError(f"source terminals {keys} differ from the compiled {self.src_keys}")
         v = [v for b in buses for v in b.v0]
         self.src_rhs_vals = np.array([z.real for z in v] + [z.imag for z in v])
+
+    def set_demands(self, network: Network) -> None:
+        """Take load, DER and generator values from ``network``, which has this circuit's legs.
+
+        One compile then serves a whole sweep scenario; free when ``network``
+        holds this circuit's device tuples, as ``with_source_voltages`` keeps them.
+        Raises ValueError on other legs (a zero scale drops legs) or generators.
+        """
+        if all(a is b for a, b in zip(self.devices, (network.loads, network.ders, network.generators))):
+            return
+        legs = _demand_legs(network, self.imap)
+        gens = [g for g in network.generators if g.status and g.bus in self.imap.gen_q]
+        if ([row[:5] for row in legs], [g.bus for g in gens]) != self.keys:
+            raise ValueError("the network's demand legs or generators differ from the compiled ones")
+        self._take_demands(network, legs, gens)
+
+    def _take_demands(self, network: Network, legs, gens) -> None:
+        self.devices = network.loads, network.ders, network.generators
+        pq, cu, z = ([row for row in legs if row[0] == share] for share in (_P, _I, _Z))
+        self.p = np.array([sign * s.real for *_, sign, s in pq])
+        self.q = np.array([sign * s.imag for *_, sign, s in pq])
+        # delta legs see sqrt(3) pu at nominal
+        self.mag = np.array([sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s) for *_, t2, sign, s in cu])
+        self.angle = np.array([cmath.phase(s) for *_, s in cu])
+        # admittance drawing the demand at nominal voltage; |Vref|^2 = 3 on delta legs
+        y = np.array([s.conjugate() / 3.0 if t2 else s.conjugate() for *_, t2, _, s in z], dtype=complex)
+        self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
+        self.gens = gens
+        self.gen_p = np.array([g.p_set for g in gens])
+        self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
 
     # -- per-state evaluation ------------------------------------------
 

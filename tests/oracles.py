@@ -4,7 +4,10 @@ Everything here is written in straight complex arithmetic against the
 network description, deliberately sharing no code with the production
 stamping path: dense mismatch evaluation, finite-difference Jacobians,
 a dense polar-form power flow, and the symmetrical-component transform
-built from its 3x3 complex definition.
+built from its 3x3 complex definition.  The one exception is the last
+section: scalar reference formulas of single stamps, which check the
+production ``pq_partials`` and ``HomotopyState`` scales one value at a
+time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from tandem.netmodel import (
     IndexMap,
     Network,
 )
+from tandem.stamping import EPS_V, HomotopyState, VoltageCollapseError, pq_partials
 
 DELTA_LEGS = (("a", "b"), ("b", "c"), ("c", "a"))
 
@@ -366,3 +370,35 @@ def sequence_to_phase_6x6() -> np.ndarray:
 
 def phase_to_sequence_6x6() -> np.ndarray:
     return real_expansion(np.linalg.inv(A3))
+
+
+# ----------------------------------------------------------------------
+# Scalar reference formulas of single stamps
+# ----------------------------------------------------------------------
+
+
+def eval_pq(p: float, q: float, vr: float, vi: float, bus=None, phase=""):
+    """``pq_partials`` of one demand behind the collapse guard; zero demand draws nothing."""
+    if p == 0.0 and q == 0.0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    m2 = vr * vr + vi * vi
+    if m2 <= EPS_V * EPS_V:
+        raise VoltageCollapseError(bus, phase, m2)
+    return pq_partials(p, q, vr, vi)
+
+
+def apply_homotopy_positive_sequence(y: complex, hs: HomotopyState | None) -> complex:
+    """Series admittance under continuation: (G + jB)(1 + lam gamma)."""
+    if hs is None:
+        return y
+    return y * hs.series_scale
+
+
+def apply_homotopy_three_phase(y_block: np.ndarray, hs: HomotopyState | None) -> np.ndarray:
+    """Phase-block continuation: self terms scaled by (1 + gamma lam), mutuals unchanged."""
+    y = np.array(y_block, dtype=complex)
+    if hs is None:
+        return y
+    n = y.shape[0]
+    y[np.arange(n), np.arange(n)] *= hs.series_scale
+    return y

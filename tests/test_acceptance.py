@@ -15,8 +15,9 @@ import pytest
 
 from netgen import random_combined, random_state
 from oracles import dense_mismatch, fd_jacobian, phase_to_sequence_6x6, polar_power_flow, sequence_to_phase_6x6
+from splitting import build_augmented_splitting, spectral_radius, split_block_diagonal
 from tandem.cli import main as cli_main
-from tandem.gsn import GsnOptions, build_augmented_splitting, solve_gsn, spectral_radius, split_block_diagonal
+from tandem.gsn import GsnOptions, solve_gsn
 from tandem.ingest import load_combined_case, parse_transmission
 from tandem.netmodel import ALPHA, build_index_map
 from tandem.newton import SolveFailure, SolverOptions, solve_direct

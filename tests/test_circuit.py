@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    apply_homotopy_positive_sequence,
+    apply_homotopy_three_phase,
     dense_mismatch,
+    eval_pq,
     fd_jacobian,
     phase_to_sequence_6x6,
     real_expansion,
@@ -31,9 +34,6 @@ from tandem.sparse import assemble
 from tandem.stamping import (
     HomotopyState,
     VoltageCollapseError,
-    apply_homotopy_positive_sequence,
-    apply_homotopy_three_phase,
-    eval_pq,
     stamp_coupling_port,
     stamp_linear,
     stamp_nonlinear,

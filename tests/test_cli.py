@@ -163,6 +163,38 @@ class TestPvcurve:
         assert max(der) > max(base)  # and extends the convergent range
         assert (out / "pvcurve.svg").read_text().startswith("<svg")
 
+    def test_one_compile_per_scenario(self, workdir, monkeypatch):
+        # each DER scenario compiles one circuit; every load factor refreshes it
+        import tandem.cli
+        import tandem.gsn
+        import tandem.newton
+        import tandem.stamping
+
+        compiled = []
+
+        class Counting(tandem.stamping.CompiledCircuit):
+            def __init__(self, *args, **kwargs):
+                compiled.append(1)
+                super().__init__(*args, **kwargs)
+
+        for module in (tandem.stamping, tandem.newton, tandem.gsn, tandem.cli):
+            monkeypatch.setattr(module, "CompiledCircuit", Counting, raising=False)
+        rc = run(["pvcurve", "--case", workdir / "case9.m",
+                  "--coupling", workdir / "case9_stressed.json",
+                  "--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1",
+                  "--der-scale", "0,1", "--out", workdir / "pv"])
+        assert rc == EXIT_OK
+        assert len(compiled) == 2
+
+    def test_zero_load_factor_start(self, workdir):
+        # the zero point has no load legs, so the next point compiles again
+        out = workdir / "pv"
+        rc = run(["pvcurve", "--case", workdir / "case9.m",
+                  "--coupling", workdir / "case9_stressed.json",
+                  "--lf-start", "0.0", "--lf-stop", "0.2", "--lf-step", "0.1", "--out", out])
+        assert rc == EXIT_OK
+        assert len((out / "pvcurve.csv").read_text().splitlines()) == 4
+
     def test_contingency_column_lower(self, workdir):
         # drop one of the two corridors into the POI bus: the contingency
         # curve must sit below the base curve at every shared point

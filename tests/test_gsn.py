@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from netgen import random_combined
+from splitting import (
+    build_augmented_splitting,
+    check_diagonal_dominance,
+    identify_feedback_feedforward,
+    spectral_radius,
+    split_block_diagonal,
+)
 from tandem.gsn import (
     GsnError,
     GsnOptions,
     WeakCouplingError,
     apply_feedback_augmentation,
-    build_augmented_splitting,
-    check_diagonal_dominance,
-    identify_feedback_feedforward,
     solve_gsn,
-    spectral_radius,
-    split_block_diagonal,
     tear,
 )
 from tandem.ingest import load_combined_case, parse_transmission

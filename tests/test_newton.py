@@ -24,6 +24,7 @@ from tandem.newton import (
     UnsolvableCaseError,
     apply_voltage_limit,
     detect_divergence,
+    divergence_reason,
     enforce_q_limits,
     solve_direct,
     voltage_index_mask,
@@ -92,6 +93,45 @@ class TestDivergence:
 
     def test_nan(self):
         assert detect_divergence([1.0, float("nan")]) is True
+
+
+class TestCycling:
+    """The no-progress rule: with the default window of 3 it gives up once the
+    last 9 residuals all stay above half the best residual before them."""
+
+    def test_two_cycle_flagged_exactly_at_window_plus_one(self):
+        history = [1.95, 14.54] * 10
+        reasons = [divergence_reason(history[:k]) for k in range(1, len(history) + 1)]
+        assert reasons[:9] == [None] * 9
+        assert reasons[9] == "cycling"
+        assert detect_divergence(history[:10]) is True
+
+    def test_worst_converging_stall_not_flagged(self):
+        # a 6-iteration stall above half the first residual, then convergence:
+        # the longest stall of a converging attempt on the bundled cases
+        history = [1.2, 2.1, 3.4, 1.9, 1.4, 1.4, 1.1, 1.4e-3, 2.1e-6, 3.5e-13]
+        assert [divergence_reason(history[:k]) for k in range(1, len(history) + 1)] == [None] * len(history)
+
+    def test_progress_by_half_resets_the_window(self):
+        # the best residual halves every 8 iterations: slow, but progress
+        history = [1.0 * 0.49 ** (k // 8) * (1.5 if k % 2 else 1.0) for k in range(60)]
+        assert all(divergence_reason(history[:k]) is None for k in range(1, 61))
+
+    def test_monitor_switched_off_disables_the_rule(self):
+        history = [1.95, 14.54] * 50
+        assert all(
+            divergence_reason(history[:k], window=100, blowup_ratio=float("inf")) is None
+            for k in range(1, len(history) + 1)
+        )
+
+    def test_radial7_gives_up_the_cycle_and_converges(self, case_radial7):
+        # plain Newton with limiting cycles at this load; the rule hands the
+        # case to continuation instead of spending max_iter on the cycle
+        net = parse_transmission(case_radial7).with_loading_factor(1.05)
+        _, rep = solve_direct(net, SolverOptions())
+        assert rep.converged
+        assert rep.lambda_trajectory[0]["reason"] == "cycling"
+        assert rep.iterations <= 50
 
 
 class TestSchedule:

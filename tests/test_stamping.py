@@ -92,6 +92,43 @@ def test_set_sources_matches_fresh_compile():
     assert checked >= 5
 
 
+def test_set_demands_matches_fresh_compile():
+    """A circuit compiled at one sweep point and refreshed to another stamps
+    bytewise what a fresh compile of that point stamps."""
+    rng = np.random.default_rng(6607)
+    seen = {"zip": 0, "delta": 0, "der": 0, "gen": 0}
+    for _ in range(40):
+        net = random_combined(rng)
+        imap = build_index_map(net)
+        seen["zip"] += any(ld.zip_fractions[2] and ld.zip_fractions[1] for ld in net.loads)
+        seen["delta"] += any(ld.connection is Connection.DELTA for ld in net.loads)
+        seen["der"] += bool(net.ders)
+        seen["gen"] += bool(imap.gen_q)
+        circuit = CompiledCircuit(net, imap)
+        gens = sorted(imap.gen_q)
+        modes = {bus: _MODE_CYCLE[i % len(_MODE_CYCLE)] for i, bus in enumerate(gens)}
+        for lf, der in ((1.3, 0.5), (0.7, 2.0)):
+            point = net.with_loading_factor(lf).with_der_scale(der)
+            circuit.set_demands(point)
+            fresh = CompiledCircuit(point, imap)
+            x = random_state(rng, point, imap)
+            for hs in (None, HomotopyState(0.3)):
+                assert _stamp_bytes(circuit.linear(hs)) == _stamp_bytes(fresh.linear(hs))
+            for gen_modes in ({}, modes):
+                assert _stamp_bytes(circuit.nonlinear(x, gen_modes, {})) == _stamp_bytes(
+                    fresh.nonlinear(x, gen_modes, {})
+                )
+        # a variant that keeps the device tuples costs no refresh
+        p = circuit.p
+        circuit.set_demands(point.with_source_voltages({}))
+        assert circuit.p is p
+        # a zero DER scale drops the DER legs
+        if net.ders:
+            with pytest.raises(ValueError, match="legs"):
+                circuit.set_demands(net.with_der_scale(0.0))
+    assert min(seen.values()) >= 5, seen
+
+
 def _feeder(loads=(), ders=()):
     z = np.eye(3, dtype=complex) * complex(0.02, 0.06)
     return Network(
