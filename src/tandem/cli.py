@@ -396,7 +396,6 @@ def cmd_bench(args) -> int:
         net = build_combined(tnet, cmap, {feeder.name: doc})
         n = build_index_map(net).n
         gsn = _gsn_options(args, None)
-        gsn.progress = False
         t0 = time.perf_counter()
         try:
             _, rep = solve_gsn(net, opts, gsn)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -32,7 +31,6 @@ from .netmodel import (
     THREE_PHASE,
     IndexMap,
     Network,
-    Shunt,
     build_index_map,
     initial_state,  # noqa: F401  (perfbench/tracer.py wraps tandem.gsn.initial_state)
 )
@@ -49,35 +47,21 @@ class GsnError(RuntimeError):
         self.report = report
 
 
-class WeakCouplingError(GsnError):
-    pass
-
-
 class InternalConsistencyError(GsnError):
     pass
 
 
 INNER_MAX_ITER = 20  # Newton iteration cap of every subcircuit solve
-# auto-stabilization: a feedback shunt of AUTO_FEEDBACK_SHUNT pu engages after
-# STALL_EPOCHS epochs without a boundary-change decrease, and an active shunt
-# shrinks by FEEDBACK_DECAY every epoch
-STALL_EPOCHS = 10
-AUTO_FEEDBACK_SHUNT = 10.0
-FEEDBACK_DECAY = 0.5
-MAX_EXTERNAL_RATIO = 0.1  # weak-coupling bound on a subcircuit's external/internal ratio
 
 
 @dataclass
 class GsnOptions:
     """Outer-loop knobs; inner solves take the caller's SolverOptions capped at
-    INNER_MAX_ITER, and stalls engage the shunt schedule of STALL_EPOCHS,
-    AUTO_FEEDBACK_SHUNT and FEEDBACK_DECAY."""
+    INNER_MAX_ITER."""
 
     outer_tol: float = 1e-3
     max_epochs: int = 100
     workers: int = 1
-    feedback_shunt: float = 0.0  # stabilizing susceptance at feedback nodes, pu
-    progress: bool = True
     epoch_log_path: Any = None
 
 
@@ -95,14 +79,7 @@ class SubCircuit:
     imap: IndexMap
     ports: tuple
     internal_global: np.ndarray
-    external_global: np.ndarray
     local_to_global: np.ndarray  # local unknown -> global unknown
-
-    @property
-    def external_ratio(self) -> float:
-        if len(self.internal_global) == 0:
-            return float("inf")
-        return len(self.external_global) / len(self.internal_global)
 
 
 @dataclass
@@ -114,12 +91,6 @@ class PortVars:
     head: dict[str, tuple[int, int]]
     currents: dict[str, tuple[int, int]]
 
-    def boundary_indices(self) -> list[int]:
-        out = list(self.poi)
-        for ph in THREE_PHASE:
-            out.extend(self.currents[ph])
-        return out
-
 
 @dataclass
 class Partition:
@@ -127,18 +98,6 @@ class Partition:
     imap: IndexMap
     subs: list[SubCircuit]
     port_vars: list[PortVars]
-
-    def weak_coupling_report(self, max_ratio: float) -> list[dict]:
-        return [
-            {
-                "sub": s.name,
-                "internal": int(len(s.internal_global)),
-                "external": int(len(s.external_global)),
-                "ratio": s.external_ratio,
-                "ok": s.external_ratio <= max_ratio,
-            }
-            for s in self.subs
-        ]
 
 
 def _subnetwork(network: Network, bus_ids: set[int]) -> Network:
@@ -154,12 +113,7 @@ def _subnetwork(network: Network, bus_ids: set[int]) -> Network:
     )
 
 
-def tear(
-    network: Network,
-    imap: IndexMap | None = None,
-    max_external_ratio: float = MAX_EXTERNAL_RATIO,
-    strict: bool = False,
-) -> Partition:
+def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     """Tear the combined network at its coupling ports into a Partition.
 
     Every block of the index map but the trailing port border becomes
@@ -167,10 +121,6 @@ def tear(
     A subcircuit's own unknowns are its block's index range; a feeder's
     head-source currents (the last unknowns of its local map, its head
     being the component's only source) are its ports' port currents.
-    Boundary bookkeeping counts eight external variables per port (the
-    transmission-side pair plus the six port currents) for every
-    subcircuit the port touches; the weak-coupling ratio of each block
-    is reported, and with ``strict`` a violation refuses to tear.
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
@@ -206,7 +156,6 @@ def tear(
             raise InternalConsistencyError(
                 f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones"
             )
-        boundary = sorted(i for pv in port_vars if pv.port in sub_ports for i in pv.boundary_indices())
         subs.append(
             SubCircuit(
                 index=len(subs),
@@ -216,52 +165,11 @@ def tear(
                 imap=sub_imap,
                 ports=sub_ports,
                 internal_global=internal,
-                external_global=np.array(boundary, dtype=np.int64),
                 local_to_global=local_to_global,
             )
         )
 
-    part = Partition(network=network, imap=imap, subs=subs, port_vars=port_vars)
-    if network.ports:
-        report = part.weak_coupling_report(max_external_ratio)
-        bad = [r for r in report if not r["ok"]]
-        if bad:
-            detail = "; ".join(
-                f"{r['sub']}: ext {r['external']} / int {r['internal']} = {r['ratio']:.2f}" for r in bad
-            )
-            if strict:
-                raise WeakCouplingError(f"weak-coupling bound {max_external_ratio} violated: {detail}")
-            log.info("weak-coupling bound %.2f exceeded (continuing): %s", max_external_ratio, detail)
-    return part
-
-
-# ----------------------------------------------------------------------
-# Feedback augmentation
-# ----------------------------------------------------------------------
-
-
-def apply_feedback_augmentation(partition: Partition, b_fb: float) -> Partition:
-    """Stamp a stabilizing shunt susceptance at every feedback node.
-
-    The shunt lives inside the owning feeder subcircuit; the epoch
-    exchange subtracts the same susceptance's current at the previous
-    snapshot voltage, so the outer fixed point is unchanged while
-    inter-epoch boundary movement is damped.
-    """
-    if b_fb < 0:
-        raise ValueError("feedback shunt must be non-negative")
-    if b_fb == 0.0:
-        return partition
-    subs = []
-    for sub in partition.subs:
-        if sub.kind != "feeder":
-            subs.append(sub)
-            continue
-        extra = tuple(
-            Shunt(bus=p.feeder_head, phases=THREE_PHASE, y=(1j * b_fb,) * 3) for p in sub.ports
-        )
-        subs.append(replace(sub, network=replace(sub.network, shunts=sub.network.shunts + extra)))
-    return replace(partition, subs=subs)
+    return Partition(network=network, imap=imap, subs=subs, port_vars=port_vars)
 
 
 # ----------------------------------------------------------------------
@@ -276,20 +184,16 @@ class GsnReport:
     boundary_deltas: list[float] = field(default_factory=list)
     inner_iterations: list[dict[str, int]] = field(default_factory=list)
     global_residual: float = float("nan")
-    weak_coupling: list[dict] = field(default_factory=list)
-    feedback_shunt_trace: list[float] = field(default_factory=list)
     error: str | None = None
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "converged": self.converged,
             "epochs": self.epochs,
             "boundary_deltas": self.boundary_deltas,
             "inner_iterations": self.inner_iterations,
             "global_residual": self.global_residual,
-            "weak_coupling": self.weak_coupling,
-            "feedback_shunt_trace": self.feedback_shunt_trace,
             "error": self.error,
         }
 
@@ -325,16 +229,9 @@ def solve_gsn(
         return x, report
 
     partition = tear(network, imap)
-    report.weak_coupling = partition.weak_coupling_report(MAX_EXTERNAL_RATIO)
-
-    def augment(b: float):
-        """Subcircuits with feedback shunt b, each compiled once: an epoch's
-        snapshot changes only source voltages and injections, not topology."""
-        part = apply_feedback_augmentation(partition, b)
-        return part, [CompiledCircuit(sub.network, sub.imap) for sub in part.subs]
-
-    b_fb = gsn.feedback_shunt
-    active, circuits = augment(b_fb)
+    # an epoch's snapshot changes only source voltages and injections, not
+    # topology, so each subcircuit compiles once for the whole solve
+    circuits = [CompiledCircuit(sub.network, sub.imap) for sub in partition.subs]
 
     # one boundary row per port in port-id order: the transmission-side
     # voltage, then the head currents of phases a, b, c; the first
@@ -345,9 +242,6 @@ def solve_gsn(
         boundary[row[pv.port.id], 0] = network.bus(pv.port.transmission_bus).v0[0]
 
     warm: list[np.ndarray | None] = [None] * len(partition.subs)
-    prev = boundary
-    stall = 0
-    prev_delta = None
     log_file = open(gsn.epoch_log_path, "w") if gsn.epoch_log_path else None
     n_pool = min(gsn.workers, len(partition.subs))
     pool = ThreadPoolExecutor(max_workers=n_pool) if n_pool > 1 else None
@@ -384,16 +278,14 @@ def solve_gsn(
     try:
         for epoch in range(1, gsn.max_epochs + 1):
             snap = boundary
-            report.feedback_shunt_trace.append(b_fb)
-            subs = active.subs
             if pool:
-                outcomes = list(pool.map(lambda s: run_sub(s, snap), subs))
+                outcomes = list(pool.map(lambda s: run_sub(s, snap), partition.subs))
             else:
-                outcomes = [run_sub(sub, snap) for sub in subs]
+                outcomes = [run_sub(sub, snap) for sub in partition.subs]
 
             new = snap.copy()
             iters: dict[str, int] = {}
-            for sub, (x, rep) in zip(subs, outcomes):
+            for sub, (x, rep) in zip(partition.subs, outcomes):
                 warm[sub.index] = x
                 iters[sub.name] = rep.iterations
                 if sub.kind == "transmission":
@@ -405,43 +297,22 @@ def solve_gsn(
                     k = row[p.id]
                     for j, ph in enumerate(THREE_PHASE, start=1):
                         ir, ii = sub.imap.source_current[(p.feeder_head, ph)]
-                        i_src = complex(x[ir], x[ii])
-                        if b_fb:
-                            # compensate the stabilizing shunt at the previous
-                            # snapshot voltage so the fixed point is untouched
-                            i_src -= 1j * b_fb * (PHASE_ROTATION[ph] * complex(prev[k, 0]))
-                        new[k, j] = i_src
+                        new[k, j] = complex(x[ir], x[ii])
 
             # infinity norm of the boundary change over all real components
             delta = float(np.abs((new - snap).view(float)).max())
             report.boundary_deltas.append(delta)
             report.inner_iterations.append(iters)
             report.epochs = epoch
-            if gsn.progress:
-                line = f"epoch {epoch:3d}  boundary change {delta:.3e}  inner iters {iters}"
-                print(line, file=sys.stderr)
+            log.info("epoch %3d  boundary change %.3e  inner iters %s", epoch, delta, iters)
             if log_file:
                 log_file.write(json.dumps({"epoch": epoch, "boundary_delta": delta, "inner_iters": iters}) + "\n")
                 log_file.flush()
 
-            prev = snap
             boundary = new
             if delta <= gsn.outer_tol:
                 report.converged = True
                 break
-
-            if prev_delta is not None and delta >= prev_delta:
-                stall += 1
-            else:
-                stall = 0
-            prev_delta = delta
-            if b_fb:
-                b_fb *= FEEDBACK_DECAY
-                active, circuits = augment(b_fb)
-            elif stall >= STALL_EPOCHS:
-                b_fb = AUTO_FEEDBACK_SHUNT
-                active, circuits = augment(b_fb)
-                log.warning("outer loop stalled %d epochs; engaging feedback shunt %.1f pu", stall, b_fb)
     finally:
         if pool:
             pool.shutdown()
@@ -456,16 +327,7 @@ def solve_gsn(
     # scatter sub states into the global combined vector
     x_global = np.zeros(imap.n)
     for sub in partition.subs:
-        x_sub = warm[sub.index]
-        if sub.kind == "feeder" and b_fb:
-            x_sub = x_sub.copy()
-            for p in sub.ports:
-                for ph in THREE_PHASE:
-                    ir, ii = sub.imap.source_current[(p.feeder_head, ph)]
-                    v_now = sub.imap.voltage(x_sub, p.feeder_head, ph)
-                    true_draw = complex(x_sub[ir], x_sub[ii]) - 1j * b_fb * v_now
-                    x_sub[ir], x_sub[ii] = true_draw.real, true_draw.imag
-        x_global[sub.local_to_global] = x_sub
+        x_global[sub.local_to_global] = warm[sub.index]
 
     lin, nonlin = stamp_system(network, imap, x_global, gen_modes=gen_modes, gen_q_fixed=gen_q_fixed)
     system = assemble([lin, nonlin], imap.n)

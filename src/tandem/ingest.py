@@ -753,5 +753,8 @@ def load_combined_case(
     if coupling_path is None:
         return tnet
     cmap = parse_coupling_map(coupling_path)
-    docs = {e.feeder: parse_feeder_doc(cmap.feeder_path(e)) for e in cmap.entries}
+    docs = {}
+    for entry in cmap.entries:
+        if entry.feeder not in docs:
+            docs[entry.feeder] = parse_feeder_doc(cmap.feeder_path(entry))
     return build_combined(tnet, cmap, docs, keep_bus_load=keep_bus_load)

@@ -376,23 +376,30 @@ def _feeder_components(network: Network) -> list[list[Bus]]:
     return comps
 
 
-def build_index_map(network: Network) -> IndexMap:
-    """Assign every nodal voltage and auxiliary variable a unique index.
-
-    Raises NetworkError on duplicate bus ids, dangling element
-    endpoints, or an empty phase set.
-    """
+def _structural_violations(network: Network) -> list[Violation]:
+    """Duplicate bus ids (reported alone: nothing else can be checked
+    against an ambiguous id), else every element endpoint naming no bus."""
     ids = [b.id for b in network.buses]
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise NetworkError(f"duplicate bus ids: {dupes}")
+        return [Violation("dup-bus", f"duplicate bus ids {dupes}")]
     known = set(ids)
-    for el in network.elements:
-        if el.from_bus not in known or el.to_bus not in known:
-            raise NetworkError(f"element {el.id} references missing bus ({el.from_bus}, {el.to_bus})")
-    for b in network.buses:
-        if not b.phases:
-            raise NetworkError(f"bus {b.id} has an empty phase set")
+    return [
+        Violation("dangling", f"element {el.id} references missing bus ({el.from_bus}, {el.to_bus})")
+        for el in network.elements
+        if el.from_bus not in known or el.to_bus not in known
+    ]
+
+
+def build_index_map(network: Network) -> IndexMap:
+    """Assign every nodal voltage and auxiliary variable a unique index.
+
+    Raises NetworkError on the first structural violation: a duplicate
+    bus id or a dangling element endpoint.
+    """
+    structural = _structural_violations(network)
+    if structural:
+        raise NetworkError(structural[0].message)
 
     vr: dict[tuple[int, str], int] = {}
     vi: dict[tuple[int, str], int] = {}
@@ -477,20 +484,14 @@ def initial_state(network: Network, imap: IndexMap, flat: bool = False) -> np.nd
 
 def validate(network: Network) -> list[Violation]:
     """Collect every invariant violation; an empty list means a well-formed network."""
-    out: list[Violation] = []
-
-    ids = [b.id for b in network.buses]
-    id_set = set(ids)
-    if len(ids) != len(id_set):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        out.append(Violation("dup-bus", f"duplicate bus ids {dupes}"))
+    out = _structural_violations(network)
+    if out and out[0].code == "dup-bus":
         return out
     by_id = {b.id: b for b in network.buses}
+    id_set = set(by_id)
 
     for b in network.buses:
-        if not b.phases:
-            out.append(Violation("empty-phases", f"bus {b.id} has no phases"))
-        elif b.kind.is_transmission and b.phases != POSITIVE_SEQUENCE:
+        if b.kind.is_transmission and b.phases != POSITIVE_SEQUENCE:
             out.append(Violation("phase-style", f"transmission bus {b.id} must be positive-sequence"))
         elif b.kind.is_distribution and b.phases == POSITIVE_SEQUENCE:
             out.append(Violation("phase-style", f"distribution bus {b.id} must carry phases from abc"))
@@ -500,8 +501,7 @@ def validate(network: Network) -> list[Violation]:
 
     for el in network.elements:
         fb, tb = by_id.get(el.from_bus), by_id.get(el.to_bus)
-        if fb is None or tb is None:
-            out.append(Violation("dangling", f"element {el.id} endpoint missing"))
+        if fb is None or tb is None:  # reported by _structural_violations
             continue
         for end in (fb, tb):
             if el.phases == POSITIVE_SEQUENCE:

@@ -157,7 +157,7 @@ def test_acceptance_05_gsn_matches_direct(data_dir):
         net = load_combined_case(data_dir / "case9.m", data_dir / "case9_feeder1.json")
         imap = build_index_map(net)
         xd, _ = solve_direct(net, SolverOptions())
-        xg, rep = solve_gsn(net, SolverOptions(), GsnOptions(progress=False))
+        xg, rep = solve_gsn(net, SolverOptions(), GsnOptions())
         assert rep.converged
         worst = 0.0
         for b in net.buses:
@@ -176,7 +176,7 @@ def test_acceptance_06_gsn_convergence_behavior(data_dir):
     with criterion(6, "GSN convergence behavior"):
         t0 = time.perf_counter()
         net = load_combined_case(data_dir / "case9.m", data_dir / "case9_feeder4.json")
-        _, rep = solve_gsn(net, SolverOptions(), GsnOptions(progress=False))
+        _, rep = solve_gsn(net, SolverOptions(), GsnOptions())
         assert rep.converged
         assert rep.epochs <= 20
         for epoch in rep.inner_iterations:
@@ -300,7 +300,7 @@ def test_acceptance_10_full_scale_reproduction(data_dir):
             if name not in docs:
                 docs[name] = parse_feeder_doc(Path(feeders) / name)
         net = build_combined(tnet, CouplingMap(entries, Path(feeders)), docs)
-        x, rep = solve_gsn(net, SolverOptions(flat_start=True), GsnOptions(progress=True))
+        x, rep = solve_gsn(net, SolverOptions(flat_start=True), GsnOptions())
         assert 6 <= rep.epochs <= 24
         ext = poi_extremes(net, build_index_map(net), x)
         assert ext["max"]["node"] == 24157

@@ -12,8 +12,6 @@ from splitting import (
 from tandem.gsn import (
     GsnError,
     GsnOptions,
-    WeakCouplingError,
-    apply_feedback_augmentation,
     solve_gsn,
     tear,
 )
@@ -55,12 +53,8 @@ class TestTear:
         assert len(part.subs) == 1
 
     def test_boundary_bookkeeping(self, combined1):
-        # eight boundary variables per port on each side it touches
         part = tear(combined1)
         t, f = part.subs
-        assert len(t.external_global) == 8
-        assert len(f.external_global) == 8
-        assert set(t.external_global) == set(f.external_global)
         # internal sets: disjoint, and cover everything except the port block
         imap = part.imap
         p_start, p_stop = imap.block("ports")
@@ -76,13 +70,6 @@ class TestTear:
         assert len(t.internal_global) == tnet_nodal + 2 + 2
         f_nodal = sum(2 * len(b.phases) for b in combined1.buses if b.kind.is_distribution)
         assert len(f.internal_global) == f_nodal
-
-    def test_strict_weak_coupling_refuses(self, combined1):
-        with pytest.raises(WeakCouplingError, match="weak-coupling"):
-            tear(combined1, strict=True)
-        # generous bound passes
-        part = tear(combined1, max_external_ratio=1.0, strict=True)
-        assert all(r["ok"] for r in part.weak_coupling_report(1.0))
 
     def test_local_global_mapping_complete(self, combined4):
         part = tear(combined4)
@@ -164,44 +151,6 @@ class TestFeedbackFeedforward:
         assert len(v_fb) == 6 * len(net.ports)
 
 
-class TestFeedbackAugmentation:
-    def test_zero_is_identity(self, combined1):
-        part = tear(combined1)
-        aug = apply_feedback_augmentation(part, 0.0)
-        for a, b in zip(part.subs, aug.subs):
-            assert a.network is b.network
-
-    def test_stamp_difference_at_feedback_rows(self, combined1):
-        part = tear(combined1)
-        aug = apply_feedback_augmentation(part, 10.0)
-        sub0 = part.subs[1]
-        sub1 = aug.subs[1]
-        imap = sub0.imap
-        x = initial_state(sub0.network, imap)
-        base = assemble(list(stamp_system(sub0.network, imap, x)), imap.n).matrix.toarray()
-        plus = assemble(list(stamp_system(sub1.network, imap, x)), imap.n).matrix.toarray()
-        diff = plus - base
-        head = combined1.ports[0].feeder_head
-        expect = np.zeros_like(diff)
-        for ph in THREE_PHASE:
-            vr, vi = imap.v_pair(head, ph)
-            # susceptance stamps couple the R and I rows of each feedback node
-            expect[vr, vi] = -10.0
-            expect[vi, vr] = 10.0
-        assert np.allclose(diff, expect, atol=1e-12)
-
-    def test_fixed_point_preserved(self, combined1):
-        opts = SolverOptions()
-        xa, _ = solve_gsn(combined1, opts, GsnOptions(progress=False))
-        xb, _ = solve_gsn(combined1, opts, GsnOptions(progress=False, feedback_shunt=10.0))
-        imap = build_index_map(combined1)
-        for b in combined1.buses:
-            for ph in b.phases:
-                va = abs(imap.voltage(xa, b.id, ph))
-                vb = abs(imap.voltage(xb, b.id, ph))
-                assert abs(va - vb) < 2e-3
-
-
 class TestSplitting:
     def test_zero_coupling(self):
         d = np.diag([4.0, 4.0])
@@ -281,7 +230,7 @@ class TestDiagonalDominance:
 class TestSolveGsn:
     def test_matches_direct(self, combined1):
         opts = SolverOptions()
-        xg, rep = solve_gsn(combined1, opts, GsnOptions(progress=False))
+        xg, rep = solve_gsn(combined1, opts, GsnOptions())
         xd, _ = solve_direct(combined1, opts)
         imap = build_index_map(combined1)
         for b in combined1.buses:
@@ -291,9 +240,31 @@ class TestSolveGsn:
                 ) < 1e-3
         assert rep.converged
 
+    def test_matches_direct_random(self):
+        # on seeded random networks with a port, the boundary exchange
+        # reaches direct Newton's answer without a stall
+        rng = np.random.default_rng(7)
+        opts = SolverOptions(tol=1e-9)
+        gsn = GsnOptions(outer_tol=1e-6)
+        checked = 0
+        for _ in range(100):
+            net = random_combined(rng)
+            if not net.ports:
+                continue
+            xd, _ = solve_direct(net, opts)
+            xg, rep = solve_gsn(net, opts, gsn)
+            imap = build_index_map(net)
+            for b in net.buses:
+                for ph in b.phases:
+                    assert abs(imap.voltage(xg, b.id, ph) - imap.voltage(xd, b.id, ph)) <= 1e-5
+            assert rep.global_residual <= 1e-5
+            assert rep.epochs <= 10
+            checked += 1
+        assert checked >= 20
+
     def test_no_ports_single_epoch(self, case9):
         net = parse_transmission(case9)
-        x, rep = solve_gsn(net, SolverOptions(), GsnOptions(progress=False))
+        x, rep = solve_gsn(net, SolverOptions(), GsnOptions())
         assert rep.epochs == 1 and rep.converged
 
     def test_replicated_feeders_symmetric_heads(self, data_dir):
@@ -324,7 +295,7 @@ class TestSolveGsn:
         cmap = CouplingMap([CouplingEntry("f", b) for b in (2, 3, 4, 5)], None)
         net = build_combined(star, cmap, {"f": doc})
 
-        xg, rep = solve_gsn(net, SolverOptions(), GsnOptions(progress=False))
+        xg, rep = solve_gsn(net, SolverOptions(), GsnOptions())
         imap = build_index_map(net)
         head_v = [abs(imap.voltage(xg, p.feeder_head, "a")) for p in net.ports]
         assert max(head_v) - min(head_v) < 1e-3
@@ -332,8 +303,8 @@ class TestSolveGsn:
 
     def test_workers_deterministic(self, combined4):
         opts = SolverOptions()
-        x1, r1 = solve_gsn(combined4, opts, GsnOptions(progress=False, workers=1))
-        x4, r4 = solve_gsn(combined4, opts, GsnOptions(progress=False, workers=4))
+        x1, r1 = solve_gsn(combined4, opts, GsnOptions(workers=1))
+        x4, r4 = solve_gsn(combined4, opts, GsnOptions(workers=4))
         assert r1.epochs == r4.epochs
         assert np.array_equal(x1, x4)
 
@@ -352,30 +323,30 @@ class TestSolveGsn:
 
         for module in (tandem.stamping, tandem.newton, tandem.gsn):
             monkeypatch.setattr(module, "CompiledCircuit", Counting, raising=False)
-        _, rep = solve_gsn(combined4, SolverOptions(), GsnOptions(progress=False, feedback_shunt=0.0))
+        _, rep = solve_gsn(combined4, SolverOptions(), GsnOptions())
         assert rep.epochs > 1
         assert len(compiled) == len(tear(combined4).subs) + 1
 
     def test_epoch_snapshot_independence(self, combined4):
         # two runs, same options: identical epoch-by-epoch boundary deltas
         opts = SolverOptions()
-        _, r1 = solve_gsn(combined4, opts, GsnOptions(progress=False))
-        _, r2 = solve_gsn(combined4, opts, GsnOptions(progress=False))
+        _, r1 = solve_gsn(combined4, opts, GsnOptions())
+        _, r2 = solve_gsn(combined4, opts, GsnOptions())
         assert r1.boundary_deltas == r2.boundary_deltas
 
     def test_global_residual_near_inner_tolerance(self, combined1):
         opts = SolverOptions(tol=1e-8)
-        gsn = GsnOptions(progress=False, outer_tol=1e-5)
+        gsn = GsnOptions(outer_tol=1e-5)
         _, rep = solve_gsn(combined1, opts, gsn)
         assert rep.global_residual <= opts.tol + 10 * gsn.outer_tol
 
     def test_epoch_cap_raises(self, combined1):
         with pytest.raises(GsnError, match="did not converge"):
-            solve_gsn(combined1, SolverOptions(), GsnOptions(progress=False, max_epochs=1))
+            solve_gsn(combined1, SolverOptions(), GsnOptions(max_epochs=1))
 
     def test_epoch_log_written(self, combined1, tmp_path):
         log = tmp_path / "epochs.jsonl"
-        solve_gsn(combined1, SolverOptions(), GsnOptions(progress=False, epoch_log_path=log))
+        solve_gsn(combined1, SolverOptions(), GsnOptions(epoch_log_path=log))
         import json
 
         lines = [json.loads(l) for l in log.read_text().splitlines()]

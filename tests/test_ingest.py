@@ -254,6 +254,21 @@ class TestCombined:
         assert len(net.buses) == 9 + 3 * 3
         assert validate(net) == []
 
+    def test_repeated_feeder_parsed_once(self, data_dir, monkeypatch):
+        # case9_feeder4 couples feeder_medium.json four times
+        import tandem.ingest
+
+        parsed = []
+
+        def counting(path):
+            parsed.append(path.name)
+            return parse_feeder_doc(path)
+
+        monkeypatch.setattr(tandem.ingest, "parse_feeder_doc", counting)
+        net = tandem.ingest.load_combined_case(data_dir / "case9.m", data_dir / "case9_feeder4.json")
+        assert len(net.ports) == 4
+        assert parsed == ["feeder_medium.json"]
+
     def test_coupling_map_parser(self, tmp_path):
         p = tmp_path / "map.json"
         p.write_text(json.dumps({"schema": 1, "couplings": [

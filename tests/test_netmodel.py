@@ -152,6 +152,7 @@ class TestIndexMap:
         )
         with pytest.raises(NetworkError, match="duplicate"):
             build_index_map(net)
+        assert [v.code for v in validate(net)] == ["dup-bus"]
 
     def test_dangling_endpoint_rejected(self):
         net = Network(
@@ -161,6 +162,7 @@ class TestIndexMap:
         )
         with pytest.raises(NetworkError, match="missing bus"):
             build_index_map(net)
+        assert [v.code for v in validate(net)] == ["dangling"]
 
 
 class TestValidate:

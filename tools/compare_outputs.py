@@ -16,9 +16,7 @@ path (its own bundled data):
   its 24 PQ buses, under ``direct``, ``gsn --workers 1`` and
   ``gsn --workers 2``;
 - the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
-  (load factor 1.0-3.0 step 0.1, DER scale 0 and 1);
-- ``solve_gsn`` with a feedback shunt of 10 pu on the two case9 feeder
-  maps (``solution.json`` and ``report.json``).
+  (load factor 1.0-3.0 step 0.1, DER scale 0 and 1).
 
 ``compare A B`` prints one line per file: ``identical`` when the bytes
 match, otherwise the largest voltage difference |dV| in pu for
@@ -67,11 +65,6 @@ def _write_k24_map(data: Path, path: Path) -> None:
 def snapshot(out: Path) -> int:
     import tandem
     from tandem.cli import main
-    from tandem.gsn import GsnOptions, solve_gsn
-    from tandem.ingest import load_combined_case
-    from tandem.netmodel import build_index_map
-    from tandem.newton import SolverOptions
-    from tandem.results import solution_dict
 
     out = out.resolve()
     data = Path(tandem.__file__).resolve().parent / "data"
@@ -94,14 +87,6 @@ def snapshot(out: Path) -> int:
             rc = main(["pvcurve", *runs["case9+case9_stressed"], *PVCURVE_ARGS,
                        "--out", str(out / "pvcurve-stressed")])
             failed += rc != 0
-            for m in CASE9_MAPS[:2]:
-                net = load_combined_case(data / "case9.m", data / f"{m}.json")
-                x, rep = solve_gsn(net, SolverOptions(), GsnOptions(feedback_shunt=10.0, progress=False))
-                target = out / f"case9+{m}" / "gsn-shunt10"
-                target.mkdir(parents=True, exist_ok=True)
-                sol = solution_dict(net, build_index_map(net), x)
-                (target / "solution.json").write_text(json.dumps(sol, indent=2) + "\n")
-                (target / "report.json").write_text(json.dumps(rep.to_dict(), indent=2) + "\n")
     finally:
         os.chdir(cwd)
     files = sum(1 for p in out.rglob("*") if p.is_file())
