@@ -49,32 +49,37 @@ class InputError(ValueError):
 
 
 def _solver_options(args) -> SolverOptions:
-    base = {}
+    """The --options file's overrides, then the flags', checked once by SolverOptions."""
+    values = {}
     if getattr(args, "options", None):
-        base = json.loads(Path(args.options).read_text())
+        try:
+            values = json.loads(Path(args.options).read_text())
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise InputError(f"solver options file {args.options} is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise InputError(f"solver options file {args.options} must hold a JSON object")
     fields = {f.name for f in dataclasses.fields(SolverOptions)}
-    unknown = set(base) - fields
+    unknown = set(values) - fields
     if unknown:
         raise InputError(f"unknown solver option(s) in {args.options}: {sorted(unknown)}")
-    opts = SolverOptions(**base)
-    if args.tol is not None:
-        opts.tol = args.tol
-    if args.dvmax is not None:
-        opts.dv_max = args.dvmax
-    if args.gamma is not None:
-        opts.gamma = args.gamma
-    if args.homotopy is not None:
-        opts.homotopy = args.homotopy
-    return opts
+    flags = {"tol": args.tol, "dv_max": args.dvmax, "gamma": args.gamma, "homotopy": args.homotopy}
+    values.update({k: v for k, v in flags.items() if v is not None})
+    try:
+        return SolverOptions(**values)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad solver option: {exc}") from exc
 
 
 def _gsn_options(args, out_dir: Path | None) -> GsnOptions:
-    gsn = GsnOptions(workers=args.workers)
+    values = {"workers": args.workers}
     if args.outer_tol is not None:
-        gsn.outer_tol = args.outer_tol
+        values["outer_tol"] = args.outer_tol
     if out_dir is not None:
-        gsn.epoch_log_path = out_dir / "epochs.jsonl"
-    return gsn
+        values["epoch_log_path"] = out_dir / "epochs.jsonl"
+    try:
+        return GsnOptions(**values)
+    except ValueError as exc:
+        raise InputError(f"bad gsn option: {exc}") from exc
 
 
 def _load_network(args):
@@ -103,10 +108,8 @@ def _load_network(args):
     return net
 
 
-def _solve(net, args, out_dir: Path | None):
-    opts = _solver_options(args)
+def _solve(net, args, opts: SolverOptions, gsn: GsnOptions):
     if args.solver == "gsn":
-        gsn = _gsn_options(args, out_dir)
         x, rep = solve_gsn(net, opts, gsn)
         return x, rep.to_dict(), rep
     x, rep = solve_direct(net, opts)
@@ -129,8 +132,9 @@ def _write_error(out_dir: Path | None, code: int, message: str) -> None:
 def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    opts, gsn = _solver_options(args), _gsn_options(args, out_dir)
     net = _load_network(args)
-    x, rep_dict, _rep = _solve(net, args, out_dir)
+    x, rep_dict, _rep = _solve(net, args, opts, gsn)
     imap = build_index_map(net)
 
     (out_dir / "solution.json").write_text(json.dumps(solution_dict(net, imap, x), indent=2) + "\n")
@@ -255,6 +259,7 @@ def _svg_plot(path: Path, series: dict[str, list[tuple[float, float]]], x_label:
 def cmd_pvcurve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    opts, gsn = _solver_options(args), _gsn_options(args, None)
     net = _load_network(args)
     if not net.ports:
         raise InputError("pvcurve needs at least one coupling port")
@@ -262,7 +267,6 @@ def cmd_pvcurve(args) -> int:
     der_scales = [float(s) for s in args.der_scale.split(",")] if args.der_scale else [1.0]
     contingency = _parse_contingency(args.contingency, net)
     poi_bus = sorted(net.ports, key=lambda p: p.id)[0].transmission_bus
-    opts = _solver_options(args)
 
     scenarios: list[tuple[str, float, bool]] = []
     for s in der_scales:
@@ -288,7 +292,7 @@ def cmd_pvcurve(args) -> int:
             imap, circuit = compiled[name]
             try:
                 if circuit is None:
-                    x, _ = solve_gsn(case, opts, _gsn_options(args, None))
+                    x, _ = solve_gsn(case, opts, gsn)
                 else:
                     try:
                         circuit.set_demands(case)
@@ -378,6 +382,7 @@ def cmd_bench(args) -> int:
     counts = [int(k) for k in args.counts.split(",")]
     if not counts or any(k <= 0 for k in counts):
         raise InputError("counts must be positive integers")
+    opts, gsn = _solver_options(args), _gsn_options(args, None)
 
     tnet = parse_transmission(case)
     doc = parse_feeder_doc(feeder)
@@ -388,14 +393,12 @@ def cmd_bench(args) -> int:
     if max(counts) > len(pq_buses):
         raise InputError(f"case has only {len(pq_buses)} PQ buses; cannot attach {max(counts)} feeders")
 
-    opts = _solver_options(args)
     rows = [BENCH_HEADER]
     for k in counts:
         entries = [CouplingEntry(feeder=feeder.name, bus=pq_buses[i]) for i in range(k)]
         cmap = CouplingMap(entries=entries, base_dir=feeder.parent)
         net = build_combined(tnet, cmap, {feeder.name: doc})
         n = build_index_map(net).n
-        gsn = _gsn_options(args, None)
         t0 = time.perf_counter()
         try:
             _, rep = solve_gsn(net, opts, gsn)
@@ -439,6 +442,7 @@ def _add_common(p: argparse.ArgumentParser, coupling: bool = True):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tandem",
                                  description="Combined transmission and distribution power flow")
+    ap.add_argument("-v", "--verbose", action="store_true", help="show progress (INFO) logs, such as GSN epochs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one case and write solution/report/summary")
@@ -472,6 +476,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
+    # on the package logger: basicConfig leaves a root logger that already has handlers alone
+    logging.getLogger("tandem").setLevel(logging.INFO if args.verbose else logging.WARNING)
     out_dir = Path(args.out) if getattr(args, "out", None) else None
     try:
         return args.func(args)

@@ -64,6 +64,12 @@ class GsnOptions:
     workers: int = 1
     epoch_log_path: Any = None
 
+    def __post_init__(self):
+        if not self.outer_tol > 0:
+            raise ValueError("outer_tol must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+
 
 # ----------------------------------------------------------------------
 # Tearing

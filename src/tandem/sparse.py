@@ -1,9 +1,23 @@
-"""Sparse assembly and direct solution of the linearized MNA system.
+"""Assembly and direct solution of the linearized MNA system.
 
 The MNA matrices here are unsymmetric and indefinite, so the solve uses
-LU with partial pivoting and a fill-reducing column ordering.  Assembly
-sums duplicate triplets through a cached triplet-to-CSC scatter, so
-iterations on the same sparsity pattern only pay for one ``bincount``.
+LU with partial pivoting.  Assembly sums duplicate triplets in triplet
+order through a scatter cached per sparsity pattern, so iterations on
+the same pattern only pay for one ``bincount``.
+
+Two kernels share that scheme, chosen by the system size:
+
+* a plan made with ``dense=True`` (every compiled circuit's) scatters a
+  system of at most ``DENSE_MAX_N`` unknowns straight into an n x n
+  array, which LAPACK's ``dgetrf``/``dgetrs`` factor and solve.  Below a
+  few hundred unknowns the fixed per-call costs of the sparse pipeline
+  (CSC construction, ordering, symbolic analysis) outweigh the dense
+  kernel's O(n^3) arithmetic;
+* any larger system, and every system of a plain plan or ``assemble``,
+  fills a CSC matrix that SuperLU factors with a COLAMD ordering.
+
+Both kernels sum every entry from the same triplets in the same order,
+so the assembled values are bitwise equal; only the LU differs.
 """
 
 from __future__ import annotations
@@ -13,9 +27,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 SOLVE_TOL = 1e-10
 _REFINE_STEPS = 3
+
+# Largest system a dense plan assembles into an n x n array and factors
+# with LAPACK: the largest measured size where the dense kernel won every
+# run.  tools/dense_crossover.py times one whole Newton iteration
+# (assemble, residual, factor with refinement) on leading blocks of the
+# case27 + 24 x feeder_medium Jacobian, BLAS on 1 thread; medians of 3
+# runs on a shared 2-vCPU x86-64 host, in microseconds:
+#
+#     n        50   100   150   200   225   250   300   400
+#     SuperLU  311  543   688   858   959   995  1109  1320
+#     LAPACK    88  176   420   717   994  1136  1816  3488
+DENSE_MAX_N = 200
 
 
 class SingularSystemError(RuntimeError):
@@ -24,8 +51,10 @@ class SingularSystemError(RuntimeError):
 
 @dataclass
 class SparseSystem:
+    """An assembled system: ``matrix`` is a CSC matrix or, from a dense plan, an n x n array."""
+
     n: int
-    matrix: sp.csc_matrix
+    matrix: sp.csc_matrix | np.ndarray
     rhs: np.ndarray
 
 
@@ -41,17 +70,21 @@ def _same_pattern(old, new) -> bool:
 
 
 class AssemblyPlan:
-    """Caches the triplet-to-CSC scatter of one sparsity pattern.
+    """Caches the triplet scatter of one sparsity pattern.
 
     The pattern is keyed on the stamp sets' index arrays.  A compiled
     circuit hands out the same arrays on every iteration, so the key
     check is an identity test and assembly is one ``bincount`` into the
-    cached slots.  Index bounds are checked when a pattern is built,
+    cached slots: CSC positions, or with ``dense`` and at most
+    ``DENSE_MAX_N`` unknowns, the flat ``row * n + col`` positions of an
+    n x n array.  Index bounds are checked when a pattern is built,
     finite values on every call.
     """
 
-    def __init__(self):
+    def __init__(self, dense: bool = False):
+        self.dense = dense
         self._key = None
+        self._flat = None  # triplet -> flat position in the dense array
         self._slot = None  # triplet -> position in the CSC data array
         self._template = None  # the pattern's CSC structure
         self._col = None  # column of each CSC position
@@ -61,6 +94,11 @@ class AssemblyPlan:
         r, c = _concat(rows, np.int64), _concat(cols, np.int64)
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise IndexError("triplet index outside system")
+        self._key = key
+        if self.dense and n <= DENSE_MAX_N:
+            self._flat, self._slot = r * n + c, None
+            return
+        self._flat = None
         width = max(n, 1)
         flat = c * width + r
         del r, c  # keep the sort's transient memory low on large systems
@@ -68,7 +106,6 @@ class AssemblyPlan:
         self._col = pos // width
         indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col, minlength=n))])
         self._template = sp.csc_matrix((np.zeros(pos.size), pos % width, indptr), shape=(n, n))
-        self._key = key
 
     def assemble(self, stamps, n: int) -> SparseSystem:
         key = (n, tuple(st.rows for st in stamps), tuple(st.cols for st in stamps))
@@ -85,6 +122,10 @@ class AssemblyPlan:
             raise ValueError(f"non-finite stamp at ({np.concatenate(key[1])[k]},{np.concatenate(key[2])[k]})")
         if not np.isfinite(rhs_vals).all():
             raise ValueError("non-finite rhs stamp")
+        rhs = np.bincount(rhs_rows, weights=rhs_vals, minlength=n)
+        if self._flat is not None:
+            matrix = np.bincount(self._flat, weights=vals, minlength=n * n).reshape(n, n)
+            return SparseSystem(n=n, matrix=matrix, rhs=rhs)
         t = self._template
         data = np.bincount(self._slot, weights=vals, minlength=t.nnz)
         indices, indptr = t.indices, t.indptr
@@ -95,7 +136,7 @@ class AssemblyPlan:
             data, indices = data[live], indices[live]
             indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col[live], minlength=n))])
         matrix = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-        return SparseSystem(n=n, matrix=matrix, rhs=np.bincount(rhs_rows, weights=rhs_vals, minlength=n))
+        return SparseSystem(n=n, matrix=matrix, rhs=rhs)
 
 
 def assemble(stamps, n: int) -> SparseSystem:
@@ -103,9 +144,24 @@ def assemble(stamps, n: int) -> SparseSystem:
     return AssemblyPlan().assemble(stamps, n)
 
 
+def _dense_lu(m: np.ndarray):
+    lu, piv, info = dgetrf(m)
+    if info != 0:  # info > 0: U[info-1, info-1] is exactly zero
+        raise SingularSystemError(f"matrix is exactly singular (dgetrf info {info})")
+    return lambda b: dgetrs(lu, piv, b)[0]
+
+
+def _sparse_lu(m):
+    try:
+        return spla.splu(m.tocsc(), permc_spec="COLAMD").solve
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
 def factor_solve(system: SparseSystem) -> np.ndarray:
     """LU solve with iterative refinement to a 1e-10 relative residual.
 
+    A dense matrix is factored by LAPACK, a sparse one by SuperLU.
     Raises SingularSystemError when the factorization fails or the
     refined residual cannot meet the bound (signals that limiting or
     continuation must escalate upstream).
@@ -113,11 +169,8 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
     m, b = system.matrix, system.rhs
     if m.shape[0] == 0:
         return np.zeros(0)
-    try:
-        lu = spla.splu(m.tocsc(), permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    x = lu.solve(b)
+    solve = _dense_lu(m) if isinstance(m, np.ndarray) else _sparse_lu(m)
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
@@ -125,7 +178,7 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
         resid = m @ x - b
         if float(np.abs(resid).max(initial=0.0)) / scale <= SOLVE_TOL:
             return x
-        dx = lu.solve(resid)
+        dx = solve(resid)
         if not np.all(np.isfinite(dx)):
             raise SingularSystemError("iterative refinement diverged")
         x = x - dx
@@ -139,4 +192,4 @@ def dump_matrix_market(system: SparseSystem, path) -> None:
     """Write the assembled matrix in MatrixMarket coordinate form (debug aid)."""
     from scipy.io import mmwrite
 
-    mmwrite(str(path), system.matrix)
+    mmwrite(str(path), sp.coo_matrix(system.matrix))

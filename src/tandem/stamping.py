@@ -54,6 +54,7 @@ _DELTA_LEGS = (("a", "b"), ("b", "c"), ("c", "a"))
 # line charging and shunts times 1 - lam, the rest unscaled
 _SCALED, _RELAXED, _REST = 0, 1, 2
 _P, _I, _Z = 0, 1, 2  # ZIP shares: constant power, current and impedance
+_GROUND = np.zeros(1)  # the state's padding slot n, a wye leg's second terminal
 
 
 class VoltageCollapseError(ArithmeticError):
@@ -180,9 +181,6 @@ class _Legs:
         j = np.stack([j_rr, j_ri, j_ir, j_ii], axis=1)
         return np.concatenate([j, -j, -j, j], axis=1)[self.block_mask]
 
-    def rhs_values(self, hr, hi):
-        return np.stack([hr, hi, -hr, -hi], axis=1)[self.rhs_mask]
-
 
 def _legs(terminals, n: int) -> _Legs:
     return _Legs(np.array([(*t1, *(t2 or (n, n))) for t1, t2 in terminals], dtype=np.int64).reshape(-1, 4), n)
@@ -272,34 +270,53 @@ class CompiledCircuit:
     Every ZIP leg is a row of index and parameter arrays: constant-power
     legs carry (p, q) with the ZIP fraction and the load/DER sign folded
     in, constant-current legs a signed magnitude and the demand angle.
-    Index bounds are checked here, once.  ``plan`` caches the CSC
-    scatter of the pattern from the first assembly on.
+    Index bounds are checked here, once.  ``plan`` caches the scatter
+    of the pattern from the first assembly on, into a dense array on
+    systems small enough for the dense kernel.
     """
 
     def __init__(self, network: Network, imap: IndexMap):
         n = imap.n
         self.imap = imap
-        self.plan = AssemblyPlan()
+        self.plan = AssemblyPlan(dense=True)
         legs = _demand_legs(network, imap)
         gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
         self.keys = [row[:5] for row in legs], [g.bus for g in gens]
         self._compile_linear(network, imap, [row for row in legs if row[0] == _Z])
 
         nonlinear = [row for row in legs if row[0] != _Z]
-        self.legs = _legs([row[2:4] for row in nonlinear], n)
+        legs_nl = _legs([row[2:4] for row in nonlinear], n)
         self.labels = [row[1] for row in nonlinear]
         self.is_pq = np.array([row[0] == _P for row in nonlinear], dtype=bool)
-        self.pq, self.cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
-        self.jac = _Legs(self.legs.t[self.pq], n)
+        pq, cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
+        self.jac = _Legs(legs_nl.t[pq], n)
 
         g = [(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in gens]
-        gr, gi, gq = self.gr, self.gi, self.gq = np.array(g, dtype=np.int64).reshape(-1, 3).T
+        gr, gi, gq = np.array(g, dtype=np.int64).reshape(-1, 3).T
+        self.gq = gq
+        # (R1, I1, R2, I2) gather rows, slot n being ground: constant-power legs, then
+        # the generators as demands of -(P + jQ) on a wye leg; constant-current legs
+        gen_t = np.stack([gr, gi, np.full_like(gr, n), np.full_like(gr, n)])
+        self.t_pq = np.concatenate([legs_nl.t[pq].T, gen_t], axis=1)
+        self.t_cu = legs_nl.t[cu].T.copy()
+        self.npq = len(pq)
         self._take_demands(network, legs, gens)
 
         jac_rows, jac_cols = self.jac.block_pattern()
         self.nl_rows = np.concatenate([jac_rows, gr, gi, gr, gi, gr, gi, gq, gq, gq])
         self.nl_cols = np.concatenate([jac_cols, gr, gr, gi, gi, gq, gq, gr, gi, gq])
-        self.nl_rhs_rows = np.concatenate([self.legs.t[self.legs.rhs_mask], gr, gi, gq])
+        self.nl_rhs_rows = np.concatenate([legs_nl.t[legs_nl.rhs_mask], gr, gi, gq])
+        # nonlinear() computes values share by share; these takes put them in stamping
+        # order: Jacobian blocks [[a, b], [c, d]] as +J, -J, -J, +J from [a, b, c, d, -a, -b,
+        # -c, -d] per share, leg right-hand sides (h, -h) at terminals 1 and 2
+        npq, nlegs, ng = len(pq), len(nonlinear), len(gens)
+        part = np.tile(np.arange(4), 4) + 4 * np.repeat([0, 1, 1, 0], 4)
+        jac_take = (part * npq + np.arange(npq)[:, None])[self.jac.block_mask]
+        self.val_take = np.concatenate([jac_take, 8 * npq + np.arange(9 * ng)])
+        pos = np.empty(nlegs, dtype=np.int64)
+        pos[np.concatenate([pq, cu])] = np.arange(nlegs)
+        rhs_take = (np.arange(4) * nlegs + pos[:, None])[legs_nl.rhs_mask]
+        self.rhs_take = np.concatenate([rhs_take, 4 * nlegs + np.arange(3 * ng)])
 
         for idx in (self.lin_rows, self.lin_cols, self.src_rhs_rows, self.nl_rows, self.nl_cols, self.nl_rhs_rows):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -370,7 +387,8 @@ class CompiledCircuit:
     def _take_demands(self, network: Network, legs, gens) -> None:
         self.devices = network.loads, network.ders, network.generators
         pq, cu, z = ([row for row in legs if row[0] == share] for share in (_P, _I, _Z))
-        self.p = np.array([sign * s.real for *_, sign, s in pq])
+        # P of the constant-power legs, then of the generators (whose Q is an unknown)
+        self.p = np.array([sign * s.real for *_, sign, s in pq] + [-g.p_set for g in gens])
         self.q = np.array([sign * s.imag for *_, sign, s in pq])
         # delta legs see sqrt(3) pu at nominal
         self.mag = np.array([sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s) for *_, t2, sign, s in cu])
@@ -379,8 +397,8 @@ class CompiledCircuit:
         y = np.array([s.conjugate() / 3.0 if t2 else s.conjugate() for *_, t2, _, s in z], dtype=complex)
         self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
         self.gens = gens
-        self.gen_p = np.array([g.p_set for g in gens])
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
+        self._modes_seen = None  # the gen_modes/gen_q_fixed behind the cached _pv, _q_pin
 
     # -- per-state evaluation ------------------------------------------
 
@@ -391,59 +409,76 @@ class CompiledCircuit:
         return StampSet(self.lin_rows, self.lin_cols, vals, self.src_rhs_rows, self.src_rhs_vals)
 
     def nonlinear(self, x: np.ndarray, gen_modes: dict, gen_q_fixed: dict) -> StampSet:
-        x1r, x1i, x2r, x2i = np.append(x, 0.0)[self.legs.t].T
+        xp = np.concatenate((x, _GROUND))
+        x1r, x1i, x2r, x2i = xp[self.t_pq]
+        c1r, c1i, c2r, c2i = xp[self.t_cu]
         vr, vi = x1r - x2r, x1i - x2i
-        pq, cu = self.pq, self.cu
+        cvr, cvi = c1r - c2r, c1i - c2i
         m2 = vr * vr + vi * vi
-        low = np.empty(len(vr), dtype=bool)
-        low[pq] = m2[pq] <= EPS_V * EPS_V
-        low[cu] = np.hypot(vr[cu], vi[cu]) <= EPS_V
-        if low.any():  # name the first leg in device order
-            k = int(np.argmax(low))
-            raise VoltageCollapseError(*self.labels[k], m2[k] if self.is_pq[k] else math.hypot(vr[k], vi[k]) ** 2)
-        gvr, gvi, qg = x[self.gr], x[self.gi], x[self.gq]
-        gm2 = gvr * gvr + gvi * gvi
-        if (gm2 <= EPS_V * EPS_V).any():
-            k = int(np.argmax(gm2 <= EPS_V * EPS_V))
-            raise VoltageCollapseError(self.gens[k].bus, POSITIVE_SEQUENCE, gm2[k])
+        if (m2 <= EPS_V * EPS_V).any() or (np.hypot(cvr, cvi) <= EPS_V).any():
+            self._raise_collapse(vr, vi, cvr, cvi)
 
-        # constant-power share: J on the left, J.x_k - c(x_k) on the right
-        hr, hi = np.empty(len(vr)), np.empty(len(vr))
-        ir, ii, a, b, c, d = pq_partials(self.p, self.q, vr[pq], vi[pq])
-        hr[pq] = -ir + a * x1r[pq] + b * x1i[pq] - a * x2r[pq] - b * x2i[pq]
-        hi[pq] = -ii + c * x1r[pq] + d * x1i[pq] - c * x2r[pq] - d * x2i[pq]
+        # constant-power share and generators: J on the left, J.x_k - c(x_k) on the right
+        k, qg = self.npq, x[self.gq]
+        parts = pq_partials(self.p, np.concatenate([self.q, -qg]), vr, vi)
+        ir, ii, a, b, c, d = (v[:k] for v in parts)
+        gir, gii, ga, gb, gc, gd = (v[k:] for v in parts)
+        x1r, x1i, x2r, x2i = x1r[:k], x1i[:k], x2r[:k], x2i[:k]
+        hr = -ir + a * x1r + b * x1i - a * x2r - b * x2i
+        hi = -ii + c * x1r + d * x1i - c * x2r - d * x2i
         # constant-current share: fixed magnitude at the demand's power-factor
         # angle off the present voltage angle; no Jacobian entry (secant update)
-        theta = _libm(math.atan2, vi[cu], vr[cu]) - self.angle
-        hr[cu] = -(self.mag * _libm(math.cos, theta))
-        hi[cu] = -(self.mag * _libm(math.sin, theta))
+        theta = _libm(math.atan2, cvi, cvr) - self.angle
+        chr_ = -(self.mag * _libm(math.cos, theta))
+        chi = -(self.mag * _libm(math.sin, theta))
 
-        # generators are PQ demands of -(P + jQ) with Q an unknown
-        gir, gii, ga, gb, gc, gd = pq_partials(-self.gen_p, -qg, gvr, gvi)
+        gvr, gvi, gm2 = vr[k:], vi[k:], m2[k:]
         dq_r, dq_i = -gvi / gm2, gvr / gm2
-        modes = [gen_modes.get(g.bus, "pv") for g in self.gens]
-        pv = np.array([m == "pv" for m in modes], dtype=bool)
-        q_pin = np.array(
-            [gen_q_fixed.get(g.bus, g.q_max if m == "qmax" else g.q_min) for g, m in zip(self.gens, modes)]
-        )
+        pv, q_pin = self._gen_rows(gen_modes, gen_q_fixed)
         # pv: |V|^2 = Vset^2 linearized, 2 vr V_R + 2 vi V_I = Vset^2 + vr^2 + vi^2;
         # at a limit the row pins Q at the bound instead
+        jac = np.concatenate([a, b, c, d])
         vals = np.concatenate(
-            [
-                self.jac.block_values(a, b, c, d),
-                ga, gc, gb, gd, dq_r, dq_i,
-                np.where(pv, 2.0 * gvr, 0.0), np.where(pv, 2.0 * gvi, 0.0), np.where(pv, 0.0, 1.0),
-            ]
+            [jac, -jac, ga, gc, gb, gd, dq_r, dq_i,
+             np.where(pv, 2.0 * gvr, 0.0), np.where(pv, 2.0 * gvi, 0.0), np.where(pv, 0.0, 1.0)]
         )
+        h = np.concatenate([hr, chr_, hi, chi])
         rhs = np.concatenate(
             [
-                self.legs.rhs_values(hr, hi),
+                h, -h,
                 -gir + ga * gvr + gb * gvi + dq_r * qg,
                 -gii + gc * gvr + gd * gvi + dq_i * qg,
                 np.where(pv, self.gen_v2 + gm2, q_pin),
             ]
         )
-        return StampSet(self.nl_rows, self.nl_cols, vals, self.nl_rhs_rows, rhs)
+        return StampSet(self.nl_rows, self.nl_cols, vals[self.val_take], self.nl_rhs_rows, rhs[self.rhs_take])
+
+    def _raise_collapse(self, vr_pq, vi_pq, vr_cu, vi_cu):
+        """Raise VoltageCollapseError naming the first load leg below the guard in
+        device order, else the first generator."""
+        k = self.npq
+        vr, vi = np.empty(len(self.is_pq)), np.empty(len(self.is_pq))
+        vr[self.is_pq], vr[~self.is_pq] = vr_pq[:k], vr_cu
+        vi[self.is_pq], vi[~self.is_pq] = vi_pq[:k], vi_cu
+        m2 = vr * vr + vi * vi
+        low = np.where(self.is_pq, m2 <= EPS_V * EPS_V, np.hypot(vr, vi) <= EPS_V)
+        if low.any():
+            j = int(np.argmax(low))
+            raise VoltageCollapseError(*self.labels[j], m2[j] if self.is_pq[j] else math.hypot(vr[j], vi[j]) ** 2)
+        gm2 = vr_pq[k:] * vr_pq[k:] + vi_pq[k:] * vi_pq[k:]
+        j = int(np.argmax(gm2 <= EPS_V * EPS_V))
+        raise VoltageCollapseError(self.gens[j].bus, POSITIVE_SEQUENCE, gm2[j])
+
+    def _gen_rows(self, gen_modes: dict, gen_q_fixed: dict):
+        """(pv mask, pinned Q) per generator, rebuilt only when the modes or pins change."""
+        if self._modes_seen != (gen_modes, gen_q_fixed):
+            modes = [gen_modes.get(g.bus, "pv") for g in self.gens]
+            self._pv = np.array([m == "pv" for m in modes], dtype=bool)
+            self._q_pin = np.array(
+                [gen_q_fixed.get(g.bus, g.q_max if m == "qmax" else g.q_min) for g, m in zip(self.gens, modes)]
+            )
+            self._modes_seen = dict(gen_modes), dict(gen_q_fixed)
+        return self._pv, self._q_pin
 
 
 # ----------------------------------------------------------------------

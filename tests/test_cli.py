@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 
 import pytest
@@ -90,6 +91,42 @@ class TestSolve:
         rc = run(["solve", "--case", workdir / "case9.m", "--options", opts,
                   "--out", workdir / "o"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "options_text, flags",
+        [
+            ('{"tol": 1e-6', []),  # malformed JSON
+            ('{"tol": -1}', []),
+            ('{"tol": "tight"}', []),
+            (None, ["--tol", "-1"]),
+            (None, ["--dvmax", "0"]),
+            (None, ["--outer-tol", "-1", "--solver", "gsn"]),
+            (None, ["--workers", "0", "--solver", "gsn"]),
+        ],
+    )
+    def test_bad_option_value_is_input_error(self, workdir, options_text, flags):
+        args = ["solve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_feeder1.json", *flags]
+        if options_text is not None:
+            (workdir / "opts.json").write_text(options_text)
+            args += ["--options", workdir / "opts.json"]
+        out = workdir / "o"
+        assert run([*args, "--out", out]) == EXIT_INPUT
+        assert json.loads((out / "error.json").read_text())["exit_code"] == EXIT_INPUT
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_shows_gsn_epochs(self, workdir, caplog, verbose):
+        logger = logging.getLogger("tandem")
+        level = logger.level
+        try:
+            rc = run([*(["-v"] if verbose else []), "solve", "--case", workdir / "case9.m",
+                      "--coupling", workdir / "case9_feeder1.json", "--solver", "gsn", "--out", workdir / "o"])
+        finally:
+            logger.setLevel(level)
+        assert rc == EXIT_OK
+        epochs = [r for r in caplog.records if r.name == "tandem.gsn" and r.getMessage().startswith("epoch")]
+        report = json.loads((workdir / "o" / "report.json").read_text())
+        assert len(epochs) == (report["epochs"] if verbose else 0)
 
     def test_outputs_deterministic_with_one_worker(self, workdir):
         outs = []

@@ -1,8 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.io import mmread
 
+from netgen import random_combined, random_state
+from tandem.netmodel import build_index_map
 from tandem.sparse import (
+    DENSE_MAX_N,
     AssemblyPlan,
     SingularSystemError,
     SparseSystem,
@@ -10,7 +17,7 @@ from tandem.sparse import (
     dump_matrix_market,
     factor_solve,
 )
-from tandem.stamping import StampSet
+from tandem.stamping import CompiledCircuit, HomotopyState, StampSet
 
 
 def stamps_from(triplets, rhs=()):
@@ -145,3 +152,85 @@ def test_matrix_market_dump(tmp_path):
     dump_matrix_market(sys_, out)
     text = out.read_text()
     assert "MatrixMarket" in text and "coordinate" in text
+
+
+# ----------------------------------------------------------------------
+# dense kernel (plans made with dense=True, at most DENSE_MAX_N unknowns)
+# ----------------------------------------------------------------------
+
+_MODE_CYCLE = ("pv", "qmax", "pv", "qmin")
+
+
+def test_dense_assembly_bitwise_equals_csc():
+    """Compiled circuits' stamps assemble to the same bits in the dense array as in the CSC matrix."""
+    rng = np.random.default_rng(4411)
+    for k in range(30):
+        net = random_combined(rng)
+        imap = build_index_map(net)
+        circuit = CompiledCircuit(net, imap)
+        gens = [g.bus for g in circuit.gens]
+        plan = AssemblyPlan(dense=True)
+        for lam in (0.0, 0.3):
+            for j in range(3):
+                x = random_state(rng, net, imap)
+                modes = {bus: _MODE_CYCLE[(i + j + k) % len(_MODE_CYCLE)] for i, bus in enumerate(gens)}
+                q_fixed = {bus: 0.1 * j for bus, mode in modes.items() if mode == "qmin"}
+                stamps = [circuit.linear(HomotopyState(lam) if lam else None), circuit.nonlinear(x, modes, q_fixed)]
+                dense, csc = plan.assemble(stamps, imap.n), assemble(stamps, imap.n)
+                assert isinstance(dense.matrix, np.ndarray) and sp.issparse(csc.matrix)
+                assert dense.matrix.tobytes() == csc.matrix.toarray().tobytes()
+                assert dense.rhs.tobytes() == csc.rhs.tobytes()
+
+
+def _diagonally_dominant(rng, n):
+    triplets = [(i, i, 5.0 + rng.random()) for i in range(n)]
+    triplets += [(int(rng.integers(0, n)), int(rng.integers(0, n)), float(rng.normal())) for _ in range(3 * n)]
+    return stamps_from(triplets, rhs=[(i, float(rng.normal())) for i in range(n)])
+
+
+@pytest.mark.parametrize("n, dense", [(DENSE_MAX_N, True), (DENSE_MAX_N + 1, False)])
+def test_dense_and_sparse_solves_agree_at_the_bound(n, dense):
+    st_ = _diagonally_dominant(np.random.default_rng(n), n)
+    system = AssemblyPlan(dense=True).assemble([st_], n)
+    assert isinstance(system.matrix, np.ndarray) is dense
+    got, want = factor_solve(system), factor_solve(assemble([st_], n))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the plain dense LU of the same matrix
+    assert np.allclose(got, np.linalg.solve(assemble([st_], n).matrix.toarray(), system.rhs), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "triplets",
+    [
+        [(0, 0, 1.0), (1, 1, 1.0)],  # rows 2 and 3 empty
+        [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)],
+    ],
+)
+def test_dense_singular_raises_without_warning(triplets):
+    system = AssemblyPlan(dense=True).assemble([stamps_from(triplets)], 4)
+    assert isinstance(system.matrix, np.ndarray)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError):
+            factor_solve(system)
+
+
+def test_dense_nonfinite_rejected_on_every_call():
+    plan = AssemblyPlan(dense=True)
+    assert isinstance(plan.assemble([stamps_from([(0, 0, 1.0), (1, 1, 2.0)])], 4).matrix, np.ndarray)
+    with pytest.raises(ValueError, match=r"non-finite stamp at \(1,1\)"):
+        plan.assemble([stamps_from([(0, 0, 1.0), (1, 1, float("inf"))])], 4)
+    with pytest.raises(ValueError):
+        plan.assemble([stamps_from([(0, 0, 1.0), (1, 1, 2.0)], rhs=[(0, float("nan"))])], 4)
+    with pytest.raises(IndexError):
+        plan.assemble([stamps_from([(0, 4, 1.0)])], 4)
+
+
+def test_dense_matrix_market_dump_reads_back(tmp_path):
+    st_ = stamps_from([(0, 0, 1.5), (1, 0, -2.0), (2, 2, 0.25), (0, 0, 0.5)])
+    system = AssemblyPlan(dense=True).assemble([st_], 3)
+    assert isinstance(system.matrix, np.ndarray)
+    out = tmp_path / "system.mtx"
+    dump_matrix_market(system, out)
+    assert "coordinate" in out.read_text().splitlines()[0]
+    assert np.array_equal(mmread(str(out)).toarray(), system.matrix)

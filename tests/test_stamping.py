@@ -55,6 +55,29 @@ def _stamp_bytes(st):
     return [np.asarray(a).tobytes() for a in (st.rows, st.cols, st.vals, st.rhs_rows, st.rhs_vals)]
 
 
+def test_generator_modes_changed_in_place_restamp():
+    """The solver switches generators by mutating one modes dict; each call
+    stamps what a fresh circuit stamps for the modes as they stand."""
+    rng = np.random.default_rng(2718)
+    checked = 0
+    for k in range(30):
+        net = random_combined(rng)
+        imap = build_index_map(net)
+        circuit = CompiledCircuit(net, imap)
+        gens = [g.bus for g in circuit.gens]
+        checked += bool(gens)
+        x = random_state(rng, net, imap)
+        modes, q_fixed = {}, {}
+        for step in range(len(_MODE_CYCLE) + 1):
+            want = CompiledCircuit(net, imap).nonlinear(x, dict(modes), dict(q_fixed))
+            assert _stamp_bytes(circuit.nonlinear(x, modes, q_fixed)) == _stamp_bytes(want)
+            for i, bus in enumerate(gens):
+                modes[bus] = _MODE_CYCLE[(i + step + k) % len(_MODE_CYCLE)]
+                if modes[bus] == "qmin":
+                    q_fixed[bus] = -0.1 * step
+    assert checked >= 5
+
+
 def test_set_sources_matches_fresh_compile():
     """A feeder subcircuit compiled at one set of head voltages and re-pointed
     at a second stamps bytewise what a fresh compile at the second stamps."""

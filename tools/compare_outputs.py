@@ -21,7 +21,14 @@ path (its own bundled data):
 ``compare A B`` prints one line per file: ``identical`` when the bytes
 match, otherwise the largest voltage difference |dV| in pu for
 ``solution.json`` (complex per-node voltages) and ``pvcurve.csv`` (POI
-magnitudes), or ``differs`` for any other file.  It exits 1 when a file
+magnitudes).  A ``report.json`` or ``epochs.jsonl`` that differs reads
+``same shape`` when the two hold the same keys, list lengths, counts,
+strings and flags (so the same iterations, epochs, lambda trajectory and
+reasons) and every float agrees within 1e-9 relative, or 1e-9 absolute
+below 1 (a converged residual of 1e-9 is roundoff of the LU, so its
+relative change can reach 1e-6): the same run with its last bits moved.
+Otherwise the line names the first differing key.
+Any other file that differs reads ``differs``.  It exits 1 when a file
 is missing on one side or a voltage differs by more than 1e-9 pu.
 Uses only the standard library and ``tandem``.
 """
@@ -39,6 +46,7 @@ import sys
 from pathlib import Path
 
 V_BOUND = 1e-9  # pu; same-behaviour bound on every bundled case's voltages
+FLOAT_BOUND = 1e-9  # relative (absolute below 1) bound on the floats of a same-shape report
 
 CASE9_MAPS = ("case9_feeder1", "case9_feeder4", "case9_stressed")
 SOLVERS = {
@@ -125,6 +133,35 @@ def _pvcurve_dv(a: Path, b: Path) -> float:
 VOLTAGE_FILES = {"solution.json": _solution_dv, "pvcurve.csv": _pvcurve_dv}
 
 
+def _first_difference(a, b, path: str = "") -> str | None:
+    """Path of the first place two JSON values differ in shape, or a float by more than FLOAT_BOUND."""
+    if isinstance(a, float) and isinstance(b, float):
+        close = math.isclose(a, b, rel_tol=FLOAT_BOUND, abs_tol=FLOAT_BOUND)
+        return None if close or (math.isnan(a) and math.isnan(b)) else path
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return next((f"{path}.{k}" for k in (*a, *b) if k not in a or k not in b), f"{path} key order")
+        return next((d for k in a if (d := _first_difference(a[k], b[k], f"{path}.{k}"))), None)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{path} length {len(a)} != {len(b)}"
+        return next((d for i, (x, y) in enumerate(zip(a, b)) if (d := _first_difference(x, y, f"{path}[{i}]"))), None)
+    return None if type(a) is type(b) and a == b else path
+
+
+def _report_shape(a: Path, b: Path) -> str:
+    if a.suffix == ".jsonl":
+        va = [json.loads(line) for line in a.read_text().splitlines()]
+        vb = [json.loads(line) for line in b.read_text().splitlines()]
+    else:
+        va, vb = json.loads(a.read_text()), json.loads(b.read_text())
+    where = _first_difference(va, vb)
+    return "same shape" if where is None else f"differs at {where.lstrip('.') or 'top level'}"
+
+
+SHAPE_FILES = {"report.json", "epochs.jsonl"}
+
+
 def compare(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -137,6 +174,9 @@ def compare(a: Path, b: Path) -> int:
         fa, fb = a / rel, b / rel
         if fa.read_bytes() == fb.read_bytes():
             print(f"{rel}: identical")
+            continue
+        if rel.name in SHAPE_FILES:
+            print(f"{rel}: {_report_shape(fa, fb)}")
             continue
         dv_of = VOLTAGE_FILES.get(rel.name)
         if dv_of is None:

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time one Newton iteration on the dense and the sparse kernel, by system size.
+
+The crossover it finds sets ``tandem.sparse.DENSE_MAX_N``: below it the
+dense LAPACK kernel is faster, above it SuperLU is.
+
+    PYTHONPATH=src python tools/dense_crossover.py [n ...]
+
+The systems are leading principal blocks of the Jacobian of case27 with
+one ``feeder_medium`` on each of its 24 PQ buses (2,698 unknowns), taken
+at the converged state: the transmission block, then whole and partial
+feeder blocks.  For each size the script times, best of several rounds,
+what a Newton iteration does with the assembled system: assembly from
+the triplets through a cached plan, the residual ``A x - b``, and
+``factor_solve`` (LU plus iterative refinement).  BLAS is pinned to one
+thread, as in ``perfbench``.  To time both kernels at every size the
+script moves ``DENSE_MAX_N`` out of the way for each one.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+SIZES = (50, 75, 100, 125, 150, 175, 200, 225, 250, 275, 300, 400)
+
+
+def k24_system():
+    """(stamp set, state) of the converged case27 + 24 x feeder_medium system."""
+    import tandem
+    from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission
+    from tandem.netmodel import BusKind, build_index_map
+    from tandem.newton import solve_direct
+    from tandem.stamping import CompiledCircuit, StampSet
+
+    data = Path(tandem.__file__).resolve().parent / "data"
+    tnet = parse_transmission(data / "case27.m")
+    buses = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
+    cmap = CouplingMap(entries=[CouplingEntry(feeder="feeder_medium.json", bus=b) for b in buses], base_dir=data)
+    net = build_combined(tnet, cmap, {"feeder_medium.json": parse_feeder_doc(data / "feeder_medium.json")})
+    imap = build_index_map(net)
+    circuit = CompiledCircuit(net, imap)
+    x, _ = solve_direct(net, imap=imap, circuit=circuit)
+    lin, nl = circuit.linear(None), circuit.nonlinear(x, {}, {})
+    stamps = StampSet(*(np.concatenate([getattr(lin, f), getattr(nl, f)])
+                        for f in ("rows", "cols", "vals", "rhs_rows", "rhs_vals")))
+    return stamps, x
+
+
+def leading_block(stamps, n: int):
+    from tandem.stamping import StampSet
+
+    keep = (stamps.rows < n) & (stamps.cols < n)
+    rkeep = stamps.rhs_rows < n
+    return StampSet(stamps.rows[keep], stamps.cols[keep], stamps.vals[keep],
+                    stamps.rhs_rows[rkeep], stamps.rhs_vals[rkeep])
+
+
+def iteration_us(st, n: int, x: np.ndarray, dense: bool, rounds: int = 7, reps: int = 40) -> float:
+    """Best per-iteration time in microseconds of assemble + residual + factor_solve."""
+    from tandem import sparse
+
+    saved = sparse.DENSE_MAX_N
+    sparse.DENSE_MAX_N = n if dense else -1
+    try:
+        plan = sparse.AssemblyPlan(dense=True)
+        system = plan.assemble([st], n)  # builds the cached pattern
+        sparse.factor_solve(system)
+        best = np.inf
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                system = plan.assemble([st], n)
+                np.abs(system.matrix @ x - system.rhs).max()
+                sparse.factor_solve(system)
+            best = min(best, (time.perf_counter() - t0) / reps)
+    finally:
+        sparse.DENSE_MAX_N = saved
+    return best * 1e6
+
+
+def main(argv: list[str]) -> int:
+    from tandem.sparse import SingularSystemError
+
+    sizes = [int(a) for a in argv] or SIZES
+    stamps, x = k24_system()
+    print("n,sparse_us,dense_us,dense/sparse")
+    for n in sizes:
+        st = leading_block(stamps, n)
+        row = []
+        for dense in (False, True):
+            try:
+                row.append(iteration_us(st, n, x[:n], dense))
+            except SingularSystemError as exc:  # a cut that leaves a singular block is reported, not timed
+                row.append(float("nan"))
+                print(f"n={n} {'dense' if dense else 'sparse'}: {exc}", file=sys.stderr)
+        print(f"{n},{row[0]:.0f},{row[1]:.0f},{row[1] / row[0]:.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
