@@ -70,6 +70,14 @@ def _solver_options(args) -> SolverOptions:
         raise InputError(f"bad solver option: {exc}") from exc
 
 
+def _number_list(text: str, kind, flag: str) -> list:
+    """A comma list of numbers from a command-line flag."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{flag} must be a comma list of numbers, not {text!r}") from exc
+
+
 def _gsn_options(args, out_dir: Path | None) -> GsnOptions:
     values = {"workers": args.workers}
     if args.outer_tol is not None:
@@ -187,17 +195,16 @@ def _parse_contingency(spec: str | None, net):
     if not spec:
         return None
     drop_elements, drop_gens = [], []
+    targets = {"branch": drop_elements, "gen": drop_gens}
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         kind, _, val = item.partition(":")
-        if kind == "branch":
-            drop_elements.append(int(val))
-        elif kind == "gen":
-            drop_gens.append(int(val))
-        else:
-            raise InputError(f"bad contingency item {item!r}; use branch:<id> or gen:<bus>")
+        try:
+            targets[kind].append(int(val))
+        except (KeyError, ValueError):
+            raise InputError(f"bad contingency item {item!r}; use branch:<id> or gen:<bus>") from None
     known_el = {e.id for e in net.elements}
     for eid in drop_elements:
         if eid not in known_el:
@@ -264,7 +271,7 @@ def cmd_pvcurve(args) -> int:
     if not net.ports:
         raise InputError("pvcurve needs at least one coupling port")
     lfs = _lf_values(args.lf_start, args.lf_stop, args.lf_step)
-    der_scales = [float(s) for s in args.der_scale.split(",")] if args.der_scale else [1.0]
+    der_scales = _number_list(args.der_scale, float, "--der-scale") if args.der_scale else [1.0]
     contingency = _parse_contingency(args.contingency, net)
     poi_bus = sorted(net.ports, key=lambda p: p.id)[0].transmission_bus
 
@@ -299,7 +306,7 @@ def cmd_pvcurve(args) -> int:
                     except ValueError:  # a zero load factor drops the load legs
                         circuit = CompiledCircuit(case, imap)
                         compiled[name] = imap, circuit
-                    x, _ = solve_direct(case, opts, imap=imap, circuit=circuit)
+                    x, _ = solve_direct(case, opts, circuit=circuit)
             except (SolveFailure, GsnError):
                 alive[name] = False  # past the nose; scenario stops here
                 continue
@@ -379,7 +386,7 @@ def cmd_bench(args) -> int:
     feeder = Path(args.feeder)
     if not feeder.exists():
         raise InputError(f"feeder file {feeder} not found")
-    counts = [int(k) for k in args.counts.split(",")]
+    counts = _number_list(args.counts, int, "--counts")
     if not counts or any(k <= 0 for k in counts):
         raise InputError("counts must be positive integers")
     opts, gsn = _solver_options(args), _gsn_options(args, None)

@@ -224,9 +224,8 @@ def solve_gsn(
     inner_opts = replace(options, max_iter=INNER_MAX_ITER)
     report = GsnReport()
 
-    imap = build_index_map(network)
     if not network.ports:
-        x, direct_rep = solve_direct(network, options, imap=imap)
+        x, direct_rep = solve_direct(network, options)
         report.converged = True
         report.epochs = 1
         report.boundary_deltas = [0.0]
@@ -234,6 +233,7 @@ def solve_gsn(
         report.global_residual = direct_rep.final_residual
         return x, report
 
+    imap = build_index_map(network)
     partition = tear(network, imap)
     # an epoch's snapshot changes only source voltages and injections, not
     # topology, so each subcircuit compiles once for the whole solve
@@ -260,8 +260,7 @@ def solve_gsn(
                     for p in sub.ports
                 }
                 return solve_direct(
-                    sub.network, inner_opts, injections=injections, x0=warm[sub.index], imap=sub.imap,
-                    circuit=circuits[sub.index],
+                    sub.network, inner_opts, injections=injections, x0=warm[sub.index], circuit=circuits[sub.index]
                 )
             head_volts = {
                 p.feeder_head: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
@@ -275,12 +274,11 @@ def solve_gsn(
                     for ph, v in zip(THREE_PHASE, volts):
                         vr, vi = sub.imap.v_pair(head, ph)
                         x0[vr], x0[vi] = v.real, v.imag
-            return solve_direct(net, inner_opts, x0=x0, imap=sub.imap, circuit=circuits[sub.index])
+            return solve_direct(net, inner_opts, x0=x0, circuit=circuits[sub.index])
         except SolveFailure as exc:
             raise GsnError(f"subcircuit {sub.name} failed to converge: {exc}", report) from exc
 
     gen_modes: dict[int, str] = {}
-    gen_q_fixed: dict[int, float] = {}
     try:
         for epoch in range(1, gsn.max_epochs + 1):
             snap = boundary
@@ -295,7 +293,7 @@ def solve_gsn(
                 warm[sub.index] = x
                 iters[sub.name] = rep.iterations
                 if sub.kind == "transmission":
-                    gen_modes, gen_q_fixed = rep.gen_modes, rep.gen_q_fixed
+                    gen_modes = rep.gen_modes
                     for p in sub.ports:
                         new[row[p.id], 0] = sub.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
                     continue
@@ -335,7 +333,7 @@ def solve_gsn(
     for sub in partition.subs:
         x_global[sub.local_to_global] = warm[sub.index]
 
-    lin, nonlin = stamp_system(network, imap, x_global, gen_modes=gen_modes, gen_q_fixed=gen_q_fixed)
+    lin, nonlin = stamp_system(CompiledCircuit(network, imap), x_global, gen_modes=gen_modes)
     system = assemble([lin, nonlin], imap.n)
     report.global_residual = float(np.abs(system.matrix @ x_global - system.rhs).max(initial=0.0))
     return x_global, report

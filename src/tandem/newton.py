@@ -30,6 +30,8 @@ from .stamping import DEFAULT_GAMMA, CompiledCircuit, HomotopyState, VoltageColl
 
 log = logging.getLogger(__name__)
 
+V_MIN, V_MAX = -2.0, 2.0  # pu box of every limited voltage component
+LAMBDA_STEP0 = 0.1  # first escalation step of the continuation schedule
 _Q_EPS = 1e-8
 _MAX_CONTROL_ROUNDS = 20
 _MAX_SWITCHES_PER_BUS = 5
@@ -42,16 +44,12 @@ class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 100
     dv_max: float = 0.1
-    v_min: float = -2.0
-    v_max: float = 2.0
     gamma: float = DEFAULT_GAMMA
     homotopy: str = "auto"  # auto | on | off
     shunt_relax: bool = True
     limiting: bool = True
-    q_limits: bool = True
     divergence_window: int = 3
     blowup_ratio: float = 1e3
-    lambda_step0: float = 0.1
     lambda_min_step: float = 1e-4
     flat_start: bool = False
     keep_homotopy_states: bool = False
@@ -60,8 +58,6 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol <= 0 or self.dv_max <= 0:
             raise ValueError("tol and dv_max must be positive")
-        if self.v_min >= self.v_max:
-            raise ValueError("v_min must be below v_max")
         if self.homotopy not in ("auto", "on", "off"):
             raise ValueError(f"unknown homotopy mode {self.homotopy!r}")
 
@@ -117,15 +113,13 @@ def voltage_index_mask(imap: IndexMap) -> np.ndarray:
     return mask
 
 
-def apply_voltage_limit(
-    x: np.ndarray, dx: np.ndarray, options: SolverOptions, vmask: np.ndarray
-) -> np.ndarray:
-    """Clamp each voltage component's step to dv_max and the result to [v_min, v_max]."""
+def apply_voltage_limit(x: np.ndarray, dx: np.ndarray, options: SolverOptions, vmask: np.ndarray) -> np.ndarray:
+    """Clamp each voltage component's step to dv_max and the result to [V_MIN, V_MAX]."""
     out = x + dx
     if not options.limiting:
         return out
     lim = x[vmask] + np.sign(dx[vmask]) * np.minimum(np.abs(dx[vmask]), options.dv_max)
-    out[vmask] = np.clip(lim, options.v_min, options.v_max)
+    out[vmask] = np.clip(lim, V_MIN, V_MAX)
     return out
 
 
@@ -151,11 +145,6 @@ def divergence_reason(history: list[float], window: int = 3, blowup_ratio: float
     return None
 
 
-def detect_divergence(history: list[float], window: int = 3, blowup_ratio: float = 1e3) -> bool:
-    """True iff ``divergence_reason`` gives the attempt up."""
-    return divergence_reason(history, window, blowup_ratio) is not None
-
-
 # ----------------------------------------------------------------------
 # Homotopy schedule
 # ----------------------------------------------------------------------
@@ -176,9 +165,9 @@ class HomotopySchedule:
     # the original problem is attempted directly
     jump_to_zero = 5e-4
 
-    def __init__(self, step0: float = 0.1, min_step: float = 1e-4):
+    def __init__(self, min_step: float = 1e-4):
         self.phase = "escalate"
-        self.step = step0
+        self.step = LAMBDA_STEP0
         self.min_step = min_step
         self.lam_converged: float | None = None
         self.exhausted = False
@@ -262,32 +251,20 @@ def enforce_q_limits(
 # ----------------------------------------------------------------------
 
 
-def _nr_attempt(
-    network: Network,
-    imap: IndexMap,
-    x0: np.ndarray,
-    hs: HomotopyState | None,
-    options: SolverOptions,
-    modes,
-    q_fixed,
-    injections,
-    vmask: np.ndarray,
-    circuit: CompiledCircuit,
-    residual_log: list[float],
-):
+def _nr_attempt(circuit: CompiledCircuit, x0: np.ndarray, hs: HomotopyState | None, options: SolverOptions,
+                modes: dict[int, str], vmask: np.ndarray, residual_log: list[float]):
     """One NR run at fixed continuation state.  Returns (x, converged, reason)."""
     x = x0.copy()
-    linear_cache = None
+    n = circuit.imap.n
+    linear = None
     history: list[float] = []
     for _ in range(options.max_iter):
         try:
-            linear_cache, nonlin = stamp_system(
-                network, imap, x, hs, modes, q_fixed, injections, linear_cache, circuit
-            )
+            linear, nonlin = stamp_system(circuit, x, hs, modes, linear)
         except VoltageCollapseError as exc:
             residual_log.extend(history)
             return x, False, f"collapse: {exc}"
-        system = circuit.plan.assemble([linear_cache, nonlin], imap.n)
+        system = circuit.plan.assemble([linear, nonlin], n)
         if options.debug_matrix_dir:
             from pathlib import Path
 
@@ -320,43 +297,32 @@ def _nr_attempt(
     return x, False, "max-iterations"
 
 
-def _solve_with_continuation(
-    network, imap, x, options, modes, q_fixed, injections, vmask, circuit, report
-):
-    """NR plus the lam schedule; returns the converged state at lam = 0."""
+def _solve_with_continuation(circuit, x, options, modes, vmask, report):
+    """NR plus the lam schedule; returns the converged state at lam = 0.
 
-    def attempt(lam, start):
-        hs = None if lam == 0.0 else HomotopyState(lam, options.gamma, options.shunt_relax)
-        xr, ok, reason = _nr_attempt(
-            network, imap, start, hs, options, modes, q_fixed, injections, vmask, circuit,
-            report.residual_history,
-        )
-        report.lambda_trajectory.append(
-            {"lambda": lam, "converged": ok, "reason": reason}
-        )
-        if ok and options.keep_homotopy_states:
-            report.homotopy_states[lam] = xr.copy()
-        return xr, ok
-
-    # forced continuation begins from the trivially solvable end
+    Forced continuation begins from the trivially solvable end, lam = 1.
+    Escalation restarts from the initial state ``x``, relaxation from the
+    last converged state.
+    """
+    sched = HomotopySchedule(min_step=options.lambda_min_step)
     lam = 1.0 if options.homotopy == "on" else 0.0
-    x1, ok = attempt(lam, x)
-    if ok and lam == 0.0:
-        return x1
-    if options.homotopy == "off":
-        report.error = "non-convergence with continuation disabled"
-        raise SolveFailure(report.error, report)
-    sched = HomotopySchedule(options.lambda_step0, options.lambda_min_step)
-    return _walk_schedule(sched, lam, ok, x1 if ok else x, x, attempt, report)
-
-
-def _walk_schedule(sched, lam, ok, x_best, x_init, attempt, report):
-    """Drive the schedule until lam = 0 converges or the schedule exhausts."""
+    x_best = x
     while True:
-        nxt = sched.next_lambda(lam, ok)
-        if nxt is None:
-            if ok and lam == 0.0:
-                return x_best
+        start = x_best if sched.phase == "relax" else x
+        hs = None if lam == 0.0 else HomotopyState(lam, options.gamma, options.shunt_relax)
+        x_try, ok, reason = _nr_attempt(circuit, start, hs, options, modes, vmask, report.residual_history)
+        report.lambda_trajectory.append({"lambda": lam, "converged": ok, "reason": reason})
+        if ok:
+            if options.keep_homotopy_states:
+                report.homotopy_states[lam] = x_try.copy()
+            if lam == 0.0:
+                return x_try
+            x_best = x_try
+        elif options.homotopy == "off":
+            report.error = "non-convergence with continuation disabled"
+            raise SolveFailure(report.error, report)
+        lam = sched.next_lambda(lam, ok)
+        if lam is None:
             smallest = sched.lam_converged
             report.error = (
                 f"continuation exhausted; smallest converged lambda = {smallest}"
@@ -364,15 +330,6 @@ def _walk_schedule(sched, lam, ok, x_best, x_init, attempt, report):
                 else "continuation exhausted with no converged point"
             )
             raise UnsolvableCaseError(report.error, report)
-        lam = nxt
-        # escalation restarts from the initial state, relaxation from the
-        # last converged state
-        start = x_best if sched.phase == "relax" else x_init
-        x_try, ok = attempt(lam, start)
-        if ok:
-            x_best = x_try
-            if lam == 0.0:
-                return x_best
 
 
 def solve_direct(
@@ -380,7 +337,6 @@ def solve_direct(
     options: SolverOptions | None = None,
     injections: dict[int, dict[str, complex]] | None = None,
     x0: np.ndarray | None = None,
-    imap: IndexMap | None = None,
     circuit: CompiledCircuit | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Full direct solve: NR with limiting, continuation rescue, and the
@@ -389,41 +345,28 @@ def solve_direct(
     ``injections`` maps a bus id to constant per-phase complex current
     consumption (the boundary drive of a torn subproblem).  A ``circuit``
     compiled from a network of the same topology and legs is reused, its
-    source voltages and demands taken from ``network``; otherwise
-    ``network`` is compiled.
+    source voltages and demands taken from ``network`` and its index map
+    used; otherwise ``network`` is compiled.
     """
     options = options or SolverOptions()
-    imap = imap or build_index_map(network)
-    x = x0.copy() if x0 is not None else initial_state(network, imap, flat=options.flat_start)
-    vmask = voltage_index_mask(imap)
     if circuit is None:
-        circuit = CompiledCircuit(network, imap)
+        circuit = CompiledCircuit(network, build_index_map(network))
     else:
         circuit.set_sources(network)
         circuit.set_demands(network)
+    circuit.set_injections(injections)
+    imap = circuit.imap
+    x = x0.copy() if x0 is not None else initial_state(network, imap, flat=options.flat_start)
+    vmask = voltage_index_mask(imap)
     report = SolveReport()
     modes: dict[int, str] = {}
-    q_fixed: dict[int, float] = {}
     switch_counts: dict[int, int] = defaultdict(int)
 
     for _ in range(_MAX_CONTROL_ROUNDS):
-        x = _solve_with_continuation(
-            network, imap, x, options, modes, q_fixed, injections, vmask, circuit, report
-        )
-        if not options.q_limits:
-            break
+        x = _solve_with_continuation(circuit, x, options, modes, vmask, report)
         switches = enforce_q_limits(network, imap, x, modes, switch_counts)
         if not switches:
             break
-        for sw in switches:
-            if sw["to"] == "qmax":
-                q_fixed[sw["bus"]] = next(
-                    g.q_max for g in network.generators if g.bus == sw["bus"]
-                )
-            elif sw["to"] == "qmin":
-                q_fixed[sw["bus"]] = next(
-                    g.q_min for g in network.generators if g.bus == sw["bus"]
-                )
         report.q_switch_log.extend(switches)
     else:
         report.error = "control-variable loop did not settle"
@@ -433,5 +376,6 @@ def solve_direct(
     report.iterations = len(report.residual_history)
     report.final_residual = report.residual_history[-1] if report.residual_history else 0.0
     report.gen_modes = dict(modes)
-    report.gen_q_fixed = dict(q_fixed)
+    pinned = [g for g in circuit.gens if modes.get(g.bus, "pv") != "pv"]
+    report.gen_q_fixed = {g.bus: g.q_max if modes[g.bus] == "qmax" else g.q_min for g in pinned}
     return x, report

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,7 +272,11 @@ class CompiledCircuit:
     in, constant-current legs a signed magnitude and the demand angle.
     Index bounds are checked here, once.  ``plan`` caches the scatter
     of the pattern from the first assembly on, into a dense array on
-    systems small enough for the dense kernel.
+    systems small enough for the dense kernel.  Source voltages,
+    demands and boundary injections are values a solve sets on a
+    compiled circuit (``set_sources``, ``set_demands``,
+    ``set_injections``); a generator at a reactive limit pins its Q at
+    that bound.
     """
 
     def __init__(self, network: Network, imap: IndexMap):
@@ -347,9 +351,10 @@ class CompiledCircuit:
         parts.append((np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), src_vals, _REST))
         self.src_rhs_rows = np.concatenate([ir, ii])
         self.set_sources(network)
+        self.set_injections(None)
 
         for port in network.ports:
-            st = stamp_coupling_port(port, network, imap)
+            st = stamp_coupling_port(port, imap)
             parts.append((st.rows, st.cols, st.vals, _REST))
 
         self.lin_rows, self.lin_cols, self.lin_vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
@@ -368,6 +373,14 @@ class CompiledCircuit:
             raise ValueError(f"source terminals {keys} differ from the compiled {self.src_keys}")
         v = [v for b in buses for v in b.v0]
         self.src_rhs_vals = np.array([z.real for z in v] + [z.imag for z in v])
+
+    def set_injections(self, injections: dict[int, dict[str, complex]] | None) -> None:
+        """Constant per-phase complex current consumptions by bus (a torn subcircuit's
+        boundary drive) on the right-hand side of the KCL rows; None clears them."""
+        per_bus = (injections or {}).items()
+        rows = [i for bus, per in per_bus for ph in per for i in self.imap.v_pair(bus, ph)]
+        vals = [v for _, per in per_bus for cur in per.values() for v in (-cur.real, -cur.imag)]
+        self.inj_rows, self.inj_vals = np.array(rows, dtype=np.int64), np.array(vals, dtype=float)
 
     def set_demands(self, network: Network) -> None:
         """Take load, DER and generator values from ``network``, which has this circuit's legs.
@@ -398,7 +411,7 @@ class CompiledCircuit:
         self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
         self.gens = gens
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
-        self._modes_seen = None  # the gen_modes/gen_q_fixed behind the cached _pv, _q_pin
+        self._modes_seen = None  # the gen_modes behind the cached _pv, _q_pin
 
     # -- per-state evaluation ------------------------------------------
 
@@ -406,9 +419,11 @@ class CompiledCircuit:
         series, shunt = (hs.series_scale, hs.shunt_scale) if hs is not None else (1.0, 1.0)
         vals = self.lin_vals * np.array([series, shunt, 1.0])[self.lin_kind]
         vals[self.pi] = (self.lin_vals[self.pi] * series + self.pi_relaxed * shunt) / self.pi_div
-        return StampSet(self.lin_rows, self.lin_cols, vals, self.src_rhs_rows, self.src_rhs_vals)
+        rhs_rows = np.concatenate([self.src_rhs_rows, self.inj_rows])
+        rhs_vals = np.concatenate([self.src_rhs_vals, self.inj_vals])
+        return StampSet(self.lin_rows, self.lin_cols, vals, rhs_rows, rhs_vals)
 
-    def nonlinear(self, x: np.ndarray, gen_modes: dict, gen_q_fixed: dict) -> StampSet:
+    def nonlinear(self, x: np.ndarray, gen_modes: dict) -> StampSet:
         xp = np.concatenate((x, _GROUND))
         x1r, x1i, x2r, x2i = xp[self.t_pq]
         c1r, c1i, c2r, c2i = xp[self.t_cu]
@@ -434,7 +449,7 @@ class CompiledCircuit:
 
         gvr, gvi, gm2 = vr[k:], vi[k:], m2[k:]
         dq_r, dq_i = -gvi / gm2, gvr / gm2
-        pv, q_pin = self._gen_rows(gen_modes, gen_q_fixed)
+        pv, q_pin = self._gen_rows(gen_modes)
         # pv: |V|^2 = Vset^2 linearized, 2 vr V_R + 2 vi V_I = Vset^2 + vr^2 + vi^2;
         # at a limit the row pins Q at the bound instead
         jac = np.concatenate([a, b, c, d])
@@ -469,15 +484,13 @@ class CompiledCircuit:
         j = int(np.argmax(gm2 <= EPS_V * EPS_V))
         raise VoltageCollapseError(self.gens[j].bus, POSITIVE_SEQUENCE, gm2[j])
 
-    def _gen_rows(self, gen_modes: dict, gen_q_fixed: dict):
-        """(pv mask, pinned Q) per generator, rebuilt only when the modes or pins change."""
-        if self._modes_seen != (gen_modes, gen_q_fixed):
+    def _gen_rows(self, gen_modes: dict):
+        """(pv mask, pinned Q) per generator, rebuilt only when the modes change."""
+        if self._modes_seen != gen_modes:
             modes = [gen_modes.get(g.bus, "pv") for g in self.gens]
             self._pv = np.array([m == "pv" for m in modes], dtype=bool)
-            self._q_pin = np.array(
-                [gen_q_fixed.get(g.bus, g.q_max if m == "qmax" else g.q_min) for g, m in zip(self.gens, modes)]
-            )
-            self._modes_seen = dict(gen_modes), dict(gen_q_fixed)
+            self._q_pin = np.array([g.q_max if m == "qmax" else g.q_min for g, m in zip(self.gens, modes)])
+            self._modes_seen = dict(gen_modes)
         return self._pv, self._q_pin
 
 
@@ -486,16 +499,13 @@ class CompiledCircuit:
 # ----------------------------------------------------------------------
 
 
-def stamp_linear(
-    network: Network, imap: IndexMap, hs: HomotopyState | None = None, circuit: CompiledCircuit | None = None
-) -> StampSet:
+def stamp_linear(circuit: CompiledCircuit, hs: HomotopyState | None = None) -> StampSet:
     """All state-independent stamps: series elements, shunts, constant-impedance
-    load shares, ideal source rows and coupling ports.  Pass the solve's
-    ``circuit`` to skip compiling the network again."""
-    return (circuit or CompiledCircuit(network, imap)).linear(hs)
+    load shares, ideal source rows, coupling ports and boundary injections."""
+    return circuit.linear(hs)
 
 
-def stamp_coupling_port(port, network: Network, imap: IndexMap) -> StampSet:
+def stamp_coupling_port(port, imap: IndexMap) -> StampSet:
     """Exact linear stamps of one coupling port.
 
     Six controlled voltage sources set the feeder-head phase voltages
@@ -524,50 +534,29 @@ def stamp_coupling_port(port, network: Network, imap: IndexMap) -> StampSet:
     return StampSet(rows, cols, vals)
 
 
-def stamp_nonlinear(
-    network: Network,
-    imap: IndexMap,
-    x: np.ndarray,
-    gen_modes: dict[int, str] | None = None,
-    gen_q_fixed: dict[int, float] | None = None,
-    circuit: CompiledCircuit | None = None,
-) -> StampSet:
+def stamp_nonlinear(circuit: CompiledCircuit, x: np.ndarray, gen_modes: dict[int, str] | None = None) -> StampSet:
     """Linearized stamps at the current state: ZIP loads, DER injections,
     PV generators.
 
     ``gen_modes`` maps a generator bus to 'pv' (default), 'qmax' or
     'qmin'; at a limit the voltage-magnitude row is replaced by a row
-    pinning the reactive unknown at the bound from ``gen_q_fixed``.
-    Raises VoltageCollapseError naming the first load terminal (in
-    device order) below the guard.
+    pinning the reactive unknown at that bound.  Raises
+    VoltageCollapseError naming the first load terminal (in device
+    order) below the guard.
     """
-    return (circuit or CompiledCircuit(network, imap)).nonlinear(x, gen_modes or {}, gen_q_fixed or {})
+    return circuit.nonlinear(x, gen_modes or {})
 
 
 def stamp_system(
-    network: Network,
-    imap: IndexMap,
-    x: np.ndarray,
-    hs: HomotopyState | None = None,
-    gen_modes: dict[int, str] | None = None,
-    gen_q_fixed: dict[int, float] | None = None,
-    injections: dict[int, dict[str, complex]] | None = None,
-    linear_cache: StampSet | None = None,
-    circuit: CompiledCircuit | None = None,
+    circuit: CompiledCircuit, x: np.ndarray, hs: HomotopyState | None = None,
+    gen_modes: dict[int, str] | None = None, linear: StampSet | None = None,
 ) -> tuple[StampSet, StampSet]:
     """Produce (linear, nonlinear) stamps for the full system at state x.
 
     The linear part depends only on the continuation state and the
-    ``injections`` (constant per-phase current consumptions, the
-    torn-network boundary drive) and can be cached across NR iterations;
-    pass it back via ``linear_cache``, and the solve's ``circuit``.
+    circuit's set values, so a Newton attempt stamps it once and passes
+    it back as ``linear``.
     """
-    circuit = circuit or CompiledCircuit(network, imap)
-    if linear_cache is None:
-        linear_cache = stamp_linear(network, imap, hs, circuit)
-        if injections:
-            rows = [i for bus, per in injections.items() for ph in per for i in imap.v_pair(bus, ph)]
-            vals = [v for per in injections.values() for cur in per.values() for v in (-cur.real, -cur.imag)]
-            lin = linear_cache
-            linear_cache = replace(lin, rhs_rows=np.r_[lin.rhs_rows, rows], rhs_vals=np.r_[lin.rhs_vals, vals])
-    return linear_cache, stamp_nonlinear(network, imap, x, gen_modes, gen_q_fixed, circuit)
+    if linear is None:
+        linear = stamp_linear(circuit, hs)
+    return linear, stamp_nonlinear(circuit, x, gen_modes)

@@ -17,12 +17,12 @@ import scipy.sparse as sp
 from tandem.gsn import InternalConsistencyError, Partition
 from tandem.netmodel import THREE_PHASE, IndexMap, Network, initial_state
 from tandem.sparse import assemble
-from tandem.stamping import stamp_system
+from tandem.stamping import CompiledCircuit, stamp_system
 
 
 def _jacobian_pattern(network: Network, imap: IndexMap) -> sp.csr_matrix:
     x = initial_state(network, imap)
-    lin, nonlin = stamp_system(network, imap, x)
+    lin, nonlin = stamp_system(CompiledCircuit(network, imap), x)
     system = assemble([lin, nonlin], imap.n)
     return system.matrix.tocsr()
 

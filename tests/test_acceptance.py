@@ -22,7 +22,7 @@ from tandem.ingest import load_combined_case, parse_transmission
 from tandem.netmodel import ALPHA, build_index_map
 from tandem.newton import SolveFailure, SolverOptions, solve_direct
 from tandem.sparse import assemble
-from tandem.stamping import stamp_system
+from tandem.stamping import CompiledCircuit, stamp_system
 
 
 @contextmanager
@@ -48,7 +48,7 @@ def test_acceptance_01_stamp_and_jacobian_oracles():
             net = random_combined(rng)
             imap = build_index_map(net)
             x = random_state(rng, net, imap, vm_range=(0.5, 1.5), ang_spread=0.4)
-            lin, nonlin = stamp_system(net, imap, x)
+            lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
             system = assemble([lin, nonlin], imap.n)
             resid = system.matrix @ x - system.rhs
             oracle = dense_mismatch(net, imap, x)

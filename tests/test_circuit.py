@@ -32,6 +32,7 @@ from tandem.netmodel import (
 )
 from tandem.sparse import assemble
 from tandem.stamping import (
+    CompiledCircuit,
     HomotopyState,
     VoltageCollapseError,
     stamp_coupling_port,
@@ -101,7 +102,7 @@ def terminal_currents(load, volts):
     x = np.zeros(imap.n)
     for ph, v in volts.items():
         x[imap.vr[(1, ph)]], x[imap.vi[(1, ph)]] = v.real, v.imag
-    st_ = stamp_nonlinear(net, imap, x)
+    st_ = stamp_nonlinear(CompiledCircuit(net, imap), x)
     sys_ = assemble([st_], imap.n)
     c = sys_.matrix @ x - sys_.rhs
     return {ph: complex(c[imap.vr[(1, ph)]], c[imap.vi[(1, ph)]]) for ph in "abc"}, st_
@@ -173,8 +174,8 @@ class TestHomotopy:
 
         net = parse_transmission(case9)
         imap = build_index_map(net)
-        a = stamp_linear(net, imap, None)
-        b = stamp_linear(net, imap, HomotopyState(0.0, 1e3, True))
+        a = stamp_linear(CompiledCircuit(net, imap), None)
+        b = stamp_linear(CompiledCircuit(net, imap), HomotopyState(0.0, 1e3, True))
         assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
         assert a.vals.tobytes() == b.vals.tobytes()  # bitwise: scaling by exactly 1.0
         assert np.array_equal(a.rhs_rows, b.rhs_rows) and a.rhs_vals.tobytes() == b.rhs_vals.tobytes()
@@ -200,7 +201,7 @@ class TestLinearStamps:
         y = complex(1, -2)
         net = line_network(y)
         imap = build_index_map(net)
-        st_ = stamp_linear(net, imap, None)
+        st_ = stamp_linear(CompiledCircuit(net, imap), None)
         m = assemble([st_], imap.n).matrix.toarray()
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -223,7 +224,7 @@ class TestLinearStamps:
         # y = 1 - j2: +-1 on same-kind pairs, +-2 between R and I rows
         net = line_network(complex(1, -2))
         imap = build_index_map(net)
-        m = assemble([stamp_linear(net, imap, None)], imap.n).matrix.toarray()
+        m = assemble([stamp_linear(CompiledCircuit(net, imap), None)], imap.n).matrix.toarray()
         r1, i1 = imap.v_pair(1, "p")
         r2, i2 = imap.v_pair(2, "p")
         assert m[r1, r1] == pytest.approx(1) and m[r1, r2] == pytest.approx(-1)
@@ -234,9 +235,9 @@ class TestLinearStamps:
     def test_shunt_couples_r_and_i_rows_only(self):
         net = line_network(complex(1, 0), shunt=0.5j)
         imap = build_index_map(net)
-        with_sh = assemble([stamp_linear(net, imap, None)], imap.n).matrix.toarray()
+        with_sh = assemble([stamp_linear(CompiledCircuit(net, imap), None)], imap.n).matrix.toarray()
         without = assemble(
-            [stamp_linear(line_network(complex(1, 0)), imap, None)], imap.n
+            [stamp_linear(CompiledCircuit(line_network(complex(1, 0)), imap), None)], imap.n
         ).matrix.toarray()
         diff = with_sh - without
         r2, i2 = imap.v_pair(2, "p")
@@ -252,7 +253,7 @@ class TestLinearStamps:
             buses=(Bus(1, BusKind.SLACK, "p", 345.0, (1 + 0j,)),),
         )
         imap = build_index_map(net)
-        st_ = stamp_linear(net, imap, None)
+        st_ = stamp_linear(CompiledCircuit(net, imap), None)
         assert len(st_.rows) == 4  # two voltage rows + two KCL injections
 
 
@@ -270,14 +271,14 @@ class TestNonlinearStamps:
         )
         imap = build_index_map(net)
         x, _ = solve_direct(net, SolverOptions(tol=1e-12))
-        lin, nonlin = stamp_system(net, imap, x)
+        lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
         sys_ = assemble([lin, nonlin], imap.n)
         assert np.abs(sys_.matrix @ x - sys_.rhs).max() < 1e-10
 
     def test_zero_load_network_stamps(self):
         net = line_network(complex(1, -1))
         imap = build_index_map(net)
-        _, nonlin = stamp_system(net, imap, initial_state(net, imap))
+        _, nonlin = stamp_system(CompiledCircuit(net, imap), initial_state(net, imap))
         assert len(nonlin.rows) == 0 and len(nonlin.rhs_rows) == 0
 
     def test_pv_row_residual_zero_at_setpoint(self):
@@ -293,7 +294,7 @@ class TestNonlinearStamps:
         )
         imap = build_index_map(net)
         x = initial_state(net, imap)  # bus 2 at exactly 1.02
-        lin, nonlin = stamp_system(net, imap, x)
+        lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
         sys_ = assemble([lin, nonlin], imap.n)
         resid = sys_.matrix @ x - sys_.rhs
         assert abs(resid[imap.gen_q[2]]) < 1e-14
@@ -323,7 +324,7 @@ class TestCouplingPort:
         # the port rows must reproduce V_head = [1, a^2, a] * V_poi exactly
         net = self.port_net()
         imap = build_index_map(net)
-        st_ = stamp_coupling_port(net.ports[0], net, imap)
+        st_ = stamp_coupling_port(net.ports[0], imap)
         m = assemble([st_], imap.n).matrix.toarray()
         rng = np.random.default_rng(1)
         x = rng.normal(size=imap.n)
@@ -364,7 +365,7 @@ class TestCouplingPort:
         # 6x6 real transform oracle
         net = self.port_net()
         imap = build_index_map(net)
-        st_ = stamp_coupling_port(net.ports[0], net, imap)
+        st_ = stamp_coupling_port(net.ports[0], imap)
         m = assemble([st_], imap.n).matrix.toarray()
         rng = np.random.default_rng(2)
         x = rng.normal(size=imap.n)
@@ -380,7 +381,7 @@ class TestCouplingPort:
     def test_zero_sequence_injects_nothing(self):
         net = self.port_net()
         imap = build_index_map(net)
-        st_ = stamp_coupling_port(net.ports[0], net, imap)
+        st_ = stamp_coupling_port(net.ports[0], imap)
         m = assemble([st_], imap.n).matrix.toarray()
         x = np.zeros(imap.n)
         for ph in "abc":
@@ -425,7 +426,7 @@ class TestResidualAndJacobianProperties:
         net = random_combined(rng)
         imap = build_index_map(net)
         x = random_state(rng, net, imap)
-        lin, nonlin = stamp_system(net, imap, x)
+        lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
         sys_ = assemble([lin, nonlin], imap.n)
         got = sys_.matrix @ x - sys_.rhs
         want = dense_mismatch(net, imap, x)
@@ -438,7 +439,7 @@ class TestResidualAndJacobianProperties:
         net = random_combined(rng)
         imap = build_index_map(net)
         x = random_state(rng, net, imap, vm_range=(0.5, 1.5), ang_spread=0.4)
-        lin, nonlin = stamp_system(net, imap, x)
+        lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
         ja = assemble([lin, nonlin], imap.n).matrix.toarray()
         jf = fd_jacobian(net, imap, x)
         rel = np.abs(ja - jf) / np.maximum(np.abs(jf), 1.0)

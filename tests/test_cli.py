@@ -102,6 +102,7 @@ class TestSolve:
             (None, ["--dvmax", "0"]),
             (None, ["--outer-tol", "-1", "--solver", "gsn"]),
             (None, ["--workers", "0", "--solver", "gsn"]),
+            ('{"v_min": -1.5}', []),  # the voltage box is a module constant, not an option
         ],
     )
     def test_bad_option_value_is_input_error(self, workdir, options_text, flags):
@@ -307,3 +308,21 @@ class TestBench:
                   "--feeder", workdir / "feeder_small.json",
                   "--counts", "1,99", "--out", workdir / "bench"])
         assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("bench", ["--counts", "1,x"]),
+        ("bench", ["--counts", ","]),
+        ("pvcurve", ["--der-scale", "0,abc"]),
+        ("pvcurve", ["--contingency", "branch:x"]),
+    ],
+)
+def test_bad_list_argument_is_input_error(workdir, command, flags):
+    case = ["--case", workdir / "case9.m"]
+    case += ["--feeder", workdir / "feeder_small.json"] if command == "bench" else [
+        "--coupling", workdir / "case9_stressed.json"]
+    rc = run([command, *case, *flags, "--out", workdir / "o"])
+    assert rc == EXIT_INPUT
+    assert json.loads((workdir / "o" / "error.json").read_text())["exit_code"] == EXIT_INPUT

@@ -26,7 +26,7 @@ from tandem.netmodel import (
 )
 from tandem.newton import SolverOptions, solve_direct
 from tandem.sparse import assemble
-from tandem.stamping import stamp_system
+from tandem.stamping import CompiledCircuit, stamp_system
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ class TestFeedbackFeedforward:
         part = tear(net)
         imap = part.imap
         x = initial_state(net, imap)
-        lin, nonlin = stamp_system(net, imap, x)
+        lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
         pattern = assemble([lin, nonlin], imap.n).matrix
         v_fb, v_ff = identify_feedback_feedforward(part, pattern)
         assert len(v_ff) == 2 * len(net.ports)
@@ -217,7 +217,7 @@ class TestDiagonalDominance:
         net = parse_transmission(case9)
         imap = build_index_map(net)
         x = initial_state(net, imap)
-        lin, nonlin = stamp_system(net, imap, x)
+        lin, nonlin = stamp_system(CompiledCircuit(net, imap), x)
         m = assemble([lin, nonlin], imap.n).matrix
         rep = check_diagonal_dominance(m)
         dense = m.toarray()

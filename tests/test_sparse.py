@@ -174,8 +174,7 @@ def test_dense_assembly_bitwise_equals_csc():
             for j in range(3):
                 x = random_state(rng, net, imap)
                 modes = {bus: _MODE_CYCLE[(i + j + k) % len(_MODE_CYCLE)] for i, bus in enumerate(gens)}
-                q_fixed = {bus: 0.1 * j for bus, mode in modes.items() if mode == "qmin"}
-                stamps = [circuit.linear(HomotopyState(lam) if lam else None), circuit.nonlinear(x, modes, q_fixed)]
+                stamps = [circuit.linear(HomotopyState(lam) if lam else None), circuit.nonlinear(x, modes)]
                 dense, csc = plan.assemble(stamps, imap.n), assemble(stamps, imap.n)
                 assert isinstance(dense.matrix, np.ndarray) and sp.issparse(csc.matrix)
                 assert dense.matrix.tobytes() == csc.matrix.toarray().tobytes()

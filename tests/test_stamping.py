@@ -38,15 +38,15 @@ def test_homotopy_and_q_limit_states_match_dense_oracle():
         x = random_state(rng, net, imap, vm_range=(0.5, 1.5), ang_spread=0.4)
         gens = sorted(g.bus for g in net.generators if g.bus in imap.gen_q)
         modes = {bus: _MODE_CYCLE[(i + k) % len(_MODE_CYCLE)] for i, bus in enumerate(gens)}
-        # pin only the qmin generators: qmax ones fall back to their q_max
-        q_fixed = {bus: -0.25 for bus, mode in modes.items() if mode == "qmin"}
+        circuit = CompiledCircuit(net, imap)
         for lam in (0.0, 0.3, 1.0):
             for relax in (True, False):
                 hs = HomotopyState(lam, 1e3, relax)
-                lin, nonlin = stamp_system(net, imap, x, hs, modes, q_fixed)
+                lin, nonlin = stamp_system(circuit, x, hs, modes)
                 system = assemble([lin, nonlin], imap.n)
                 got = system.matrix @ x - system.rhs
-                want = dense_mismatch(net, imap, x, lam, 1e3, relax, modes, q_fixed)
+                # with no pins given, the oracle holds a generator at a limit at its own bound
+                want = dense_mismatch(net, imap, x, lam, 1e3, relax, modes)
                 worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-9
 
@@ -67,14 +67,12 @@ def test_generator_modes_changed_in_place_restamp():
         gens = [g.bus for g in circuit.gens]
         checked += bool(gens)
         x = random_state(rng, net, imap)
-        modes, q_fixed = {}, {}
+        modes = {}
         for step in range(len(_MODE_CYCLE) + 1):
-            want = CompiledCircuit(net, imap).nonlinear(x, dict(modes), dict(q_fixed))
-            assert _stamp_bytes(circuit.nonlinear(x, modes, q_fixed)) == _stamp_bytes(want)
+            want = CompiledCircuit(net, imap).nonlinear(x, dict(modes))
+            assert _stamp_bytes(circuit.nonlinear(x, modes)) == _stamp_bytes(want)
             for i, bus in enumerate(gens):
                 modes[bus] = _MODE_CYCLE[(i + step + k) % len(_MODE_CYCLE)]
-                if modes[bus] == "qmin":
-                    q_fixed[bus] = -0.1 * step
     assert checked >= 5
 
 
@@ -107,11 +105,37 @@ def test_set_sources_matches_fresh_compile():
             x = random_state(rng, net2, sub.imap)
             for hs in (None, HomotopyState(0.3)):
                 assert _stamp_bytes(circuit.linear(hs)) == _stamp_bytes(fresh.linear(hs))
-            assert _stamp_bytes(circuit.nonlinear(x, {}, {})) == _stamp_bytes(fresh.nonlinear(x, {}, {}))
+            assert _stamp_bytes(circuit.nonlinear(x, {})) == _stamp_bytes(fresh.nonlinear(x, {}))
             # the combined network drives its slack buses, not the feeder head
             with pytest.raises(ValueError, match="source terminals"):
                 circuit.set_sources(net)
             checked += 1
+    assert checked >= 5
+
+
+def test_injections_do_not_leak_into_the_next_solve():
+    """A circuit driven with injections A, then B, then none stamps bytewise what
+    a fresh compile with the same drive stamps."""
+    rng = np.random.default_rng(8803)
+    checked = 0
+    for _ in range(40):
+        net = random_combined(rng)
+        if not net.ports:
+            continue
+        sub = tear(net).subs[0]
+        assert sub.kind == "transmission"
+        x = random_state(rng, sub.network, sub.imap)
+        drives = [{p.transmission_bus: {"p": complex(*rng.normal(0.0, 0.5, 2))} for p in sub.ports} for _ in range(2)]
+        circuit = CompiledCircuit(sub.network, sub.imap)
+        for drive in (*drives, None):
+            circuit.set_injections(drive)
+            fresh = CompiledCircuit(sub.network, sub.imap)
+            fresh.set_injections(drive)
+            for hs in (None, HomotopyState(0.3)):
+                got, want = stamp_system(circuit, x, hs), stamp_system(fresh, x, hs)
+                assert [_stamp_bytes(st) for st in got] == [_stamp_bytes(st) for st in want]
+            assert len(got[0].rhs_vals) == len(circuit.src_rhs_vals) + 2 * len(drive or ())
+        checked += 1
     assert checked >= 5
 
 
@@ -138,9 +162,7 @@ def test_set_demands_matches_fresh_compile():
             for hs in (None, HomotopyState(0.3)):
                 assert _stamp_bytes(circuit.linear(hs)) == _stamp_bytes(fresh.linear(hs))
             for gen_modes in ({}, modes):
-                assert _stamp_bytes(circuit.nonlinear(x, gen_modes, {})) == _stamp_bytes(
-                    fresh.nonlinear(x, gen_modes, {})
-                )
+                assert _stamp_bytes(circuit.nonlinear(x, gen_modes)) == _stamp_bytes(fresh.nonlinear(x, gen_modes))
         # a variant that keeps the device tuples costs no refresh
         p = circuit.p
         circuit.set_demands(point.with_source_voltages({}))
@@ -180,7 +202,7 @@ def _zero(imap, x, bus, phase):
 def _collapse(net, x):
     imap = build_index_map(net)
     with pytest.raises(VoltageCollapseError) as info:
-        stamp_system(net, imap, x)
+        stamp_system(CompiledCircuit(net, imap), x)
     return info.value
 
 
@@ -224,7 +246,7 @@ def test_collapse_guard_reports_first_device_in_order():
 def test_collapse_guard_skips_zero_power_legs():
     net = _feeder([Load(12, "abc", (0.02 + 0.01j, 0j, 0.02 + 0.01j))])
     imap = build_index_map(net)
-    stamp_system(net, imap, _zero(imap, initial_state(net, imap), 12, "b"))
+    stamp_system(CompiledCircuit(net, imap), _zero(imap, initial_state(net, imap), 12, "b"))
 
 
 def test_collapse_reason_in_lambda_trajectory():
@@ -232,6 +254,6 @@ def test_collapse_reason_in_lambda_trajectory():
     imap = build_index_map(net)
     x0 = _zero(imap, initial_state(net, imap), 12, "a")
     with pytest.raises(SolveFailure) as info:
-        solve_direct(net, SolverOptions(homotopy="off"), x0=x0, imap=imap)
+        solve_direct(net, SolverOptions(homotopy="off"), x0=x0)
     reason = info.value.report.lambda_trajectory[0]["reason"]
     assert reason.startswith("collapse:") and "bus 12 phase a" in reason

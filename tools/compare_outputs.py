@@ -15,6 +15,8 @@ path (its own bundled data):
   ``case9_stressed``, and on case27 with one ``feeder_medium`` on each of
   its 24 PQ buses, under ``direct``, ``gsn --workers 1`` and
   ``gsn --workers 2``;
+- ``tandem solve --homotopy on`` (continuation from lambda = 1 down to 0)
+  on ``case_radial7`` and on case9 with ``case9_stressed``;
 - the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
   (load factor 1.0-3.0 step 0.1, DER scale 0 and 1).
 
@@ -54,6 +56,7 @@ SOLVERS = {
     "gsn-w1": ["--solver", "gsn", "--workers", "1"],
     "gsn-w2": ["--solver", "gsn", "--workers", "2"],
 }
+HOMOTOPY_RUNS = ("case_radial7", "case9+case9_stressed")  # solved again under --homotopy on
 PVCURVE_ARGS = ["--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1"]
 
 
@@ -92,6 +95,10 @@ def snapshot(out: Path) -> int:
                 for solver, solver_args in SOLVERS.items():
                     rc = main(["solve", *case_args, *solver_args, "--out", str(out / name / solver)])
                     failed += rc != 0
+            for name in HOMOTOPY_RUNS:
+                case_args = runs.get(name, ["--case", f"{name}.m"])
+                rc = main(["solve", *case_args, "--homotopy", "on", "--out", str(out / name / "direct-homotopy")])
+                failed += rc != 0
             rc = main(["pvcurve", *runs["case9+case9_stressed"], *PVCURVE_ARGS,
                        "--out", str(out / "pvcurve-stressed")])
             failed += rc != 0

@@ -48,8 +48,8 @@ def k24_system():
     net = build_combined(tnet, cmap, {"feeder_medium.json": parse_feeder_doc(data / "feeder_medium.json")})
     imap = build_index_map(net)
     circuit = CompiledCircuit(net, imap)
-    x, _ = solve_direct(net, imap=imap, circuit=circuit)
-    lin, nl = circuit.linear(None), circuit.nonlinear(x, {}, {})
+    x, _ = solve_direct(net, circuit=circuit)
+    lin, nl = circuit.linear(None), circuit.nonlinear(x, {})
     stamps = StampSet(*(np.concatenate([getattr(lin, f), getattr(nl, f)])
                         for f in ("rows", "cols", "vals", "rhs_rows", "rhs_vals")))
     return stamps, x
