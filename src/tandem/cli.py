@@ -22,13 +22,14 @@ import numpy as np
 from .gsn import GsnError, GsnOptions, solve_gsn
 from .ingest import (
     CaseFormatError,
+    CouplingEntry,
     CouplingMap,
     parse_coupling_map,
     parse_feeder_doc,
     parse_transmission,
     build_combined,
 )
-from .netmodel import NetworkError, build_index_map, validate
+from .netmodel import BusKind, NetworkError, build_index_map, validate
 from .newton import SolveFailure, SolverOptions, solve_direct
 from .results import poi_extremes, poi_voltages, solution_dict
 from .stamping import CompiledCircuit
@@ -117,11 +118,13 @@ def _load_network(args):
 
 
 def _solve(net, args, opts: SolverOptions, gsn: GsnOptions):
+    """(state, report dict, index map): the solver runs on the map the outputs are written with."""
+    imap = build_index_map(net)
     if args.solver == "gsn":
-        x, rep = solve_gsn(net, opts, gsn)
-        return x, rep.to_dict(), rep
-    x, rep = solve_direct(net, opts)
-    return x, rep.to_dict(), rep
+        x, rep = solve_gsn(net, opts, gsn, imap=imap)
+    else:
+        x, rep = solve_direct(net, opts, circuit=CompiledCircuit(net, imap))
+    return x, rep.to_dict(), imap
 
 
 def _write_error(out_dir: Path | None, code: int, message: str) -> None:
@@ -142,8 +145,7 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     opts, gsn = _solver_options(args), _gsn_options(args, out_dir)
     net = _load_network(args)
-    x, rep_dict, _rep = _solve(net, args, opts, gsn)
-    imap = build_index_map(net)
+    x, rep_dict, imap = _solve(net, args, opts, gsn)
 
     (out_dir / "solution.json").write_text(json.dumps(solution_dict(net, imap, x), indent=2) + "\n")
     (out_dir / "report.json").write_text(json.dumps(rep_dict, indent=2) + "\n")
@@ -299,7 +301,7 @@ def cmd_pvcurve(args) -> int:
             imap, circuit = compiled[name]
             try:
                 if circuit is None:
-                    x, _ = solve_gsn(case, opts, gsn)
+                    x, _ = solve_gsn(case, opts, gsn, imap=imap)
                 else:
                     try:
                         circuit.set_demands(case)
@@ -393,8 +395,6 @@ def cmd_bench(args) -> int:
 
     tnet = parse_transmission(case)
     doc = parse_feeder_doc(feeder)
-    from .netmodel import BusKind
-    from .ingest import CouplingEntry
 
     pq_buses = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
     if max(counts) > len(pq_buses):
@@ -405,10 +405,11 @@ def cmd_bench(args) -> int:
         entries = [CouplingEntry(feeder=feeder.name, bus=pq_buses[i]) for i in range(k)]
         cmap = CouplingMap(entries=entries, base_dir=feeder.parent)
         net = build_combined(tnet, cmap, {feeder.name: doc})
-        n = build_index_map(net).n
+        imap = build_index_map(net)
+        n = imap.n
         t0 = time.perf_counter()
         try:
-            _, rep = solve_gsn(net, opts, gsn)
+            _, rep = solve_gsn(net, opts, gsn, imap=imap)
             wall = time.perf_counter() - t0
             mean_inner = float(
                 np.mean([sum(d.values()) / max(1, len(d)) for d in rep.inner_iterations])

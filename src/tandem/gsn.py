@@ -212,20 +212,23 @@ def solve_gsn(
     network: Network,
     options: SolverOptions | None = None,
     gsn: GsnOptions | None = None,
+    imap: IndexMap | None = None,
 ) -> tuple[np.ndarray, GsnReport]:
     """Parallel Gauss-Seidel-Newton solve of a combined network.
 
-    Returns the global state on the combined index map plus an epoch
-    report.  Raises GsnError when an inner solve fails (naming the
-    subcircuit) or the epoch cap is exceeded.
+    Returns the global state on the combined index map (``imap`` when
+    given, else built here) plus an epoch report.  Raises GsnError when
+    an inner solve fails (naming the subcircuit) or the epoch cap is
+    exceeded.
     """
     options = options or SolverOptions()
     gsn = gsn or GsnOptions()
     inner_opts = replace(options, max_iter=INNER_MAX_ITER)
     report = GsnReport()
+    imap = imap or build_index_map(network)
 
     if not network.ports:
-        x, direct_rep = solve_direct(network, options)
+        x, direct_rep = solve_direct(network, options, circuit=CompiledCircuit(network, imap))
         report.converged = True
         report.epochs = 1
         report.boundary_deltas = [0.0]
@@ -233,7 +236,6 @@ def solve_gsn(
         report.global_residual = direct_rep.final_residual
         return x, report
 
-    imap = build_index_map(network)
     partition = tear(network, imap)
     # an epoch's snapshot changes only source voltages and injections, not
     # topology, so each subcircuit compiles once for the whole solve

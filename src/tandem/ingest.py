@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,10 +272,38 @@ def parse_transmission(path) -> Network:
 # ----------------------------------------------------------------------
 
 
+_REQUIRED = object()
+
+
+def _field(rec, key: str, kind, where: str, default=_REQUIRED):
+    """``kind(rec[key])``, or ``default`` when ``key`` is absent; CaseFormatError naming ``where``
+    on a record that is not a JSON object, a missing required key or a value ``kind`` rejects."""
+    if not isinstance(rec, dict):
+        raise CaseFormatError(f"{where}: expected a JSON object, got {rec!r}")
+    if key not in rec and default is _REQUIRED:
+        raise CaseFormatError(f"{where}: missing {key}")
+    try:
+        return kind(rec[key]) if key in rec else default
+    except (TypeError, ValueError):
+        raise CaseFormatError(f"{where}: bad {key} {rec[key]!r}") from None
+
+
+def _json_object(path: Path) -> dict:
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CaseFormatError(f"{path.name}: {exc}", exc.lineno) from exc
+    if not isinstance(raw, dict):
+        raise CaseFormatError(f"{path.name}: expected a JSON object, got {type(raw).__name__}")
+    if raw.get("schema") != FEEDER_SCHEMA_VERSION:
+        raise CaseFormatError(f"{path.name}: expected \"schema\": {FEEDER_SCHEMA_VERSION}")
+    return raw
+
+
 def _complex_of(v, where: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
         return complex(v[0], v[1])
     raise CaseFormatError(f"{where}: expected number or [re, im] pair, got {v!r}")
 
@@ -353,26 +381,23 @@ class FeederDoc:
 def parse_feeder_doc(path) -> FeederDoc:
     """Parse and validate a feeder JSON document (physical units)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"{path.name}: {exc}", exc.lineno) from exc
-    if raw.get("schema") != FEEDER_SCHEMA_VERSION:
-        raise CaseFormatError(f"{path.name}: expected \"schema\": {FEEDER_SCHEMA_VERSION}")
+    raw = _json_object(path)
     if "head" not in raw or "nodes" not in raw:
         raise CaseFormatError(f"{path.name}: missing head or nodes")
 
     doc = FeederDoc(
         name=raw.get("name", path.stem),
         head=str(raw["head"]),
-        nominal_kv=float(raw["nominal_kv"]),
+        nominal_kv=_field(raw, "nominal_kv", float, path.name),
     )
     seen_nodes: dict[str, FeederNode] = {}
-    for nd in raw["nodes"]:
+    for i, nd in enumerate(raw.get("nodes", [])):
+        where = f"{path.name}: nodes[{i}]"
+        node_id = _field(nd, "id", str, where)
         node = FeederNode(
-            id=str(nd["id"]),
-            phases=_phases_of(nd["phases"], f"node {nd['id']}"),
-            kv=float(nd.get("kv", doc.nominal_kv)),
+            id=node_id,
+            phases=_phases_of(_field(nd, "phases", str, where), f"node {node_id}"),
+            kv=_field(nd, "kv", float, where, doc.nominal_kv),
         )
         if node.id in seen_nodes:
             raise CaseFormatError(f"{path.name}: duplicate node {node.id}")
@@ -383,85 +408,83 @@ def parse_feeder_doc(path) -> FeederDoc:
     if seen_nodes[doc.head].phases != "abc":
         raise CaseFormatError(f"{path.name}: head node must carry phases abc")
 
-    def endpoints(rec, what):
-        f, t = str(rec["from"]), str(rec["to"])
+    def endpoints(rec, what, where):
+        f, t = _field(rec, "from", str, where), _field(rec, "to", str, where)
         if f not in seen_nodes or t not in seen_nodes:
             raise CaseFormatError(f"{path.name}: {what} references unknown node {f if f not in seen_nodes else t}")
-        return f, t
-
-    for li in raw.get("lines", []):
-        f, t = endpoints(li, "line")
-        phases = _phases_of(li["phases"], f"line {f}-{t}")
+        phases = _phases_of(_field(rec, "phases", str, where), f"{what} {f}-{t}")
         for node in (f, t):
             if not set(phases) <= set(seen_nodes[node].phases):
-                raise CaseFormatError(f"{path.name}: line {f}-{t} phases {phases} not present at {node}")
-        z = _matrix_of(li["z_ohms_per_mile"], len(phases), f"{path.name}: line {f}-{t}")
-        length = float(li.get("length_miles", 1.0))
+                raise CaseFormatError(f"{path.name}: {what} {f}-{t} phases {phases} not at {node}")
+        return f, t, phases
+
+    for i, li in enumerate(raw.get("lines", [])):
+        where = f"{path.name}: lines[{i}]"
+        f, t, phases = endpoints(li, "line", where)
+        z = _matrix_of(_field(li, "z_ohms_per_mile", list, where), len(phases), f"{path.name}: line {f}-{t}")
+        length = _field(li, "length_miles", float, where, 1.0)
         doc.branches.append(FeederBranch(f, t, phases, z * length, ElementKind.LINE))
 
-    for tr in raw.get("transformers", []):
-        f, t = endpoints(tr, "transformer")
-        phases = _phases_of(tr["phases"], f"transformer {f}-{t}")
-        for node in (f, t):
-            if not set(phases) <= set(seen_nodes[node].phases):
-                raise CaseFormatError(f"{path.name}: transformer {f}-{t} phases {phases} not at {node}")
+    for i, tr in enumerate(raw.get("transformers", [])):
+        where = f"{path.name}: transformers[{i}]"
+        f, t, phases = endpoints(tr, "transformer", where)
         conn = str(tr.get("connection", "wye")).lower()
         if conn != "wye":
             raise CaseFormatError(f"{path.name}: transformer {f}-{t}: only wye connections supported")
-        z1 = _complex_of([tr.get("r_ohms", 0.0), tr["x_ohms"]], f"transformer {f}-{t}")
+        z1 = complex(_field(tr, "r_ohms", float, where, 0.0), _field(tr, "x_ohms", float, where))
         doc.branches.append(
             FeederBranch(f, t, phases, np.eye(len(phases), dtype=complex) * z1, ElementKind.TRANSFORMER)
         )
 
     def tuple_of(rec, key, k, where):
-        v = rec.get(key, [0.0] * k)
-        if isinstance(v, (int, float)):
-            v = [float(v)] * k
+        v = _field(rec, key, lambda v: [float(v)] * k if isinstance(v, (int, float)) else [float(t) for t in v],
+                   where, [0.0] * k)
         if len(v) != k:
-            raise CaseFormatError(f"{path.name}: {where}: {key} needs {k} entries")
-        return tuple(float(t) for t in v)
+            raise CaseFormatError(f"{where}: {key} needs {k} entries")
+        return tuple(v)
 
-    for lo in raw.get("loads", []):
-        node = str(lo["node"])
+    def node_of(rec, what, where):
+        node = _field(rec, "node", str, where)
         if node not in seen_nodes:
-            raise CaseFormatError(f"{path.name}: load references unknown node {node}")
-        conn = Connection(str(lo.get("connection", "wye")).lower())
+            raise CaseFormatError(f"{path.name}: {what} references unknown node {node}")
+        return node
+
+    for i, lo in enumerate(raw.get("loads", [])):
+        where = f"{path.name}: loads[{i}]"
+        node = node_of(lo, "load", where)
+        conn = _field(lo, "connection", lambda v: Connection(str(v).lower()), where, Connection.WYE)
         k = 3 if conn is Connection.DELTA else len(seen_nodes[node].phases)
         if conn is Connection.DELTA and seen_nodes[node].phases != "abc":
             raise CaseFormatError(f"{path.name}: delta load at {node} needs a three-phase node")
-        zf = tuple(float(v) for v in lo.get("zip", (1.0, 0.0, 0.0)))
+        zf = _field(lo, "zip", lambda v: tuple(float(t) for t in v), where, (1.0, 0.0, 0.0))
         if len(zf) != 3 or abs(sum(zf) - 1.0) > 1e-12 or any(f < 0 or f > 1 for f in zf):
             raise CaseFormatError(f"{path.name}: load at {node}: bad ZIP fractions {zf}")
         doc.loads.append(
             FeederLoadRec(
                 node=node,
                 connection=conn,
-                kw=tuple_of(lo, "kw", k, f"load at {node}"),
-                kvar=tuple_of(lo, "kvar", k, f"load at {node}"),
+                kw=tuple_of(lo, "kw", k, where),
+                kvar=tuple_of(lo, "kvar", k, where),
                 zip_fractions=zf,
             )
         )
 
-    for cp in raw.get("capacitors", []):
-        node = str(cp["node"])
-        if node not in seen_nodes:
-            raise CaseFormatError(f"{path.name}: capacitor references unknown node {node}")
+    for i, cp in enumerate(raw.get("capacitors", [])):
+        where = f"{path.name}: capacitors[{i}]"
+        node = node_of(cp, "capacitor", where)
         phases = seen_nodes[node].phases
-        doc.capacitors.append(
-            FeederCapRec(node=node, kvar=tuple_of(cp, "kvar", len(phases), f"capacitor at {node}"), phases=phases)
-        )
+        doc.capacitors.append(FeederCapRec(node=node, kvar=tuple_of(cp, "kvar", len(phases), where), phases=phases))
 
-    for de in raw.get("ders", []):
-        node = str(de["node"])
-        if node not in seen_nodes:
-            raise CaseFormatError(f"{path.name}: DER references unknown node {node}")
+    for i, de in enumerate(raw.get("ders", [])):
+        where = f"{path.name}: ders[{i}]"
+        node = node_of(de, "DER", where)
         k = len(seen_nodes[node].phases)
         doc.ders.append(
             FeederDerRec(
                 node=node,
-                kw=tuple_of(de, "kw", k, f"DER at {node}"),
-                kvar=tuple_of(de, "kvar", k, f"DER at {node}"),
-                group=str(de.get("group", "")),
+                kw=tuple_of(de, "kw", k, where),
+                kvar=tuple_of(de, "kvar", k, where),
+                group=_field(de, "group", str, where, ""),
             )
         )
 
@@ -555,15 +578,12 @@ def feeder_network(
 
     elements = []
     for i, br in enumerate(doc.branches):
-        z_pu = br.z_ohms / z_base
         try:
-            y_pu = np.linalg.inv(z_pu)
+            y_pu = np.linalg.inv(br.z_ohms / z_base)
+            if not np.all(np.isfinite(y_pu)):
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            raise CaseFormatError(
-                f"{doc.name}: singular impedance block on {br.from_node}-{br.to_node}"
-            ) from None
-        if not np.all(np.isfinite(y_pu)):
-            raise CaseFormatError(f"{doc.name}: singular impedance block on {br.from_node}-{br.to_node}")
+            raise CaseFormatError(f"{doc.name}: singular impedance block on {br.from_node}-{br.to_node}") from None
         elements.append(
             SeriesElement(
                 id=element_offset + i,
@@ -643,20 +663,16 @@ class CouplingMap:
 
 def parse_coupling_map(path) -> CouplingMap:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"{path.name}: {exc}", exc.lineno) from exc
-    if raw.get("schema") != FEEDER_SCHEMA_VERSION:
-        raise CaseFormatError(f"{path.name}: expected \"schema\": {FEEDER_SCHEMA_VERSION}")
+    raw = _json_object(path)
     entries = []
     seen_buses = set()
-    for e in raw.get("couplings", []):
+    for i, e in enumerate(raw.get("couplings", [])):
+        where = f"{path.name}: couplings[{i}]"
         entry = CouplingEntry(
-            feeder=str(e["feeder"]),
-            bus=int(e["bus"]),
-            load_scale=float(e.get("load_scale", 1.0)),
-            der_scale=float(e.get("der_scale", 1.0)),
+            feeder=_field(e, "feeder", str, where),
+            bus=_field(e, "bus", int, where),
+            load_scale=_field(e, "load_scale", float, where, 1.0),
+            der_scale=_field(e, "der_scale", float, where, 1.0),
         )
         if entry.bus in seen_buses:
             raise CaseFormatError(f"{path.name}: bus {entry.bus} coupled twice")
@@ -708,27 +724,29 @@ def build_combined(
     ports = []
     labels = dict(tnet.labels)
 
+    # one per-unit network per distinct feeder and scales, bus and element ids from 0;
+    # each copy takes its devices with the ids shifted (the scales' reprs key it, as
+    # 0.0 and -0.0 scale to zeros of different sign)
+    templates: dict[tuple[str, str, str], tuple[Network, int]] = {}
     next_element = max((e.id for e in tnet.elements), default=-1) + 1
     for k, entry in enumerate(coupling.entries):
-        doc = feeder_docs[entry.feeder]
+        key = entry.feeder, repr(entry.load_scale), repr(entry.der_scale)
+        if key not in templates:
+            fnet = feeder_network(feeder_docs[entry.feeder], base_mva=tnet.base_mva,
+                                  load_scale=entry.load_scale, der_scale=entry.der_scale)
+            templates[key] = fnet, next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
+        fnet, head = templates[key]
         offset = stride * (k + 1)
-        fnet = feeder_network(
-            doc,
-            base_mva=tnet.base_mva,
-            bus_offset=offset,
-            load_scale=entry.load_scale,
-            der_scale=entry.der_scale,
-            element_offset=next_element,
-        )
+        buses += [replace(b, id=b.id + offset) for b in fnet.buses]
+        elements += [
+            replace(e, id=e.id + next_element, from_bus=e.from_bus + offset, to_bus=e.to_bus + offset)
+            for e in fnet.elements
+        ]
         next_element += len(fnet.elements)
-        buses += list(fnet.buses)
-        elements += list(fnet.elements)
-        loads += list(fnet.loads)
-        shunts += list(fnet.shunts)
-        ders += list(fnet.ders)
-        labels.update(fnet.labels)
-        head_id = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
-        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head_id))
+        for out, devices in ((loads, fnet.loads), (shunts, fnet.shunts), (ders, fnet.ders)):
+            out += [replace(d, bus=d.bus + offset) for d in devices]
+        labels.update((bus + offset, label) for bus, label in fnet.labels.items())
+        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head + offset))
 
     return Network(
         base_mva=tnet.base_mva,

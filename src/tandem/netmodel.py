@@ -33,6 +33,9 @@ POS_SEQ_WEIGHT = {"a": 1.0 + 0.0j, "b": ALPHA, "c": ALPHA**2}
 POSITIVE_SEQUENCE = "p"
 THREE_PHASE = "abc"
 
+# column of each phase in IndexMap.slots
+PHASE_CODE = {POSITIVE_SEQUENCE: 0, "a": 1, "b": 2, "c": 3}
+
 
 class NetworkError(ValueError):
     """Structurally unusable network (duplicate ids, dangling refs...)."""
@@ -48,11 +51,14 @@ class BusKind(Enum):
 
     @property
     def is_transmission(self) -> bool:
-        return self in (BusKind.SLACK, BusKind.PV, BusKind.PQ)
+        return self in _TRANSMISSION_KINDS
 
     @property
     def is_distribution(self) -> bool:
         return not self.is_transmission
+
+
+_TRANSMISSION_KINDS = (BusKind.SLACK, BusKind.PV, BusKind.PQ)
 
 
 class ElementKind(Enum):
@@ -65,10 +71,12 @@ class Connection(Enum):
     DELTA = "delta"
 
 
+# 'p' and every ordered, non-empty subset of 'abc'
+_PHASE_SETS = frozenset({POSITIVE_SEQUENCE, "a", "b", "c", "ab", "ac", "bc", THREE_PHASE})
+
+
 def _check_phases(phases: str) -> str:
-    if phases == POSITIVE_SEQUENCE:
-        return phases
-    if phases and all(p in "abc" for p in phases) and list(phases) == sorted(set(phases)):
+    if isinstance(phases, str) and phases in _PHASE_SETS:
         return phases
     raise NetworkError(f"bad phase set {phases!r}: expected 'p' or an ordered subset of 'abc'")
 
@@ -321,12 +329,16 @@ class IndexMap:
     block's voltages (and head-source currents for un-ported heads),
     then the port source currents last.  Transmission variables always
     precede distribution variables so the coupling structure is
-    bordered block diagonal with the transmission block first.
+    bordered block diagonal with the transmission block first.  Phase
+    k of a bus sits at V_R = first + 2k, V_I = V_R + 1; ``slots`` holds
+    V_R by sorted ``bus_ids`` row and ``PHASE_CODE`` column (-1: absent).
     """
 
     n: int
     vr: dict[tuple[int, str], int]
     vi: dict[tuple[int, str], int]
+    bus_ids: np.ndarray = field(compare=False)  # derived from vr, as is slots
+    slots: np.ndarray = field(compare=False)
     source_current: dict[tuple[int, str], tuple[int, int]]  # (bus, phase) -> (iR, iI)
     gen_q: dict[int, int]  # bus -> Q index
     port_current: dict[tuple[int, str], tuple[int, int]]  # (port id, phase) -> (iR, iI)
@@ -335,6 +347,20 @@ class IndexMap:
 
     def v_pair(self, bus_id: int, phase: str) -> tuple[int, int]:
         return self.vr[(bus_id, phase)], self.vi[(bus_id, phase)]
+
+    def v_index(self, buses, phases) -> np.ndarray:
+        """V_R index of each (bus id, phase code) pair, broadcast over arrays; V_I is one more.
+
+        Raises KeyError naming the first pair the map does not hold.
+        """
+        buses = np.asarray(buses, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self.bus_ids, buses), len(self.bus_ids) - 1)
+        vr = self.slots[rows, phases]
+        missing = (self.bus_ids[rows] != buses) | (vr < 0)
+        if missing.any():
+            bus, phase = (np.broadcast_to(a, missing.shape)[missing][0] for a in (buses, phases))
+            raise KeyError((int(bus), "pabc"[phase]))
+        return vr
 
     def voltage(self, x: np.ndarray, bus_id: int, phase: str) -> complex:
         return complex(x[self.vr[(bus_id, phase)]], x[self.vi[(bus_id, phase)]])
@@ -346,21 +372,17 @@ class IndexMap:
         raise KeyError(name)
 
 
-def _feeder_components(network: Network) -> list[list[Bus]]:
-    """Connected components of the distribution side, each a feeder block.
-
-    Components are ordered by their smallest bus id; buses inside a
-    component are sorted by id.
-    """
-    dist = {b.id: b for b in network.distribution_buses()}
-    adj: dict[int, set[int]] = {bid: set() for bid in dist}
-    for el in network.elements:
-        if el.from_bus in dist and el.to_bus in dist:
-            adj[el.from_bus].add(el.to_bus)
-            adj[el.to_bus].add(el.from_bus)
+def _components(ids, edges) -> list[list[int]]:
+    """Connected components of the graph on ``ids`` over the (a, b) ``edges`` between them,
+    others ignored; components are ordered by their smallest id and sorted."""
+    adj: dict[int, list[int]] = {i: [] for i in ids}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
     seen: set[int] = set()
     comps = []
-    for start in sorted(dist):
+    for start in sorted(adj):
         if start in seen:
             continue
         stack, comp = [start], []
@@ -372,8 +394,19 @@ def _feeder_components(network: Network) -> list[list[Bus]]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        comps.append([dist[b] for b in sorted(comp)])
+        comps.append(sorted(comp))
     return comps
+
+
+def _feeder_components(network: Network) -> list[list[Bus]]:
+    """Connected components of the distribution side, each a feeder block.
+
+    Components are ordered by their smallest bus id; buses inside a
+    component are sorted by id.
+    """
+    dist = {b.id: b for b in network.distribution_buses()}
+    edges = ((el.from_bus, el.to_bus) for el in network.elements)
+    return [[dist[i] for i in comp] for comp in _components(dist, edges)]
 
 
 def _structural_violations(network: Network) -> list[Violation]:
@@ -408,56 +441,57 @@ def build_index_map(network: Network) -> IndexMap:
     port_current: dict[tuple[int, str], tuple[int, int]] = {}
     blocks: list[tuple[str, int, int]] = []
     feeder_of_bus: dict[int, int] = {}
-
+    source_set = {b.id for b in network.source_buses()}
     pos = 0
 
-    def take(k: int) -> int:
+    def block_buses(buses: list[Bus]) -> None:
+        """Nodal voltages of ``buses``, then the currents of the sources among them."""
         nonlocal pos
-        pos += k
-        return pos - k
+        for b in buses:
+            for ph in b.phases:
+                vr[(b.id, ph)], vi[(b.id, ph)] = pos, pos + 1
+                pos += 2
+        for b in buses:
+            if b.id in source_set:
+                for ph in b.phases:
+                    source_current[(b.id, ph)] = (pos, pos + 1)
+                    pos += 2
 
     # transmission block: nodal voltages, slack currents, PV reactive unknowns
-    t_start = pos
-    t_buses = sorted(network.transmission_buses(), key=lambda b: b.id)
-    for b in t_buses:
-        for ph in b.phases:
-            vr[(b.id, ph)] = take(1)
-            vi[(b.id, ph)] = take(1)
-    source_set = {b.id for b in network.source_buses()}
-    for b in t_buses:
-        if b.id in source_set:
-            for ph in b.phases:
-                source_current[(b.id, ph)] = (take(1), take(1))
+    block_buses(sorted(network.transmission_buses(), key=lambda b: b.id))
     for g in sorted(network.generators, key=lambda g: g.bus):
         if g.status and network.bus(g.bus).kind is BusKind.PV:
-            gen_q[g.bus] = take(1)
-    blocks.append(("transmission", t_start, pos))
+            gen_q[g.bus] = pos
+            pos += 1
+    blocks.append(("transmission", 0, pos))
 
     # one block per feeder component
     for fi, comp in enumerate(_feeder_components(network)):
         f_start = pos
-        for b in comp:
-            feeder_of_bus[b.id] = fi
-            for ph in b.phases:
-                vr[(b.id, ph)] = take(1)
-                vi[(b.id, ph)] = take(1)
-        for b in comp:
-            if b.id in source_set:
-                for ph in b.phases:
-                    source_current[(b.id, ph)] = (take(1), take(1))
+        feeder_of_bus.update((b.id, fi) for b in comp)
+        block_buses(comp)
         blocks.append((f"feeder:{fi}", f_start, pos))
 
     # port source currents form the trailing border block
     p_start = pos
     for port in sorted(network.ports, key=lambda p: p.id):
         for ph in THREE_PHASE:
-            port_current[(port.id, ph)] = (take(1), take(1))
+            port_current[(port.id, ph)] = (pos, pos + 1)
+            pos += 2
     blocks.append(("ports", p_start, pos))
+
+    bus_ids = np.array(sorted(b.id for b in network.buses), dtype=np.int64)
+    slots = np.full((len(bus_ids), len(PHASE_CODE)), -1, dtype=np.int64)
+    bus = np.fromiter((bus for bus, _ in vr), np.int64, len(vr))
+    code = np.fromiter((PHASE_CODE[ph] for _, ph in vr), np.int64, len(vr))
+    slots[np.searchsorted(bus_ids, bus), code] = np.fromiter(vr.values(), np.int64, len(vr))
 
     return IndexMap(
         n=pos,
         vr=vr,
         vi=vi,
+        bus_ids=bus_ids,
+        slots=slots,
         source_current=source_current,
         gen_q=gen_q,
         port_current=port_current,
@@ -499,7 +533,18 @@ def validate(network: Network) -> list[Violation]:
     if network.transmission_buses() and not any(b.kind is BusKind.SLACK for b in network.buses):
         out.append(Violation("no-slack", "transmission network has no slack bus"))
 
-    for el in network.elements:
+    # admittance checks once per phase set: a phase block is asymmetric unless every entry
+    # is within 1e-12 of its transpose (NaN never is)
+    groups: dict[str, list[int]] = {}
+    for k, el in enumerate(network.elements):
+        groups.setdefault(el.phases, []).append(k)
+    asym, zero_self = np.zeros((2, len(network.elements)), dtype=bool)
+    for phases, ks in groups.items():
+        y = np.stack([network.elements[k].y_series for k in ks])
+        if phases != POSITIVE_SEQUENCE:
+            asym[ks] = ~np.isclose(y, y.transpose(0, 2, 1), rtol=0, atol=1e-12).all(axis=(1, 2))
+        zero_self[ks] = (np.abs(np.diagonal(y, axis1=1, axis2=2)) <= 0).any(axis=1)
+    for k, el in enumerate(network.elements):
         fb, tb = by_id.get(el.from_bus), by_id.get(el.to_bus)
         if fb is None or tb is None:  # reported by _structural_violations
             continue
@@ -509,10 +554,9 @@ def validate(network: Network) -> list[Violation]:
                     out.append(Violation("phase-mismatch", f"element {el.id} vs bus {end.id}"))
             elif not set(el.phases) <= set(end.phases):
                 out.append(Violation("phase-mismatch", f"element {el.id} phases {el.phases} not at bus {end.id}"))
-        y = np.asarray(el.y_series)
-        if el.phases != POSITIVE_SEQUENCE and not np.allclose(y, y.T, rtol=0, atol=1e-12):
+        if asym[k]:
             out.append(Violation("asym-block", f"element {el.id} admittance block not symmetric"))
-        if np.any(np.abs(np.diag(y)) <= 0):
+        if zero_self[k]:
             out.append(Violation("zero-self", f"element {el.id} has a zero self-admittance phase"))
 
     for ld in network.loads:
@@ -574,27 +618,11 @@ def validate(network: Network) -> list[Violation]:
             out.append(Violation("multi-head", f"feeder component has {len(heads)} heads {heads}"))
 
     # connectivity including ports
-    if network.buses:
-        adj: dict[int, set[int]] = {b.id: set() for b in network.buses}
-        for el in network.elements:
-            if el.from_bus in adj and el.to_bus in adj:
-                adj[el.from_bus].add(el.to_bus)
-                adj[el.to_bus].add(el.from_bus)
-        for p in network.ports:
-            if p.transmission_bus in adj and p.feeder_head in adj:
-                adj[p.transmission_bus].add(p.feeder_head)
-                adj[p.feeder_head].add(p.transmission_bus)
+    edges = [(el.from_bus, el.to_bus) for el in network.elements]
+    comps = _components(id_set, edges + [(p.transmission_bus, p.feeder_head) for p in network.ports])
+    if len(comps) > 1:
         start = network.buses[0].id
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != id_set:
-            missing = sorted(id_set - seen)[:8]
-            out.append(Violation("disconnected", f"buses unreachable from bus {start}: {missing}"))
+        missing = sorted(id_set - set(next(c for c in comps if start in c)))[:8]
+        out.append(Violation("disconnected", f"buses unreachable from bus {start}: {missing}"))
 
     return out

@@ -106,10 +106,8 @@ class UnsolvableCaseError(SolveFailure):
 def voltage_index_mask(imap: IndexMap) -> np.ndarray:
     """True on nodal voltage components; auxiliary unknowns are never limited."""
     mask = np.zeros(imap.n, dtype=bool)
-    for idx in imap.vr.values():
-        mask[idx] = True
-    for idx in imap.vi.values():
-        mask[idx] = True
+    vr = imap.slots[imap.slots >= 0]
+    mask[vr] = mask[vr + 1] = True
     return mask
 
 

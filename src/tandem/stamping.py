@@ -31,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import (
+    PHASE_CODE,
     PHASE_ROTATION,
     POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
+    THREE_PHASE,
     Connection,
     IndexMap,
     Network,
@@ -48,7 +50,7 @@ EPS_V = 1e-6
 # admittance in practice.
 DEFAULT_GAMMA = 1e3
 
-_DELTA_LEGS = (("a", "b"), ("b", "c"), ("c", "a"))
+_DELTA_LEGS = ("ab", "bc", "ca")
 
 # continuation classes of linear values: series self terms times 1 + lam gamma,
 # line charging and shunts times 1 - lam, the rest unscaled
@@ -144,9 +146,9 @@ def _expand(w):
     return np.ravel([w.real, -w.imag, w.imag, w.real])
 
 
-def _expand_pairs(rr, ri, cr, ci):
-    """Row and column indices matching ``_expand``."""
-    return np.ravel([rr, rr, ri, ri]), np.ravel([cr, ci, cr, ci])
+def _expand_pairs(r, c):
+    """Row and column indices matching ``_expand`` for V_R row and column indices."""
+    return np.ravel([r, r, r + 1, r + 1]), np.ravel([c, c + 1, c, c + 1])
 
 
 def _libm(fn, *args):
@@ -182,31 +184,30 @@ class _Legs:
         return np.concatenate([j, -j, -j, j], axis=1)[self.block_mask]
 
 
-def _legs(terminals, n: int) -> _Legs:
-    return _Legs(np.array([(*t1, *(t2 or (n, n))) for t1, t2 in terminals], dtype=np.int64).reshape(-1, 4), n)
-
-
-def _device_legs(dev, imap: IndexMap):
-    """(label, terminal pair, second terminal pair or None, s) per wye phase or delta leg."""
-    if getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE:
-        return [
-            (p1 + p2, imap.v_pair(dev.bus, p1), imap.v_pair(dev.bus, p2), s)
-            for (p1, p2), s in zip(_DELTA_LEGS, dev.s)
-        ]
-    return [(ph, imap.v_pair(dev.bus, ph), None, s) for ph, s in zip(dev.phases, dev.s)]
-
-
-def _demand_legs(network: Network, imap: IndexMap):
-    """(share, (bus, label), t1, t2, sign, s) per leg of each ZIP share, loads then DERs, in
-    stamping order; power and current legs of zero demand are left out."""
+def _demand_legs(network: Network):
+    """(share, bus, label, sign, s) per leg of each ZIP share, loads then DERs, in stamping
+    order; a label is a wye phase or a delta leg, and power and current legs of zero demand
+    are left out."""
     legs = []
     for sign, devices in ((1.0, network.loads), (-1.0, network.ders)):
         for dev in devices:
+            delta = getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE
+            labels = _DELTA_LEGS if delta else dev.phases
             for share, f in enumerate(getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))):
-                for label, t1, t2, s in _device_legs(dev, imap) if f != 0.0 else ():
-                    if share == _Z or f * s != 0:
-                        legs.append((share, (dev.bus, label), t1, t2, sign, f * s))
+                for label, s in zip(labels, dev.s) if f != 0.0 else ():
+                    fs = f * s
+                    if share == _Z or fs != 0:
+                        legs.append((share, dev.bus, label, sign, fs))
     return legs
+
+
+def _leg_terminals(legs, imap: IndexMap) -> np.ndarray:
+    """(R1, I1, R2, I2) per leg; a wye leg (one-letter label) has the ground slot n as its second."""
+    codes = np.array([(PHASE_CODE[label[0]], PHASE_CODE[label[-1]]) for _, _, label, _, _ in legs], dtype=np.int64)
+    vr = imap.v_index(np.array([leg[1] for leg in legs], dtype=np.int64)[:, None], codes.reshape(-1, 2))
+    t = np.repeat(vr, 2, axis=1) + [0, 1, 0, 1]
+    t[[len(leg[2]) == 1 for leg in legs], 2:] = imap.n
+    return t
 
 
 def _element_triplets(network: Network, imap: IndexMap):
@@ -226,8 +227,8 @@ def _element_triplets(network: Network, imap: IndexMap):
     parts = []
     for phases, members in groups.items():
         order, els = zip(*members)
-        f = np.array([[imap.v_pair(el.from_bus, ph) for ph in phases] for el in els])
-        t = np.array([[imap.v_pair(el.to_bus, ph) for ph in phases] for el in els])
+        codes = [PHASE_CODE[ph] for ph in phases]
+        f, t = imap.v_index(np.array([(el.from_bus, el.to_bus) for el in els]).T[..., None], codes)
         if phases == POSITIVE_SEQUENCE:
             # per element (value, class, relaxed value, divisor) of the ff, ft, tf, tt blocks
             vals = []
@@ -235,28 +236,22 @@ def _element_triplets(network: Network, imap: IndexMap):
                 y, a, ysh = complex(el.y_series[0, 0]), el.tap * cmath.exp(1j * el.shift), 0.5j * el.b_charge
                 vals.append([(y, _SCALED, ysh, el.tap * el.tap), (-y / a.conjugate(), _SCALED, 0, 1),
                              (-y / a, _SCALED, 0, 1), (y, _SCALED, ysh, 1)])
-            w = np.array(vals, dtype=complex).transpose(2, 1, 0)[..., None, None]
+            fields = np.array(vals, dtype=complex).transpose(2, 1, 0)[..., None, None]
         else:
             y = np.array([el.y_series for el in els])
-            blocks = np.stack([y, -y, -y, y])
-            kind = np.where(np.eye(len(phases), dtype=bool), _SCALED, _REST)
-            w = np.stack([blocks, np.broadcast_to(kind, blocks.shape), 0 * blocks, 0 * blocks + 1])
-        shape = w.shape[1:]  # (block, element, phase, phase)
-        rs, cs = np.stack([f, f, t, t]), np.stack([f, t, f, t])
-        parts.append(
-            [np.broadcast_to(np.array(order).reshape(1, -1, 1, 1), shape).ravel()]
-            + [np.broadcast_to(rs[:, :, :, None, j], shape).ravel() for j in (0, 1)]
-            + [np.broadcast_to(cs[:, :, None, :, j], shape).ravel() for j in (0, 1)]
-            + [np.broadcast_to(w[k], shape).ravel() for k in range(4)]
-        )
+            fields = np.stack([y, -y, -y, y]), np.where(np.eye(len(phases), dtype=bool), _SCALED, _REST), 0j, 1 + 0j
+        shape = (4, len(els), len(phases), len(phases))  # (block, element, phase, phase)
+        rows, cols = np.stack([f, f, t, t])[..., None], np.stack([f, t, f, t])[:, :, None, :]
+        order = np.array(order).reshape(1, -1, 1, 1)
+        parts.append([np.broadcast_to(a, shape).ravel() for a in (order, rows, cols, *fields)])
     if not parts:
         empty = np.zeros(0, np.int64)
         return empty, empty, np.zeros(0), np.zeros(0, np.int8), (empty, np.zeros(0), np.zeros(0))
     perm = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
-    rr, ri, cr, ci, w, kind, relaxed, div = (np.concatenate([p[i] for p in parts])[perm] for i in range(1, 9))
+    rr, cr, w, kind, relaxed, div = (np.concatenate([p[i] for p in parts])[perm] for i in range(1, 7))
     mixed = np.flatnonzero((relaxed != 0) | (div != 1))
     pi = ((np.arange(4)[:, None] * len(w) + mixed).ravel(), _expand(relaxed[mixed]), np.tile(div[mixed].real, 4))
-    return *_expand_pairs(rr, ri, cr, ci), _expand(w), np.tile(kind.real.astype(np.int8), 4), pi
+    return *_expand_pairs(rr, cr), _expand(w), np.tile(kind.real.astype(np.int8), 4), pi
 
 
 class CompiledCircuit:
@@ -283,21 +278,23 @@ class CompiledCircuit:
         n = imap.n
         self.imap = imap
         self.plan = AssemblyPlan(dense=True)
-        legs = _demand_legs(network, imap)
+        legs = _demand_legs(network)
         gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
-        self.keys = [row[:5] for row in legs], [g.bus for g in gens]
-        self._compile_linear(network, imap, [row for row in legs if row[0] == _Z])
+        self.keys = [leg[:4] for leg in legs], [g.bus for g in gens]
+        t = _leg_terminals(legs, imap)
+        share = np.array([leg[0] for leg in legs], dtype=np.int64)
+        self._compile_linear(network, imap, t[share == _Z])
 
-        nonlinear = [row for row in legs if row[0] != _Z]
-        legs_nl = _legs([row[2:4] for row in nonlinear], n)
-        self.labels = [row[1] for row in nonlinear]
-        self.is_pq = np.array([row[0] == _P for row in nonlinear], dtype=bool)
+        nonlinear = np.flatnonzero(share != _Z)
+        legs_nl = _Legs(t[nonlinear], n)
+        self.labels = [legs[i][1:3] for i in nonlinear.tolist()]
+        self.is_pq = share[nonlinear] == _P
         pq, cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
         self.jac = _Legs(legs_nl.t[pq], n)
 
-        g = [(*imap.v_pair(g.bus, POSITIVE_SEQUENCE), imap.gen_q[g.bus]) for g in gens]
-        gr, gi, gq = np.array(g, dtype=np.int64).reshape(-1, 3).T
-        self.gq = gq
+        gr = imap.v_index([g.bus for g in gens], PHASE_CODE[POSITIVE_SEQUENCE])
+        gi = gr + 1
+        self.gq = gq = np.array([imap.gen_q[g.bus] for g in gens], dtype=np.int64)
         # (R1, I1, R2, I2) gather rows, slot n being ground: constant-power legs, then
         # the generators as demands of -(P + jQ) on a wye leg; constant-current legs
         gen_t = np.stack([gr, gi, np.full_like(gr, n), np.full_like(gr, n)])
@@ -326,16 +323,18 @@ class CompiledCircuit:
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise IndexError(f"stamp index outside system of size {n}")
 
-    def _compile_linear(self, network: Network, imap: IndexMap, zlegs) -> None:
+    def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
         *element, (self.pi, self.pi_relaxed, self.pi_div) = _element_triplets(network, imap)
         parts = [element]
-        shunts = [(*imap.v_pair(sh.bus, ph), y) for sh in network.shunts for ph, y in zip(sh.phases, sh.y)]
-        rr, ri = np.array([row[:2] for row in shunts], dtype=np.int64).reshape(-1, 2).T
-        parts.append((*_expand_pairs(rr, ri, rr, ri), _expand([row[2] for row in shunts]), _RELAXED))
+        shunts = network.shunts
+        rr = imap.v_index([sh.bus for sh in shunts for _ in sh.phases],
+                          [PHASE_CODE[ph] for sh in shunts for ph in sh.phases])
+        y = [y for sh in shunts for y in sh.y]
+        parts.append((*_expand_pairs(rr, rr), _expand(y), _RELAXED))
 
         # constant-impedance ZIP share: values set by _take_demands
-        self.z = _legs([row[2:4] for row in zlegs], imap.n)
+        self.z = _Legs(z_terminals, imap.n)
         z_rows, z_cols = self.z.block_pattern()
         start = sum(len(part[2]) for part in parts)
         self.z_slice = slice(start, start + len(z_rows))
@@ -344,18 +343,18 @@ class CompiledCircuit:
         # ideal sources: voltage rows owned by the source current unknowns,
         # injection into the node KCL
         self.src_keys = [(b.id, ph) for b in network.source_buses() for ph in b.phases]
-        src = [(*imap.source_current[key], *imap.v_pair(*key)) for key in self.src_keys]
-        ir, ii, vr, vi = np.array(src, dtype=np.int64).reshape(-1, 4).T
-        ones = np.ones(len(src))
+        ir, ii = np.array([imap.source_current[key] for key in self.src_keys], dtype=np.int64).reshape(-1, 2).T
+        vr = imap.v_index([bus for bus, _ in self.src_keys], [PHASE_CODE[ph] for _, ph in self.src_keys])
+        vi = vr + 1
+        ones = np.ones(len(self.src_keys))
         src_vals = np.ravel([ones, ones, -ones, -ones])
         parts.append((np.ravel([ir, ii, vr, vi]), np.ravel([vr, vi, ir, ii]), src_vals, _REST))
         self.src_rhs_rows = np.concatenate([ir, ii])
         self.set_sources(network)
         self.set_injections(None)
 
-        for port in network.ports:
-            st = stamp_coupling_port(port, imap)
-            parts.append((st.rows, st.cols, st.vals, _REST))
+        ports = stamp_coupling_ports(network.ports, imap)
+        parts.append((ports.rows, ports.cols, ports.vals, _REST))
 
         self.lin_rows, self.lin_cols, self.lin_vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
         self.lin_kind = np.concatenate([np.broadcast_to(np.int8(p[3]), len(p[2])) for p in parts])
@@ -391,23 +390,24 @@ class CompiledCircuit:
         """
         if all(a is b for a, b in zip(self.devices, (network.loads, network.ders, network.generators))):
             return
-        legs = _demand_legs(network, self.imap)
+        legs = _demand_legs(network)
         gens = [g for g in network.generators if g.status and g.bus in self.imap.gen_q]
-        if ([row[:5] for row in legs], [g.bus for g in gens]) != self.keys:
+        if ([leg[:4] for leg in legs], [g.bus for g in gens]) != self.keys:
             raise ValueError("the network's demand legs or generators differ from the compiled ones")
         self._take_demands(network, legs, gens)
 
     def _take_demands(self, network: Network, legs, gens) -> None:
         self.devices = network.loads, network.ders, network.generators
-        pq, cu, z = ([row for row in legs if row[0] == share] for share in (_P, _I, _Z))
+        pq, cu, z = ([leg for leg in legs if leg[0] == share] for share in (_P, _I, _Z))
         # P of the constant-power legs, then of the generators (whose Q is an unknown)
         self.p = np.array([sign * s.real for *_, sign, s in pq] + [-g.p_set for g in gens])
         self.q = np.array([sign * s.imag for *_, sign, s in pq])
-        # delta legs see sqrt(3) pu at nominal
-        self.mag = np.array([sign * (abs(s) / math.sqrt(3.0)) if t2 else sign * abs(s) for *_, t2, sign, s in cu])
+        # delta legs (two-letter labels) see sqrt(3) pu at nominal
+        self.mag = np.array([sign * (abs(s) / math.sqrt(3.0)) if len(leg) == 2 else sign * abs(s)
+                             for _, _, leg, sign, s in cu])
         self.angle = np.array([cmath.phase(s) for *_, s in cu])
         # admittance drawing the demand at nominal voltage; |Vref|^2 = 3 on delta legs
-        y = np.array([s.conjugate() / 3.0 if t2 else s.conjugate() for *_, t2, _, s in z], dtype=complex)
+        y = np.array([s.conjugate() / 3.0 if len(leg) == 2 else s.conjugate() for _, _, leg, _, s in z], dtype=complex)
         self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
         self.gens = gens
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
@@ -505,8 +505,18 @@ def stamp_linear(circuit: CompiledCircuit, hs: HomotopyState | None = None) -> S
     return circuit.linear(hs)
 
 
-def stamp_coupling_port(port, imap: IndexMap) -> StampSet:
-    """Exact linear stamps of one coupling port.
+# a port phase's twelve triplets: rows and columns as (terminal, R/I offset) over its
+# (source current, head, POI) terminals, and values for phases a, b, c
+_PORT_ROWS = [0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2], [0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1]
+_PORT_COLS = [1, 2, 2, 1, 2, 2, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+_PORT_VALS = np.array([
+    [1.0, -rot.real, rot.imag, 1.0, -rot.imag, -rot.real, -1.0, -1.0, w.real, -w.imag, w.imag, w.real]
+    for rot, w in ((PHASE_ROTATION[ph], POS_SEQ_WEIGHT[ph] / 3.0) for ph in THREE_PHASE)
+])
+
+
+def stamp_coupling_ports(ports, imap: IndexMap) -> StampSet:
+    """Exact linear stamps of coupling ports, port by port and phase by phase.
 
     Six controlled voltage sources set the feeder-head phase voltages
     from the transmission pair through the 0/-120/+120 rotation; the
@@ -514,24 +524,15 @@ def stamp_coupling_port(port, imap: IndexMap) -> StampSet:
     back into the transmission bus (zero and negative sequence
     components stay inside the port's ideal sources).
     """
-    poi_r, poi_i = imap.v_pair(port.transmission_bus, POSITIVE_SEQUENCE)
-    triplets = []
-    for ph in "abc":
-        rot = PHASE_ROTATION[ph]
-        w = POS_SEQ_WEIGHT[ph] / 3.0
-        cur_r, cur_i = imap.port_current[(port.id, ph)]
-        head_r, head_i = imap.v_pair(port.feeder_head, ph)
-        triplets += [
-            # voltage rows: V_head - rot * V_poi = 0
-            (cur_r, head_r, 1.0), (cur_r, poi_r, -rot.real), (cur_r, poi_i, rot.imag),
-            (cur_i, head_i, 1.0), (cur_i, poi_r, -rot.imag), (cur_i, poi_i, -rot.real),
-            # source current injects into the head node
-            (head_r, cur_r, -1.0), (head_i, cur_i, -1.0),
-            # positive-sequence share of the phase current leaves the POI
-            (poi_r, cur_r, w.real), (poi_r, cur_i, -w.imag), (poi_i, cur_r, w.imag), (poi_i, cur_i, w.real),
-        ]
-    rows, cols, vals = zip(*triplets)
-    return StampSet(rows, cols, vals)
+    ends = np.array([(p.transmission_bus, *[p.feeder_head] * 3) for p in ports], dtype=np.int64).reshape(-1, 4)
+    vr = imap.v_index(ends, [PHASE_CODE[ph] for ph in POSITIVE_SEQUENCE + THREE_PHASE])
+    cur = np.array([[imap.port_current[(p.id, ph)][0] for ph in THREE_PHASE] for p in ports], dtype=np.int64)
+    # per port and phase the R index of each terminal; voltage rows V_head - rot * V_poi = 0,
+    # the source current injects into the head node and its positive-sequence share leaves the POI
+    terminals = np.stack([cur.reshape(-1, 3), vr[:, 1:], np.repeat(vr[:, :1], 3, axis=1)], axis=-1)
+    rows = terminals[..., _PORT_ROWS[0]] + _PORT_ROWS[1]
+    cols = terminals[..., _PORT_COLS[0]] + _PORT_COLS[1]
+    return StampSet(rows.ravel(), cols.ravel(), np.broadcast_to(_PORT_VALS, rows.shape).ravel())
 
 
 def stamp_nonlinear(circuit: CompiledCircuit, x: np.ndarray, gen_modes: dict[int, str] | None = None) -> StampSet:

@@ -35,7 +35,7 @@ from tandem.stamping import (
     CompiledCircuit,
     HomotopyState,
     VoltageCollapseError,
-    stamp_coupling_port,
+    stamp_coupling_ports,
     stamp_linear,
     stamp_nonlinear,
     stamp_system,
@@ -324,7 +324,7 @@ class TestCouplingPort:
         # the port rows must reproduce V_head = [1, a^2, a] * V_poi exactly
         net = self.port_net()
         imap = build_index_map(net)
-        st_ = stamp_coupling_port(net.ports[0], imap)
+        st_ = stamp_coupling_ports(net.ports[:1], imap)
         m = assemble([st_], imap.n).matrix.toarray()
         rng = np.random.default_rng(1)
         x = rng.normal(size=imap.n)
@@ -365,7 +365,7 @@ class TestCouplingPort:
         # 6x6 real transform oracle
         net = self.port_net()
         imap = build_index_map(net)
-        st_ = stamp_coupling_port(net.ports[0], imap)
+        st_ = stamp_coupling_ports(net.ports[:1], imap)
         m = assemble([st_], imap.n).matrix.toarray()
         rng = np.random.default_rng(2)
         x = rng.normal(size=imap.n)
@@ -381,7 +381,7 @@ class TestCouplingPort:
     def test_zero_sequence_injects_nothing(self):
         net = self.port_net()
         imap = build_index_map(net)
-        st_ = stamp_coupling_port(net.ports[0], imap)
+        st_ = stamp_coupling_ports(net.ports[:1], imap)
         m = assemble([st_], imap.n).matrix.toarray()
         x = np.zeros(imap.n)
         for ph in "abc":

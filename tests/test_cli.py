@@ -326,3 +326,41 @@ def test_bad_list_argument_is_input_error(workdir, command, flags):
     rc = run([command, *case, *flags, "--out", workdir / "o"])
     assert rc == EXIT_INPUT
     assert json.loads((workdir / "o" / "error.json").read_text())["exit_code"] == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "target, path, value, named",
+    [
+        ("feeder_medium.json", ("loads", 0, "connection"), "star", "loads[0]"),
+        ("feeder_medium.json", ("nominal_kv",), None, "nominal_kv"),
+        ("feeder_medium.json", ("loads", 4, "kw"), ["x"], "loads[4]"),  # a one-phase load
+        ("feeder_medium.json", ("nodes", 3, "id"), None, "nodes[3]"),
+        ("feeder_medium.json", ("lines", 2, "from"), None, "lines[2]"),
+        ("map.json", ("couplings", 0, "bus"), None, "couplings[0]"),
+        ("map.json", ("couplings", 0, "bus"), "five", "couplings[0]"),
+        ("map.json", (), "list", "JSON object"),
+    ],
+    ids=["star-load", "no-nominal-kv", "kw-text", "node-without-id", "line-without-from",
+         "entry-without-bus", "bus-text", "map-list"],
+)
+def test_bad_feeder_or_map_record_is_input_error(workdir, target, path, value, named):
+    """A malformed record exits 2 with a message naming the file and the record, value None dropping the key."""
+    docs = {"map.json": {"schema": 1, "couplings": [{"feeder": "feeder_medium.json", "bus": 5}]},
+            "feeder_medium.json": json.loads((workdir / "feeder_medium.json").read_text())}
+    if path:
+        *parents, key = path
+        rec = docs[target]
+        for part in parents:
+            rec = rec[part]
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
+    else:
+        docs[target] = [docs[target]]
+    for name, doc in docs.items():
+        (workdir / name).write_text(json.dumps(doc))
+    rc = run(["solve", "--case", workdir / "case9.m", "--coupling", workdir / "map.json", "--out", workdir / "o"])
+    assert rc == EXIT_INPUT
+    message = json.loads((workdir / "o" / "error.json").read_text())["error"]
+    assert target in message and named in message

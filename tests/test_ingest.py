@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from tandem.ingest import (
     CaseFormatError,
     CouplingEntry,
     CouplingMap,
+    _id_stride,
     build_combined,
     feeder_network,
     parse_coupling_map,
@@ -15,7 +17,7 @@ from tandem.ingest import (
     parse_transmission,
     serialize_feeder,
 )
-from tandem.netmodel import BusKind, Connection, ElementKind, validate
+from tandem.netmodel import BusKind, Connection, CouplingPort, ElementKind, Network, validate
 
 
 def write_case(tmp_path, body, name="case.m"):
@@ -279,3 +281,69 @@ class TestCombined:
             {"feeder": "a.json", "bus": 2}, {"feeder": "b.json", "bus": 2}]}))
         with pytest.raises(CaseFormatError, match="coupled twice"):
             parse_coupling_map(p)
+
+
+def _assert_same(a, b, where="network"):
+    """Equal field by field and of the same types; numpy arrays equal byte for byte."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for k in a:
+            _assert_same(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert a == b, where
+
+
+def _combined_per_copy(tnet, cmap, docs, keep_bus_load):
+    """Reference combination: one feeder_network call per coupling entry."""
+    coupled = {e.bus for e in cmap.entries}
+    stride = _id_stride(tnet, docs.values())
+    parts = {"buses": list(tnet.buses), "elements": list(tnet.elements), "shunts": list(tnet.shunts),
+             "loads": [ld for ld in tnet.loads if keep_bus_load or ld.bus not in coupled], "ders": list(tnet.ders)}
+    labels, ports = dict(tnet.labels), []
+    next_element = max(e.id for e in tnet.elements) + 1
+    for k, entry in enumerate(cmap.entries):
+        fnet = feeder_network(docs[entry.feeder], tnet.base_mva, bus_offset=stride * (k + 1),
+                              load_scale=entry.load_scale, der_scale=entry.der_scale, element_offset=next_element)
+        next_element += len(fnet.elements)
+        for name, items in parts.items():
+            items += getattr(fnet, name)
+        labels.update(fnet.labels)
+        head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
+        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head))
+    return Network(base_mva=tnet.base_mva, generators=tnet.generators, ports=tuple(ports), labels=labels,
+                   **{name: tuple(items) for name, items in parts.items()})
+
+
+@pytest.mark.parametrize("keep_bus_load", [False, True])
+def test_build_combined_matches_per_copy_feeders(data_dir, keep_bus_load):
+    """Repeated, interleaved and rescaled feeders build the same network as one feeder_network per copy."""
+    tnet = parse_transmission(data_dir / "case27.m")
+    pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
+    names = ("feeder_small.json", "feeder_medium.json", "feeder_stressed.json")
+    docs = {name: parse_feeder_doc(data_dir / name) for name in names}
+    scales = [(1.0, 1.0), (1.0, 1.0), (0.5, 1.0), (1.0, 0.0), (1.2, 2.0), (1.0, 1.0), (0.0, 1.0), (0.5, 1.0)]
+    entries = [CouplingEntry(names[k % 3], bus, *scales[k % len(scales)]) for k, bus in enumerate(pq[:14])]
+    cmap = CouplingMap(entries, data_dir)
+    net = build_combined(tnet, cmap, docs, keep_bus_load=keep_bus_load)
+    _assert_same(net, _combined_per_copy(tnet, cmap, docs, keep_bus_load))
+    assert validate(net) == []
+
+
+def test_build_combined_singular_block_names_branch(data_dir, tmp_path):
+    doc = json.loads((data_dir / "feeder_small.json").read_text())
+    doc["lines"][1]["z_ohms_per_mile"] = [[[0.0, 0.0]] * 3] * 3
+    docs = {"bad.json": parse_feeder_doc(write_feeder(tmp_path, doc, "bad.json"))}
+    tnet = parse_transmission(data_dir / "case9.m")
+    cmap = CouplingMap([CouplingEntry("bad.json", 5), CouplingEntry("bad.json", 7)], tmp_path)
+    with pytest.raises(CaseFormatError, match="feeder_small: singular impedance block on n2-n3"):
+        build_combined(tnet, cmap, docs)

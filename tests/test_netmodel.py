@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tandem.netmodel import (
+    PHASE_CODE,
     Bus,
     BusKind,
     Connection,
@@ -164,6 +165,17 @@ class TestIndexMap:
             build_index_map(net)
         assert [v.code for v in validate(net)] == ["dangling"]
 
+    def test_slot_table_gathers_the_dict_indices(self):
+        imap = build_index_map(nine_bus_with_feeder())
+        keys = list(imap.vr)
+        vr = imap.v_index([bus for bus, _ in keys], [PHASE_CODE[ph] for _, ph in keys])
+        assert vr.tolist() == list(imap.vr.values())
+        assert (vr + 1).tolist() == [imap.vi[key] for key in keys]
+        with pytest.raises(KeyError, match="21, 'p'"):  # a three-phase bus has no 'p'
+            imap.v_index([[5, 21]], [[0, 0]])
+        with pytest.raises(KeyError, match="99, 'a'"):  # no such bus
+            imap.v_index([20, 99], PHASE_CODE["a"])
+
 
 class TestValidate:
     def test_well_formed(self):
@@ -271,3 +283,64 @@ def test_loading_factor_scaling():
     g = next(g for g in net.generators if g.bus == 2)
     assert g.p_set == pytest.approx(1.2)
     assert g.v_set == pytest.approx(1.025)  # setpoints untouched
+
+
+def test_validate_violation_list_pinned():
+    """Exact violations, in order, on a network mixing the p, abc, ab and c phase sets."""
+    nan, inf = float("nan"), float("inf")
+    y3 = np.linalg.inv(np.eye(3) * complex(0.1, 0.2) + complex(0.02, 0.05))
+    y2 = y3[:2, :2].copy()
+    asym_flagged, asym_kept = y3.copy(), y2.copy()
+    asym_flagged[0, 1] += 2e-12
+    asym_kept[1, 0] += 5e-13
+    off_nan = y2.copy()
+    off_nan[0, 1] = nan
+    infs = y3.copy()
+    infs[0, 2] = infs[2, 0] = inf
+    infs[1, 2] = infs[2, 1] = -inf
+    infs[1, 1] = -inf
+    both = y2.copy()
+    both[1, 1] = 0
+    both[0, 1] += 1e-9
+
+    def bus(i, kind, phases):
+        return Bus(i, kind, phases, 12.47, flat_voltages(phases) if phases != "p" else (1 + 0j,))
+
+    def el(i, f, t, phases, y):
+        return SeriesElement(i, f, t, ElementKind.LINE, phases, np.asarray(y, dtype=complex))
+
+    net = Network(
+        base_mva=100.0,
+        buses=(
+            bus(1, BusKind.SLACK, "p"), bus(2, BusKind.PQ, "p"), bus(3, BusKind.PQ, "p"),
+            bus(10, BusKind.FEEDER_HEAD, "abc"), bus(11, BusKind.LOAD_NODE, "abc"),
+            bus(12, BusKind.LOAD_NODE, "ab"), bus(13, BusKind.LOAD_NODE, "c"), bus(14, BusKind.LOAD_NODE, "ab"),
+        ),
+        elements=(
+            el(0, 1, 2, "p", Y1),
+            el(1, 10, 11, "abc", asym_flagged),
+            el(2, 11, 12, "ab", asym_kept),
+            el(3, 11, 13, "c", [[0]]),
+            el(4, 11, 12, "abc", asym_flagged),
+            el(5, 2, 3, "p", [[0]]),
+            el(6, 12, 14, "ab", off_nan),
+            el(7, 11, 13, "c", [[nan]]),
+            el(8, 10, 11, "abc", infs),
+            el(9, 12, 14, "ab", both),
+            el(10, 3, 13, "p", Y1),
+            el(11, 10, 11, "abc", y3),
+        ),
+        ports=(CouplingPort(0, 2, 10),),
+    )
+    assert [(v.code, v.message) for v in validate(net)] == [
+        ("asym-block", "element 1 admittance block not symmetric"),
+        ("zero-self", "element 3 has a zero self-admittance phase"),
+        ("phase-mismatch", "element 4 phases abc not at bus 12"),
+        ("asym-block", "element 4 admittance block not symmetric"),
+        ("zero-self", "element 5 has a zero self-admittance phase"),
+        ("asym-block", "element 6 admittance block not symmetric"),
+        ("asym-block", "element 7 admittance block not symmetric"),
+        ("asym-block", "element 9 admittance block not symmetric"),
+        ("zero-self", "element 9 has a zero self-admittance phase"),
+        ("phase-mismatch", "element 10 vs bus 13"),
+    ]

@@ -15,6 +15,10 @@ path (its own bundled data):
   ``case9_stressed``, and on case27 with one ``feeder_medium`` on each of
   its 24 PQ buses, under ``direct``, ``gsn --workers 1`` and
   ``gsn --workers 2``;
+- ``tandem solve`` on case27 with ``feeder_small``, ``feeder_medium`` and
+  ``feeder_stressed`` in turn on its PQ buses, some entries with a
+  ``load_scale`` or ``der_scale`` (``MIXED_ENTRIES``), under ``direct``
+  and ``gsn --workers 1``: repeated feeders at several scales;
 - ``tandem solve --homotopy on`` (continuation from lambda = 1 down to 0)
   on ``case_radial7`` and on case9 with ``case9_stressed``;
 - the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
@@ -41,6 +45,7 @@ import cmath
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -56,20 +61,29 @@ SOLVERS = {
     "gsn-w1": ["--solver", "gsn", "--workers", "1"],
     "gsn-w2": ["--solver", "gsn", "--workers", "2"],
 }
+# (feeder, extra coupling keys), cycled over case27's PQ buses; all converge
+MIXED_ENTRIES = (
+    ("feeder_small", {}), ("feeder_medium", {"load_scale": 0.5}), ("feeder_stressed", {"der_scale": 0.0}),
+    ("feeder_small", {"load_scale": 1.2, "der_scale": 2.0}), ("feeder_medium", {}),
+    ("feeder_stressed", {"load_scale": 0.8}),
+)
 HOMOTOPY_RUNS = ("case_radial7", "case9+case9_stressed")  # solved again under --homotopy on
 PVCURVE_ARGS = ["--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1"]
 
 
-def _write_k24_map(data: Path, path: Path) -> None:
-    """Coupling map with one feeder_medium on every PQ bus of case27, next to a copy of the feeder."""
+def _write_case27_map(data: Path, path: Path, entries) -> None:
+    """Coupling map with the (feeder, extra keys) ``entries``, cycled, on the PQ buses of case27,
+    next to copies of the feeders."""
     from tandem.ingest import parse_transmission
     from tandem.netmodel import BusKind
 
     net = parse_transmission(data / "case27.m")
     buses = sorted(b.id for b in net.buses if b.kind is BusKind.PQ)
-    couplings = [{"feeder": "feeder_medium.json", "bus": b} for b in buses]
+    cycled = zip(buses, itertools.cycle(entries))
+    couplings = [{"feeder": f"{name}.json", "bus": b, **extra} for b, (name, extra) in cycled]
     path.parent.mkdir(parents=True, exist_ok=True)
-    (path.parent / "feeder_medium.json").write_bytes((data / "feeder_medium.json").read_bytes())
+    for name in {name for name, _ in entries}:
+        (path.parent / f"{name}.json").write_bytes((data / f"{name}.json").read_bytes())
     path.write_text(json.dumps({"schema": 1, "couplings": couplings}, indent=1) + "\n")
 
 
@@ -79,8 +93,9 @@ def snapshot(out: Path) -> int:
 
     out = out.resolve()
     data = Path(tandem.__file__).resolve().parent / "data"
-    k24_map = out / "inputs" / "case27_k24.json"
-    _write_k24_map(data, k24_map)
+    k24_map, mixed_map = out / "inputs" / "case27_k24.json", out / "inputs" / "case27_mixed.json"
+    _write_case27_map(data, k24_map, [("feeder_medium", {})])
+    _write_case27_map(data, mixed_map, MIXED_ENTRIES)
 
     runs = {f"case9+{m}": ["--case", "case9.m", "--coupling", f"{m}.json"] for m in CASE9_MAPS}
     runs["case27+k24"] = ["--case", "case27.m", "--coupling", str(k24_map)]
@@ -95,6 +110,10 @@ def snapshot(out: Path) -> int:
                 for solver, solver_args in SOLVERS.items():
                     rc = main(["solve", *case_args, *solver_args, "--out", str(out / name / solver)])
                     failed += rc != 0
+            for solver in ("direct", "gsn-w1"):
+                rc = main(["solve", "--case", "case27.m", "--coupling", str(mixed_map), *SOLVERS[solver],
+                           "--out", str(out / "case27+mixed" / solver)])
+                failed += rc != 0
             for name in HOMOTOPY_RUNS:
                 case_args = runs.get(name, ["--case", f"{name}.m"])
                 rc = main(["solve", *case_args, "--homotopy", "on", "--out", str(out / name / "direct-homotopy")])
