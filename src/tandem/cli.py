@@ -437,7 +437,7 @@ def _add_common(p: argparse.ArgumentParser, coupling: bool = True):
     p.add_argument("--solver", choices=("direct", "gsn"), default="direct")
     p.add_argument("--workers", type=int, default=1, help="parallel subcircuit workers for gsn")
     p.add_argument("--tol", type=float, default=None, help="inner mismatch tolerance (pu current)")
-    p.add_argument("--outer-tol", type=float, default=None, help="gsn boundary-change tolerance")
+    p.add_argument("--outer-tol", type=float, default=None, help="gsn global-mismatch tolerance")
     p.add_argument("--dvmax", type=float, default=None, help="per-iteration voltage step cap (pu)")
     p.add_argument("--gamma", type=float, default=None, help="continuation admittance scale factor")
     p.add_argument("--homotopy", choices=("auto", "on", "off"), default=None)

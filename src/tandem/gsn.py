@@ -1,16 +1,18 @@
 """Domain decomposition and the parallel Gauss-Seidel-Newton outer loop.
 
 The combined network is torn at its coupling ports into one
-transmission subcircuit plus one subcircuit per feeder.  Each epoch
-takes a snapshot of the boundary quantities (the transmission-side
-voltage pair and the six port currents per port), solves every
-subcircuit's inner Newton problem in parallel against that snapshot
-(feeders see their head held at the rotated snapshot voltage,
-transmission sees constant per-port current consumption), then
-exchanges the boundary.  Convergence is the infinity norm of the
-boundary change across one epoch.
+transmission subcircuit plus one subcircuit per feeder.  The boundary
+quantities are, per port, the transmission-side voltage and the three
+head currents.  Each epoch first solves the transmission subcircuit's
+inner Newton problem with every port drawing the last head currents as
+constant current, then solves the feeders in parallel with each head
+held at the rotated fresh POI voltage.  The first epoch's head currents
+lump each feeder into its nominal net demand.  After every epoch the
+subcircuit states are scattered into the combined state, and the loop
+stops when that state's true mismatch on the combined system is at most
+the outer tolerance.
 
-Subcircuits all read the epoch-start snapshot, so results do not
+The feeders of one epoch all read the same snapshot, so results do not
 depend on completion order and any worker count gives the same answer.
 """
 
@@ -35,7 +37,7 @@ from .netmodel import (
     initial_state,  # noqa: F401  (perfbench/tracer.py wraps tandem.gsn.initial_state)
 )
 from .newton import SolveFailure, SolverOptions, solve_direct
-from .sparse import assemble
+from .sparse import assemble  # noqa: F401  (perfbench/tracer.py wraps tandem.gsn.assemble)
 from .stamping import CompiledCircuit, stamp_system
 
 log = logging.getLogger(__name__)
@@ -56,8 +58,10 @@ INNER_MAX_ITER = 20  # Newton iteration cap of every subcircuit solve
 
 @dataclass
 class GsnOptions:
-    """Outer-loop knobs; inner solves take the caller's SolverOptions capped at
-    INNER_MAX_ITER."""
+    """Outer-loop knobs: ``outer_tol`` bounds the true mismatch of the
+    combined state after an epoch.  Inner solves take the caller's
+    SolverOptions capped at INNER_MAX_ITER, their tolerance at most
+    ``outer_tol / 10``."""
 
     outer_tol: float = 1e-3
     max_epochs: int = 100
@@ -216,6 +220,13 @@ def solve_gsn(
 ) -> tuple[np.ndarray, GsnReport]:
     """Parallel Gauss-Seidel-Newton solve of a combined network.
 
+    Each epoch solves the transmission block against the last head
+    currents, then every feeder against the fresh POI voltages; the
+    first head currents are each single-port feeder's net demand (loads
+    less DERs plus shunts) at 1 pu, drawn at the case-data POI voltage.
+    Stops once the true mismatch of the combined state is at most
+    ``gsn.outer_tol``, which ``report.global_residual`` then holds.
+
     Returns the global state on the combined index map (``imap`` when
     given, else built here) plus an epoch report.  Raises GsnError when
     an inner solve fails (naming the subcircuit) or the epoch cap is
@@ -223,7 +234,7 @@ def solve_gsn(
     """
     options = options or SolverOptions()
     gsn = gsn or GsnOptions()
-    inner_opts = replace(options, max_iter=INNER_MAX_ITER)
+    inner_opts = replace(options, max_iter=INNER_MAX_ITER, tol=min(options.tol, gsn.outer_tol / 10))
     report = GsnReport()
     imap = imap or build_index_map(network)
 
@@ -237,21 +248,30 @@ def solve_gsn(
         return x, report
 
     partition = tear(network, imap)
+    transmission, feeders = partition.subs[0], partition.subs[1:]
     # an epoch's snapshot changes only source voltages and injections, not
     # topology, so each subcircuit compiles once for the whole solve
     circuits = [CompiledCircuit(sub.network, sub.imap) for sub in partition.subs]
+    combined = CompiledCircuit(network, imap)  # evaluates the global mismatch
 
     # one boundary row per port in port-id order: the transmission-side
     # voltage, then the head currents of phases a, b, c; the first
-    # snapshot takes the voltages from the case data and zero currents
+    # snapshot takes the voltages from the case data and the currents
+    # from each single-port feeder's lumped demand
     row = {pv.port.id: k for k, pv in enumerate(partition.port_vars)}
     boundary = np.zeros((len(row), 1 + len(THREE_PHASE)), dtype=complex)
     for pv in partition.port_vars:
         boundary[row[pv.port.id], 0] = network.bus(pv.port.transmission_bus).v0[0]
+    for sub in feeders:
+        if len(sub.ports) == 1:
+            net, k = sub.network, row[sub.ports[0].id]
+            s = sum(sum(d.s) for d in net.loads) - sum(sum(d.s) for d in net.ders)
+            s += sum(sum(y.conjugate() for y in sh.y) for sh in net.shunts)
+            boundary[k, 1:] = [PHASE_ROTATION[ph] * (s / (3 * boundary[k, 0])).conjugate() for ph in THREE_PHASE]
 
     warm: list[np.ndarray | None] = [None] * len(partition.subs)
     log_file = open(gsn.epoch_log_path, "w") if gsn.epoch_log_path else None
-    n_pool = min(gsn.workers, len(partition.subs))
+    n_pool = min(gsn.workers, len(feeders))
     pool = ThreadPoolExecutor(max_workers=n_pool) if n_pool > 1 else None
 
     def run_sub(sub: SubCircuit, snap: np.ndarray):
@@ -280,25 +300,25 @@ def solve_gsn(
         except SolveFailure as exc:
             raise GsnError(f"subcircuit {sub.name} failed to converge: {exc}", report) from exc
 
-    gen_modes: dict[int, str] = {}
+    x_global = np.zeros(imap.n)
+    linear = None
     try:
         for epoch in range(1, gsn.max_epochs + 1):
-            snap = boundary
-            if pool:
-                outcomes = list(pool.map(lambda s: run_sub(s, snap), partition.subs))
-            else:
-                outcomes = [run_sub(sub, snap) for sub in partition.subs]
+            new = boundary.copy()
+            x, rep = run_sub(transmission, boundary)
+            warm[transmission.index] = x
+            iters = {transmission.name: rep.iterations}
+            gen_modes = rep.gen_modes
+            for p in transmission.ports:
+                new[row[p.id], 0] = transmission.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
 
-            new = snap.copy()
-            iters: dict[str, int] = {}
-            for sub, (x, rep) in zip(partition.subs, outcomes):
+            if pool:
+                outcomes = list(pool.map(lambda s: run_sub(s, new), feeders))
+            else:
+                outcomes = [run_sub(sub, new) for sub in feeders]
+            for sub, (x, rep) in zip(feeders, outcomes):
                 warm[sub.index] = x
                 iters[sub.name] = rep.iterations
-                if sub.kind == "transmission":
-                    gen_modes = rep.gen_modes
-                    for p in sub.ports:
-                        new[row[p.id], 0] = sub.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
-                    continue
                 for p in sub.ports:
                     k = row[p.id]
                     for j, ph in enumerate(THREE_PHASE, start=1):
@@ -306,17 +326,25 @@ def solve_gsn(
                         new[k, j] = complex(x[ir], x[ii])
 
             # infinity norm of the boundary change over all real components
-            delta = float(np.abs((new - snap).view(float)).max())
+            delta = float(np.abs((new - boundary).view(float)).max())
+            boundary = new
+            for sub in partition.subs:
+                x_global[sub.local_to_global] = warm[sub.index]
+            linear, nonlinear = stamp_system(combined, x_global, gen_modes=gen_modes, linear=linear)
+            system = combined.plan.assemble([linear, nonlinear], imap.n)
+            mismatch = float(np.abs(system.matrix @ x_global - system.rhs).max(initial=0.0))
+
             report.boundary_deltas.append(delta)
             report.inner_iterations.append(iters)
+            report.global_residual = mismatch
             report.epochs = epoch
-            log.info("epoch %3d  boundary change %.3e  inner iters %s", epoch, delta, iters)
+            log.info("epoch %3d  global mismatch %.3e  boundary change %.3e  inner iters %s",
+                     epoch, mismatch, delta, iters)
             if log_file:
-                log_file.write(json.dumps({"epoch": epoch, "boundary_delta": delta, "inner_iters": iters}) + "\n")
+                record = {"epoch": epoch, "global_mismatch": mismatch, "boundary_delta": delta, "inner_iters": iters}
+                log_file.write(json.dumps(record) + "\n")
                 log_file.flush()
-
-            boundary = new
-            if delta <= gsn.outer_tol:
+            if mismatch <= gsn.outer_tol:
                 report.converged = True
                 break
     finally:
@@ -324,18 +352,8 @@ def solve_gsn(
             pool.shutdown()
         if log_file:
             log_file.close()
-    circuits = None  # kept alive into the global compile below, they raise peak RSS
 
     if not report.converged:
         report.error = f"boundary exchange did not converge in {gsn.max_epochs} epochs"
         raise GsnError(report.error, report)
-
-    # scatter sub states into the global combined vector
-    x_global = np.zeros(imap.n)
-    for sub in partition.subs:
-        x_global[sub.local_to_global] = warm[sub.index]
-
-    lin, nonlin = stamp_system(CompiledCircuit(network, imap), x_global, gen_modes=gen_modes)
-    system = assemble([lin, nonlin], imap.n)
-    report.global_residual = float(np.abs(system.matrix @ x_global - system.rhs).max(initial=0.0))
     return x_global, report

@@ -309,6 +309,8 @@ def _complex_of(v, where: str) -> complex:
 
 
 def _matrix_of(m, k: int, where: str) -> np.ndarray:
+    if not all(isinstance(row, list) for row in m):
+        raise CaseFormatError(f"{where}: expected impedance rows as lists, got {m!r}")
     arr = np.array([[_complex_of(v, where) for v in row] for row in m], dtype=complex)
     if arr.shape != (k, k):
         raise CaseFormatError(f"{where}: expected {k}x{k} impedance block, got {arr.shape}")
@@ -390,8 +392,15 @@ def parse_feeder_doc(path) -> FeederDoc:
         head=str(raw["head"]),
         nominal_kv=_field(raw, "nominal_kv", float, path.name),
     )
+
+    def records(key):
+        recs = raw.get(key, [])
+        if not isinstance(recs, list):
+            raise CaseFormatError(f"{path.name}: {key} must be a list of records, got {recs!r}")
+        return enumerate(recs)
+
     seen_nodes: dict[str, FeederNode] = {}
-    for i, nd in enumerate(raw.get("nodes", [])):
+    for i, nd in records("nodes"):
         where = f"{path.name}: nodes[{i}]"
         node_id = _field(nd, "id", str, where)
         node = FeederNode(
@@ -418,14 +427,14 @@ def parse_feeder_doc(path) -> FeederDoc:
                 raise CaseFormatError(f"{path.name}: {what} {f}-{t} phases {phases} not at {node}")
         return f, t, phases
 
-    for i, li in enumerate(raw.get("lines", [])):
+    for i, li in records("lines"):
         where = f"{path.name}: lines[{i}]"
         f, t, phases = endpoints(li, "line", where)
         z = _matrix_of(_field(li, "z_ohms_per_mile", list, where), len(phases), f"{path.name}: line {f}-{t}")
         length = _field(li, "length_miles", float, where, 1.0)
         doc.branches.append(FeederBranch(f, t, phases, z * length, ElementKind.LINE))
 
-    for i, tr in enumerate(raw.get("transformers", [])):
+    for i, tr in records("transformers"):
         where = f"{path.name}: transformers[{i}]"
         f, t, phases = endpoints(tr, "transformer", where)
         conn = str(tr.get("connection", "wye")).lower()
@@ -449,7 +458,7 @@ def parse_feeder_doc(path) -> FeederDoc:
             raise CaseFormatError(f"{path.name}: {what} references unknown node {node}")
         return node
 
-    for i, lo in enumerate(raw.get("loads", [])):
+    for i, lo in records("loads"):
         where = f"{path.name}: loads[{i}]"
         node = node_of(lo, "load", where)
         conn = _field(lo, "connection", lambda v: Connection(str(v).lower()), where, Connection.WYE)
@@ -469,13 +478,13 @@ def parse_feeder_doc(path) -> FeederDoc:
             )
         )
 
-    for i, cp in enumerate(raw.get("capacitors", [])):
+    for i, cp in records("capacitors"):
         where = f"{path.name}: capacitors[{i}]"
         node = node_of(cp, "capacitor", where)
         phases = seen_nodes[node].phases
         doc.capacitors.append(FeederCapRec(node=node, kvar=tuple_of(cp, "kvar", len(phases), where), phases=phases))
 
-    for i, de in enumerate(raw.get("ders", [])):
+    for i, de in records("ders"):
         where = f"{path.name}: ders[{i}]"
         node = node_of(de, "DER", where)
         k = len(seen_nodes[node].phases)

@@ -339,9 +339,12 @@ def test_bad_list_argument_is_input_error(workdir, command, flags):
         ("map.json", ("couplings", 0, "bus"), None, "couplings[0]"),
         ("map.json", ("couplings", 0, "bus"), "five", "couplings[0]"),
         ("map.json", (), "list", "JSON object"),
+        ("feeder_medium.json", ("nodes",), 5, "nodes"),
+        ("feeder_medium.json", ("loads",), 7, "loads"),
+        ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile"), [1, 2, 3], "impedance rows"),
     ],
     ids=["star-load", "no-nominal-kv", "kw-text", "node-without-id", "line-without-from",
-         "entry-without-bus", "bus-text", "map-list"],
+         "entry-without-bus", "bus-text", "map-list", "nodes-number", "loads-number", "z-flat-row"],
 )
 def test_bad_feeder_or_map_record_is_input_error(workdir, target, path, value, named):
     """A malformed record exits 2 with a message naming the file and the record, value None dropping the key."""

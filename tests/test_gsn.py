@@ -258,6 +258,7 @@ class TestSolveGsn:
                 for ph in b.phases:
                     assert abs(imap.voltage(xg, b.id, ph) - imap.voltage(xd, b.id, ph)) <= 1e-5
             assert rep.global_residual <= 1e-5
+            assert rep.global_residual <= gsn.outer_tol
             assert rep.epochs <= 10
             checked += 1
         assert checked >= 20
@@ -340,6 +341,13 @@ class TestSolveGsn:
         _, rep = solve_gsn(combined1, opts, gsn)
         assert rep.global_residual <= opts.tol + 10 * gsn.outer_tol
 
+    def test_converged_only_at_outer_tol(self, combined1):
+        # a tight outer tolerance is met by the true mismatch, not by a
+        # small boundary change
+        _, rep = solve_gsn(combined1, SolverOptions(), GsnOptions(outer_tol=1e-8))
+        assert rep.converged
+        assert rep.global_residual <= 1e-8
+
     def test_epoch_cap_raises(self, combined1):
         with pytest.raises(GsnError, match="did not converge"):
             solve_gsn(combined1, SolverOptions(), GsnOptions(max_epochs=1))
@@ -350,4 +358,4 @@ class TestSolveGsn:
         import json
 
         lines = [json.loads(l) for l in log.read_text().splitlines()]
-        assert lines and {"epoch", "boundary_delta", "inner_iters"} <= set(lines[0])
+        assert lines and {"epoch", "global_mismatch", "boundary_delta", "inner_iters"} <= set(lines[0])

@@ -8,17 +8,25 @@ snapshot with the old sources and one with the new, then comparing:
     PYTHONPATH=src python tools/compare_outputs.py snapshot new/
     python tools/compare_outputs.py compare old/ new/
 
+A change that moves answers on purpose reports, for each snapshot, how
+far every GSN answer lies from a tight direct solve:
+
+    python tools/compare_outputs.py distance old/
+    python tools/compare_outputs.py distance new/
+
 ``snapshot DIR`` runs, in-process and with the ``tandem`` found on the
 path (its own bundled data):
 
 - ``tandem solve`` on case9 with ``case9_feeder1``, ``case9_feeder4`` and
   ``case9_stressed``, and on case27 with one ``feeder_medium`` on each of
   its 24 PQ buses, under ``direct``, ``gsn --workers 1`` and
-  ``gsn --workers 2``;
+  ``gsn --workers 2``, and under ``direct --tol 1e-10`` (``direct-tight``,
+  the reference of ``distance``);
 - ``tandem solve`` on case27 with ``feeder_small``, ``feeder_medium`` and
   ``feeder_stressed`` in turn on its PQ buses, some entries with a
-  ``load_scale`` or ``der_scale`` (``MIXED_ENTRIES``), under ``direct``
-  and ``gsn --workers 1``: repeated feeders at several scales;
+  ``load_scale`` or ``der_scale`` (``MIXED_ENTRIES``), under ``direct``,
+  ``gsn --workers 1`` and ``direct --tol 1e-10``: repeated feeders at
+  several scales;
 - ``tandem solve --homotopy on`` (continuation from lambda = 1 down to 0)
   on ``case_radial7`` and on case9 with ``case9_stressed``;
 - the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
@@ -36,6 +44,8 @@ relative change can reach 1e-6): the same run with its last bits moved.
 Otherwise the line names the first differing key.
 Any other file that differs reads ``differs``.  It exits 1 when a file
 is missing on one side or a voltage differs by more than 1e-9 pu.
+``distance SNAP`` prints, for every GSN ``solution.json`` in a snapshot,
+the largest |dV| in pu from the ``direct-tight`` solution of its case.
 Uses only the standard library and ``tandem``.
 """
 
@@ -60,6 +70,7 @@ SOLVERS = {
     "direct": ["--solver", "direct"],
     "gsn-w1": ["--solver", "gsn", "--workers", "1"],
     "gsn-w2": ["--solver", "gsn", "--workers", "2"],
+    "direct-tight": ["--solver", "direct", "--tol", "1e-10"],
 }
 # (feeder, extra coupling keys), cycled over case27's PQ buses; all converge
 MIXED_ENTRIES = (
@@ -110,7 +121,7 @@ def snapshot(out: Path) -> int:
                 for solver, solver_args in SOLVERS.items():
                     rc = main(["solve", *case_args, *solver_args, "--out", str(out / name / solver)])
                     failed += rc != 0
-            for solver in ("direct", "gsn-w1"):
+            for solver in ("direct", "gsn-w1", "direct-tight"):
                 rc = main(["solve", "--case", "case27.m", "--coupling", str(mixed_map), *SOLVERS[solver],
                            "--out", str(out / "case27+mixed" / solver)])
                 failed += rc != 0
@@ -216,12 +227,24 @@ def compare(a: Path, b: Path) -> int:
     return 1 if bad else 0
 
 
+def distance(snap: Path) -> int:
+    tight = sorted(snap.glob("*/direct-tight/solution.json"))
+    for ref in tight:
+        for path in sorted(ref.parent.parent.glob("gsn-*/solution.json")):
+            print(f"{path.relative_to(snap)}: max |dV| {_solution_dv(path, ref):.3e} pu from direct-tight")
+    if not tight:
+        print(f"distance: no direct-tight solution under {snap}", file=sys.stderr)
+    return 0 if tight else 1
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "snapshot":
         return snapshot(Path(argv[1]))
     if len(argv) == 3 and argv[0] == "compare":
         return compare(Path(argv[1]), Path(argv[2]))
-    print("usage: compare_outputs.py snapshot DIR | compare A B", file=sys.stderr)
+    if len(argv) == 2 and argv[0] == "distance":
+        return distance(Path(argv[1]))
+    print("usage: compare_outputs.py snapshot DIR | compare A B | distance SNAP", file=sys.stderr)
     return 2
 
 
