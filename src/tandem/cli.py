@@ -31,7 +31,7 @@ from .ingest import (
 )
 from .netmodel import BusKind, NetworkError, build_index_map, validate
 from .newton import SolveFailure, SolverOptions, solve_direct
-from .results import poi_extremes, poi_voltages, solution_dict
+from .results import poi_extremes, poi_voltages, solution_dict, solution_json
 from .stamping import CompiledCircuit
 
 log = logging.getLogger(__name__)
@@ -147,7 +147,7 @@ def cmd_solve(args) -> int:
     net = _load_network(args)
     x, rep_dict, imap = _solve(net, args, opts, gsn)
 
-    (out_dir / "solution.json").write_text(json.dumps(solution_dict(net, imap, x), indent=2) + "\n")
+    (out_dir / "solution.json").write_text(solution_json(solution_dict(net, imap, x)) + "\n")
     (out_dir / "report.json").write_text(json.dumps(rep_dict, indent=2) + "\n")
 
     lines = ["tandem solve summary", f"case: {args.case}", f"solver: {args.solver}"]
@@ -277,12 +277,9 @@ def cmd_pvcurve(args) -> int:
     contingency = _parse_contingency(args.contingency, net)
     poi_bus = sorted(net.ports, key=lambda p: p.id)[0].transmission_bus
 
-    scenarios: list[tuple[str, float, bool]] = []
-    for s in der_scales:
-        scenarios.append((f"v_poi_der{s:g}", s, False))
+    scenarios = [(f"v_poi_der{s:g}", s, False) for s in der_scales]
     if contingency:
-        for s in der_scales:
-            scenarios.append((f"v_poi_cont_der{s:g}", s, True))
+        scenarios += [(f"v_poi_cont_der{s:g}", s, True) for s in der_scales]
 
     columns: dict[str, dict[float, float]] = {name: {} for name, _, _ in scenarios}
     alive = {name: True for name, _, _ in scenarios}
@@ -317,12 +314,9 @@ def cmd_pvcurve(args) -> int:
     header = PVCURVE_HEADER + "".join(f",{name}" for name, _, _ in scenarios)
     rows = [header]
     for lf in lfs:
-        if not any(lf in columns[name] for name, _, _ in scenarios):
-            continue
-        cells = [f"{lf:g}"]
-        for name, _, _ in scenarios:
-            cells.append(f"{columns[name][lf]:.6f}" if lf in columns[name] else "")
-        rows.append(",".join(cells))
+        cells = [f"{columns[name][lf]:.6f}" if lf in columns[name] else "" for name, _, _ in scenarios]
+        if any(cells):
+            rows.append(",".join([f"{lf:g}", *cells]))
     (out_dir / "pvcurve.csv").write_text("\n".join(rows) + "\n")
 
     series = {

@@ -18,10 +18,12 @@ depend on completion order and any worker count gives the same answer.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import pickle
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -31,6 +33,7 @@ from .netmodel import (
     POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
+    Bus,
     IndexMap,
     Network,
     build_index_map,
@@ -82,6 +85,11 @@ class GsnOptions:
 
 @dataclass
 class SubCircuit:
+    """One torn block.  Copies of a feeder share the ``network`` and ``imap`` of the first
+    (the template) and solve in its bus ids, ``shift`` (the template's smallest bus id less
+    the copy's) taking theirs there: inner failure reasons quote the template's bus ids,
+    while ``name``, ``ports`` and the global indices stay the copy's own."""
+
     index: int
     name: str
     kind: str  # "transmission" | "feeder"
@@ -90,6 +98,7 @@ class SubCircuit:
     ports: tuple
     internal_global: np.ndarray
     local_to_global: np.ndarray  # local unknown -> global unknown
+    shift: int = 0
 
 
 @dataclass
@@ -110,17 +119,28 @@ class Partition:
     port_vars: list[PortVars]
 
 
-def _subnetwork(network: Network, bus_ids: set[int]) -> Network:
-    return Network(
-        base_mva=network.base_mva,
-        buses=tuple(b for b in network.buses if b.id in bus_ids),
-        elements=tuple(e for e in network.elements if e.from_bus in bus_ids and e.to_bus in bus_ids),
-        loads=tuple(ld for ld in network.loads if ld.bus in bus_ids),
-        shunts=tuple(sh for sh in network.shunts if sh.bus in bus_ids),
-        generators=tuple(g for g in network.generators if g.bus in bus_ids),
-        ders=tuple(d for d in network.ders if d.bus in bus_ids),
-        labels={k: v for k, v in network.labels.items() if k in bus_ids},
-    )
+_DEVICES = ("buses", "elements", "loads", "shunts", "generators", "ders")
+_BUS_REFS = frozenset({"id", "bus", "from_bus", "to_bus"})
+
+
+@functools.cache
+def _key_fields(cls) -> tuple[str, ...]:
+    """The fields of a device class that a feeder key compares: all but element ids."""
+    return tuple(f.name for f in fields(cls) if not (f.name == "id" and cls is not Bus))
+
+
+def _feeder_key(part: dict[str, list], base: int) -> bytes:
+    """Every field of a feeder's buses, elements and devices that the compile and the
+    solve read, bus ids less ``base`` and arrays by shape and bytes.  Pickled, so a
+    float's sign of zero counts: equal keys compile to bit-equal circuits."""
+    key: list = []
+    for name in _DEVICES:
+        key.append(len(part[name]))
+        for dev in part[name]:
+            for f in _key_fields(type(dev)):
+                v = getattr(dev, f)
+                key.append(v - base if f in _BUS_REFS else (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v)
+    return pickle.dumps(key)
 
 
 def tear(network: Network, imap: IndexMap | None = None) -> Partition:
@@ -131,53 +151,59 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     A subcircuit's own unknowns are its block's index range; a feeder's
     head-source currents (the last unknowns of its local map, its head
     being the component's only source) are its ports' port currents.
+    One pass buckets the buses, elements and devices by block in network
+    order; a feeder equal to an earlier one up to a bus-id shift is a copy
+    of it (see SubCircuit) and gets no network or index map of its own.
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
     port_vars = [
-        PortVars(
-            port=p,
-            poi=imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
-            head={ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
-            currents={ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE},
-        )
+        PortVars(p, imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
+                 {ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
+                 {ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE})
         for p in ports
     ]
 
-    bus_ids: dict[str, set[int]] = {"transmission": {b.id for b in network.transmission_buses()}}
-    for bus_id, comp in imap.feeder_of_bus.items():
-        bus_ids.setdefault(f"feeder:{comp}", set()).add(bus_id)
+    block_of = {b.id: "transmission" for b in network.transmission_buses()}
+    block_of.update((bus, f"feeder:{comp}") for bus, comp in imap.feeder_of_bus.items())
+    parts = {name: {k: [] for k in _DEVICES} for name, _, _ in imap.blocks}
+    for b in network.buses:
+        parts[block_of[b.id]]["buses"].append(b)
+    for e in network.elements:  # build_index_map has checked that both ends are buses
+        if block_of[e.from_bus] == block_of[e.to_bus]:
+            parts[block_of[e.from_bus]]["elements"].append(e)
+    for name in _DEVICES[2:]:
+        for dev in getattr(network, name):
+            if dev.bus in block_of:
+                parts[block_of[dev.bus]][name].append(dev)
+    feeder_ports: dict[str, list] = {}
+    for p in ports:
+        feeder_ports.setdefault(block_of[p.feeder_head], []).append(p)
 
     subs: list[SubCircuit] = []
+    templates: dict = {}  # key -> (network, index map, smallest bus id)
     for name, start, stop in imap.blocks:
-        ids = bus_ids.get(name)
-        if not ids:  # the port border, or no transmission side at all
+        part = parts[name]
+        if not part["buses"]:  # the port border, or no transmission side at all
             continue
-        sub_net = _subnetwork(network, ids)
-        sub_imap = build_index_map(sub_net)
+        base = min(b.id for b in part["buses"])
+        key = name if name == "transmission" else _feeder_key(part, base)
+        if key not in templates:
+            labels = {b.id: network.labels[b.id] for b in part["buses"] if b.id in network.labels}
+            sub_net = Network(base_mva=network.base_mva, labels=labels, **part)
+            templates[key] = sub_net, build_index_map(sub_net), base
+        sub_net, sub_imap, template_base = templates[key]
         if name == "transmission":
             kind, sub_ports, heads = "transmission", tuple(network.ports), []
         else:
-            kind, sub_ports = "feeder", tuple(p for p in ports if p.feeder_head in ids)
+            kind, sub_ports = "feeder", tuple(feeder_ports.get(name, ()))
             heads = [i for p in sub_ports for ph in THREE_PHASE for i in imap.port_current[(p.id, ph)]]
         internal = np.arange(start, stop, dtype=np.int64)
         local_to_global = np.concatenate([internal, np.array(heads, dtype=np.int64)])
         if len(local_to_global) != sub_imap.n:
-            raise InternalConsistencyError(
-                f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones"
-            )
-        subs.append(
-            SubCircuit(
-                index=len(subs),
-                name=name,
-                kind=kind,
-                network=sub_net,
-                imap=sub_imap,
-                ports=sub_ports,
-                internal_global=internal,
-                local_to_global=local_to_global,
-            )
-        )
+            raise InternalConsistencyError(f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones")
+        subs.append(SubCircuit(len(subs), name, kind, sub_net, sub_imap, sub_ports, internal, local_to_global,
+                               shift=template_base - base))
 
     return Partition(network=network, imap=imap, subs=subs, port_vars=port_vars)
 
@@ -250,8 +276,11 @@ def solve_gsn(
     partition = tear(network, imap)
     transmission, feeders = partition.subs[0], partition.subs[1:]
     # an epoch's snapshot changes only source voltages and injections, not
-    # topology, so each subcircuit compiles once for the whole solve
-    circuits = [CompiledCircuit(sub.network, sub.imap) for sub in partition.subs]
+    # topology, so each distinct subcircuit compiles once for the whole solve;
+    # the copies of a feeder solve on clones of its template's circuit
+    compiled = {id(s.network): CompiledCircuit(s.network, s.imap) for s in partition.subs if not s.shift}
+    circuits = [compiled[id(s.network)].clone() if s.shift else compiled[id(s.network)] for s in partition.subs]
+    log.info("%d subcircuits, %d compiled", len(circuits), len(compiled))
     combined = CompiledCircuit(network, imap)  # evaluates the global mismatch
 
     # one boundary row per port in port-id order: the transmission-side
@@ -285,7 +314,7 @@ def solve_gsn(
                     sub.network, inner_opts, injections=injections, x0=warm[sub.index], circuit=circuits[sub.index]
                 )
             head_volts = {
-                p.feeder_head: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
+                p.feeder_head + sub.shift: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
                 for p in sub.ports
             }
             net = sub.network.with_source_voltages(head_volts)
@@ -322,7 +351,7 @@ def solve_gsn(
                 for p in sub.ports:
                     k = row[p.id]
                     for j, ph in enumerate(THREE_PHASE, start=1):
-                        ir, ii = sub.imap.source_current[(p.feeder_head, ph)]
+                        ir, ii = sub.imap.source_current[(p.feeder_head + sub.shift, ph)]
                         new[k, j] = complex(x[ir], x[ii])
 
             # infinity norm of the boundary change over all real components

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,16 +23,20 @@ def solution_dict(network: Network, imap: IndexMap, x: np.ndarray) -> dict:
     for b in sorted(network.buses, key=lambda b: b.id):
         for ph in b.phases:
             v = imap.voltage(x, b.id, ph)
-            nodes.append(
-                {
-                    "bus": b.id,
-                    "label": network.label(b.id),
-                    "phase": ph,
-                    "vm": abs(v),
-                    "va_deg": math.degrees(cmath.phase(v)),
-                }
-            )
+            nodes.append({"bus": b.id, "label": network.label(b.id), "phase": ph, "vm": abs(v),
+                          "va_deg": math.degrees(cmath.phase(v))})
     return {"schema": 1, "base_mva": network.base_mva, "nodes": nodes}
+
+
+def solution_json(sol: dict) -> str:
+    """``json.dumps(sol, indent=2)`` of a ``solution_dict``, formatted directly: the standard
+    library's indenting encoder is pure Python."""
+    text, num = encode_basestring_ascii, float.__repr__
+    node = '    {\n      "bus": %d,\n      "label": %s,\n      "phase": %s,\n      "vm": %s,\n      "va_deg": %s\n    }'
+    nodes = ",\n".join(node % (n["bus"], text(n["label"]), text(n["phase"]), num(n["vm"]), num(n["va_deg"]))
+                       for n in sol["nodes"])
+    nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
+    return f'{{\n  "schema": {sol["schema"]},\n  "base_mva": {num(sol["base_mva"])},\n  "nodes": {nodes}\n}}'
 
 
 def poi_voltages(network: Network, imap: IndexMap, x: np.ndarray) -> list[tuple[int, float]]:

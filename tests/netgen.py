@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
+
+from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission
 
 from tandem.netmodel import (
     POSITIVE_SEQUENCE,
@@ -163,6 +169,40 @@ def random_combined(rng, max_nodes: int = 20) -> Network:
         )
     assert not validate(net), validate(net)
     return net
+
+
+def random_repeated_feeders(rng) -> Network:
+    """Random transmission network with two random feeders, alternating, on its PQ buses
+    (at least three), every copy a bus-id shift of its feeder."""
+    while True:
+        tnet = random_transmission(rng, int(rng.integers(4, 9)))
+        pq = [b.id for b in tnet.buses if b.kind is BusKind.PQ]
+        if len(pq) >= 3:
+            break
+    feeders = [random_feeder(rng, int(rng.integers(2, 7))) for _ in range(2)]
+    net = {name: list(getattr(tnet, name)) for name in ("buses", "elements", "loads", "shunts", "ders")}
+    ports = []
+    for k, bus in enumerate(pq):
+        fnet, off = feeders[k % 2], 100 * k
+        net["buses"] += [replace(b, id=b.id + off) for b in fnet.buses]
+        net["elements"] += [replace(e, id=e.id + off, from_bus=e.from_bus + off, to_bus=e.to_bus + off)
+                            for e in fnet.elements]
+        for name in ("loads", "shunts", "ders"):
+            net[name] += [replace(d, bus=d.bus + off) for d in getattr(fnet, name)]
+        head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
+        ports.append(CouplingPort(k, bus, head + off))
+    out = Network(base_mva=100.0, generators=tnet.generators, ports=tuple(ports), **net)
+    assert not validate(out), validate(out)
+    return out
+
+
+def case27_with_feeders(data_dir: Path, entries) -> Network:
+    """case27 with the (feeder name, load scale, DER scale) ``entries``, cycled, on its PQ buses."""
+    tnet = parse_transmission(data_dir / "case27.m")
+    pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
+    couplings = [CouplingEntry(f"{name}.json", bus, ls, ds) for bus, (name, ls, ds) in zip(pq, itertools.cycle(entries))]
+    docs = {f"{name}.json": parse_feeder_doc(data_dir / f"{name}.json") for name, _, _ in entries}
+    return build_combined(tnet, CouplingMap(couplings, data_dir), docs)
 
 
 def random_state(rng, network: Network, imap, vm_range=(0.7, 1.3), ang_spread=0.5) -> np.ndarray:

@@ -4,7 +4,12 @@ import shutil
 
 import pytest
 
+from netgen import case27_with_feeders
 from tandem.cli import BENCH_HEADER, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from tandem.ingest import load_combined_case
+from tandem.netmodel import build_index_map
+from tandem.newton import solve_direct
+from tandem.results import solution_dict, solution_json
 
 
 def run(args):
@@ -367,3 +372,15 @@ def test_bad_feeder_or_map_record_is_input_error(workdir, target, path, value, n
     assert rc == EXIT_INPUT
     message = json.loads((workdir / "o" / "error.json").read_text())["error"]
     assert target in message and named in message
+
+
+@pytest.mark.parametrize("feeders", ["case9_feeder1", "k24"])
+def test_solution_writer_matches_json_dumps(data_dir, feeders):
+    # solution.json is formatted directly; its bytes stay those of json.dumps(indent=2)
+    if feeders == "k24":
+        net = case27_with_feeders(data_dir, [("feeder_medium", 1.0, 1.0)])
+    else:
+        net = load_combined_case(data_dir / "case9.m", data_dir / f"{feeders}.json")
+    x, _ = solve_direct(net)
+    sol = solution_dict(net, build_index_map(net), x)
+    assert solution_json(sol) == json.dumps(sol, indent=2)

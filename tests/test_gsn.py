@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netgen import random_combined
+from netgen import case27_with_feeders, random_combined, random_repeated_feeders
 from splitting import (
     build_augmented_splitting,
     check_diagonal_dominance,
@@ -20,6 +20,7 @@ from tandem.netmodel import (
     POSITIVE_SEQUENCE,
     THREE_PHASE,
     BusKind,
+    Network,
     build_index_map,
     initial_state,
     validate,
@@ -37,6 +38,45 @@ def combined1(data_dir):
 @pytest.fixture(scope="module")
 def combined4(data_dir):
     return load_combined_case(data_dir / "case9.m", data_dir / "case9_feeder4.json")
+
+
+# (feeder, load scale, DER scale) cycled over case27's PQ buses: six distinct feeders
+MIXED = (
+    ("feeder_small", 1.0, 1.0), ("feeder_medium", 0.5, 1.0), ("feeder_stressed", 1.0, 0.0),
+    ("feeder_small", 1.2, 2.0), ("feeder_medium", 1.0, 1.0), ("feeder_stressed", 0.8, 1.0),
+)
+
+
+@pytest.fixture(scope="module")
+def k24(data_dir):
+    return case27_with_feeders(data_dir, [("feeder_medium", 1.0, 1.0)])
+
+
+@pytest.fixture(scope="module")
+def mixed(data_dir):
+    return case27_with_feeders(data_dir, MIXED)
+
+
+def _compiled_arrays(circuit: CompiledCircuit) -> dict:
+    """Every array of a compiled circuit, its leg sets' included, as (dtype, shape, bytes)."""
+    out = {}
+    for prefix, obj in (("", circuit), ("jac.", circuit.jac), ("z.", circuit.z)):
+        for name, v in vars(obj).items():
+            if isinstance(v, np.ndarray):
+                out[prefix + name] = v.dtype.str, v.shape, v.tobytes()
+    return out
+
+
+def _own_compile(net: Network, imap, block: str) -> CompiledCircuit:
+    """A feeder block compiled on its own sub-network and index map, in its own bus ids."""
+    ids = {bus for bus, comp in imap.feeder_of_bus.items() if f"feeder:{comp}" == block}
+    own = Network(
+        base_mva=net.base_mva,
+        buses=[b for b in net.buses if b.id in ids],
+        elements=[e for e in net.elements if e.from_bus in ids and e.to_bus in ids],
+        **{name: [d for d in getattr(net, name) if d.bus in ids] for name in ("loads", "shunts", "generators", "ders")},
+    )
+    return CompiledCircuit(own, build_index_map(own))
 
 
 class TestTear:
@@ -309,8 +349,9 @@ class TestSolveGsn:
         assert r1.epochs == r4.epochs
         assert np.array_equal(x1, x4)
 
-    def test_one_compile_per_subcircuit(self, combined4, monkeypatch):
-        # each subcircuit compiles once per solve, plus one global-residual compile
+    @staticmethod
+    def _compiles(net, monkeypatch) -> int:
+        """CompiledCircuit constructions in one default GSN solve of ``net`` (clones are not)."""
         import tandem.gsn
         import tandem.newton
         import tandem.stamping
@@ -324,9 +365,52 @@ class TestSolveGsn:
 
         for module in (tandem.stamping, tandem.newton, tandem.gsn):
             monkeypatch.setattr(module, "CompiledCircuit", Counting, raising=False)
-        _, rep = solve_gsn(combined4, SolverOptions(), GsnOptions())
+        _, rep = solve_gsn(net, SolverOptions(), GsnOptions())
         assert rep.epochs > 1
-        assert len(compiled) == len(tear(combined4).subs) + 1
+        return len(compiled)
+
+    def test_one_compile_per_subcircuit(self, combined4, monkeypatch):
+        # four identical feeders: transmission, one feeder template and the
+        # global-residual circuit compile once per solve; the copies run on clones
+        assert self._compiles(combined4, monkeypatch) == 3
+
+    def test_one_compile_per_distinct_feeder(self, mixed, monkeypatch):
+        # one compile per distinct (feeder, load scale, DER scale), plus transmission
+        # and the global-residual circuit
+        assert self._compiles(mixed, monkeypatch) == len(set(MIXED)) + 2
+
+    def test_copy_compiles_like_its_template(self, k24, mixed):
+        # a copy's own sub-network on its own index map compiles to the template's arrays
+        rng = np.random.default_rng(6113)
+        nets = [k24, mixed] + [random_repeated_feeders(rng) for _ in range(8)]
+        for net in nets:
+            part = tear(net)
+            feeders = part.subs[1:]
+            templates = {id(sub.network): sub for sub in feeders if not sub.shift}
+            assert len(templates) < len(feeders)
+            for sub in feeders:
+                template = templates[id(sub.network)]
+                assert sub.imap is template.imap
+                own, shared = _own_compile(net, part.imap, sub.name), CompiledCircuit(sub.network, sub.imap)
+                assert {"lin_rows", "lin_vals", "nl_rows", "pi", "val_take", "t_pq", "src_rhs_vals", "p", "jac.t"} <= set(
+                    _compiled_arrays(own))
+                assert _compiled_arrays(own) == _compiled_arrays(shared), sub.name
+                assert (own.npq, own.z_slice) == (shared.npq, shared.z_slice)
+                assert [bus + sub.shift for bus, *_ in own.src_keys] == [bus for bus, *_ in shared.src_keys]
+
+    def test_copies_solve_like_direct(self):
+        # feeders shared between copies reach direct Newton's answer on every copy
+        rng = np.random.default_rng(6113)
+        opts, gsn = SolverOptions(tol=1e-9), GsnOptions(outer_tol=1e-6)
+        for _ in range(8):
+            net = random_repeated_feeders(rng)
+            xd, _ = solve_direct(net, opts)
+            xg, rep = solve_gsn(net, opts, gsn)
+            assert rep.converged and rep.global_residual <= gsn.outer_tol
+            imap = build_index_map(net)
+            for b in net.buses:
+                for ph in b.phases:
+                    assert abs(imap.voltage(xg, b.id, ph) - imap.voltage(xd, b.id, ph)) <= 1e-5
 
     def test_epoch_snapshot_independence(self, combined4):
         # two runs, same options: identical epoch-by-epoch boundary deltas
