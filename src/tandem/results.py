@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,12 +31,12 @@ def solution_dict(network: Network, imap: IndexMap, x: np.ndarray) -> dict:
 def solution_json(sol: dict) -> str:
     """``json.dumps(sol, indent=2)`` of a ``solution_dict``, formatted directly: the standard
     library's indenting encoder is pure Python."""
-    text, num = encode_basestring_ascii, float.__repr__
+    text, num = json.encoder.encode_basestring_ascii, float.__repr__
     node = '    {\n      "bus": %d,\n      "label": %s,\n      "phase": %s,\n      "vm": %s,\n      "va_deg": %s\n    }'
     nodes = ",\n".join(node % (n["bus"], text(n["label"]), text(n["phase"]), num(n["vm"]), num(n["va_deg"]))
                        for n in sol["nodes"])
     nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
-    return f'{{\n  "schema": {sol["schema"]},\n  "base_mva": {num(sol["base_mva"])},\n  "nodes": {nodes}\n}}'
+    return f'{{\n  "schema": {sol["schema"]},\n  "base_mva": {json.dumps(sol["base_mva"])},\n  "nodes": {nodes}\n}}'
 
 
 def poi_voltages(network: Network, imap: IndexMap, x: np.ndarray) -> list[tuple[int, float]]:

@@ -384,3 +384,6 @@ def test_solution_writer_matches_json_dumps(data_dir, feeders):
     x, _ = solve_direct(net)
     sol = solution_dict(net, build_index_map(net), x)
     assert solution_json(sol) == json.dumps(sol, indent=2)
+    # an integer base and a label that needs escaping
+    sol = {**sol, "base_mva": 100, "nodes": [{**sol["nodes"][0], "label": 'b\u00e9 "1"'}]}
+    assert solution_json(sol) == json.dumps(sol, indent=2)
