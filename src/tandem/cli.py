@@ -277,9 +277,12 @@ def cmd_pvcurve(args) -> int:
     contingency = _parse_contingency(args.contingency, net)
     poi_bus = sorted(net.ports, key=lambda p: p.id)[0].transmission_bus
 
-    scenarios = [(f"v_poi_der{s:g}", s, False) for s in der_scales]
+    scenarios: list[tuple[str, float, bool]] = []
+    for s in der_scales:
+        scenarios.append((f"v_poi_der{s:g}", s, False))
     if contingency:
-        scenarios += [(f"v_poi_cont_der{s:g}", s, True) for s in der_scales]
+        for s in der_scales:
+            scenarios.append((f"v_poi_cont_der{s:g}", s, True))
 
     columns: dict[str, dict[float, float]] = {name: {} for name, _, _ in scenarios}
     alive = {name: True for name, _, _ in scenarios}
@@ -314,9 +317,12 @@ def cmd_pvcurve(args) -> int:
     header = PVCURVE_HEADER + "".join(f",{name}" for name, _, _ in scenarios)
     rows = [header]
     for lf in lfs:
-        cells = [f"{columns[name][lf]:.6f}" if lf in columns[name] else "" for name, _, _ in scenarios]
-        if any(cells):
-            rows.append(",".join([f"{lf:g}", *cells]))
+        if not any(lf in columns[name] for name, _, _ in scenarios):
+            continue
+        cells = [f"{lf:g}"]
+        for name, _, _ in scenarios:
+            cells.append(f"{columns[name][lf]:.6f}" if lf in columns[name] else "")
+        rows.append(",".join(cells))
     (out_dir / "pvcurve.csv").write_text("\n".join(rows) + "\n")
 
     series = {

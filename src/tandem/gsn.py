@@ -24,6 +24,7 @@ import logging
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -85,10 +86,14 @@ class GsnOptions:
 
 @dataclass
 class SubCircuit:
-    """One torn block.  Copies of a feeder share the ``network`` and ``imap`` of the first
-    (the template) and solve in its bus ids, ``shift`` (the template's smallest bus id less
-    the copy's) taking theirs there: inner failure reasons quote the template's bus ids,
-    while ``name``, ``ports`` and the global indices stay the copy's own."""
+    """One torn block.  A feeder equal to an earlier one up to a bus-id
+    shift is a copy: ``template`` is the index of that earlier subcircuit
+    (a subcircuit's own index when it is none's copy), whose ``network``
+    and ``imap`` it shares and in whose bus ids it solves; ``shift`` (the
+    template's smallest bus id less the copy's) takes the copy's head bus
+    ids there.  Inner failure reasons of a copy therefore quote the
+    template's bus ids, while ``name``, ``ports`` and the global indices
+    stay the copy's own."""
 
     index: int
     name: str
@@ -98,6 +103,7 @@ class SubCircuit:
     ports: tuple
     internal_global: np.ndarray
     local_to_global: np.ndarray  # local unknown -> global unknown
+    template: int
     shift: int = 0
 
 
@@ -120,27 +126,51 @@ class Partition:
 
 
 _DEVICES = ("buses", "elements", "loads", "shunts", "generators", "ders")
+_KEY_ORDER = ("generators", "ders", "shunts", "loads", "buses", "elements")  # where scaled copies differ first
 _BUS_REFS = frozenset({"id", "bus", "from_bus", "to_bus"})
 
 
 @functools.cache
-def _key_fields(cls) -> tuple[str, ...]:
-    """The fields of a device class that a feeder key compares: all but element ids."""
-    return tuple(f.name for f in fields(cls) if not (f.name == "id" and cls is not Bus))
+def _key_columns(cls) -> tuple:
+    """(getter, holds a bus id) per field of a device class that a feeder key compares:
+    every field but element ids."""
+    compared = [f.name for f in fields(cls) if not (f.name == "id" and cls is not Bus)]
+    return tuple((attrgetter(name), name in _BUS_REFS) for name in compared)
 
 
-def _feeder_key(part: dict[str, list], base: int) -> bytes:
-    """Every field of a feeder's buses, elements and devices that the compile and the
-    solve read, bus ids less ``base`` and arrays by shape and bytes.  Pickled, so a
-    float's sign of zero counts: equal keys compile to bit-equal circuits."""
-    key: list = []
-    for name in _DEVICES:
-        key.append(len(part[name]))
-        for dev in part[name]:
-            for f in _key_fields(type(dev)):
-                v = getattr(dev, f)
-                key.append(v - base if f in _BUS_REFS else (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v)
+def _device_key(devices: list, base: int) -> bytes:
+    """Every field of one feeder's devices of one class that the compile and the solve
+    read, column by column: bus ids less ``base``, arrays by shape, dtype and bytes.
+    Pickled, so a float's sign of zero counts: equal keys compile to bit-equal circuits."""
+    key: list = [len(devices)]
+    for get, is_bus in _key_columns(type(devices[0])) if devices else ():
+        column = list(map(get, devices))
+        if is_bus:
+            column = [bus - base for bus in column]
+        elif isinstance(column[0], np.ndarray):
+            column = [(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a for a in column]
+        key.append(column)
     return pickle.dumps(key)
+
+
+def _templates(parts: dict[str, dict], bases: dict[str, int]) -> dict[str, str]:
+    """Each feeder block's template: the first block equal to it up to a bus-id shift.
+    Blocks split by their device counts, then by one device class's key at a time, so
+    a feeder that no other one repeats is keyed little, if at all."""
+    by_counts: dict[tuple, list[str]] = {}
+    for name, part in parts.items():
+        by_counts.setdefault(tuple(map(len, part.values())), []).append(name)
+    groups = list(by_counts.values())
+    for device in _KEY_ORDER:
+        split = []
+        for group in groups:
+            by_key: dict[bytes | None, list[str]] = {}
+            for name in group:
+                key = _device_key(parts[name][device], bases[name]) if len(group) > 1 else None
+                by_key.setdefault(key, []).append(name)
+            split += by_key.values()
+        groups = split
+    return {name: group[0] for group in groups for name in group}
 
 
 def tear(network: Network, imap: IndexMap | None = None) -> Partition:
@@ -152,15 +182,18 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     head-source currents (the last unknowns of its local map, its head
     being the component's only source) are its ports' port currents.
     One pass buckets the buses, elements and devices by block in network
-    order; a feeder equal to an earlier one up to a bus-id shift is a copy
-    of it (see SubCircuit) and gets no network or index map of its own.
+    order.  A feeder equal to an earlier one up to a bus-id shift is its
+    copy (see SubCircuit), with no network or index map of its own.
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
     port_vars = [
-        PortVars(p, imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
-                 {ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
-                 {ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE})
+        PortVars(
+            port=p,
+            poi=imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
+            head={ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
+            currents={ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE},
+        )
         for p in ports
     ]
 
@@ -179,20 +212,24 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     feeder_ports: dict[str, list] = {}
     for p in ports:
         feeder_ports.setdefault(block_of[p.feeder_head], []).append(p)
+    bases = {name: min(b.id for b in part["buses"]) for name, part in parts.items() if part["buses"]}
+    template_of = _templates({name: parts[name] for name in bases if name != "transmission"}, bases)
+    template_of["transmission"] = "transmission"
 
     subs: list[SubCircuit] = []
-    templates: dict = {}  # key -> (network, index map, smallest bus id)
+    index_of: dict[str, int] = {}
     for name, start, stop in imap.blocks:
         part = parts[name]
         if not part["buses"]:  # the port border, or no transmission side at all
             continue
-        base = min(b.id for b in part["buses"])
-        key = name if name == "transmission" else _feeder_key(part, base)
-        if key not in templates:
+        index_of[name] = len(subs)
+        template = index_of[template_of[name]]  # a template comes before its copies
+        if template == len(subs):
             labels = {b.id: network.labels[b.id] for b in part["buses"] if b.id in network.labels}
             sub_net = Network(base_mva=network.base_mva, labels=labels, **part)
-            templates[key] = sub_net, build_index_map(sub_net), base
-        sub_net, sub_imap, template_base = templates[key]
+            sub_imap = build_index_map(sub_net)
+        else:
+            sub_net, sub_imap = subs[template].network, subs[template].imap
         if name == "transmission":
             kind, sub_ports, heads = "transmission", tuple(network.ports), []
         else:
@@ -201,9 +238,23 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
         internal = np.arange(start, stop, dtype=np.int64)
         local_to_global = np.concatenate([internal, np.array(heads, dtype=np.int64)])
         if len(local_to_global) != sub_imap.n:
-            raise InternalConsistencyError(f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones")
-        subs.append(SubCircuit(len(subs), name, kind, sub_net, sub_imap, sub_ports, internal, local_to_global,
-                               shift=template_base - base))
+            raise InternalConsistencyError(
+                f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones"
+            )
+        subs.append(
+            SubCircuit(
+                index=len(subs),
+                name=name,
+                kind=kind,
+                network=sub_net,
+                imap=sub_imap,
+                ports=sub_ports,
+                internal_global=internal,
+                local_to_global=local_to_global,
+                template=template,
+                shift=bases[template_of[name]] - bases[name],
+            )
+        )
 
     return Partition(network=network, imap=imap, subs=subs, port_vars=port_vars)
 
@@ -252,6 +303,9 @@ def solve_gsn(
     less DERs plus shunts) at 1 pu, drawn at the case-data POI voltage.
     Stops once the true mismatch of the combined state is at most
     ``gsn.outer_tol``, which ``report.global_residual`` then holds.
+    The transmission block, each feeder template (see SubCircuit) and the
+    combined network compile once per solve; a copy solves on a clone of
+    its template's circuit.
 
     Returns the global state on the combined index map (``imap`` when
     given, else built here) plus an epoch report.  Raises GsnError when
@@ -278,9 +332,11 @@ def solve_gsn(
     # an epoch's snapshot changes only source voltages and injections, not
     # topology, so each distinct subcircuit compiles once for the whole solve;
     # the copies of a feeder solve on clones of its template's circuit
-    compiled = {id(s.network): CompiledCircuit(s.network, s.imap) for s in partition.subs if not s.shift}
-    circuits = [compiled[id(s.network)].clone() if s.shift else compiled[id(s.network)] for s in partition.subs]
-    log.info("%d subcircuits, %d compiled", len(circuits), len(compiled))
+    circuits: list[CompiledCircuit] = []
+    for sub in partition.subs:  # a template comes before its copies
+        own = sub.template == sub.index
+        circuits.append(CompiledCircuit(sub.network, sub.imap) if own else circuits[sub.template].clone())
+    log.info("%d subcircuits, %d compiled", len(circuits), len({sub.template for sub in partition.subs}))
     combined = CompiledCircuit(network, imap)  # evaluates the global mismatch
 
     # one boundary row per port in port-id order: the transmission-side

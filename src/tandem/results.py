@@ -23,8 +23,15 @@ def solution_dict(network: Network, imap: IndexMap, x: np.ndarray) -> dict:
     for b in sorted(network.buses, key=lambda b: b.id):
         for ph in b.phases:
             v = imap.voltage(x, b.id, ph)
-            nodes.append({"bus": b.id, "label": network.label(b.id), "phase": ph, "vm": abs(v),
-                          "va_deg": math.degrees(cmath.phase(v))})
+            nodes.append(
+                {
+                    "bus": b.id,
+                    "label": network.label(b.id),
+                    "phase": ph,
+                    "vm": abs(v),
+                    "va_deg": math.degrees(cmath.phase(v)),
+                }
+            )
     return {"schema": 1, "base_mva": network.base_mva, "nodes": nodes}
 
 

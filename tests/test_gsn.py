@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,50 @@ class TestTear:
         for sub in part.subs:
             covered.update(sub.local_to_global.tolist())
         assert covered == set(range(part.imap.n))
+
+    @staticmethod
+    def _two_differ(k24):
+        """k24 with its second feeder's DER reactive powers -0.0 instead of 0.0 and a load
+        dropped from its third; the blocks' bus sets in block order."""
+        part = tear(k24)
+        blocks = [{b for b, c in part.imap.feeder_of_bus.items() if f"feeder:{c}" == s.name} for s in part.subs[1:]]
+        der = next(d for d in k24.ders if d.bus in blocks[1])
+        flipped = replace(der, s=tuple(complex(v.real, -v.imag) for v in der.s))
+        assert flipped == der and all(np.signbit(v.imag) for v in flipped.s)
+        load = next(ld for ld in k24.loads if ld.bus in blocks[2])
+        net = replace(k24, ders=tuple(flipped if d is der else d for d in k24.ders),
+                      loads=tuple(ld for ld in k24.loads if ld is not load))
+        return net, blocks
+
+    def test_copies_equal_in_every_field(self, k24):
+        # 24 identical feeders share one template until one differs, even in a
+        # zero's sign or in a device count
+        feeders = tear(k24).subs[1:]
+        assert all(s.template == feeders[0].index for s in feeders)
+        net, _ = self._two_differ(k24)
+        part = tear(net)
+        assert [s.index for s in part.subs if s.template == s.index] == [0, *(s.index for s in feeders[:3])]
+        assert all(s.template == feeders[0].index for s in part.subs[4:])
+
+    def test_feeders_keyed_only_while_matched(self, k24, monkeypatch):
+        # a feeder whose device counts no other shares is never keyed, and one
+        # that differs in its DERs is not keyed past them
+        import tandem.gsn
+
+        net, blocks = self._two_differ(k24)
+        keyed = []  # (feeder's smallest bus id, device class) per key taken
+        key = tandem.gsn._device_key
+
+        def spy(devices, base):
+            keyed.extend((base, type(d).__name__) for d in devices[:1])
+            return key(devices, base)
+
+        monkeypatch.setattr(tandem.gsn, "_device_key", spy)
+        tear(net)
+        kinds = {name: {cls for base, cls in keyed if base == min(blocks[k])}
+                 for k, name in ((1, "flipped"), (2, "short"), (3, "copy"))}
+        assert kinds == {"flipped": {"DerInjection"}, "short": set(),
+                         "copy": {"DerInjection", "Shunt", "Load", "Bus", "SeriesElement"}}
 
     def test_local_global_mapping_random(self):
         # every local unknown maps to the same global quantity, feeder
@@ -386,11 +432,11 @@ class TestSolveGsn:
         for net in nets:
             part = tear(net)
             feeders = part.subs[1:]
-            templates = {id(sub.network): sub for sub in feeders if not sub.shift}
-            assert len(templates) < len(feeders)
+            assert sum(sub.template == sub.index for sub in feeders) < len(feeders)
             for sub in feeders:
-                template = templates[id(sub.network)]
-                assert sub.imap is template.imap
+                template = part.subs[sub.template]
+                assert template.template == template.index <= sub.index
+                assert sub.network is template.network and sub.imap is template.imap
                 own, shared = _own_compile(net, part.imap, sub.name), CompiledCircuit(sub.network, sub.imap)
                 assert {"lin_rows", "lin_vals", "nl_rows", "pi", "val_take", "t_pq", "src_rhs_vals", "p", "jac.t"} <= set(
                     _compiled_arrays(own))
