@@ -22,6 +22,7 @@ import functools
 import json
 import logging
 import pickle
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -155,22 +156,16 @@ def _device_key(devices: list, base: int) -> bytes:
 
 def _templates(parts: dict[str, dict], bases: dict[str, int]) -> dict[str, str]:
     """Each feeder block's template: the first block equal to it up to a bus-id shift.
-    Blocks split by their device counts, then by one device class's key at a time, so
-    a feeder that no other one repeats is keyed little, if at all."""
-    by_counts: dict[tuple, list[str]] = {}
-    for name, part in parts.items():
-        by_counts.setdefault(tuple(map(len, part.values())), []).append(name)
-    groups = list(by_counts.values())
+    A block's key starts as its device counts and takes one device class's key at a
+    time while another block shares it, so a feeder that no other one repeats is keyed
+    little, if at all."""
+    keys = {name: tuple(map(len, part.values())) for name, part in parts.items()}
     for device in _KEY_ORDER:
-        split = []
-        for group in groups:
-            by_key: dict[bytes | None, list[str]] = {}
-            for name in group:
-                key = _device_key(parts[name][device], bases[name]) if len(group) > 1 else None
-                by_key.setdefault(key, []).append(name)
-            split += by_key.values()
-        groups = split
-    return {name: group[0] for group in groups for name in group}
+        shared = Counter(keys.values())
+        keys = {name: (key, _device_key(parts[name][device], bases[name]) if shared[key] > 1 else None)
+                for name, key in keys.items()}
+    first: dict[tuple, str] = {}
+    return {name: first.setdefault(key, name) for name, key in keys.items()}
 
 
 def tear(network: Network, imap: IndexMap | None = None) -> Partition:
