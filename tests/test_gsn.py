@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +395,19 @@ class TestSolveGsn:
         x4, r4 = solve_gsn(combined4, opts, GsnOptions(workers=4))
         assert r1.epochs == r4.epochs
         assert np.array_equal(x1, x4)
+
+    def test_clones_on_threads_match_one_worker(self, k24):
+        # 23 clones of one feeder circuit solved by more threads than cores,
+        # switching often: the state is byte-equal to one worker's
+        x1, _ = solve_gsn(k24, SolverOptions(), GsnOptions(workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                x4, _ = solve_gsn(k24, SolverOptions(), GsnOptions(workers=4))
+                assert np.array_equal(x1, x4)
+        finally:
+            sys.setswitchinterval(interval)
 
     @staticmethod
     def _compiles(net, monkeypatch) -> int:
