@@ -89,12 +89,12 @@ class GsnOptions:
 class SubCircuit:
     """One torn block.  A feeder equal to an earlier one up to a bus-id
     shift is a copy: ``template`` is the index of that earlier subcircuit
-    (a subcircuit's own index when it is none's copy), whose ``network``
-    and ``imap`` it shares and in whose bus ids it solves; ``shift`` (the
-    template's smallest bus id less the copy's) takes the copy's head bus
-    ids there.  Inner failure reasons of a copy therefore quote the
-    template's bus ids, while ``name``, ``ports`` and the global indices
-    stay the copy's own."""
+    (its own index when it is not a copy), whose ``network`` and ``imap``
+    it shares and in whose bus ids it solves; ``shift`` (the template's
+    smallest bus id less the copy's) takes the copy's head bus ids there.
+    Inner failure reasons of a copy therefore quote the template's bus
+    ids, while ``name``, ``ports`` and the global indices stay the copy's
+    own."""
 
     index: int
     name: str
@@ -105,7 +105,7 @@ class SubCircuit:
     internal_global: np.ndarray
     local_to_global: np.ndarray  # local unknown -> global unknown
     template: int
-    shift: int = 0
+    shift: int
 
 
 @dataclass
