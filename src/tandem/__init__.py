@@ -3,9 +3,11 @@
 Positive-sequence transmission cases and three-phase feeders are
 modeled as one equivalent circuit, coupled through symmetrical-component
 ports, and solved either directly (Newton-Raphson with voltage limiting
-and admittance-scaling continuation) or by a parallel
-Gauss-Seidel-Newton exchange over the torn bordered-block-diagonal
-system.
+and admittance-scaling continuation) or by a Gauss-Seidel-Newton
+exchange over the torn bordered-block-diagonal system.  An epoch's
+feeders read one boundary snapshot and are independent, so they could
+run in parallel; this package solves them one after another in one
+thread.
 """
 
 from .netmodel import (

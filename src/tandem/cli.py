@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import shutil
 import sys
 import time
@@ -80,7 +81,7 @@ def _number_list(text: str, kind, flag: str) -> list:
 
 
 def _gsn_options(args, out_dir: Path | None) -> GsnOptions:
-    values = {"workers": args.workers}
+    values = {}
     if args.outer_tol is not None:
         values["outer_tol"] = args.outer_tol
     if out_dir is not None:
@@ -183,6 +184,8 @@ def cmd_solve(args) -> int:
 
 
 def _lf_values(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError("loading-factor range must be finite numbers")
     if step <= 0 or stop < start:
         raise InputError("loading-factor range must satisfy start <= stop, step > 0")
     out, v, k = [], start, 0
@@ -435,7 +438,8 @@ def _add_common(p: argparse.ArgumentParser, coupling: bool = True):
     if coupling:
         p.add_argument("--coupling", help="coupling map JSON (feeder files resolved relative to it)")
     p.add_argument("--solver", choices=("direct", "gsn"), default="direct")
-    p.add_argument("--workers", type=int, default=1, help="parallel subcircuit workers for gsn")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for old scripts and ignored: gsn solves its feeders in one thread")
     p.add_argument("--tol", type=float, default=None, help="inner mismatch tolerance (pu current)")
     p.add_argument("--outer-tol", type=float, default=None, help="gsn global-mismatch tolerance")
     p.add_argument("--dvmax", type=float, default=None, help="per-iteration voltage step cap (pu)")

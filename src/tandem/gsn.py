@@ -1,19 +1,21 @@
-"""Domain decomposition and the parallel Gauss-Seidel-Newton outer loop.
+"""Domain decomposition and the Gauss-Seidel-Newton outer loop.
 
 The combined network is torn at its coupling ports into one
 transmission subcircuit plus one subcircuit per feeder.  The boundary
 quantities are, per port, the transmission-side voltage and the three
 head currents.  Each epoch first solves the transmission subcircuit's
 inner Newton problem with every port drawing the last head currents as
-constant current, then solves the feeders in parallel with each head
-held at the rotated fresh POI voltage.  The first epoch's head currents
-lump each feeder into its nominal net demand.  After every epoch the
-subcircuit states are scattered into the combined state, and the loop
-stops when that state's true mismatch on the combined system is at most
-the outer tolerance.
+constant current, then solves the feeders with each head held at the
+rotated fresh POI voltage.  The first epoch's head currents lump each
+feeder into its nominal net demand.  After every epoch the subcircuit
+states are scattered into the combined state, and the loop stops when
+that state's true mismatch on the combined system is at most the outer
+tolerance.
 
-The feeders of one epoch all read the same snapshot, so results do not
-depend on completion order and any worker count gives the same answer.
+The feeders of one epoch all read the same snapshot and are independent
+of one another, so they could run in parallel (the paper solves them on
+separate machines); this module solves them one after another in one
+thread.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import pickle
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Any
@@ -66,18 +68,16 @@ class GsnOptions:
     """Outer-loop knobs: ``outer_tol`` bounds the true mismatch of the
     combined state after an epoch.  Inner solves take the caller's
     SolverOptions capped at INNER_MAX_ITER, their tolerance at most
-    ``outer_tol / 10``."""
+    ``outer_tol / 10``.  An epoch's feeders are independent and could
+    run in parallel; they are solved one after another in one thread."""
 
     outer_tol: float = 1e-3
     max_epochs: int = 100
-    workers: int = 1
     epoch_log_path: Any = None
 
     def __post_init__(self):
-        if not self.outer_tol > 0:
-            raise ValueError("outer_tol must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 0 < self.outer_tol < math.inf:
+            raise ValueError("outer_tol must be positive and finite")
 
 
 # ----------------------------------------------------------------------
@@ -90,11 +90,12 @@ class SubCircuit:
     """One torn block.  A feeder equal to an earlier one up to a bus-id
     shift is a copy: ``template`` is the index of that earlier subcircuit
     (its own index when it is not a copy), whose ``network`` and ``imap``
-    it shares and in whose bus ids it solves; ``shift`` (the template's
-    smallest bus id less the copy's) takes the copy's head bus ids there.
-    Inner failure reasons of a copy therefore quote the template's bus
-    ids, while ``name``, ``ports`` and the global indices stay the copy's
-    own."""
+    it shares and in whose bus ids it solves, on the template's compiled
+    circuit; ``shift`` (the template's smallest bus id less the copy's)
+    takes the copy's head bus ids there.  Inner failure reasons of a copy
+    therefore quote the template's bus ids, while ``name``, ``ports`` and
+    the global indices stay the copy's own.  Sharing a circuit is safe
+    because the feeders are solved one at a time."""
 
     index: int
     name: str
@@ -109,21 +110,11 @@ class SubCircuit:
 
 
 @dataclass
-class PortVars:
-    """Global indices of one port's boundary region."""
-
-    port: Any
-    poi: tuple[int, int]
-    head: dict[str, tuple[int, int]]
-    currents: dict[str, tuple[int, int]]
-
-
-@dataclass
 class Partition:
     network: Network
     imap: IndexMap
     subs: list[SubCircuit]
-    port_vars: list[PortVars]
+    ports: list  # the coupling ports in id order, one boundary row each
 
 
 _DEVICES = ("buses", "elements", "loads", "shunts", "generators", "ders")
@@ -182,15 +173,6 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
-    port_vars = [
-        PortVars(
-            port=p,
-            poi=imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE),
-            head={ph: imap.v_pair(p.feeder_head, ph) for ph in THREE_PHASE},
-            currents={ph: imap.port_current[(p.id, ph)] for ph in THREE_PHASE},
-        )
-        for p in ports
-    ]
 
     block_of = {b.id: "transmission" for b in network.transmission_buses()}
     block_of.update((bus, f"feeder:{comp}") for bus, comp in imap.feeder_of_bus.items())
@@ -251,7 +233,7 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
             )
         )
 
-    return Partition(network=network, imap=imap, subs=subs, port_vars=port_vars)
+    return Partition(network=network, imap=imap, subs=subs, ports=ports)
 
 
 # ----------------------------------------------------------------------
@@ -290,17 +272,18 @@ def solve_gsn(
     gsn: GsnOptions | None = None,
     imap: IndexMap | None = None,
 ) -> tuple[np.ndarray, GsnReport]:
-    """Parallel Gauss-Seidel-Newton solve of a combined network.
+    """Gauss-Seidel-Newton solve of a combined network.
 
     Each epoch solves the transmission block against the last head
-    currents, then every feeder against the fresh POI voltages; the
-    first head currents are each single-port feeder's net demand (loads
-    less DERs plus shunts) at 1 pu, drawn at the case-data POI voltage.
+    currents, then every feeder, one after another in this thread,
+    against the fresh POI voltages; the first head currents are each
+    single-port feeder's net demand (loads less DERs plus shunts) at
+    1 pu, drawn at the case-data POI voltage.
     Stops once the true mismatch of the combined state is at most
     ``gsn.outer_tol``, which ``report.global_residual`` then holds.
     The transmission block, each feeder template (see SubCircuit) and the
-    combined network compile once per solve; a copy solves on a clone of
-    its template's circuit.
+    combined network compile once per solve; a copy solves on its
+    template's circuit.
 
     Returns the global state on the combined index map (``imap`` when
     given, else built here) plus an epoch report.  Raises GsnError when
@@ -326,22 +309,20 @@ def solve_gsn(
     transmission, feeders = partition.subs[0], partition.subs[1:]
     # an epoch's snapshot changes only source voltages and injections, not
     # topology, so each distinct subcircuit compiles once for the whole solve;
-    # the copies of a feeder solve on clones of its template's circuit
-    circuits: list[CompiledCircuit] = []
-    for sub in partition.subs:  # a template comes before its copies
-        own = sub.template == sub.index
-        circuits.append(CompiledCircuit(sub.network, sub.imap) if own else circuits[sub.template].clone())
-    log.info("%d subcircuits, %d compiled", len(circuits), len({sub.template for sub in partition.subs}))
+    # the copies of a feeder solve on its template's circuit, which every
+    # solve_direct call re-points at its own sources, demands and injections
+    circuits = {s.index: CompiledCircuit(s.network, s.imap) for s in partition.subs if s.template == s.index}
+    log.info("%d subcircuits, %d compiled", len(partition.subs), len(circuits))
     combined = CompiledCircuit(network, imap)  # evaluates the global mismatch
 
     # one boundary row per port in port-id order: the transmission-side
     # voltage, then the head currents of phases a, b, c; the first
     # snapshot takes the voltages from the case data and the currents
     # from each single-port feeder's lumped demand
-    row = {pv.port.id: k for k, pv in enumerate(partition.port_vars)}
+    row = {p.id: k for k, p in enumerate(partition.ports)}
     boundary = np.zeros((len(row), 1 + len(THREE_PHASE)), dtype=complex)
-    for pv in partition.port_vars:
-        boundary[row[pv.port.id], 0] = network.bus(pv.port.transmission_bus).v0[0]
+    for p in partition.ports:
+        boundary[row[p.id], 0] = network.bus(p.transmission_bus).v0[0]
     for sub in feeders:
         if len(sub.ports) == 1:
             net, k = sub.network, row[sub.ports[0].id]
@@ -351,8 +332,6 @@ def solve_gsn(
 
     warm: list[np.ndarray | None] = [None] * len(partition.subs)
     log_file = open(gsn.epoch_log_path, "w") if gsn.epoch_log_path else None
-    n_pool = min(gsn.workers, len(feeders))
-    pool = ThreadPoolExecutor(max_workers=n_pool) if n_pool > 1 else None
 
     def run_sub(sub: SubCircuit, snap: np.ndarray):
         try:
@@ -362,7 +341,7 @@ def solve_gsn(
                     for p in sub.ports
                 }
                 return solve_direct(
-                    sub.network, inner_opts, injections=injections, x0=warm[sub.index], circuit=circuits[sub.index]
+                    sub.network, inner_opts, injections=injections, x0=warm[sub.index], circuit=circuits[sub.template]
                 )
             head_volts = {
                 p.feeder_head + sub.shift: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
@@ -376,7 +355,7 @@ def solve_gsn(
                     for ph, v in zip(THREE_PHASE, volts):
                         vr, vi = sub.imap.v_pair(head, ph)
                         x0[vr], x0[vi] = v.real, v.imag
-            return solve_direct(net, inner_opts, x0=x0, circuit=circuits[sub.index])
+            return solve_direct(net, inner_opts, x0=x0, circuit=circuits[sub.template])
         except SolveFailure as exc:
             raise GsnError(f"subcircuit {sub.name} failed to converge: {exc}", report) from exc
 
@@ -392,11 +371,8 @@ def solve_gsn(
             for p in transmission.ports:
                 new[row[p.id], 0] = transmission.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
 
-            if pool:
-                outcomes = list(pool.map(lambda s: run_sub(s, new), feeders))
-            else:
-                outcomes = [run_sub(sub, new) for sub in feeders]
-            for sub, (x, rep) in zip(feeders, outcomes):
+            for sub in feeders:
+                x, rep = run_sub(sub, new)
                 warm[sub.index] = x
                 iters[sub.name] = rep.iterations
                 for p in sub.ports:
@@ -428,8 +404,6 @@ def solve_gsn(
                 report.converged = True
                 break
     finally:
-        if pool:
-            pool.shutdown()
         if log_file:
             log_file.close()
 

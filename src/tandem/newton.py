@@ -12,8 +12,10 @@ mismatch, never on the step size, so limiting cannot fake convergence.
 from __future__ import annotations
 
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -56,10 +58,30 @@ class SolverOptions:
     debug_matrix_dir: str | None = None  # dump each iteration's system (MatrixMarket)
 
     def __post_init__(self):
-        if self.tol <= 0 or self.dv_max <= 0:
-            raise ValueError("tol and dv_max must be positive")
+        def number(name: str):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
+            return value
+
+        for name in ("tol", "dv_max", "lambda_min_step"):
+            if not 0 < number(name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= number("gamma") < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
+        if not number("blowup_ratio") > 0:  # inf turns the blow-up test off
+            raise ValueError("blowup_ratio must be positive")
+        for name in ("max_iter", "divergence_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
+        for name in ("shunt_relax", "limiting", "flat_start", "keep_homotopy_states"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
         if self.homotopy not in ("auto", "on", "off"):
             raise ValueError(f"unknown homotopy mode {self.homotopy!r}")
+        if not (self.debug_matrix_dir is None or isinstance(self.debug_matrix_dir, str)):
+            raise ValueError(f"debug_matrix_dir must be a directory name, not {self.debug_matrix_dir!r}")
 
 
 @dataclass

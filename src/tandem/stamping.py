@@ -25,7 +25,6 @@ pass, the approach of MATPOWER's makeYbus/dSbus_dV.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 from dataclasses import dataclass
 
@@ -413,14 +412,6 @@ class CompiledCircuit:
         self.gens = gens
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
         self._modes_seen = None  # the gen_modes behind the cached _pv, _q_pin
-
-    def clone(self) -> "CompiledCircuit":
-        """A circuit sharing this one's read-only compiled arrays, with its own linear values
-        and assembly plan; the set values and the generator-mode cache, which a solve
-        reassigns, are its own from then on.  Clones solve concurrently with their source."""
-        twin = copy.copy(self)
-        twin.lin_vals, twin.plan = self.lin_vals.copy(), AssemblyPlan(dense=True)
-        return twin
 
     # -- per-state evaluation ------------------------------------------
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from tandem.gsn import InternalConsistencyError, Partition
-from tandem.netmodel import THREE_PHASE, IndexMap, Network, initial_state
+from tandem.netmodel import POSITIVE_SEQUENCE, THREE_PHASE, IndexMap, Network, initial_state
 from tandem.sparse import assemble
 from tandem.stamping import CompiledCircuit, stamp_system
 
@@ -41,27 +41,28 @@ def identify_feedback_feedforward(
     the nodal columns on the transmission side feed forward into the
     feeder blocks.  The scan checks that reading against the matrix.
     """
+    imap = partition.imap
     v_fb: list[int] = []
     v_ff: list[int] = []
-    for pv in partition.port_vars:
-        v_ff.extend(pv.poi)
+    for p in partition.ports:
+        v_ff.extend(imap.v_pair(p.transmission_bus, POSITIVE_SEQUENCE))
         for ph in THREE_PHASE:
-            v_fb.extend(pv.head[ph])
+            v_fb.extend(imap.v_pair(p.feeder_head, ph))
     v_fb_arr = np.array(sorted(v_fb), dtype=np.int64)
     v_ff_arr = np.array(sorted(v_ff), dtype=np.int64)
 
     if pattern is None:
         pattern = _jacobian_pattern(partition.network, partition.imap)
     pattern = pattern.tocsr()
-    imap = partition.imap
 
     nodal = set(imap.vr.values()) | set(imap.vi.values())
     scan_fb: set[int] = set()
     scan_ff: set[int] = set()
     t_start, t_stop = imap.block("transmission")
-    for pv in partition.port_vars:
+    for p in partition.ports:
         for ph in THREE_PHASE:
-            for row in pv.currents[ph]:
+            currents = imap.port_current[(p.id, ph)]
+            for row in currents:
                 cols = set(pattern.indices[pattern.indptr[row] : pattern.indptr[row + 1]])
                 for c in cols & nodal:
                     if t_start <= c < t_stop:
@@ -69,11 +70,11 @@ def identify_feedback_feedforward(
                     else:
                         scan_fb.add(c)
             # the port current must feed back into the transmission block KCL
-            for cur in pv.currents[ph]:
+            for cur in currents:
                 col_hits = pattern[:, cur].nonzero()[0] if sp.issparse(pattern) else np.nonzero(pattern[:, cur])[0]
                 if not any(t_start <= r < t_stop for r in col_hits):
                     raise InternalConsistencyError(
-                        f"port {pv.port.id} current {cur} never reaches the transmission block"
+                        f"port {p.id} current {cur} never reaches the transmission block"
                     )
     if scan_fb != set(v_fb_arr.tolist()) or scan_ff != set(v_ff_arr.tolist()):
         raise InternalConsistencyError(

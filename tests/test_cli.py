@@ -106,8 +106,17 @@ class TestSolve:
             (None, ["--tol", "-1"]),
             (None, ["--dvmax", "0"]),
             (None, ["--outer-tol", "-1", "--solver", "gsn"]),
-            (None, ["--workers", "0", "--solver", "gsn"]),
+            (None, ["--outer-tol", "inf", "--solver", "gsn"]),
             ('{"v_min": -1.5}', []),  # the voltage box is a module constant, not an option
+            ('{"max_iter": "x"}', []),
+            ('{"max_iter": 2.5}', []),
+            ('{"max_iter": 0}', []),
+            ('{"blowup_ratio": "x"}', []),
+            ('{"limiting": "no"}', []),
+            (None, ["--dvmax", "nan"]),
+            (None, ["--tol", "nan"]),
+            (None, ["--tol", "inf"]),
+            (None, ["--gamma", "-1"]),
         ],
     )
     def test_bad_option_value_is_input_error(self, workdir, options_text, flags):
@@ -182,6 +191,16 @@ class TestPvcurve:
     def test_requires_port(self, workdir):
         rc = run(["pvcurve", "--case", workdir / "case9.m", "--out", workdir / "pv"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("flag, value", [("--lf-step", "nan"), ("--lf-stop", "inf")])
+    def test_non_finite_range_is_input_error(self, workdir, flag, value):
+        # unchecked, a nan step gives a one-row curve and an infinite stop a range without end
+        out = workdir / "pv"
+        rc = run(["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                  flag, value, "--out", out])
+        assert rc == EXIT_INPUT
+        assert json.loads((out / "error.json").read_text())["exit_code"] == EXIT_INPUT
+        assert not (out / "pvcurve.csv").exists()
 
     def test_stressed_curve_monotone_and_der_lift(self, workdir):
         out = workdir / "pv"

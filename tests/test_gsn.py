@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -389,29 +388,9 @@ class TestSolveGsn:
         assert max(head_v) - min(head_v) < 1e-3
         assert rep.converged
 
-    def test_workers_deterministic(self, combined4):
-        opts = SolverOptions()
-        x1, r1 = solve_gsn(combined4, opts, GsnOptions(workers=1))
-        x4, r4 = solve_gsn(combined4, opts, GsnOptions(workers=4))
-        assert r1.epochs == r4.epochs
-        assert np.array_equal(x1, x4)
-
-    def test_clones_on_threads_match_one_worker(self, k24):
-        # 23 clones of one feeder circuit solved by more threads than cores,
-        # switching often: the state is byte-equal to one worker's
-        x1, _ = solve_gsn(k24, SolverOptions(), GsnOptions(workers=1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                x4, _ = solve_gsn(k24, SolverOptions(), GsnOptions(workers=4))
-                assert np.array_equal(x1, x4)
-        finally:
-            sys.setswitchinterval(interval)
-
     @staticmethod
     def _compiles(net, monkeypatch) -> int:
-        """CompiledCircuit constructions in one default GSN solve of ``net`` (clones are not)."""
+        """CompiledCircuit constructions in one default GSN solve of ``net``."""
         import tandem.gsn
         import tandem.newton
         import tandem.stamping
@@ -431,13 +410,37 @@ class TestSolveGsn:
 
     def test_one_compile_per_subcircuit(self, combined4, monkeypatch):
         # four identical feeders: transmission, one feeder template and the
-        # global-residual circuit compile once per solve; the copies run on clones
+        # global-residual circuit compile once per solve; the copies solve on the template's circuit
         assert self._compiles(combined4, monkeypatch) == 3
 
     def test_one_compile_per_distinct_feeder(self, mixed, monkeypatch):
         # one compile per distinct (feeder, load scale, DER scale), plus transmission
         # and the global-residual circuit
         assert self._compiles(mixed, monkeypatch) == len(set(MIXED)) + 2
+
+    def test_copies_solve_on_their_template_circuit(self, mixed, monkeypatch):
+        # 18 copies run on the circuits of 6 feeder templates; with every feeder its
+        # own template instead, the state and report are the same bits, so a shared
+        # circuit carries nothing from one copy's solve into the next
+        import tandem.gsn
+
+        circuits = []
+
+        def recording(network, options, *, circuit, **kwargs):
+            if "injections" not in kwargs:  # the transmission sub-solve passes its port drive
+                circuits.append(circuit)
+            return solve_direct(network, options, circuit=circuit, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tandem.gsn, "solve_direct", recording)
+            x_shared, rep_shared = solve_gsn(mixed, SolverOptions(), GsnOptions())
+        assert len(circuits) > 24 and len({id(c) for c in circuits}) == len(set(MIXED))
+
+        monkeypatch.setattr(tandem.gsn, "_templates", lambda parts, bases: {name: name for name in parts})
+        assert all(sub.template == sub.index for sub in tear(mixed).subs)
+        x_own, rep_own = solve_gsn(mixed, SolverOptions(), GsnOptions())
+        assert x_own.tobytes() == x_shared.tobytes()
+        assert rep_own.to_dict() == rep_shared.to_dict()
 
     def test_copy_compiles_like_its_template(self, k24, mixed):
         # a copy's own sub-network on its own index map compiles to the template's arrays

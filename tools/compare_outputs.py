@@ -19,14 +19,13 @@ path (its own bundled data):
 
 - ``tandem solve`` on case9 with ``case9_feeder1``, ``case9_feeder4`` and
   ``case9_stressed``, and on case27 with one ``feeder_medium`` on each of
-  its 24 PQ buses, under ``direct``, ``gsn --workers 1`` and
-  ``gsn --workers 2``, and under ``direct --tol 1e-10`` (``direct-tight``,
-  the reference of ``distance``);
+  its 24 PQ buses, under ``direct`` and ``gsn`` (written under ``gsn-w1``,
+  the name older snapshots use), and under ``direct --tol 1e-10``
+  (``direct-tight``, the reference of ``distance``);
 - ``tandem solve`` on case27 with ``feeder_small``, ``feeder_medium`` and
   ``feeder_stressed`` in turn on its PQ buses, some entries with a
   ``load_scale`` or ``der_scale`` (``MIXED_ENTRIES``), under ``direct``,
-  ``gsn --workers 1`` and ``direct --tol 1e-10``: repeated feeders at
-  several scales;
+  ``gsn`` and ``direct --tol 1e-10``: repeated feeders at several scales;
 - ``tandem solve --homotopy on`` (continuation from lambda = 1 down to 0)
   on ``case_radial7`` and on case9 with ``case9_stressed``;
 - the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
@@ -68,8 +67,7 @@ FLOAT_BOUND = 1e-9  # relative (absolute below 1) bound on the floats of a same-
 CASE9_MAPS = ("case9_feeder1", "case9_feeder4", "case9_stressed")
 SOLVERS = {
     "direct": ["--solver", "direct"],
-    "gsn-w1": ["--solver", "gsn", "--workers", "1"],
-    "gsn-w2": ["--solver", "gsn", "--workers", "2"],
+    "gsn-w1": ["--solver", "gsn"],  # named for the one-worker runs of older snapshots
     "direct-tight": ["--solver", "direct", "--tol", "1e-10"],
 }
 # (feeder, extra coupling keys), cycled over case27's PQ buses; all converge
