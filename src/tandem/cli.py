@@ -43,6 +43,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 
 PVCURVE_HEADER = "lf"
+PVCURVE_MAX_POINTS = 10_000  # each load factor costs one Newton solve per scenario
 BENCH_HEADER = "k,unknowns,wall_time_s,epochs,mean_inner_iterations"
 
 
@@ -188,6 +189,8 @@ def _lf_values(start: float, stop: float, step: float) -> list[float]:
         raise InputError("loading-factor range must be finite numbers")
     if step <= 0 or stop < start:
         raise InputError("loading-factor range must satisfy start <= stop, step > 0")
+    if (stop + 1e-9 - start) / step >= PVCURVE_MAX_POINTS:
+        raise InputError(f"loading-factor range has more than {PVCURVE_MAX_POINTS} points")
     out, v, k = [], start, 0
     while v <= stop + 1e-9:
         out.append(round(v, 9))

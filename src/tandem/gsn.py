@@ -27,7 +27,7 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Any
 
 import numpy as np
@@ -130,33 +130,52 @@ def _key_columns(cls) -> tuple:
     return tuple((attrgetter(name), name in _BUS_REFS) for name in compared)
 
 
-def _device_key(devices: list, base: int) -> bytes:
-    """Every field of one feeder's devices of one class that the compile and the solve
-    read, column by column: bus ids less ``base``, arrays by shape, dtype and bytes.
-    Pickled, so a float's sign of zero counts: equal keys compile to bit-equal circuits."""
-    key: list = [len(devices)]
+def _device_key(devices: list, base: int) -> tuple[tuple, list]:
+    """((device count, bus-id columns less ``base``), every other column) of one feeder's
+    devices of one class: each field that the compile and the solve read, by column."""
+    buses: list = [len(devices)]
+    columns = []
     for get, is_bus in _key_columns(type(devices[0])) if devices else ():
         column = list(map(get, devices))
         if is_bus:
-            column = [bus - base for bus in column]
-        elif isinstance(column[0], np.ndarray):
-            column = [(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a for a in column]
-        key.append(column)
-    return pickle.dumps(key)
+            buses.append(tuple(bus - base for bus in column))
+        else:
+            columns.append(column)
+    return tuple(buses), columns
+
+
+def _pickled(columns: list) -> bytes:
+    """Columns as bytes, arrays by shape, dtype and bytes.  Pickled, so a float's sign
+    of zero counts: equal bytes compile to bit-equal circuits."""
+    return pickle.dumps([[(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a for a in column]
+                         for column in columns])
 
 
 def _templates(parts: dict[str, dict], bases: dict[str, int]) -> dict[str, str]:
     """Each feeder block's template: the first block equal to it up to a bus-id shift.
     A block's key starts as its device counts and takes one device class's key at a
     time while another block shares it, so a feeder that no other one repeats is keyed
-    little, if at all."""
+    little, if at all.  The copies ``build_combined`` makes share their template's field
+    objects, so a block whose columns hold the same objects as the first block keyed in
+    its group takes that block's bytes without pickling its own."""
     keys = {name: tuple(map(len, part.values())) for name, part in parts.items()}
     for device in _KEY_ORDER:
         shared = Counter(keys.values())
-        keys = {name: (key, _device_key(parts[name][device], bases[name]) if shared[key] > 1 else None)
-                for name, key in keys.items()}
-    first: dict[tuple, str] = {}
-    return {name: first.setdefault(key, name) for name, key in keys.items()}
+        first: dict = {}  # group -> (other columns, their bytes) of its first keyed block
+        group: dict[tuple, int] = {}  # (group, device key) -> the next group
+        for name, key in keys.items():
+            device_key = None
+            if shared[key] > 1:
+                buses, columns = _device_key(parts[name][device], bases[name])
+                ref = first.get(key)
+                if ref is not None and all(all(map(is_, a, b)) for a, b in zip(columns, ref[0])):
+                    device_key = buses, ref[1]
+                else:
+                    device_key = buses, _pickled(columns)
+                    first.setdefault(key, (columns, device_key[1]))
+            keys[name] = group.setdefault((key, device_key), len(group))
+    template: dict[int, str] = {}
+    return {name: template.setdefault(key, name) for name, key in keys.items()}
 
 
 def tear(network: Network, imap: IndexMap | None = None) -> Partition:

@@ -1,9 +1,9 @@
 """Assembly and direct solution of the linearized MNA system.
 
 The MNA matrices here are unsymmetric and indefinite, so the solve uses
-LU with partial pivoting.  Assembly sums duplicate triplets in triplet
-order through a scatter cached per sparsity pattern, so iterations on
-the same pattern only pay for one ``bincount``.
+LU with pivoting.  Assembly sums duplicate triplets in triplet order
+through a scatter cached per sparsity pattern, so iterations on the same
+pattern only pay for one ``bincount``.
 
 Two kernels share that scheme, chosen by the system size:
 
@@ -14,7 +14,11 @@ Two kernels share that scheme, chosen by the system size:
   (CSC construction, ordering, symbolic analysis) outweigh the dense
   kernel's O(n^3) arithmetic;
 * any larger system, and every system of a plain plan or ``assemble``,
-  fills a CSC matrix that SuperLU factors with a COLAMD ordering.
+  fills a CSC matrix that SuperLU factors the way circuit LU codes such
+  as KLU do: columns ordered by minimum degree on the pattern of A + A^T
+  (MNA matrices are close to structurally symmetric), and a diagonal
+  pivot kept while it is at least ``DIAG_PIVOT_THRESH`` times the largest
+  entry of its column, else the largest entry (threshold pivoting).
 
 Both kernels sum every entry from the same triplets in the same order,
 so the assembled values are bitwise equal; only the LU differs.
@@ -33,16 +37,38 @@ SOLVE_TOL = 1e-10
 _REFINE_STEPS = 3
 
 # Largest system a dense plan assembles into an n x n array and factors
-# with LAPACK: the largest measured size where the dense kernel won every
-# run.  tools/dense_crossover.py times one whole Newton iteration
-# (assemble, residual, factor with refinement) on leading blocks of the
-# case27 + 24 x feeder_medium Jacobian, BLAS on 1 thread; medians of 3
-# runs on a shared 2-vCPU x86-64 host, in microseconds:
+# with LAPACK: the largest measured size where the dense kernel won.
+# tools/dense_crossover.py times one whole Newton iteration (assemble,
+# residual, factor with refinement) on leading blocks of the case27 +
+# 24 x feeder_medium Jacobian, BLAS on 1 thread; medians of 3 runs on a
+# shared 2-vCPU x86-64 host, in microseconds, SuperLU before and after the
+# ordering below:
 #
-#     n        50   100   150   200   225   250   300   400
-#     SuperLU  311  543   688   858   959   995  1109  1320
-#     LAPACK    88  176   420   717   994  1136  1816  3488
+#     n                 50   100   150   200   225   250   300   400
+#     SuperLU, COLAMD  219   309   427   513   520   617   857  1058
+#     SuperLU          203   286   364   438   479   683   537   680
+#     LAPACK            59   104   198   422   556   820  1139  2065
 DENSE_MAX_N = 200
+
+# SuperLU's column ordering and diagonal pivot threshold.  ``tools/
+# dense_crossover.py orderings`` factors the whole 2,698-unknown Jacobian
+# above (best of 60 interleaved rounds, same host; fill is the nonzeros of
+# L plus U; the residual is relative, after refinement):
+#
+#     permc_spec     thresh  splu ms   fill   residual
+#     COLAMD         1.0      3.63    79,671   5.7e-15
+#     COLAMD         0.1      3.21    73,753   2.8e-14
+#     COLAMD         0.01     3.24    73,723   5.4e-14
+#     MMD_AT_PLUS_A  1.0      2.57    54,141   6.9e-15
+#     MMD_AT_PLUS_A  0.1      1.93    41,260   8.5e-15
+#     MMD_AT_PLUS_A  0.01     1.91    41,260   8.5e-15
+#     MMD_ATA        1.0      3.86    54,713   6.9e-15
+#     MMD_ATA        0.1      3.20    41,308   2.2e-14
+#     MMD_ATA        0.01     3.25    42,110   1.9e-14
+#
+# 0.01 buys nothing over 0.1 here and admits smaller pivots.
+PERMC_SPEC = "MMD_AT_PLUS_A"
+DIAG_PIVOT_THRESH = 0.1
 
 
 class SingularSystemError(RuntimeError):
@@ -153,7 +179,7 @@ def _dense_lu(m: np.ndarray):
 
 def _sparse_lu(m):
     try:
-        return spla.splu(m.tocsc(), permc_spec="COLAMD").solve
+        return spla.splu(m.tocsc(), permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH).solve
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import shutil
+import time
 
 import pytest
 
@@ -201,6 +202,16 @@ class TestPvcurve:
         assert rc == EXIT_INPUT
         assert json.loads((out / "error.json").read_text())["exit_code"] == EXIT_INPUT
         assert not (out / "pvcurve.csv").exists()
+
+    def test_too_many_points_is_input_error(self, workdir):
+        # 1,000,001 load factors, one Newton solve each, unless rejected before the list is built
+        out = workdir / "pv"
+        t0 = time.perf_counter()
+        rc = run(["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                  "--lf-start", "1.0", "--lf-stop", "2.0", "--lf-step", "1e-6", "--out", out])
+        assert rc == EXIT_INPUT
+        assert time.perf_counter() - t0 < 1.0
+        assert "points" in json.loads((out / "error.json").read_text())["error"]
 
     def test_stressed_curve_monotone_and_der_lift(self, workdir):
         out = workdir / "pv"

@@ -3,13 +3,19 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.io import mmread
 
-from netgen import random_combined, random_state
-from tandem.netmodel import build_index_map
+import tandem.sparse
+from netgen import case27_with_feeders, random_combined, random_feeder, random_state, random_transmission
+from tandem.netmodel import build_index_map, initial_state, validate
+from tandem.newton import solve_direct
 from tandem.sparse import (
     DENSE_MAX_N,
+    DIAG_PIVOT_THRESH,
+    PERMC_SPEC,
+    SOLVE_TOL,
     AssemblyPlan,
     SingularSystemError,
     SparseSystem,
@@ -233,3 +239,96 @@ def test_dense_matrix_market_dump_reads_back(tmp_path):
     dump_matrix_market(system, out)
     assert "coordinate" in out.read_text().splitlines()[0]
     assert np.array_equal(mmread(str(out)).toarray(), system.matrix)
+
+
+# ----------------------------------------------------------------------
+# sparse kernel (minimum degree on A + A^T, diagonal-preferring threshold pivoting)
+# ----------------------------------------------------------------------
+
+
+def _kernel_gap(stamps, n) -> float:
+    """Largest |x_sparse - x_dense| over max |x_dense| for one assembled system."""
+    sparse_x = factor_solve(assemble(stamps, n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tandem.sparse, "DENSE_MAX_N", n)
+        system = AssemblyPlan(dense=True).assemble(stamps, n)
+        assert isinstance(system.matrix, np.ndarray)
+        dense_x = factor_solve(system)
+    return np.abs(sparse_x - dense_x).max() / np.abs(dense_x).max()
+
+
+def test_sparse_and_dense_kernels_agree_on_k24(data_dir):
+    # the whole case27 + 24 x feeder_medium Jacobian, at the flat start and at the solution
+    net = case27_with_feeders(data_dir, [("feeder_medium", 1.0, 1.0)])
+    imap = build_index_map(net)
+    circuit = CompiledCircuit(net, imap)
+    x, _ = solve_direct(net, circuit=circuit)
+    for state in (initial_state(net, imap), x):
+        assert _kernel_gap([circuit.linear(None), circuit.nonlinear(state, {})], imap.n) <= 1e-12
+
+
+def test_sparse_and_dense_kernels_agree_on_random_networks():
+    rng = np.random.default_rng(1507)
+    for k in range(8):
+        size = int(rng.integers(100, 140))
+        net = random_transmission(rng, size) if k % 2 else random_feeder(rng, size)
+        assert not validate(net)
+        imap = build_index_map(net)
+        assert imap.n > DENSE_MAX_N
+        circuit = CompiledCircuit(net, imap)
+        for state in (initial_state(net, imap), random_state(rng, net, imap, vm_range=(0.9, 1.1), ang_spread=0.2)):
+            assert _kernel_gap([circuit.linear(None), circuit.nonlinear(state, {})], imap.n) <= 1e-12
+
+
+def _mna(rng, n_nodes: int, n_src: int, source_diag: float, island: int = 0) -> StampSet:
+    """A random resistor tree with a few conductances to ground and ``n_src`` voltage
+    sources to ground, each one row and column after the nodes with ``source_diag`` (none
+    when 0) on its diagonal; then ``island`` more nodes in a chain tied to nothing, with a
+    current driven into it, so that no solution exists."""
+    triplets = []
+
+    def conductance(i, j, g):
+        triplets.extend([(i, i, g), (j, j, g), (i, j, -g), (j, i, -g)])
+
+    for i in range(1, n_nodes):
+        conductance(i, int(rng.integers(0, i)), 1.0 + 9.0 * rng.random())
+    triplets += [(int(i), int(i), 1e-3) for i in rng.choice(n_nodes, 3, replace=False)]
+    rhs = []
+    for k, node in enumerate(rng.choice(n_nodes, n_src, replace=False)):
+        row = n_nodes + k
+        triplets += [(int(node), row, 1.0), (row, int(node), 1.0)] + ([(row, row, source_diag)] if source_diag else [])
+        rhs.append((row, 1.0 + 0.05 * rng.normal()))
+    first = n_nodes + n_src
+    for i in range(first + 1, first + island):
+        conductance(i, i - 1, 1.0 + rng.random())
+    if island:
+        rhs.append((first + island // 2, 0.5))
+    return stamps_from(triplets, rhs)
+
+
+@pytest.mark.parametrize("seed, source_diag", [(31, 0.0), (32, 1e-14), (33, 1e-9)])
+def test_threshold_pivoting_refines_or_raises(seed, source_diag):
+    # source rows whose diagonals are empty or far below the threshold of their column
+    # force off-diagonal pivots; a returned answer always meets SOLVE_TOL, and only a
+    # system with no solution may raise instead
+    rng = np.random.default_rng(seed)
+    raised = 0
+    for _ in range(6):
+        n_nodes, n_src = int(rng.integers(200, 300)), int(rng.integers(5, 30))
+        for island in (0, 10):
+            system = assemble([_mna(rng, n_nodes, n_src, source_diag, island)], n_nodes + n_src + island)
+            if not island:
+                lu = spla.splu(system.matrix, permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH)
+                assert (lu.perm_r != lu.perm_c).any()  # some column's diagonal was passed over
+            try:
+                x = factor_solve(system)
+            except SingularSystemError:
+                assert island
+                raised += 1
+                continue
+            assert np.abs(system.matrix @ x - system.rhs).max() / max(1.0, np.abs(system.rhs).max()) <= SOLVE_TOL
+            if not island:
+                assert np.allclose(x, np.linalg.solve(system.matrix.toarray(), system.rhs), rtol=1e-9, atol=1e-12)
+    # nearly every system with no solution raises; one in a few hundred factors with a
+    # pivot so small that its huge answer, all in the null space, meets the residual bound
+    assert raised >= 4

@@ -15,6 +15,15 @@ the triplets through a cached plan, the residual ``A x - b``, and
 ``factor_solve`` (LU plus iterative refinement).  BLAS is pinned to one
 thread, as in ``perfbench``.  To time both kernels at every size the
 script moves ``DENSE_MAX_N`` out of the way for each one.
+
+    PYTHONPATH=src python tools/dense_crossover.py orderings
+
+sweeps the sparse kernel's SuperLU settings instead, on the whole 2,698
+unknown Jacobian: for each column ordering (``permc_spec``) and diagonal
+pivot threshold it prints the best ``splu`` time of interleaved rounds,
+the fill (nonzeros of L plus U) and the residual ``factor_solve`` reaches
+after refinement.  These set ``tandem.sparse.PERMC_SPEC`` and
+``DIAG_PIVOT_THRESH``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 SIZES = (50, 75, 100, 125, 150, 175, 200, 225, 250, 275, 300, 400)
+ORDERINGS = ("COLAMD", "MMD_AT_PLUS_A", "MMD_ATA")
+THRESHOLDS = (1.0, 0.1, 0.01)
 
 
 def k24_system():
@@ -87,9 +98,41 @@ def iteration_us(st, n: int, x: np.ndarray, dense: bool, rounds: int = 7, reps: 
     return best * 1e6
 
 
+def orderings(stamps, n: int, rounds: int = 60) -> None:
+    """Print splu time, fill and refined residual per (ordering, threshold) on the whole system."""
+    import scipy.sparse.linalg as spla
+
+    from tandem import sparse
+
+    system = sparse.assemble([stamps], n)
+    settings = [(spec, thresh) for spec in ORDERINGS for thresh in THRESHOLDS]
+    best = dict.fromkeys(settings, np.inf)
+    for _ in range(rounds):  # interleaved, so host drift falls on every setting alike
+        for spec, thresh in settings:
+            t0 = time.perf_counter()
+            spla.splu(system.matrix, permc_spec=spec, diag_pivot_thresh=thresh)
+            best[spec, thresh] = min(best[spec, thresh], time.perf_counter() - t0)
+    scale = max(1.0, float(np.abs(system.rhs).max()))
+    print("permc_spec,diag_pivot_thresh,splu_ms,lu_nnz,refined_residual")
+    saved = sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH
+    try:
+        for spec, thresh in settings:
+            lu = spla.splu(system.matrix, permc_spec=spec, diag_pivot_thresh=thresh)
+            sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH = spec, thresh
+            x = sparse.factor_solve(system)
+            resid = float(np.abs(system.matrix @ x - system.rhs).max()) / scale
+            print(f"{spec},{thresh},{best[spec, thresh] * 1e3:.2f},{lu.L.nnz + lu.U.nnz},{resid:.1e}")
+    finally:
+        sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH = saved
+
+
 def main(argv: list[str]) -> int:
     from tandem.sparse import SingularSystemError
 
+    if argv[:1] == ["orderings"]:
+        stamps, x = k24_system()
+        orderings(stamps, len(x))
+        return 0
     sizes = [int(a) for a in argv] or SIZES
     stamps, x = k24_system()
     print("n,sparse_us,dense_us,dense/sparse")
