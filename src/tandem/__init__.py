@@ -6,8 +6,8 @@ ports, and solved either directly (Newton-Raphson with voltage limiting
 and admittance-scaling continuation) or by a Gauss-Seidel-Newton
 exchange over the torn bordered-block-diagonal system.  An epoch's
 feeders read one boundary snapshot and are independent, so they could
-run in parallel; this package solves them one after another in one
-thread.
+run in parallel; this package solves them together, as one Newton over
+the block-diagonal feeder side.
 """
 
 from .netmodel import (

@@ -1,33 +1,30 @@
 """Domain decomposition and the Gauss-Seidel-Newton outer loop.
 
-The combined network is torn at its coupling ports into one
-transmission subcircuit plus one subcircuit per feeder.  The boundary
-quantities are, per port, the transmission-side voltage and the three
-head currents.  Each epoch first solves the transmission subcircuit's
-inner Newton problem with every port drawing the last head currents as
-constant current, then solves the feeders with each head held at the
-rotated fresh POI voltage.  The first epoch's head currents lump each
-feeder into its nominal net demand.  After every epoch the subcircuit
-states are scattered into the combined state, and the loop stops when
-that state's true mismatch on the combined system is at most the outer
-tolerance.
+The combined network is torn at its coupling ports into two
+subcircuits: the transmission block, and the feeder side, every feeder
+with its head held by an ideal source.  The boundary quantities are,
+per port, the transmission-side voltage and the three head currents.
+Each epoch first solves the transmission block with every port drawing
+the last head currents as constant current, then the feeder side with
+each head held at the rotated fresh POI voltage.  The first epoch's
+head currents lump each feeder into its nominal net demand.  The loop
+stops when the true mismatch of the combined state is at most the
+outer tolerance.
 
-The feeders of one epoch all read the same snapshot and are independent
-of one another, so they could run in parallel (the paper solves them on
-separate machines); this module solves them one after another in one
-thread.
+Once the POI voltages are fixed the feeders are independent, so the
+feeder side's Jacobian is block diagonal and one Newton over it takes
+each feeder's own step (the step limiter clamps per component): the
+paper's parallel feeder sweep, one machine per feeder there, vectorized
+on one host here.  The feeders couple only through the shared stopping
+test, divergence monitor and continuation schedule.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
-import pickle
-from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter, is_
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -37,7 +34,6 @@ from .netmodel import (
     POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
-    Bus,
     IndexMap,
     Network,
     build_index_map,
@@ -45,7 +41,7 @@ from .netmodel import (
 )
 from .newton import SolveFailure, SolverOptions, solve_direct
 from .sparse import assemble  # noqa: F401  (perfbench/tracer.py wraps tandem.gsn.assemble)
-from .stamping import CompiledCircuit, stamp_system
+from .stamping import CompiledCircuit, HomotopyState, VoltageCollapseError, stamp_system
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +64,7 @@ class GsnOptions:
     """Outer-loop knobs: ``outer_tol`` bounds the true mismatch of the
     combined state after an epoch.  Inner solves take the caller's
     SolverOptions capped at INNER_MAX_ITER, their tolerance at most
-    ``outer_tol / 10``.  An epoch's feeders are independent and could
-    run in parallel; they are solved one after another in one thread."""
+    ``outer_tol / 10``."""
 
     outer_tol: float = 1e-3
     max_epochs: int = 100
@@ -87,26 +82,17 @@ class GsnOptions:
 
 @dataclass
 class SubCircuit:
-    """One torn block.  A feeder equal to an earlier one up to a bus-id
-    shift is a copy: ``template`` is the index of that earlier subcircuit
-    (its own index when it is not a copy), whose ``network`` and ``imap``
-    it shares and in whose bus ids it solves, on the template's compiled
-    circuit; ``shift`` (the template's smallest bus id less the copy's)
-    takes the copy's head bus ids there.  Inner failure reasons of a copy
-    therefore quote the template's bus ids, while ``name``, ``ports`` and
-    the global indices stay the copy's own.  Sharing a circuit is safe
-    because the feeders are solved one at a time."""
+    """One torn block on its own sub-network and index map: the transmission
+    block, or the feeder side, every feeder block with each ported head held
+    by an ideal source."""
 
-    index: int
-    name: str
+    name: str  # "transmission" | "feeders"
     kind: str  # "transmission" | "feeder"
     network: Network
     imap: IndexMap
     ports: tuple
     internal_global: np.ndarray
     local_to_global: np.ndarray  # local unknown -> global unknown
-    template: int
-    shift: int
 
 
 @dataclass
@@ -118,139 +104,59 @@ class Partition:
 
 
 _DEVICES = ("buses", "elements", "loads", "shunts", "generators", "ders")
-_KEY_ORDER = ("generators", "ders", "shunts", "loads", "buses", "elements")  # where scaled copies differ first
-_BUS_REFS = frozenset({"id", "bus", "from_bus", "to_bus"})
-
-
-@functools.cache
-def _key_columns(cls) -> tuple:
-    """(getter, holds a bus id) per field of a device class that a feeder key compares:
-    every field but element ids."""
-    compared = [f.name for f in fields(cls) if not (f.name == "id" and cls is not Bus)]
-    return tuple((attrgetter(name), name in _BUS_REFS) for name in compared)
-
-
-def _device_key(devices: list, base: int) -> tuple[tuple, list]:
-    """((device count, bus-id columns less ``base``), every other column) of one feeder's
-    devices of one class: each field that the compile and the solve read, by column."""
-    buses: list = [len(devices)]
-    columns = []
-    for get, is_bus in _key_columns(type(devices[0])) if devices else ():
-        column = list(map(get, devices))
-        if is_bus:
-            buses.append(tuple(bus - base for bus in column))
-        else:
-            columns.append(column)
-    return tuple(buses), columns
-
-
-def _pickled(columns: list) -> bytes:
-    """Columns as bytes, arrays by shape, dtype and bytes.  Pickled, so a float's sign
-    of zero counts: equal bytes compile to bit-equal circuits."""
-    return pickle.dumps([[(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a for a in column]
-                         for column in columns])
-
-
-def _templates(parts: dict[str, dict], bases: dict[str, int]) -> dict[str, str]:
-    """Each feeder block's template: the first block equal to it up to a bus-id shift.
-    A block's key starts as its device counts and takes one device class's key at a
-    time while another block shares it, so a feeder that no other one repeats is keyed
-    little, if at all.  The copies ``build_combined`` makes share their template's field
-    objects, so a block whose columns hold the same objects as the first block keyed in
-    its group takes that block's bytes without pickling its own."""
-    keys = {name: tuple(map(len, part.values())) for name, part in parts.items()}
-    for device in _KEY_ORDER:
-        shared = Counter(keys.values())
-        first: dict = {}  # group -> (other columns, their bytes) of its first keyed block
-        group: dict[tuple, int] = {}  # (group, device key) -> the next group
-        for name, key in keys.items():
-            device_key = None
-            if shared[key] > 1:
-                buses, columns = _device_key(parts[name][device], bases[name])
-                ref = first.get(key)
-                if ref is not None and all(all(map(is_, a, b)) for a, b in zip(columns, ref[0])):
-                    device_key = buses, ref[1]
-                else:
-                    device_key = buses, _pickled(columns)
-                    first.setdefault(key, (columns, device_key[1]))
-            keys[name] = group.setdefault((key, device_key), len(group))
-    template: dict[int, str] = {}
-    return {name: template.setdefault(key, name) for name, key in keys.items()}
 
 
 def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     """Tear the combined network at its coupling ports into a Partition.
 
-    Every block of the index map but the trailing port border becomes
-    one subcircuit: the transmission block first, then one per feeder.
-    A subcircuit's own unknowns are its block's index range; a feeder's
-    head-source currents (the last unknowns of its local map, its head
-    being the component's only source) are its ports' port currents.
-    One pass buckets the buses, elements and devices by block in network
-    order.  A feeder equal to an earlier one up to a bus-id shift is its
-    copy (see SubCircuit), with no network or index map of its own.
+    The transmission block becomes one subcircuit and the union of the
+    feeder blocks a second (either is left out when it has no bus).  A
+    subcircuit's own unknowns are its blocks' index ranges; on the feeder
+    side each block's head-source currents (the last unknowns of its
+    local block, its head being the component's only source) are its
+    port's port currents.  One pass buckets the buses, elements and
+    devices by side in network order.
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
 
-    block_of = {b.id: "transmission" for b in network.transmission_buses()}
-    block_of.update((bus, f"feeder:{comp}") for bus, comp in imap.feeder_of_bus.items())
-    parts = {name: {k: [] for k in _DEVICES} for name, _, _ in imap.blocks}
+    side = {b.id: "transmission" for b in network.transmission_buses()}
+    side.update((bus, "feeders") for bus in imap.feeder_of_bus)
+    parts = {name: {k: [] for k in _DEVICES} for name in ("transmission", "feeders")}
     for b in network.buses:
-        parts[block_of[b.id]]["buses"].append(b)
+        parts[side[b.id]]["buses"].append(b)
     for e in network.elements:  # build_index_map has checked that both ends are buses
-        if block_of[e.from_bus] == block_of[e.to_bus]:
-            parts[block_of[e.from_bus]]["elements"].append(e)
+        if side[e.from_bus] == side[e.to_bus]:
+            parts[side[e.from_bus]]["elements"].append(e)
     for name in _DEVICES[2:]:
         for dev in getattr(network, name):
-            if dev.bus in block_of:
-                parts[block_of[dev.bus]][name].append(dev)
-    feeder_ports: dict[str, list] = {}
+            if dev.bus in side:
+                parts[side[dev.bus]][name].append(dev)
+    heads: dict[str, list] = {}  # feeder block -> its ports' current indices
     for p in ports:
-        feeder_ports.setdefault(block_of[p.feeder_head], []).append(p)
-    bases = {name: min(b.id for b in part["buses"]) for name, part in parts.items() if part["buses"]}
-    template_of = _templates({name: parts[name] for name in bases if name != "transmission"}, bases)
-    template_of["transmission"] = "transmission"
+        heads.setdefault(f"feeder:{imap.feeder_of_bus[p.feeder_head]}", []).extend(
+            i for ph in THREE_PHASE for i in imap.port_current[(p.id, ph)])
 
     subs: list[SubCircuit] = []
-    index_of: dict[str, int] = {}
-    for name, start, stop in imap.blocks:
-        part = parts[name]
-        if not part["buses"]:  # the port border, or no transmission side at all
+    for name, part in parts.items():
+        if not part["buses"]:  # no transmission side, or no feeders
             continue
-        index_of[name] = len(subs)
-        template = index_of[template_of[name]]  # a template comes before its copies
-        if template == len(subs):
-            labels = {b.id: network.labels[b.id] for b in part["buses"] if b.id in network.labels}
-            sub_net = Network(base_mva=network.base_mva, labels=labels, **part)
-            sub_imap = build_index_map(sub_net)
-        else:
-            sub_net, sub_imap = subs[template].network, subs[template].imap
+        labels = {b.id: network.labels[b.id] for b in part["buses"] if b.id in network.labels}
+        sub_net = Network(base_mva=network.base_mva, labels=labels, **part)
+        sub_imap = build_index_map(sub_net)
         if name == "transmission":
-            kind, sub_ports, heads = "transmission", tuple(network.ports), []
+            kind, sub_ports = "transmission", tuple(network.ports)
+            internal = local_to_global = np.arange(*imap.block(name), dtype=np.int64)
         else:
-            kind, sub_ports = "feeder", tuple(feeder_ports.get(name, ()))
-            heads = [i for p in sub_ports for ph in THREE_PHASE for i in imap.port_current[(p.id, ph)]]
-        internal = np.arange(start, stop, dtype=np.int64)
-        local_to_global = np.concatenate([internal, np.array(heads, dtype=np.int64)])
+            kind, sub_ports = "feeder", tuple(ports)
+            blocks = [b for b in imap.blocks if b[0].startswith("feeder:")]
+            internal = np.arange(blocks[0][1], blocks[-1][2], dtype=np.int64)
+            local_to_global = np.array([i for b, lo, hi in blocks for i in (*range(lo, hi), *heads.get(b, ()))],
+                                       dtype=np.int64)
         if len(local_to_global) != sub_imap.n:
-            raise InternalConsistencyError(
-                f"{name}: {len(local_to_global)} mapped unknowns for {sub_imap.n} local ones"
-            )
-        subs.append(
-            SubCircuit(
-                index=len(subs),
-                name=name,
-                kind=kind,
-                network=sub_net,
-                imap=sub_imap,
-                ports=sub_ports,
-                internal_global=internal,
-                local_to_global=local_to_global,
-                template=template,
-                shift=bases[template_of[name]] - bases[name],
-            )
-        )
+            raise InternalConsistencyError(f"{name}: {len(local_to_global)} mapped unknowns for "
+                                           f"{sub_imap.n} local ones")
+        subs.append(SubCircuit(name, kind, sub_net, sub_imap, sub_ports, internal, local_to_global))
 
     return Partition(network=network, imap=imap, subs=subs, ports=ports)
 
@@ -281,8 +187,20 @@ class GsnReport:
         }
 
 
-def _positive_sequence_current(currents) -> complex:
-    return sum(POS_SEQ_WEIGHT[ph] * i for ph, i in zip(THREE_PHASE, currents)) / 3.0
+def _failing_feeder(circuit: CompiledCircuit, exc: SolveFailure, options: SolverOptions) -> str:
+    """The feeder block whose rows of the feeder side's mismatch are largest at the
+    failed solve's last iterate, at its last attempt's lambda; or the block whose load
+    terminal trips the collapse guard there."""
+    imap, lam = circuit.imap, exc.report.lambda_trajectory[-1]["lambda"]
+    hs = HomotopyState(lam, options.gamma, options.shunt_relax) if lam else None
+    try:
+        linear, nonlinear = stamp_system(circuit, exc.x, hs)
+    except VoltageCollapseError as collapse:
+        return f"feeder:{imap.feeder_of_bus[collapse.bus]}"
+    system = circuit.plan.assemble([linear, nonlinear], imap.n)
+    resid = np.abs(system.matrix @ exc.x - system.rhs)
+    blocks = [b for b in imap.blocks if b[0].startswith("feeder:")]
+    return max(blocks, key=lambda b: resid[b[1]:b[2]].max(initial=0.0))[0]
 
 
 def solve_gsn(
@@ -294,120 +212,103 @@ def solve_gsn(
     """Gauss-Seidel-Newton solve of a combined network.
 
     Each epoch solves the transmission block against the last head
-    currents, then every feeder, one after another in this thread,
-    against the fresh POI voltages; the first head currents are each
-    single-port feeder's net demand (loads less DERs plus shunts) at
-    1 pu, drawn at the case-data POI voltage.
+    currents, then the whole feeder side, one Newton over every feeder
+    at once, against the fresh POI voltages; the first head currents are
+    each feeder's net demand (loads less DERs plus shunts) at 1 pu, drawn
+    at the case-data POI voltage.  Both blocks compile once per solve.
     Stops once the true mismatch of the combined state is at most
-    ``gsn.outer_tol``, which ``report.global_residual`` then holds.
-    The transmission block, each feeder template (see SubCircuit) and the
-    combined network compile once per solve; a copy solves on its
-    template's circuit.
+    ``gsn.outer_tol``, which ``report.global_residual`` then holds: its
+    rows are the transmission block's, stamped with the epoch's new head
+    currents as injections, and the feeder side's, whose head sources
+    already hold the new POI voltages (that solve's final residual).
+    ``report.inner_iterations`` holds ``{"transmission": n, "feeders": m}``
+    per epoch.
 
     Returns the global state on the combined index map (``imap`` when
     given, else built here) plus an epoch report.  Raises GsnError when
-    an inner solve fails (naming the subcircuit) or the epoch cap is
-    exceeded.
+    an inner solve fails (naming the transmission block or the feeder
+    block whose rows fail) or the epoch cap is exceeded.
     """
     options = options or SolverOptions()
     gsn = gsn or GsnOptions()
     inner_opts = replace(options, max_iter=INNER_MAX_ITER, tol=min(options.tol, gsn.outer_tol / 10))
-    report = GsnReport()
     imap = imap or build_index_map(network)
 
     if not network.ports:
-        x, direct_rep = solve_direct(network, options, circuit=CompiledCircuit(network, imap))
-        report.converged = True
-        report.epochs = 1
-        report.boundary_deltas = [0.0]
-        report.inner_iterations = [{"transmission": direct_rep.iterations}]
-        report.global_residual = direct_rep.final_residual
-        return x, report
+        x, rep = solve_direct(network, options, circuit=CompiledCircuit(network, imap))
+        return x, GsnReport(converged=True, epochs=1, boundary_deltas=[0.0], global_residual=rep.final_residual,
+                            inner_iterations=[{"transmission": rep.iterations}])
 
     partition = tear(network, imap)
-    transmission, feeders = partition.subs[0], partition.subs[1:]
+    transmission, feeders = partition.subs
+    ports = partition.ports
     # an epoch's snapshot changes only source voltages and injections, not
-    # topology, so each distinct subcircuit compiles once for the whole solve;
-    # the copies of a feeder solve on its template's circuit, which every
-    # solve_direct call re-points at its own sources, demands and injections
-    circuits = {s.index: CompiledCircuit(s.network, s.imap) for s in partition.subs if s.template == s.index}
-    log.info("%d subcircuits, %d compiled", len(partition.subs), len(circuits))
-    combined = CompiledCircuit(network, imap)  # evaluates the global mismatch
+    # topology, so each block compiles once for the whole solve
+    t_circuit = CompiledCircuit(transmission.network, transmission.imap)
+    f_circuit = CompiledCircuit(feeders.network, feeders.imap)
+    poi = np.array([transmission.imap.vr[(p.transmission_bus, POSITIVE_SEQUENCE)] for p in ports])
+    head = np.array([[feeders.imap.vr[(p.feeder_head, ph)] for ph in THREE_PHASE] for p in ports])
+    current = np.array([[feeders.imap.source_current[(p.feeder_head, ph)] for ph in THREE_PHASE] for p in ports])
+    rotation = np.array([PHASE_ROTATION[ph] for ph in THREE_PHASE])
+    weights = [POS_SEQ_WEIGHT[ph] for ph in THREE_PHASE]
 
     # one boundary row per port in port-id order: the transmission-side
     # voltage, then the head currents of phases a, b, c; the first
     # snapshot takes the voltages from the case data and the currents
-    # from each single-port feeder's lumped demand
-    row = {p.id: k for k, p in enumerate(partition.ports)}
-    boundary = np.zeros((len(row), 1 + len(THREE_PHASE)), dtype=complex)
-    for p in partition.ports:
-        boundary[row[p.id], 0] = network.bus(p.transmission_bus).v0[0]
-    for sub in feeders:
-        if len(sub.ports) == 1:
-            net, k = sub.network, row[sub.ports[0].id]
-            s = sum(sum(d.s) for d in net.loads) - sum(sum(d.s) for d in net.ders)
-            s += sum(sum(y.conjugate() for y in sh.y) for sh in net.shunts)
-            boundary[k, 1:] = [PHASE_ROTATION[ph] * (s / (3 * boundary[k, 0])).conjugate() for ph in THREE_PHASE]
+    # from each feeder's lumped demand
+    boundary = np.zeros((len(ports), 1 + len(THREE_PHASE)), dtype=complex)
+    demand: dict[int, list] = {}  # feeder block ordinal -> [loads, DERs, shunts]
+    for k, devices in enumerate((network.loads, network.ders, network.shunts)):
+        for d in devices:
+            if d.bus in imap.feeder_of_bus:
+                s = sum(y.conjugate() for y in d.y) if k == 2 else sum(d.s)
+                demand.setdefault(imap.feeder_of_bus[d.bus], [0, 0, 0])[k] += s
+    for k, p in enumerate(ports):
+        boundary[k, 0] = network.bus(p.transmission_bus).v0[0]
+        loads, ders, shunts = demand.get(imap.feeder_of_bus[p.feeder_head], (0, 0, 0))
+        boundary[k, 1:] = [rot * ((loads - ders + shunts) / (3 * boundary[k, 0])).conjugate() for rot in rotation]
 
-    warm: list[np.ndarray | None] = [None] * len(partition.subs)
+    def drive(snap: np.ndarray) -> dict:
+        """The transmission block's injections: each POI draws its port's positive-sequence head current."""
+        return {p.transmission_bus: {POSITIVE_SEQUENCE: sum(w * i for w, i in zip(weights, row)) / 3.0}
+                for p, row in zip(ports, snap[:, 1:].tolist())}
+
+    injections = drive(boundary)
+    x_t = x_f = None
+    report = GsnReport()
     log_file = open(gsn.epoch_log_path, "w") if gsn.epoch_log_path else None
-
-    def run_sub(sub: SubCircuit, snap: np.ndarray):
-        try:
-            if sub.kind == "transmission":
-                injections = {
-                    p.transmission_bus: {POSITIVE_SEQUENCE: _positive_sequence_current(snap[row[p.id], 1:].tolist())}
-                    for p in sub.ports
-                }
-                return solve_direct(
-                    sub.network, inner_opts, injections=injections, x0=warm[sub.index], circuit=circuits[sub.template]
-                )
-            head_volts = {
-                p.feeder_head + sub.shift: tuple(PHASE_ROTATION[ph] * complex(snap[row[p.id], 0]) for ph in THREE_PHASE)
-                for p in sub.ports
-            }
-            net = sub.network.with_source_voltages(head_volts)
-            x0 = warm[sub.index]
-            if x0 is not None:
-                x0 = x0.copy()
-                for head, volts in head_volts.items():
-                    for ph, v in zip(THREE_PHASE, volts):
-                        vr, vi = sub.imap.v_pair(head, ph)
-                        x0[vr], x0[vi] = v.real, v.imag
-            return solve_direct(net, inner_opts, x0=x0, circuit=circuits[sub.template])
-        except SolveFailure as exc:
-            raise GsnError(f"subcircuit {sub.name} failed to converge: {exc}", report) from exc
-
-    x_global = np.zeros(imap.n)
-    linear = None
     try:
         for epoch in range(1, gsn.max_epochs + 1):
-            new = boundary.copy()
-            x, rep = run_sub(transmission, boundary)
-            warm[transmission.index] = x
-            iters = {transmission.name: rep.iterations}
-            gen_modes = rep.gen_modes
-            for p in transmission.ports:
-                new[row[p.id], 0] = transmission.imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
+            new = np.empty_like(boundary)
+            try:
+                x_t, t_rep = solve_direct(transmission.network, inner_opts, injections=injections, x0=x_t,
+                                          circuit=t_circuit)
+            except SolveFailure as exc:
+                raise GsnError(f"subcircuit {transmission.name} failed to converge: {exc}", report) from exc
+            new[:, 0] = x_t[poi] + 1j * x_t[poi + 1]
 
-            for sub in feeders:
-                x, rep = run_sub(sub, new)
-                warm[sub.index] = x
-                iters[sub.name] = rep.iterations
-                for p in sub.ports:
-                    k = row[p.id]
-                    for j, ph in enumerate(THREE_PHASE, start=1):
-                        ir, ii = sub.imap.source_current[(p.feeder_head + sub.shift, ph)]
-                        new[k, j] = complex(x[ir], x[ii])
+            volts = rotation * new[:, :1]
+            net = feeders.network.with_source_voltages({p.feeder_head: tuple(volts[k].tolist())
+                                                        for k, p in enumerate(ports)})
+            x0 = None
+            if x_f is not None:
+                x0 = x_f.copy()
+                x0[head], x0[head + 1] = volts.real, volts.imag
+            try:
+                x_f, f_rep = solve_direct(net, inner_opts, x0=x0, circuit=f_circuit)
+            except SolveFailure as exc:
+                name = _failing_feeder(f_circuit, exc, inner_opts)
+                raise GsnError(f"subcircuit {name} failed to converge: {exc}", report) from exc
+            new[:, 1:] = x_f[current[..., 0]] + 1j * x_f[current[..., 1]]
 
             # infinity norm of the boundary change over all real components
             delta = float(np.abs((new - boundary).view(float)).max())
-            boundary = new
-            for sub in partition.subs:
-                x_global[sub.local_to_global] = warm[sub.index]
-            linear, nonlinear = stamp_system(combined, x_global, gen_modes=gen_modes, linear=linear)
-            system = combined.plan.assemble([linear, nonlinear], imap.n)
-            mismatch = float(np.abs(system.matrix @ x_global - system.rhs).max(initial=0.0))
+            boundary, injections = new, drive(new)
+            t_circuit.set_injections(injections)
+            linear, nonlinear = stamp_system(t_circuit, x_t, gen_modes=t_rep.gen_modes)
+            system = t_circuit.plan.assemble([linear, nonlinear], transmission.imap.n)
+            mismatch = max(float(np.abs(system.matrix @ x_t - system.rhs).max(initial=0.0)), f_rep.final_residual)
+            iters = {transmission.name: t_rep.iterations, feeders.name: f_rep.iterations}
 
             report.boundary_deltas.append(delta)
             report.inner_iterations.append(iters)
@@ -429,4 +330,7 @@ def solve_gsn(
     if not report.converged:
         report.error = f"boundary exchange did not converge in {gsn.max_epochs} epochs"
         raise GsnError(report.error, report)
+    x_global = np.zeros(imap.n)
+    x_global[transmission.local_to_global] = x_t
+    x_global[feeders.local_to_global] = x_f
     return x_global, report

@@ -111,9 +111,12 @@ class SolveReport:
 
 
 class SolveFailure(RuntimeError):
-    def __init__(self, message: str, report: SolveReport):
+    """``x`` is the last iterate of the last Newton attempt."""
+
+    def __init__(self, message: str, report: SolveReport, x: np.ndarray | None = None):
         super().__init__(message)
         self.report = report
+        self.x = x
 
 
 class UnsolvableCaseError(SolveFailure):
@@ -340,7 +343,7 @@ def _solve_with_continuation(circuit, x, options, modes, vmask, report):
             x_best = x_try
         elif options.homotopy == "off":
             report.error = "non-convergence with continuation disabled"
-            raise SolveFailure(report.error, report)
+            raise SolveFailure(report.error, report, x_try)
         lam = sched.next_lambda(lam, ok)
         if lam is None:
             smallest = sched.lam_converged
@@ -349,7 +352,7 @@ def _solve_with_continuation(circuit, x, options, modes, vmask, report):
                 if smallest is not None
                 else "continuation exhausted with no converged point"
             )
-            raise UnsolvableCaseError(report.error, report)
+            raise UnsolvableCaseError(report.error, report, x_try)
 
 
 def solve_direct(
@@ -390,7 +393,7 @@ def solve_direct(
         report.q_switch_log.extend(switches)
     else:
         report.error = "control-variable loop did not settle"
-        raise SolveFailure(report.error, report)
+        raise SolveFailure(report.error, report, x)
 
     report.converged = True
     report.iterations = len(report.residual_history)

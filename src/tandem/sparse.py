@@ -70,6 +70,14 @@ DENSE_MAX_N = 200
 PERMC_SPEC = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.1
 
+# Largest growth max|A| max|x| / max|b| a solve may return.  It bounds
+# cond(A) from below (up to a factor n), so an answer past it has lost
+# nearly every digit to roundoff although its residual can meet SOLVE_TOL:
+# a floating MNA island factored with a pivot near roundoff returned
+# |x| = 1.1e15 (growth 4e16).  Solves on the bundled cases and in the
+# tests grow by at most 1.1e6.
+MAX_GROWTH = 1e13
+
 
 class SingularSystemError(RuntimeError):
     """The linearized system has no usable factorization."""
@@ -188,9 +196,9 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
     """LU solve with iterative refinement to a 1e-10 relative residual.
 
     A dense matrix is factored by LAPACK, a sparse one by SuperLU.
-    Raises SingularSystemError when the factorization fails or the
-    refined residual cannot meet the bound (signals that limiting or
-    continuation must escalate upstream).
+    Raises SingularSystemError when the factorization fails, the answer
+    grows past MAX_GROWTH or the refined residual cannot meet the bound
+    (signals that limiting or continuation must escalate upstream).
     """
     m, b = system.matrix, system.rhs
     if m.shape[0] == 0:
@@ -199,7 +207,11 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    b_max = float(np.abs(b).max(initial=0.0))
+    growth = float(np.abs(m if isinstance(m, np.ndarray) else m.data).max(initial=0.0)) * float(np.abs(x).max())
+    if growth > MAX_GROWTH * b_max:
+        raise SingularSystemError(f"solution growth max|A| max|x| / max|b| above {MAX_GROWTH:.0e}")
+    scale = max(1.0, b_max)
     for _ in range(_REFINE_STEPS):
         resid = m @ x - b
         if float(np.abs(resid).max(initial=0.0)) / scale <= SOLVE_TOL:

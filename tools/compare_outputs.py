@@ -40,11 +40,16 @@ strings and flags (so the same iterations, epochs, lambda trajectory and
 reasons) and every float agrees within 1e-9 relative, or 1e-9 absolute
 below 1 (a converged residual of 1e-9 is roundoff of the LU, so its
 relative change can reach 1e-6): the same run with its last bits moved.
-Otherwise the line names the first differing key.
+Otherwise the line names the first differing key.  A ``summary.txt``
+that differs reads ``same shape`` when its text outside the numbers is
+the same, its integers are equal and its other numbers agree within
+the same bound (a residual printed as 6.149e-13 against 6.140e-13);
+otherwise the line names the first differing line.
 Any other file that differs reads ``differs``.  It exits 1 when a file
 is missing on one side or a voltage differs by more than 1e-9 pu.
 ``distance SNAP`` prints, for every GSN ``solution.json`` in a snapshot,
-the largest |dV| in pu from the ``direct-tight`` solution of its case.
+the largest |dV| in pu from the ``direct-tight`` solution of its case,
+to 7 significant digits.
 Uses only the standard library and ``tandem``.
 """
 
@@ -58,6 +63,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -194,7 +200,29 @@ def _report_shape(a: Path, b: Path) -> str:
     return "same shape" if where is None else f"differs at {where.lstrip('.') or 'top level'}"
 
 
-SHAPE_FILES = {"report.json", "epochs.jsonl"}
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _same_number(a: str, b: str) -> bool:
+    if a.lstrip("+-").isdigit() and b.lstrip("+-").isdigit():
+        return int(a) == int(b)
+    return math.isclose(float(a), float(b), rel_tol=FLOAT_BOUND, abs_tol=FLOAT_BOUND)
+
+
+def _text_shape(a: Path, b: Path) -> str:
+    """Line by line: the same text between the numbers, and numbers that ``_same_number`` accepts."""
+    la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(la) != len(lb):
+        return f"differs: {len(la)} lines != {len(lb)}"
+    for i, (x, y) in enumerate(zip(la, lb), start=1):
+        nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
+        same = _NUMBER.split(x) == _NUMBER.split(y) and all(map(_same_number, nx, ny))
+        if not same:
+            return f"differs at line {i}"
+    return "same shape"
+
+
+SHAPE_FILES = {"report.json": _report_shape, "epochs.jsonl": _report_shape, "summary.txt": _text_shape}
 
 
 def compare(a: Path, b: Path) -> int:
@@ -211,7 +239,7 @@ def compare(a: Path, b: Path) -> int:
             print(f"{rel}: identical")
             continue
         if rel.name in SHAPE_FILES:
-            print(f"{rel}: {_report_shape(fa, fb)}")
+            print(f"{rel}: {SHAPE_FILES[rel.name](fa, fb)}")
             continue
         dv_of = VOLTAGE_FILES.get(rel.name)
         if dv_of is None:
@@ -229,7 +257,7 @@ def distance(snap: Path) -> int:
     tight = sorted(snap.glob("*/direct-tight/solution.json"))
     for ref in tight:
         for path in sorted(ref.parent.parent.glob("gsn-*/solution.json")):
-            print(f"{path.relative_to(snap)}: max |dV| {_solution_dv(path, ref):.3e} pu from direct-tight")
+            print(f"{path.relative_to(snap)}: max |dV| {_solution_dv(path, ref):.6e} pu from direct-tight")
     if not tight:
         print(f"distance: no direct-tight solution under {snap}", file=sys.stderr)
     return 0 if tight else 1
