@@ -359,10 +359,15 @@ class TestSolveGsn:
         assert rep.epochs > 1
         return len(compiled)
 
-    def test_one_compile_per_subcircuit(self, combined4, mixed, monkeypatch):
-        # the transmission block and the feeder side compile once per solve, however
-        # many feeders there are and whether or not they repeat
+    def test_one_compile_per_subcircuit(self, combined4, monkeypatch):
+        # four identical feeders: the transmission block and the feeder side compile
+        # once per solve
         assert self._compiles(combined4, monkeypatch) == 2
+
+    def test_one_compile_per_distinct_feeder(self, mixed, monkeypatch):
+        # six distinct (feeder, load scale, DER scale) over 18 copies: still one compile
+        # for the whole feeder side plus transmission, fewer than one per distinct feeder
+        assert len(set(MIXED)) > 2
         assert self._compiles(mixed, monkeypatch) == 2
 
     def test_copies_solve_like_direct(self):
