@@ -41,7 +41,6 @@ from .ingest import (
     parse_feeder,
     parse_feeder_doc,
     parse_transmission,
-    serialize_feeder,
 )
 from .newton import (
     SolveFailure,
@@ -95,7 +94,6 @@ __all__ = [
     "parse_feeder",
     "parse_feeder_doc",
     "parse_transmission",
-    "serialize_feeder",
     "solve_direct",
     "solve_gsn",
     "tear",

@@ -76,9 +76,12 @@ def _solver_options(args) -> SolverOptions:
 def _number_list(text: str, kind, flag: str) -> list:
     """A comma list of numbers from a command-line flag."""
     try:
-        return [kind(item) for item in text.split(",")]
+        values = [kind(item) for item in text.split(",")]
     except ValueError as exc:
         raise InputError(f"{flag} must be a comma list of numbers, not {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{flag} must be a comma list of finite numbers, not {text!r}")
+    return values
 
 
 def _gsn_options(args, out_dir: Path | None) -> GsnOptions:
@@ -291,20 +294,15 @@ def cmd_pvcurve(args) -> int:
             scenarios.append((f"v_poi_cont_der{s:g}", s, True))
 
     columns: dict[str, dict[float, float]] = {name: {} for name, _, _ in scenarios}
-    alive = {name: True for name, _, _ in scenarios}
-    compiled: dict[str, tuple] = {}  # scenario -> index map, direct solver's circuit
-    for lf in lfs:
-        scaled = net.with_loading_factor(lf)
-        for name, der, cont in scenarios:
-            if not alive[name]:
-                continue
-            case = scaled.with_der_scale(der)
+    for name, der, cont in scenarios:
+        imap = None
+        for lf in lfs:
+            case = net.with_loading_factor(lf).with_der_scale(der)
             if cont:
                 case = case.without_elements(contingency[0]).without_generators(contingency[1])
-            if name not in compiled:
+            if imap is None:  # one index map and direct circuit per scenario
                 imap = build_index_map(case)
-                compiled[name] = imap, None if args.solver == "gsn" else CompiledCircuit(case, imap)
-            imap, circuit = compiled[name]
+                circuit = None if args.solver == "gsn" else CompiledCircuit(case, imap)
             try:
                 if circuit is None:
                     x, _ = solve_gsn(case, opts, gsn, imap=imap)
@@ -313,11 +311,9 @@ def cmd_pvcurve(args) -> int:
                         circuit.set_demands(case)
                     except ValueError:  # a zero load factor drops the load legs
                         circuit = CompiledCircuit(case, imap)
-                        compiled[name] = imap, circuit
                     x, _ = solve_direct(case, opts, circuit=circuit)
             except (SolveFailure, GsnError):
-                alive[name] = False  # past the nose; scenario stops here
-                continue
+                break  # past the nose; the scenario stops here
             columns[name][lf] = dict(poi_voltages(case, imap, x))[poi_bus]
 
     header = PVCURVE_HEADER + "".join(f",{name}" for name, _, _ in scenarios)

@@ -290,6 +290,7 @@ def solve_gsn(
             volts = rotation * new[:, :1]
             net = feeders.network.with_source_voltages({p.feeder_head: tuple(volts[k].tolist())
                                                         for k, p in enumerate(ports)})
+            f_circuit.set_sources(net)
             x0 = None
             if x_f is not None:
                 x0 = x_f.copy()

@@ -97,13 +97,19 @@ def _read_matrices(text: str):
     return sections
 
 
-def _numbers(row: str, line: int) -> list[float]:
+def _numbers(row: str, line: int, name: str, read=(), inf_ok=()) -> list[float]:
+    """A matrix row's numbers.  NaN in a ``read`` column, or +-inf outside the ``inf_ok``
+    ones (MATPOWER's "no limit"), is a CaseFormatError naming file ``name``."""
     out = []
     for tok in row.replace(",", " ").split():
         try:
             out.append(float(tok))
         except ValueError:
             raise CaseFormatError(f"bad numeric token {tok!r}", line) from None
+    if not all(map(math.isfinite, out)):
+        for k in read:
+            if k < len(out) and (math.isnan(out[k]) or math.isinf(out[k]) and k not in inf_ok):
+                raise CaseFormatError(f"non-finite value {out[k]} in column {k + 1} of {name}", line)
     return out
 
 
@@ -121,9 +127,10 @@ def parse_transmission(path) -> Network:
     kind, value, line = sections["baseMVA"]
     if kind != "scalar":
         raise CaseFormatError("mpc.baseMVA must be a scalar", line)
-    base = float(value)
-    if base <= 0:
-        raise CaseFormatError("baseMVA must be positive", line)
+    base = _numbers(value, line, path.name, read=(0,))
+    if len(base) != 1 or base[0] <= 0:
+        raise CaseFormatError("baseMVA must be one positive number", line)
+    base = base[0]
 
     if "bus" not in sections:
         raise CaseFormatError("missing mpc.bus")
@@ -131,7 +138,7 @@ def parse_transmission(path) -> Network:
     gen_rows: list[tuple[list[float], int]] = []
     if "gen" in sections:
         rows, row_lines = sections["gen"][1]
-        gen_rows = [(_numbers(r, ln), ln) for r, ln in zip(rows, row_lines)]
+        gen_rows = [(_numbers(r, ln, path.name, range(8), inf_ok=(3, 4)), ln) for r, ln in zip(rows, row_lines)]
 
     # first pass over generators: setpoints per bus (merged when stacked)
     gens_at: dict[int, dict] = {}
@@ -160,7 +167,7 @@ def parse_transmission(path) -> Network:
 
     rows, row_lines = sections["bus"][1]
     for r, ln in zip(rows, row_lines):
-        vals = _numbers(r, ln)
+        vals = _numbers(r, ln, path.name, range(10))
         if len(vals) < 13:
             raise CaseFormatError("bus row needs 13 columns", ln)
         bus_id, btype = int(vals[0]), int(vals[1])
@@ -227,7 +234,7 @@ def parse_transmission(path) -> Network:
     if "branch" in sections:
         rows, row_lines = sections["branch"][1]
         for eid, (r, ln) in enumerate(zip(rows, row_lines)):
-            vals = _numbers(r, ln)
+            vals = _numbers(r, ln, path.name, (0, 1, 2, 3, 4, 8, 9, 10))
             if len(vals) < 11:
                 raise CaseFormatError("branch row needs at least 11 columns", ln)
             fbus, tbus = int(vals[0]), int(vals[1])
@@ -284,8 +291,15 @@ def _field(rec, key: str, kind, where: str, default=_REQUIRED):
         raise CaseFormatError(f"{where}: missing {key}")
     try:
         return kind(rec[key]) if key in rec else default
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CaseFormatError(f"{where}: bad {key} {rec[key]!r}") from None
+
+
+def _finite(v) -> float:
+    """``float(v)``, refusing NaN and +-inf (JSON's NaN and Infinity, or 1e999) as a ValueError."""
+    if not math.isfinite(f := float(v)):
+        raise ValueError(f"non-finite {v!r}")
+    return f
 
 
 def _json_object(path: Path) -> dict:
@@ -301,11 +315,14 @@ def _json_object(path: Path) -> dict:
 
 
 def _complex_of(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
-        return complex(v[0], v[1])
-    raise CaseFormatError(f"{where}: expected number or [re, im] pair, got {v!r}")
+    parts = [v, 0] if isinstance(v, (int, float)) else v
+    try:
+        if isinstance(parts, (list, tuple)) and len(parts) == 2 and all(isinstance(t, (int, float)) for t in parts):
+            if cmath.isfinite(z := complex(*parts)):
+                return z
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise CaseFormatError(f"{where}: expected finite number or [re, im] pair, got {v!r}")
 
 
 def _matrix_of(m, k: int, where: str) -> np.ndarray:
@@ -390,7 +407,7 @@ def parse_feeder_doc(path) -> FeederDoc:
     doc = FeederDoc(
         name=raw.get("name", path.stem),
         head=str(raw["head"]),
-        nominal_kv=_field(raw, "nominal_kv", float, path.name),
+        nominal_kv=_field(raw, "nominal_kv", _finite, path.name),
     )
 
     def records(key):
@@ -406,7 +423,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         node = FeederNode(
             id=node_id,
             phases=_phases_of(_field(nd, "phases", str, where), f"node {node_id}"),
-            kv=_field(nd, "kv", float, where, doc.nominal_kv),
+            kv=_field(nd, "kv", _finite, where, doc.nominal_kv),
         )
         if node.id in seen_nodes:
             raise CaseFormatError(f"{path.name}: duplicate node {node.id}")
@@ -431,7 +448,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         where = f"{path.name}: lines[{i}]"
         f, t, phases = endpoints(li, "line", where)
         z = _matrix_of(_field(li, "z_ohms_per_mile", list, where), len(phases), f"{path.name}: line {f}-{t}")
-        length = _field(li, "length_miles", float, where, 1.0)
+        length = _field(li, "length_miles", _finite, where, 1.0)
         doc.branches.append(FeederBranch(f, t, phases, z * length, ElementKind.LINE))
 
     for i, tr in records("transformers"):
@@ -440,13 +457,13 @@ def parse_feeder_doc(path) -> FeederDoc:
         conn = str(tr.get("connection", "wye")).lower()
         if conn != "wye":
             raise CaseFormatError(f"{path.name}: transformer {f}-{t}: only wye connections supported")
-        z1 = complex(_field(tr, "r_ohms", float, where, 0.0), _field(tr, "x_ohms", float, where))
+        z1 = complex(_field(tr, "r_ohms", _finite, where, 0.0), _field(tr, "x_ohms", _finite, where))
         doc.branches.append(
             FeederBranch(f, t, phases, np.eye(len(phases), dtype=complex) * z1, ElementKind.TRANSFORMER)
         )
 
     def tuple_of(rec, key, k, where):
-        v = _field(rec, key, lambda v: [float(v)] * k if isinstance(v, (int, float)) else [float(t) for t in v],
+        v = _field(rec, key, lambda v: [_finite(v)] * k if isinstance(v, (int, float)) else [_finite(t) for t in v],
                    where, [0.0] * k)
         if len(v) != k:
             raise CaseFormatError(f"{where}: {key} needs {k} entries")
@@ -465,7 +482,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         k = 3 if conn is Connection.DELTA else len(seen_nodes[node].phases)
         if conn is Connection.DELTA and seen_nodes[node].phases != "abc":
             raise CaseFormatError(f"{path.name}: delta load at {node} needs a three-phase node")
-        zf = _field(lo, "zip", lambda v: tuple(float(t) for t in v), where, (1.0, 0.0, 0.0))
+        zf = _field(lo, "zip", lambda v: tuple(_finite(t) for t in v), where, (1.0, 0.0, 0.0))
         if len(zf) != 3 or abs(sum(zf) - 1.0) > 1e-12 or any(f < 0 or f > 1 for f in zf):
             raise CaseFormatError(f"{path.name}: load at {node}: bad ZIP fractions {zf}")
         doc.loads.append(
@@ -498,52 +515,6 @@ def parse_feeder_doc(path) -> FeederDoc:
         )
 
     return doc
-
-
-def serialize_feeder(doc: FeederDoc) -> dict:
-    """Feeder document back to its JSON form (round-trips through parse_feeder_doc)."""
-
-    def cx(v: complex):
-        return [v.real, v.imag]
-
-    out = {
-        "schema": FEEDER_SCHEMA_VERSION,
-        "name": doc.name,
-        "head": doc.head,
-        "nominal_kv": doc.nominal_kv,
-        "nodes": [{"id": n.id, "phases": n.phases, "kv": n.kv} for n in doc.nodes],
-        "lines": [],
-        "transformers": [],
-        "loads": [
-            {
-                "node": lo.node,
-                "connection": lo.connection.value,
-                "kw": list(lo.kw),
-                "kvar": list(lo.kvar),
-                "zip": list(lo.zip_fractions),
-            }
-            for lo in doc.loads
-        ],
-        "capacitors": [{"node": c.node, "kvar": list(c.kvar)} for c in doc.capacitors],
-        "ders": [
-            {"node": d.node, "kw": list(d.kw), "kvar": list(d.kvar), "group": d.group}
-            for d in doc.ders
-        ],
-    }
-    for br in doc.branches:
-        if br.kind is ElementKind.TRANSFORMER:
-            z1 = complex(br.z_ohms[0, 0])
-            out["transformers"].append(
-                {"from": br.from_node, "to": br.to_node, "phases": br.phases,
-                 "r_ohms": z1.real, "x_ohms": z1.imag, "connection": "wye"}
-            )
-        else:
-            out["lines"].append(
-                {"from": br.from_node, "to": br.to_node, "phases": br.phases,
-                 "length_miles": 1.0,
-                 "z_ohms_per_mile": [[cx(v) for v in row] for row in br.z_ohms]}
-            )
-    return out
 
 
 def feeder_network(
@@ -680,8 +651,8 @@ def parse_coupling_map(path) -> CouplingMap:
         entry = CouplingEntry(
             feeder=_field(e, "feeder", str, where),
             bus=_field(e, "bus", int, where),
-            load_scale=_field(e, "load_scale", float, where, 1.0),
-            der_scale=_field(e, "der_scale", float, where, 1.0),
+            load_scale=_field(e, "load_scale", _finite, where, 1.0),
+            der_scale=_field(e, "der_scale", _finite, where, 1.0),
         )
         if entry.bus in seen_buses:
             raise CaseFormatError(f"{path.name}: bus {entry.bus} coupled twice")

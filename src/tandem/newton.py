@@ -367,16 +367,11 @@ def solve_direct(
 
     ``injections`` maps a bus id to constant per-phase complex current
     consumption (the boundary drive of a torn subproblem).  A ``circuit``
-    compiled from a network of the same topology and legs is reused, its
-    source voltages and demands taken from ``network`` and its index map
-    used; otherwise ``network`` is compiled.
+    compiled from ``network``, or set to its sources and demands, is solved
+    as it stands on its own index map; otherwise ``network`` is compiled.
     """
     options = options or SolverOptions()
-    if circuit is None:
-        circuit = CompiledCircuit(network, build_index_map(network))
-    else:
-        circuit.set_sources(network)
-        circuit.set_demands(network)
+    circuit = circuit or CompiledCircuit(network, build_index_map(network))
     circuit.set_injections(injections)
     imap = circuit.imap
     x = x0.copy() if x0 is not None else initial_state(network, imap, flat=options.flat_start)

@@ -24,7 +24,6 @@ pass, the approach of MATPOWER's makeYbus/dSbus_dV.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -133,11 +132,6 @@ def pq_partials(p, q, vr, vi):
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-#
-# Triplets keep device order (assembly sums duplicates in that order) and
-# each value keeps one scalar expression, with libm where numpy's kernels
-# differ: Newton runs that fail to converge are chaotic, so a last-bit
-# change to the stamps would change how long they run.
 
 
 def _expand(w):
@@ -151,13 +145,8 @@ def _expand_pairs(r, c):
     return np.ravel([r, r, r + 1, r + 1]), np.ravel([c, c + 1, c, c + 1])
 
 
-def _libm(fn, *args):
-    """A math-module function elementwise: numpy's SIMD kernels can differ from libm in the last bit."""
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), dtype=float, count=len(args[0]))
-
-
 class _Legs:
-    """Two-terminal legs in device order: wye phases and delta legs.
+    """Two-terminal legs: wye phases and delta legs.
 
     ``t`` holds (R1, I1, R2, I2) per leg; a wye leg's second terminal is
     the ground slot n of a state padded with one zero.  A leg with the
@@ -210,48 +199,37 @@ def _leg_terminals(legs, imap: IndexMap) -> np.ndarray:
     return t
 
 
-def _element_triplets(network: Network, imap: IndexMap):
-    """Series-element triplets in element order: (rows, cols, vals, class, pi).
+def _element_triplets(network: Network, imap: IndexMap) -> list:
+    """Series-element triplets, one (rows, cols, vals, class) part per phase set.
 
-    Positive-sequence elements use the pi model with tap and phase
-    shift; three-phase elements couple their full phase blocks, self
-    terms scaled and mutuals not.  A pi model's self terms mix classes,
-    (y s + ysh r) / tap^2 on the from side, so ``pi`` gives those
-    triplets' indices, relaxed values and divisors.  Blocks are built
-    per phase set, then put in element order and expanded to real
-    triplets.
+    Positive-sequence elements use the pi model with tap and phase shift,
+    its line charging a relaxed shunt of ysh / tap^2 at the from end and
+    ysh at the to end, as in MATPOWER's makeYbus; three-phase elements
+    couple their full phase blocks, self terms scaled and mutuals not.
     """
     groups: dict[str, list] = {}
-    for k, el in enumerate(network.elements):
-        groups.setdefault(el.phases, []).append((k, el))
+    for el in network.elements:
+        groups.setdefault(el.phases, []).append(el)
     parts = []
-    for phases, members in groups.items():
-        order, els = zip(*members)
+    for phases, els in groups.items():
         codes = [PHASE_CODE[ph] for ph in phases]
         f, t = imap.v_index(np.array([(el.from_bus, el.to_bus) for el in els]).T[..., None], codes)
+        rows, cols = [f, f, t, t], [f, t, f, t]
         if phases == POSITIVE_SEQUENCE:
-            # per element (value, class, relaxed value, divisor) of the ff, ft, tf, tt blocks
-            vals = []
-            for el in els:
-                y, a, ysh = complex(el.y_series[0, 0]), el.tap * cmath.exp(1j * el.shift), 0.5j * el.b_charge
-                vals.append([(y, _SCALED, ysh, el.tap * el.tap), (-y / a.conjugate(), _SCALED, 0, 1),
-                             (-y / a, _SCALED, 0, 1), (y, _SCALED, ysh, 1)])
-            fields = np.array(vals, dtype=complex).transpose(2, 1, 0)[..., None, None]
+            y = np.array([el.y_series[0, 0] for el in els])
+            tap, shift, b = np.array([(el.tap, el.shift, el.b_charge) for el in els]).T
+            a, ysh = tap * np.exp(1j * shift), 0.5j * b
+            w = np.array([y / (tap * tap), -y / a.conj(), -y / a, y, ysh / (tap * tap), ysh])[..., None, None]
+            kind = np.array([_SCALED] * 4 + [_RELAXED] * 2)[:, None, None, None]
+            rows, cols = rows + [f, t], cols + [f, t]
         else:
             y = np.array([el.y_series for el in els])
-            fields = np.stack([y, -y, -y, y]), np.where(np.eye(len(phases), dtype=bool), _SCALED, _REST), 0j, 1 + 0j
-        shape = (4, len(els), len(phases), len(phases))  # (block, element, phase, phase)
-        rows, cols = np.stack([f, f, t, t])[..., None], np.stack([f, t, f, t])[:, :, None, :]
-        order = np.array(order).reshape(1, -1, 1, 1)
-        parts.append([np.broadcast_to(a, shape).ravel() for a in (order, rows, cols, *fields)])
-    if not parts:
-        empty = np.zeros(0, np.int64)
-        return empty, empty, np.zeros(0), np.zeros(0, np.int8), (empty, np.zeros(0), np.zeros(0))
-    perm = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
-    rr, cr, w, kind, relaxed, div = (np.concatenate([p[i] for p in parts])[perm] for i in range(1, 7))
-    mixed = np.flatnonzero((relaxed != 0) | (div != 1))
-    pi = ((np.arange(4)[:, None] * len(w) + mixed).ravel(), _expand(relaxed[mixed]), np.tile(div[mixed].real, 4))
-    return *_expand_pairs(rr, cr), _expand(w), np.tile(kind.real.astype(np.int8), 4), pi
+            w, kind = np.stack([y, -y, -y, y]), np.where(np.eye(len(phases), dtype=bool), _SCALED, _REST)
+        shape = (len(rows), len(els), len(phases), len(phases))  # (block, element, phase, phase)
+        rr, cr, w, kind = (np.broadcast_to(v, shape).ravel() for v in
+                           (np.stack(rows)[..., None], np.stack(cols)[:, :, None, :], w, kind))
+        parts.append((*_expand_pairs(rr, cr), _expand(w), np.tile(kind, 4)))
+    return parts
 
 
 class CompiledCircuit:
@@ -260,8 +238,7 @@ class CompiledCircuit:
     Each linear triplet carries its value and continuation class:
     scaled (series self terms, times 1 + lam gamma), relaxed (line
     charging and shunts, times 1 - lam) or rest (mutual phase couplings,
-    constant-impedance load shares, sources and ports); pi-model self
-    terms, which mix the first two, are listed apart.
+    constant-impedance load shares, sources and ports).
     Every ZIP leg is a row of index and parameter arrays: constant-power
     legs carry (p, q) with the ZIP fraction and the load/DER sign folded
     in, constant-current legs a signed magnitude and the demand angle.
@@ -301,7 +278,7 @@ class CompiledCircuit:
         self.t_pq = np.concatenate([legs_nl.t[pq].T, gen_t], axis=1)
         self.t_cu = legs_nl.t[cu].T.copy()
         self.npq = len(pq)
-        self._take_demands(network, legs, gens)
+        self._take_demands(legs, gens)
 
         jac_rows, jac_cols = self.jac.block_pattern()
         self.nl_rows = np.concatenate([jac_rows, gr, gi, gr, gi, gr, gi, gq, gq, gq])
@@ -325,8 +302,7 @@ class CompiledCircuit:
 
     def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
-        *element, (self.pi, self.pi_relaxed, self.pi_div) = _element_triplets(network, imap)
-        parts = [element]
+        parts = _element_triplets(network, imap)
         shunts = network.shunts
         rr = imap.v_index([sh.bus for sh in shunts for _ in sh.phases],
                           [PHASE_CODE[ph] for sh in shunts for ph in sh.phases])
@@ -384,30 +360,27 @@ class CompiledCircuit:
     def set_demands(self, network: Network) -> None:
         """Take load, DER and generator values from ``network``, which has this circuit's legs.
 
-        One compile then serves a whole sweep scenario; free when ``network``
-        holds this circuit's device tuples, as ``with_source_voltages`` keeps them.
-        Raises ValueError on other legs (a zero scale drops legs) or generators.
+        One compile then serves a whole sweep scenario.  Raises ValueError
+        on other legs (a zero scale drops legs) or generators.
         """
-        if all(a is b for a, b in zip(self.devices, (network.loads, network.ders, network.generators))):
-            return
         legs = _demand_legs(network)
         gens = [g for g in network.generators if g.status and g.bus in self.imap.gen_q]
         if ([leg[:4] for leg in legs], [g.bus for g in gens]) != self.keys:
             raise ValueError("the network's demand legs or generators differ from the compiled ones")
-        self._take_demands(network, legs, gens)
+        self._take_demands(legs, gens)
 
-    def _take_demands(self, network: Network, legs, gens) -> None:
-        self.devices = network.loads, network.ders, network.generators
-        pq, cu, z = ([leg for leg in legs if leg[0] == share] for share in (_P, _I, _Z))
-        # P of the constant-power legs, then of the generators (whose Q is an unknown)
-        self.p = np.array([sign * s.real for *_, sign, s in pq] + [-g.p_set for g in gens])
-        self.q = np.array([sign * s.imag for *_, sign, s in pq])
+    def _take_demands(self, legs, gens) -> None:
+        share, sign, s = (np.array([leg[i] for leg in legs], dtype=t) for i, t in ((0, int), (3, float), (4, complex)))
         # delta legs (two-letter labels) see sqrt(3) pu at nominal
-        self.mag = np.array([sign * (abs(s) / math.sqrt(3.0)) if len(leg) == 2 else sign * abs(s)
-                             for _, _, leg, sign, s in cu])
-        self.angle = np.array([cmath.phase(s) for *_, s in cu])
-        # admittance drawing the demand at nominal voltage; |Vref|^2 = 3 on delta legs
-        y = np.array([s.conjugate() / 3.0 if len(leg) == 2 else s.conjugate() for _, _, leg, _, s in z], dtype=complex)
+        vref2 = np.array([3.0 if len(leg[2]) == 2 else 1.0 for leg in legs])
+        pq, cu, z = (share == k for k in (_P, _I, _Z))
+        # P of the constant-power legs, then of the generators (whose Q is an unknown)
+        self.p = np.concatenate([sign[pq] * s[pq].real, [-g.p_set for g in gens]])
+        self.q = sign[pq] * s[pq].imag
+        self.mag = sign[cu] * (np.abs(s[cu]) / np.sqrt(vref2[cu]))
+        self.angle = np.angle(s[cu])
+        # admittance drawing the demand at nominal voltage
+        y = s[z].conj() / vref2[z]
         self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
         self.gens = gens
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
@@ -418,7 +391,6 @@ class CompiledCircuit:
     def linear(self, hs: HomotopyState | None) -> StampSet:
         series, shunt = (hs.series_scale, hs.shunt_scale) if hs is not None else (1.0, 1.0)
         vals = self.lin_vals * np.array([series, shunt, 1.0])[self.lin_kind]
-        vals[self.pi] = (self.lin_vals[self.pi] * series + self.pi_relaxed * shunt) / self.pi_div
         rhs_rows = np.concatenate([self.src_rhs_rows, self.inj_rows])
         rhs_vals = np.concatenate([self.src_rhs_vals, self.inj_vals])
         return StampSet(self.lin_rows, self.lin_cols, vals, rhs_rows, rhs_vals)
@@ -443,9 +415,9 @@ class CompiledCircuit:
         hi = -ii + c * x1r + d * x1i - c * x2r - d * x2i
         # constant-current share: fixed magnitude at the demand's power-factor
         # angle off the present voltage angle; no Jacobian entry (secant update)
-        theta = _libm(math.atan2, cvi, cvr) - self.angle
-        chr_ = -(self.mag * _libm(math.cos, theta))
-        chi = -(self.mag * _libm(math.sin, theta))
+        theta = np.arctan2(cvi, cvr) - self.angle
+        chr_ = -(self.mag * np.cos(theta))
+        chi = -(self.mag * np.sin(theta))
 
         gvr, gvi, gm2 = vr[k:], vi[k:], m2[k:]
         dq_r, dq_i = -gvi / gm2, gvr / gm2

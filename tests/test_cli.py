@@ -351,6 +351,7 @@ class TestBench:
         ("bench", ["--counts", "1,x"]),
         ("bench", ["--counts", ","]),
         ("pvcurve", ["--der-scale", "0,abc"]),
+        ("pvcurve", ["--der-scale", "1,nan"]),  # unchecked, NaN reached the stamps and exited 4
         ("pvcurve", ["--contingency", "branch:x"]),
     ],
 )
@@ -377,9 +378,14 @@ def test_bad_list_argument_is_input_error(workdir, command, flags):
         ("feeder_medium.json", ("nodes",), 5, "nodes"),
         ("feeder_medium.json", ("loads",), 7, "loads"),
         ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile"), [1, 2, 3], "impedance rows"),
+        # unchecked, NaN and Infinity reached the stamps and exited 4
+        ("map.json", ("couplings", 0, "load_scale"), float("nan"), "couplings[0]: bad load_scale nan"),
+        ("feeder_medium.json", ("loads", 0, "kw"), float("inf"), "loads[0]: bad kw inf"),
+        ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile"), [[[10**400, 0]]], "expected finite number"),
     ],
     ids=["star-load", "no-nominal-kv", "kw-text", "node-without-id", "line-without-from",
-         "entry-without-bus", "bus-text", "map-list", "nodes-number", "loads-number", "z-flat-row"],
+         "entry-without-bus", "bus-text", "map-list", "nodes-number", "loads-number", "z-flat-row",
+         "load-scale-nan", "kw-infinity", "z-int-overflow"],
 )
 def test_bad_feeder_or_map_record_is_input_error(workdir, target, path, value, named):
     """A malformed record exits 2 with a message naming the file and the record, value None dropping the key."""
@@ -417,3 +423,21 @@ def test_solution_writer_matches_json_dumps(data_dir, feeders):
     # an integer base and a label that needs escaping
     sol = {**sol, "base_mva": 100, "nodes": [{**sol["nodes"][0], "label": 'b\u00e9 "1"'}]}
     assert solution_json(sol) == json.dumps(sol, indent=2)
+
+
+def test_infinite_q_limits_still_solve(workdir):
+    # MATPOWER writes a generator without reactive limits as Qmax = Inf, Qmin = -Inf
+    case = workdir / "case9_inf.m"
+    case.write_text((workdir / "case9.m").read_text().replace("\t300\t-300\t", "\tInf\t-Inf\t"))
+    out = workdir / "o"
+    assert run(["solve", "--case", case, "--out", out]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["q_switch_log"] == []
+
+
+def test_invalid_network_is_input_error(workdir):
+    case = workdir / "case9_no_slack.m"
+    case.write_text((workdir / "case9.m").read_text().replace("\t1\t3\t", "\t1\t2\t"))
+    out = workdir / "o"
+    assert run(["solve", "--case", case, "--out", out]) == EXIT_INPUT
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == "invalid network:\n  [no-slack] transmission network has no slack bus"

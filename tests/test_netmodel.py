@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from tandem.netmodel import (
     BusKind,
     Connection,
     CouplingPort,
+    DerInjection,
     ElementKind,
     Generator,
     Load,
@@ -249,6 +252,47 @@ class TestValidate:
             generators=(Generator(2, 0.1, 1.0, q_min=0.5, q_max=-0.5),),
         )
         assert "q-limits" in [v.code for v in validate(bad)]
+
+    @pytest.mark.parametrize(
+        "change, code, message",
+        [
+            (lambda net: _with_bus(net, 5, phases="abc", v0=flat_voltages("abc")),
+             "phase-style", "transmission bus 5 must be positive-sequence"),
+            (lambda net: _with_bus(net, 21, phases="p", v0=(1 + 0j,)),
+             "phase-style", "distribution bus 21 must carry phases from abc"),
+            (lambda net: _add(net, loads=Load(99, "p", (0.1 + 0j,))), "dangling", "load references missing bus 99"),
+            (lambda net: _add(net, shunts=Shunt(99, "p", (0.1j,))), "dangling", "shunt references missing bus 99"),
+            (lambda net: _add(net, ders=DerInjection(99, "p", (0.1 + 0j,))), "dangling", "DER references missing bus 99"),
+            (lambda net: _add(net, generators=Generator(99, 0.1, 1.0, -1.0, 1.0)),
+             "dangling", "generator references missing bus 99"),
+            (lambda net: replace(net, ports=(CouplingPort(0, 5, 99),)), "dangling", "port 0 endpoint missing"),
+            (lambda net: _add(net, loads=Load(4, "abc", (0.01 + 0j,) * 3)), "phase-mismatch", "load phases abc not at bus 4"),
+            (lambda net: _add(net, shunts=Shunt(21, "p", (0.1j,))), "phase-mismatch", "shunt phases p not at bus 21"),
+            (lambda net: _add(net, generators=Generator(4, 0.1, 0.0, -1.0, 1.0)),
+             "v-set", "generator at bus 4 has non-positive v_set"),
+            (lambda net: replace(net, ports=(CouplingPort(0, 21, 20),)),
+             "port-side", "port 0 transmission end 21 is not a transmission bus"),
+            (lambda net: replace(net, ports=(CouplingPort(0, 5, 21),)),
+             "port-side", "port 0 feeder end 21 is not a feeder head"),
+            (lambda net: _with_bus(net, 20, phases="ab", v0=flat_voltages("ab")),
+             "port-phases", "port 0 head 20 must carry phases abc"),
+            (lambda net: _with_bus(net, 21, kind=BusKind.FEEDER_HEAD), "multi-head", "feeder component has 2 heads [20, 21]"),
+        ],
+        ids=["transmission-phases", "distribution-phases", "dangling-load", "dangling-shunt", "dangling-der",
+             "dangling-generator", "dangling-port", "load-phases", "shunt-phases", "v-set", "port-transmission-end",
+             "port-feeder-end", "port-head-phases", "two-heads"],
+    )
+    def test_violation_codes(self, change, code, message):
+        assert validate(nine_bus_with_feeder()) == []
+        assert f"[{code}] {message}" in [str(v) for v in validate(change(nine_bus_with_feeder()))]
+
+
+def _with_bus(net, bus_id, **changes):
+    return replace(net, buses=tuple(replace(b, **changes) if b.id == bus_id else b for b in net.buses))
+
+
+def _add(net, **devices):
+    return replace(net, **{name: (*getattr(net, name), dev) for name, dev in devices.items()})
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.io import mmread
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 import tandem.sparse
 from netgen import case27_with_feeders, random_combined, random_feeder, random_state, random_transmission
@@ -244,6 +245,23 @@ def test_dense_matrix_market_dump_reads_back(tmp_path):
 # ----------------------------------------------------------------------
 # sparse kernel (minimum degree on A + A^T, diagonal-preferring threshold pivoting)
 # ----------------------------------------------------------------------
+
+
+def test_iterative_refinement_recovers_wilkinson_growth(monkeypatch):
+    # Wilkinson's growth matrix: partial pivoting doubles the last column at every step,
+    # so one dgetrf/dgetrs solve leaves a relative residual far above SOLVE_TOL
+    n = 40
+    m = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    m[:, -1] = 1.0
+    b = np.random.default_rng(0).standard_normal(n)
+    lu, piv, _ = dgetrf(m)
+    plain = dgetrs(lu, piv, b)[0]
+    assert np.abs(m @ plain - b).max() / np.abs(b).max() > 1e-7
+    solves = []
+    monkeypatch.setattr(tandem.sparse, "dgetrs", lambda *a: solves.append(1) or dgetrs(*a))
+    x = factor_solve(SparseSystem(n=n, matrix=m, rhs=b))
+    assert len(solves) == 2  # the solve and one refinement step
+    assert np.abs(m @ x - b).max() / np.abs(b).max() < 1e-15
 
 
 def _kernel_gap(stamps, n) -> float:

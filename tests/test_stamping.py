@@ -163,10 +163,6 @@ def test_set_demands_matches_fresh_compile():
                 assert _stamp_bytes(circuit.linear(hs)) == _stamp_bytes(fresh.linear(hs))
             for gen_modes in ({}, modes):
                 assert _stamp_bytes(circuit.nonlinear(x, gen_modes)) == _stamp_bytes(fresh.nonlinear(x, gen_modes))
-        # a variant that keeps the device tuples costs no refresh
-        p = circuit.p
-        circuit.set_demands(point.with_source_voltages({}))
-        assert circuit.p is p
         # a zero DER scale drops the DER legs
         if net.ders:
             with pytest.raises(ValueError, match="legs"):
