@@ -30,14 +30,17 @@ from typing import Any
 import numpy as np
 
 from .netmodel import (
+    DEVICES,
     PHASE_ROTATION,
     POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
     IndexMap,
     Network,
+    Tile,
     build_index_map,
     initial_state,  # noqa: F401  (perfbench/tracer.py wraps tandem.gsn.initial_state)
+    tiled_index_map,
 )
 from .newton import SolveFailure, SolverOptions, solve_direct
 from .sparse import assemble  # noqa: F401  (perfbench/tracer.py wraps tandem.gsn.assemble)
@@ -103,7 +106,21 @@ class Partition:
     ports: list  # the coupling ports in id order, one boundary row each
 
 
-_DEVICES = ("buses", "elements", "loads", "shunts", "generators", "ders")
+def _sides(t: Network) -> dict[str, Network]:
+    """Template ``t``'s part on each side that has buses: an element on the side of both its
+    ends, a device on its bus's."""
+    side = {b.id: "transmission" if b.kind.is_transmission else "feeders" for b in t.buses}
+    parts = {name: {k: [] for k in DEVICES} for name in ("transmission", "feeders")}
+    for b in t.buses:
+        parts[side[b.id]]["buses"].append(b)
+    for e in t.elements:
+        if e.from_bus in side and side[e.from_bus] == side.get(e.to_bus):
+            parts[side[e.from_bus]]["elements"].append(e)
+    for k in DEVICES[2:]:
+        for dev in getattr(t, k):
+            if dev.bus in side:
+                parts[side[dev.bus]][k].append(dev)
+    return {name: Network(t.base_mva, **part) for name, part in parts.items() if part["buses"]}
 
 
 def tear(network: Network, imap: IndexMap | None = None) -> Partition:
@@ -114,36 +131,33 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     subcircuit's own unknowns are its blocks' index ranges; on the feeder
     side each block's head-source currents (the last unknowns of its
     local block, its head being the component's only source) are its
-    port's port currents.  One pass buckets the buses, elements and
-    devices by side in network order.
+    port's port currents.  Each distinct template is split by side once,
+    and each side is a tiled network of its tiles' parts.
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
-
-    side = {b.id: "transmission" for b in network.transmission_buses()}
-    side.update((bus, "feeders") for bus in imap.feeder_of_bus)
-    parts = {name: {k: [] for k in _DEVICES} for name in ("transmission", "feeders")}
-    for b in network.buses:
-        parts[side[b.id]]["buses"].append(b)
-    for e in network.elements:  # build_index_map has checked that both ends are buses
-        if side[e.from_bus] == side[e.to_bus]:
-            parts[side[e.from_bus]]["elements"].append(e)
-    for name in _DEVICES[2:]:
-        for dev in getattr(network, name):
-            if dev.bus in side:
-                parts[side[dev.bus]][name].append(dev)
+    parts = {name: ([], {k: [] for k in DEVICES}) for name in ("transmission", "feeders")}
+    start = dict.fromkeys(DEVICES, 0)
+    for tile, sides in network.per_tile(_sides):
+        shifted = tile.bus_offset or tile.element_offset  # copies of a feeder; else its template's devices
+        for name, part in sides.items():
+            parts[name][0].append(Tile(part, tile.bus_offset, tile.element_offset))
+            for k in DEVICES:
+                copies = getattr(network, k)[start[k]:start[k] + len(getattr(tile.template, k))]
+                parts[name][1][k] += copies if shifted else getattr(part, k)
+        for k in DEVICES:
+            start[k] += len(getattr(tile.template, k))
     heads: dict[str, list] = {}  # feeder block -> its ports' current indices
     for p in ports:
         heads.setdefault(f"feeder:{imap.feeder_of_bus[p.feeder_head]}", []).extend(
             i for ph in THREE_PHASE for i in imap.port_current[(p.id, ph)])
 
     subs: list[SubCircuit] = []
-    for name, part in parts.items():
-        if not part["buses"]:  # no transmission side, or no feeders
+    for name, (tiles, devices) in parts.items():
+        if not tiles:  # no transmission side, or no feeders
             continue
-        labels = {b.id: network.labels[b.id] for b in part["buses"] if b.id in network.labels}
-        sub_net = Network(base_mva=network.base_mva, labels=labels, **part)
-        sub_imap = build_index_map(sub_net)
+        sub_net = Network.tiled(tiles, base_mva=network.base_mva, labels=network.labels, **devices)
+        sub_imap = tiled_index_map(sub_net)
         if name == "transmission":
             kind, sub_ports = "transmission", tuple(network.ports)
             internal = local_to_global = np.arange(*imap.block(name), dtype=np.int64)
@@ -264,7 +278,7 @@ def solve_gsn(
                 s = sum(y.conjugate() for y in d.y) if k == 2 else sum(d.s)
                 demand.setdefault(imap.feeder_of_bus[d.bus], [0, 0, 0])[k] += s
     for k, p in enumerate(ports):
-        boundary[k, 0] = network.bus(p.transmission_bus).v0[0]
+        boundary[k, 0] = transmission.network.bus(p.transmission_bus).v0[0]
         loads, ders, shunts = demand.get(imap.feeder_of_bus[p.feeder_head], (0, 0, 0))
         boundary[k, 1:] = [rot * ((loads - ders + shunts) / (3 * boundary[k, 0])).conjugate() for rot in rotation]
 

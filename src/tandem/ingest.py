@@ -17,12 +17,14 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .netmodel import (
+    DEVICES,
     POSITIVE_SEQUENCE,
     Bus,
     BusKind,
@@ -35,6 +37,7 @@ from .netmodel import (
     Network,
     SeriesElement,
     Shunt,
+    Tile,
     flat_voltages,
 )
 
@@ -97,9 +100,10 @@ def _read_matrices(text: str):
     return sections
 
 
-def _numbers(row: str, line: int, name: str, read=(), inf_ok=()) -> list[float]:
-    """A matrix row's numbers.  NaN in a ``read`` column, or +-inf outside the ``inf_ok``
-    ones (MATPOWER's "no limit"), is a CaseFormatError naming file ``name``."""
+def _numbers(row: str, line: int, name: str, read=(), inf_ok=(), ints=()) -> list[float]:
+    """A matrix row's numbers.  NaN in a ``read`` column, +-inf outside the ``inf_ok``
+    ones (MATPOWER's "no limit"), or a fraction in an ``ints`` column (ids, types and
+    statuses) is a CaseFormatError naming file ``name``."""
     out = []
     for tok in row.replace(",", " ").split():
         try:
@@ -110,6 +114,9 @@ def _numbers(row: str, line: int, name: str, read=(), inf_ok=()) -> list[float]:
         for k in read:
             if k < len(out) and (math.isnan(out[k]) or math.isinf(out[k]) and k not in inf_ok):
                 raise CaseFormatError(f"non-finite value {out[k]} in column {k + 1} of {name}", line)
+    for k in ints:
+        if k < len(out) and not out[k].is_integer():
+            raise CaseFormatError(f"non-integral value {out[k]} in column {k + 1} of {name}", line)
     return out
 
 
@@ -138,7 +145,7 @@ def parse_transmission(path) -> Network:
     gen_rows: list[tuple[list[float], int]] = []
     if "gen" in sections:
         rows, row_lines = sections["gen"][1]
-        gen_rows = [(_numbers(r, ln, path.name, range(8), inf_ok=(3, 4)), ln) for r, ln in zip(rows, row_lines)]
+        gen_rows = [(_numbers(r, ln, path.name, range(8), inf_ok=(3, 4), ints=(0, 7)), ln) for r, ln in zip(rows, row_lines)]
 
     # first pass over generators: setpoints per bus (merged when stacked)
     gens_at: dict[int, dict] = {}
@@ -167,7 +174,7 @@ def parse_transmission(path) -> Network:
 
     rows, row_lines = sections["bus"][1]
     for r, ln in zip(rows, row_lines):
-        vals = _numbers(r, ln, path.name, range(10))
+        vals = _numbers(r, ln, path.name, range(10), ints=(0, 1))
         if len(vals) < 13:
             raise CaseFormatError("bus row needs 13 columns", ln)
         bus_id, btype = int(vals[0]), int(vals[1])
@@ -234,7 +241,7 @@ def parse_transmission(path) -> Network:
     if "branch" in sections:
         rows, row_lines = sections["branch"][1]
         for eid, (r, ln) in enumerate(zip(rows, row_lines)):
-            vals = _numbers(r, ln, path.name, (0, 1, 2, 3, 4, 8, 9, 10))
+            vals = _numbers(r, ln, path.name, (0, 1, 2, 3, 4, 8, 9, 10), ints=(0, 1, 10))
             if len(vals) < 11:
                 raise CaseFormatError("branch row needs at least 11 columns", ln)
             fbus, tbus = int(vals[0]), int(vals[1])
@@ -302,11 +309,18 @@ def _finite(v) -> float:
     return f
 
 
+def _integral(v) -> int:
+    """A JSON number with an integral value as an int; a string, a boolean or a fraction is a ValueError."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"not an integer: {v!r}")
+    return int(v)
+
+
 def _json_object(path: Path) -> dict:
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"{path.name}: {exc}", exc.lineno) from exc
+    except ValueError as exc:  # also an integer literal past Python's 4,300-digit limit
+        raise CaseFormatError(f"{path.name}: {exc}", getattr(exc, "lineno", None)) from exc
     if not isinstance(raw, dict):
         raise CaseFormatError(f"{path.name}: expected a JSON object, got {type(raw).__name__}")
     if raw.get("schema") != FEEDER_SCHEMA_VERSION:
@@ -650,7 +664,7 @@ def parse_coupling_map(path) -> CouplingMap:
         where = f"{path.name}: couplings[{i}]"
         entry = CouplingEntry(
             feeder=_field(e, "feeder", str, where),
-            bus=_field(e, "bus", int, where),
+            bus=_field(e, "bus", _integral, where),
             load_scale=_field(e, "load_scale", _finite, where, 1.0),
             der_scale=_field(e, "der_scale", _finite, where, 1.0),
         )
@@ -669,6 +683,16 @@ def _id_stride(tnet: Network, docs) -> int:
     return stride
 
 
+def _copies(devices, **shifts) -> list:
+    """Copies of the frozen ``devices`` with ``shifts`` added to the named fields, set field by
+    field without the dataclass constructor: a template's devices were checked when built."""
+    out = [object.__new__(type(d)) for d in devices]
+    for c, d in zip(out, devices):
+        for k, v in d.__dict__.items():
+            object.__setattr__(c, k, v + shifts[k] if k in shifts else v)
+    return out
+
+
 def build_combined(
     tnet: Network,
     coupling: CouplingMap,
@@ -679,7 +703,9 @@ def build_combined(
 
     At each coupled bus the transmission-side static load is removed
     (the feeder replaces the aggregate) unless ``keep_bus_load``;
-    coupled buses must be PQ buses and appear at most once.
+    coupled buses must be PQ buses and appear at most once.  The result
+    records its tiles: the transmission case, then each feeder block as
+    a copy of its template (see ``Network.tiled``).
     """
     kinds = {b.id: b.kind for b in tnet.buses}
     coupled: set[int] = set()
@@ -695,50 +721,48 @@ def build_combined(
             raise CaseFormatError(f"feeder document {entry.feeder!r} not provided")
 
     stride = _id_stride(tnet, feeder_docs.values())
-    buses = list(tnet.buses)
-    elements = list(tnet.elements)
-    loads = [ld for ld in tnet.loads if keep_bus_load or ld.bus not in coupled]
-    shunts = list(tnet.shunts)
-    generators = list(tnet.generators)
-    ders = list(tnet.ders)
-    ports = []
-    labels = dict(tnet.labels)
+    devices = {name: list(getattr(tnet, name)) for name in DEVICES}
+    devices["loads"] = [ld for ld in tnet.loads if keep_bus_load or ld.bus not in coupled]
+    # a transmission device naming a bus outside the case would reach into a copy
+    closed = all({e.from_bus, e.to_bus} <= kinds.keys() for e in tnet.elements) and all(
+        d.bus in kinds for name in DEVICES[2:] for d in devices[name])
+    parts: list = [{name: list(v) for name, v in devices.items()}]  # runs of devices built in place, and tiles
+    ports, labels = [], dict(tnet.labels)
 
-    # one per-unit network per distinct feeder and scales, bus and element ids from 0;
-    # each copy takes its devices with the ids shifted (the scales' reprs key it, as
-    # 0.0 and -0.0 scale to zeros of different sign)
-    templates: dict[tuple[str, str, str], tuple[Network, int]] = {}
+    # a feeder and scales used once is built in place, in the run of such blocks it follows;
+    # one used more is built once with bus and element ids from 0, each block a tile
+    # copying it (the scales' reprs key it, as 0.0 and -0.0 scale to zeros of different sign)
+    keys = [(e.feeder, repr(e.load_scale), repr(e.der_scale)) for e in coupling.entries]
+    uses = Counter(keys)
+    templates: dict[tuple[str, str, str], Network] = {}
     next_element = max((e.id for e in tnet.elements), default=-1) + 1
-    for k, entry in enumerate(coupling.entries):
-        key = entry.feeder, repr(entry.load_scale), repr(entry.der_scale)
-        if key not in templates:
-            fnet = feeder_network(feeder_docs[entry.feeder], base_mva=tnet.base_mva,
-                                  load_scale=entry.load_scale, der_scale=entry.der_scale)
-            templates[key] = fnet, next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
-        fnet, head = templates[key]
+    for k, (key, entry) in enumerate(zip(keys, coupling.entries)):
         offset = stride * (k + 1)
-        buses += [replace(b, id=b.id + offset) for b in fnet.buses]
-        elements += [
-            replace(e, id=e.id + next_element, from_bus=e.from_bus + offset, to_bus=e.to_bus + offset)
-            for e in fnet.elements
-        ]
+        if uses[key] == 1:
+            fnet = feeder_network(feeder_docs[entry.feeder], tnet.base_mva, offset, entry.load_scale,
+                                  entry.der_scale, next_element)
+            if isinstance(parts[-1], Tile):
+                parts.append({name: [] for name in DEVICES})
+            for name in DEVICES:
+                parts[-1][name] += getattr(fnet, name)
+                devices[name] += getattr(fnet, name)
+            offset = 0
+        else:
+            if key not in templates:
+                templates[key] = feeder_network(feeder_docs[entry.feeder], base_mva=tnet.base_mva,
+                                                load_scale=entry.load_scale, der_scale=entry.der_scale)
+            fnet = templates[key]
+            parts.append(Tile(fnet, offset, next_element))
+            shifts = {"buses": {"id": offset}, "elements": {"id": next_element, "from_bus": offset, "to_bus": offset}}
+            for name in DEVICES:
+                devices[name] += _copies(getattr(fnet, name), **shifts.get(name, {"bus": offset}))
         next_element += len(fnet.elements)
-        for out, devices in ((loads, fnet.loads), (shunts, fnet.shunts), (ders, fnet.ders)):
-            out += [replace(d, bus=d.bus + offset) for d in devices]
-        labels.update((bus + offset, label) for bus, label in fnet.labels.items())
+        labels.update(zip(map(offset.__add__, fnet.labels), fnet.labels.values()))
+        head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
         ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head + offset))
 
-    return Network(
-        base_mva=tnet.base_mva,
-        buses=tuple(buses),
-        elements=tuple(elements),
-        loads=tuple(loads),
-        shunts=tuple(shunts),
-        generators=tuple(generators),
-        ders=tuple(ders),
-        ports=tuple(ports),
-        labels=labels,
-    )
+    tiles = [p if isinstance(p, Tile) else Tile(Network(tnet.base_mva, **p)) for p in parts] if closed else ()
+    return Network.tiled(tiles, base_mva=tnet.base_mva, ports=ports, labels=labels, **devices)
 
 
 def load_combined_case(

@@ -12,10 +12,13 @@ unknowns and check structural invariants.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -59,6 +62,8 @@ class BusKind(Enum):
 
 
 _TRANSMISSION_KINDS = (BusKind.SLACK, BusKind.PV, BusKind.PQ)
+_SOURCE_KINDS = (BusKind.SLACK, BusKind.FEEDER_HEAD)
+DEVICES = ("buses", "elements", "loads", "shunts", "generators", "ders")  # a network's device tuples, ports aside
 
 
 class ElementKind(Enum):
@@ -227,8 +232,22 @@ class Violation:
 
 
 @dataclass(frozen=True)
+class Tile:
+    """A run of a network's devices: ``template``'s, bus and element ids shifted by the offsets."""
+
+    template: "Network"
+    bus_offset: int = 0
+    element_offset: int = 0
+
+
+@dataclass(frozen=True)
 class Network:
-    """Immutable combined network on one MVA base."""
+    """Immutable combined network on one MVA base.
+
+    ``tiles()`` are the templates its devices copy, recorded by ``Network.tiled``
+    as an attribute, not a field: ``dataclasses.replace`` and so every variant
+    drop it, and a network without it is its own one tile.
+    """
 
     base_mva: float
     buses: tuple[Bus, ...]
@@ -241,13 +260,26 @@ class Network:
     labels: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "loads", tuple(self.loads))
-        object.__setattr__(self, "shunts", tuple(self.shunts))
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "ders", tuple(self.ders))
-        object.__setattr__(self, "ports", tuple(self.ports))
+        for name in (*DEVICES, "ports"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @classmethod
+    def tiled(cls, tiles: Iterable[Tile], **fields) -> "Network":
+        """A network whose device tuples concatenate, tile by tile, each template's devices with
+        the tile's offsets.  Only the first tile may hold transmission buses, the tiles' bus
+        ids increase from tile to tile, and a template's devices name only its own buses."""
+        net = cls(**fields)
+        object.__setattr__(net, "_tiles", tuple(tiles))
+        return net
+
+    def tiles(self) -> tuple[Tile, ...]:
+        return getattr(self, "_tiles", None) or (Tile(self),)
+
+    def per_tile(self, fn: Callable[["Network"], object]) -> list[tuple[Tile, object]]:
+        """(tile, fn(tile.template)) per tile, ``fn`` evaluated once per distinct template."""
+        done = {id(tile.template): tile.template for tile in self.tiles()}
+        done = {key: fn(template) for key, template in done.items()}
+        return [(tile, done[id(tile.template)]) for tile in self.tiles()]
 
     def bus(self, bus_id: int) -> Bus:
         try:
@@ -276,12 +308,11 @@ class Network:
         which is exactly how the torn subproblems are built).
         """
         ported = self.ported_heads()
-        out = []
-        for b in self.buses:
-            if b.kind is BusKind.SLACK:
-                out.append(b)
-            elif b.kind is BusKind.FEEDER_HEAD and b.id not in ported:
-                out.append(b)
+        out, start = [], 0
+        for tile, picks in self.per_tile(lambda t: [i for i, b in enumerate(t.buses) if b.kind in _SOURCE_KINDS]):
+            out += [b for b in map(self.buses.__getitem__, (start + i for i in picks))
+                    if b.kind is BusKind.SLACK or b.id not in ported]
+            start += len(tile.template.buses)
         return out
 
     # -- derived immutable copies -------------------------------------
@@ -424,16 +455,39 @@ def _structural_violations(network: Network) -> list[Violation]:
     ]
 
 
+def _run(buses) -> tuple[list[int], list[str]]:
+    """(bus id, phase) of every phase of ``buses`` in order, as two lists."""
+    return [b.id for b in buses for _ in b.phases], [ph for b in buses for ph in b.phases]
+
+
+def _layout(t: Network):
+    """A template's index-map layout in its own bus ids: ``_run`` of its transmission buses and
+    of their slack buses, its PV generators' buses, per feeder component its run and heads, and
+    its bus ids sorted."""
+    trans = sorted(t.transmission_buses(), key=lambda b: b.id)
+    gens = [g.bus for g in sorted(t.generators, key=lambda g: g.bus) if g.status and t.bus(g.bus).kind is BusKind.PV]
+    comps = [(_run(comp), [b for b in comp if b.kind is BusKind.FEEDER_HEAD]) for comp in _feeder_components(t)]
+    ids = np.array(sorted(b.id for b in t.buses), dtype=np.int64)
+    return _run(trans), _run([b for b in trans if b.kind is BusKind.SLACK]), gens, comps, ids
+
+
 def build_index_map(network: Network) -> IndexMap:
     """Assign every nodal voltage and auxiliary variable a unique index.
 
     Raises NetworkError on the first structural violation: a duplicate
-    bus id or a dangling element endpoint.
+    bus id or a dangling element endpoint, named as in the network.
     """
-    structural = _structural_violations(network)
-    if structural:
-        raise NetworkError(structural[0].message)
+    checked = network.per_tile(_structural_violations)
+    if any(found for _, found in checked):
+        raise NetworkError(_structural_violations(network)[0].message)
+    return tiled_index_map(network)
 
+
+def tiled_index_map(network: Network) -> IndexMap:
+    """``build_index_map`` without its structural check, for a part of a checked network: each
+    distinct template laid out once, the layout tiled over its copies (a head no port drives
+    brings its source currents into its feeder block)."""
+    ported = network.ported_heads()
     vr: dict[tuple[int, str], int] = {}
     vi: dict[tuple[int, str], int] = {}
     source_current: dict[tuple[int, str], tuple[int, int]] = {}
@@ -441,36 +495,37 @@ def build_index_map(network: Network) -> IndexMap:
     port_current: dict[tuple[int, str], tuple[int, int]] = {}
     blocks: list[tuple[str, int, int]] = []
     feeder_of_bus: dict[int, int] = {}
-    source_set = {b.id for b in network.source_buses()}
     pos = 0
 
-    def block_buses(buses: list[Bus]) -> None:
-        """Nodal voltages of ``buses``, then the currents of the sources among them."""
+    def put(run, offset: int, sources: bool = False) -> None:
         nonlocal pos
-        for b in buses:
-            for ph in b.phases:
-                vr[(b.id, ph)], vi[(b.id, ph)] = pos, pos + 1
-                pos += 2
-        for b in buses:
-            if b.id in source_set:
-                for ph in b.phases:
-                    source_current[(b.id, ph)] = (pos, pos + 1)
-                    pos += 2
+        ids, phases = run
+        keys, at = list(zip(map(offset.__add__, ids), phases)), range(pos, pos + 2 * len(phases), 2)
+        if sources:
+            source_current.update(zip(keys, zip(at, range(pos + 1, at.stop, 2))))
+        else:
+            vr.update(zip(keys, at))
+            vi.update(zip(keys, range(pos + 1, at.stop, 2)))
+        pos = at.stop
 
-    # transmission block: nodal voltages, slack currents, PV reactive unknowns
-    block_buses(sorted(network.transmission_buses(), key=lambda b: b.id))
-    for g in sorted(network.generators, key=lambda g: g.bus):
-        if g.status and network.bus(g.bus).kind is BusKind.PV:
-            gen_q[g.bus] = pos
-            pos += 1
+    laid = network.per_tile(_layout)
+    # transmission block, all in the first tile: nodal voltages, slack currents, PV reactive unknowns
+    first, (trans, slack, gens, _, _) = laid[0]
+    put(trans, first.bus_offset)
+    put(slack, first.bus_offset, sources=True)
+    for bus in gens:
+        gen_q[bus + first.bus_offset] = pos
+        pos += 1
     blocks.append(("transmission", 0, pos))
 
     # one block per feeder component
-    for fi, comp in enumerate(_feeder_components(network)):
-        f_start = pos
-        feeder_of_bus.update((b.id, fi) for b in comp)
-        block_buses(comp)
-        blocks.append((f"feeder:{fi}", f_start, pos))
+    for tile, (*_, comps, _) in laid:
+        for run, heads in comps:
+            f_start, fi = pos, len(blocks) - 1
+            put(run, tile.bus_offset)
+            feeder_of_bus.update(zip(map(tile.bus_offset.__add__, run[0]), repeat(fi)))
+            put(_run([h for h in heads if h.id + tile.bus_offset not in ported]), tile.bus_offset, sources=True)
+            blocks.append((f"feeder:{fi}", f_start, pos))
 
     # port source currents form the trailing border block
     p_start = pos
@@ -480,10 +535,10 @@ def build_index_map(network: Network) -> IndexMap:
             pos += 2
     blocks.append(("ports", p_start, pos))
 
-    bus_ids = np.array(sorted(b.id for b in network.buses), dtype=np.int64)
+    bus = np.fromiter(map(itemgetter(0), vr), np.int64, len(vr))
+    code = np.fromiter(map(PHASE_CODE.__getitem__, map(itemgetter(1), vr)), np.int64, len(vr))
+    bus_ids = np.concatenate([ids + tile.bus_offset for tile, (*_, ids) in laid])
     slots = np.full((len(bus_ids), len(PHASE_CODE)), -1, dtype=np.int64)
-    bus = np.fromiter((bus for bus, _ in vr), np.int64, len(vr))
-    code = np.fromiter((PHASE_CODE[ph] for _, ph in vr), np.int64, len(vr))
     slots[np.searchsorted(bus_ids, bus), code] = np.fromiter(vr.values(), np.int64, len(vr))
 
     return IndexMap(
@@ -516,13 +571,13 @@ def initial_state(network: Network, imap: IndexMap, flat: bool = False) -> np.nd
 # ----------------------------------------------------------------------
 
 
-def validate(network: Network) -> list[Violation]:
-    """Collect every invariant violation; an empty list means a well-formed network."""
+def _template_violations(network: Network):
+    """One template's violations before the port checks and after them (ports and connectivity
+    aside), its buses by id, and the ordinal of each bus's component over its elements."""
     out = _structural_violations(network)
     if out and out[0].code == "dup-bus":
-        return out
+        return out, [], {}, {}
     by_id = {b.id: b for b in network.buses}
-    id_set = set(by_id)
 
     for b in network.buses:
         if b.kind.is_transmission and b.phases != POSITIVE_SEQUENCE:
@@ -592,37 +647,65 @@ def validate(network: Network) -> list[Violation]:
         if g.v_set <= 0:
             out.append(Violation("v-set", f"generator at bus {g.bus} has non-positive v_set"))
 
+    # every feeder component needs exactly one head
+    after = []
+    for comp in _feeder_components(network):
+        heads = [b.id for b in comp if b.kind is BusKind.FEEDER_HEAD]
+        if len(heads) == 0:
+            after.append(Violation("no-head", f"feeder component {{{comp[0].id}...}} has no feeder head"))
+        elif len(heads) > 1:
+            after.append(Violation("multi-head", f"feeder component has {len(heads)} heads {heads}"))
+    comps = _components(by_id, ((el.from_bus, el.to_bus) for el in network.elements))
+    return out, after, by_id, {bus: c for c, comp in enumerate(comps) for bus in comp}
+
+
+def validate(network: Network) -> list[Violation]:
+    """Collect every invariant violation; an empty list means a well-formed network.
+
+    Each distinct template is checked once; the ports and the connectivity
+    through them, over the components of each tile, on the network.  A
+    template of several tiles with a violation sends the network to be
+    checked as its own one tile, which names each copy's ids.
+    """
+    checked = network.per_tile(_template_violations)
+    if len(checked) > 1 and any(found or after for _, (found, after, _, _) in checked):
+        return validate(replace(network))
+    out = [v for _, (found, _, _, _) in checked for v in found]
+    if out and out[0].code == "dup-bus":
+        return out
+    lows = [tile.bus_offset + min(by_id, default=0) for tile, (_, _, by_id, _) in checked]
+    first = np.cumsum([0] + [len(set(comp_of.values())) for _, (*_, comp_of) in checked]).tolist()
+
+    def locate(bus_id: int) -> tuple[Bus | None, int | None]:
+        """(the template's bus, its component's node) of ``bus_id``; None, None for no bus."""
+        k = max(bisect.bisect_right(lows, bus_id) - 1, 0)
+        tile, (_, _, by_id, comp_of) = checked[k]
+        local = bus_id - tile.bus_offset
+        return (by_id[local], first[k] + comp_of[local]) if local in by_id else (None, None)
+
     seen_port_bus: set[int] = set()
     for p in network.ports:
-        tb, hb = by_id.get(p.transmission_bus), by_id.get(p.feeder_head)
+        (tb, _), (hb, _) = locate(p.transmission_bus), locate(p.feeder_head)
         if tb is None or hb is None:
             out.append(Violation("dangling", f"port {p.id} endpoint missing"))
             continue
         if not tb.kind.is_transmission:
-            out.append(Violation("port-side", f"port {p.id} transmission end {tb.id} is not a transmission bus"))
+            out.append(Violation("port-side", f"port {p.id} transmission end {p.transmission_bus} is not a transmission bus"))
         if hb.kind is not BusKind.FEEDER_HEAD:
-            out.append(Violation("port-side", f"port {p.id} feeder end {hb.id} is not a feeder head"))
+            out.append(Violation("port-side", f"port {p.id} feeder end {p.feeder_head} is not a feeder head"))
         elif set(hb.phases) != set(THREE_PHASE):
-            out.append(Violation("port-phases", f"port {p.id} head {hb.id} must carry phases abc"))
+            out.append(Violation("port-phases", f"port {p.id} head {p.feeder_head} must carry phases abc"))
         for end in (p.transmission_bus, p.feeder_head):
             if end in seen_port_bus:
                 out.append(Violation("port-reuse", f"bus {end} participates in two ports"))
             seen_port_bus.add(end)
-
-    # every feeder component needs exactly one head
-    for comp in _feeder_components(network):
-        heads = [b.id for b in comp if b.kind is BusKind.FEEDER_HEAD]
-        if len(heads) == 0:
-            out.append(Violation("no-head", f"feeder component {{{comp[0].id}...}} has no feeder head"))
-        elif len(heads) > 1:
-            out.append(Violation("multi-head", f"feeder component has {len(heads)} heads {heads}"))
-
-    # connectivity including ports
-    edges = [(el.from_bus, el.to_bus) for el in network.elements]
-    comps = _components(id_set, edges + [(p.transmission_bus, p.feeder_head) for p in network.ports])
-    if len(comps) > 1:
+    out += [v for _, (_, after, _, _) in checked for v in after]
+    edges = [(locate(p.transmission_bus)[1], locate(p.feeder_head)[1]) for p in network.ports]
+    groups = _components(range(first[-1]), edges)
+    if len(groups) > 1:
         start = network.buses[0].id
-        missing = sorted(id_set - set(next(c for c in comps if start in c)))[:8]
+        reached = set(next(g for g in groups if locate(start)[1] in g))
+        missing = sorted(bus + tile.bus_offset for k, (tile, (*_, comp_of)) in enumerate(checked)
+                         for bus, c in comp_of.items() if first[k] + c not in reached)[:8]
         out.append(Violation("disconnected", f"buses unreachable from bus {start}: {missing}"))
-
     return out

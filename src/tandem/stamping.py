@@ -173,29 +173,63 @@ class _Legs:
         return np.concatenate([j, -j, -j, j], axis=1)[self.block_mask]
 
 
-def _demand_legs(network: Network):
-    """(share, bus, label, sign, s) per leg of each ZIP share, loads then DERs, in stamping
-    order; a label is a wye phase or a delta leg, and power and current legs of zero demand
-    are left out."""
-    legs = []
-    for sign, devices in ((1.0, network.loads), (-1.0, network.ders)):
-        for dev in devices:
-            delta = getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE
-            labels = _DELTA_LEGS if delta else dev.phases
-            for share, f in enumerate(getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))):
-                for label, s in zip(labels, dev.s) if f != 0.0 else ():
-                    fs = f * s
-                    if share == _Z or fs != 0:
-                        legs.append((share, dev.bus, label, sign, fs))
-    return legs
+def _concat(parts, bus=1) -> list[np.ndarray]:
+    """Column by column concatenation of (bus offset, [ids, *columns]) parts, ``ids`` plus the offset
+    times ``bus`` (1, or a row marking its bus-id column): a template's compile inputs tiled over its copies."""
+    return [np.concatenate(col) for col in zip(*([cols[0] + offset * bus, *cols[1:]] for offset, cols in parts))]
 
 
-def _leg_terminals(legs, imap: IndexMap) -> np.ndarray:
-    """(R1, I1, R2, I2) per leg; a wye leg (one-letter label) has the ground slot n as its second."""
-    codes = np.array([(PHASE_CODE[label[0]], PHASE_CODE[label[-1]]) for _, _, label, _, _ in legs], dtype=np.int64)
-    vr = imap.v_index(np.array([leg[1] for leg in legs], dtype=np.int64)[:, None], codes.reshape(-1, 2))
+_LEG_BUS = np.array([1, 0, 0, 0, 0, 0])  # marks the bus column of a leg's keys
+# (first and last terminal phase code, wye) of a leg's label: a wye phase or a delta leg
+_LABEL_KEYS = {label: (PHASE_CODE[label[0]], PHASE_CODE[label[-1]], len(label) == 1) for label in (*PHASE_CODE, *_DELTA_LEGS)}
+
+
+def _legs(devices, sign: float) -> list[np.ndarray]:
+    """[keys, s] of the legs of each ZIP share of ``devices`` in stamping order, ``keys`` a row (bus,
+    share, first and last terminal phase code, wye, sign) per leg; a leg is a wye phase or a delta
+    leg, and power and current legs of zero demand are left out."""
+    keys, demand = [], []
+    for dev in devices:
+        delta = getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE
+        labels = _DELTA_LEGS if delta else dev.phases
+        for share, f in enumerate(getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))):
+            for label, s in zip(labels, dev.s) if f != 0.0 else ():
+                fs = f * s
+                if share == _Z or fs != 0:
+                    keys += (dev.bus, share, *_LABEL_KEYS[label], sign)
+                    demand.append(fs)
+    return [np.array(keys, dtype=float).reshape(-1, 6), np.array(demand, dtype=complex)]
+
+
+def _demand_legs(network: Network) -> list[np.ndarray]:
+    """``_legs`` of every tile's loads, then of every tile's DERs, each template's taken once."""
+    legs = network.per_tile(lambda t: (_legs(t.loads, 1.0), _legs(t.ders, -1.0)))
+    return _concat([(tile.bus_offset, per[i]) for i in (0, 1) for tile, per in legs], bus=_LEG_BUS)
+
+
+def _element_columns(t: Network) -> dict[str, list[np.ndarray]]:
+    """Per phase set in order of first appearance: element ends, admittance blocks and
+    (tap, shift, charging)."""
+    groups: dict[str, list] = {}
+    for el in t.elements:
+        groups.setdefault(el.phases, []).append(el)
+    return {phases: [np.array([(el.from_bus, el.to_bus) for el in els], dtype=np.int64),
+                     np.array([el.y_series for el in els]),
+                     np.array([(el.tap, el.shift, el.b_charge) for el in els])] for phases, els in groups.items()}
+
+
+def _shunt_columns(t: Network) -> list[np.ndarray]:
+    """Columns (bus, phase code, admittance) of every shunt phase."""
+    return [np.array([sh.bus for sh in t.shunts for _ in sh.phases], dtype=np.int64),
+            np.array([PHASE_CODE[ph] for sh in t.shunts for ph in sh.phases], dtype=np.int64),
+            np.array([y for sh in t.shunts for y in sh.y], dtype=complex)]
+
+
+def _leg_terminals(bus, code1, code2, wye, imap: IndexMap) -> np.ndarray:
+    """(R1, I1, R2, I2) per leg; a wye leg has the ground slot n as its second."""
+    vr = imap.v_index(bus[:, None], np.stack([code1, code2], axis=1))
     t = np.repeat(vr, 2, axis=1) + [0, 1, 0, 1]
-    t[[len(leg[2]) == 1 for leg in legs], 2:] = imap.n
+    t[wye, 2:] = imap.n
     return t
 
 
@@ -207,25 +241,25 @@ def _element_triplets(network: Network, imap: IndexMap) -> list:
     ysh at the to end, as in MATPOWER's makeYbus; three-phase elements
     couple their full phase blocks, self terms scaled and mutuals not.
     """
-    groups: dict[str, list] = {}
-    for el in network.elements:
-        groups.setdefault(el.phases, []).append(el)
+    tiled: dict[str, list] = {}
+    for tile, groups in network.per_tile(_element_columns):
+        for phases, cols in groups.items():
+            tiled.setdefault(phases, []).append((tile.bus_offset, cols))
     parts = []
-    for phases, els in groups.items():
+    for phases, (ends, y, params) in ((phases, _concat(cols)) for phases, cols in tiled.items()):
         codes = [PHASE_CODE[ph] for ph in phases]
-        f, t = imap.v_index(np.array([(el.from_bus, el.to_bus) for el in els]).T[..., None], codes)
+        f, t = imap.v_index(ends.T[..., None], codes)
         rows, cols = [f, f, t, t], [f, t, f, t]
         if phases == POSITIVE_SEQUENCE:
-            y = np.array([el.y_series[0, 0] for el in els])
-            tap, shift, b = np.array([(el.tap, el.shift, el.b_charge) for el in els]).T
+            y = y[:, 0, 0]
+            tap, shift, b = params.T
             a, ysh = tap * np.exp(1j * shift), 0.5j * b
             w = np.array([y / (tap * tap), -y / a.conj(), -y / a, y, ysh / (tap * tap), ysh])[..., None, None]
             kind = np.array([_SCALED] * 4 + [_RELAXED] * 2)[:, None, None, None]
             rows, cols = rows + [f, t], cols + [f, t]
         else:
-            y = np.array([el.y_series for el in els])
             w, kind = np.stack([y, -y, -y, y]), np.where(np.eye(len(phases), dtype=bool), _SCALED, _REST)
-        shape = (len(rows), len(els), len(phases), len(phases))  # (block, element, phase, phase)
+        shape = (len(rows), len(y), len(phases), len(phases))  # (block, element, phase, phase)
         rr, cr, w, kind = (np.broadcast_to(v, shape).ravel() for v in
                            (np.stack(rows)[..., None], np.stack(cols)[:, :, None, :], w, kind))
         parts.append((*_expand_pairs(rr, cr), _expand(w), np.tile(kind, 4)))
@@ -257,14 +291,17 @@ class CompiledCircuit:
         self.plan = AssemblyPlan(dense=True)
         legs = _demand_legs(network)
         gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
-        self.keys = [leg[:4] for leg in legs], [g.bus for g in gens]
-        t = _leg_terminals(legs, imap)
-        share = np.array([leg[0] for leg in legs], dtype=np.int64)
+        self.keys = legs[0], [g.bus for g in gens]
+        bus, share, code1, code2, wye = legs[0][:, :5].T.astype(np.int64)
+        wye = wye.astype(bool)
+        t = _leg_terminals(bus, code1, code2, wye, imap)
         self._compile_linear(network, imap, t[share == _Z])
 
         nonlinear = np.flatnonzero(share != _Z)
         legs_nl = _Legs(t[nonlinear], n)
-        self.labels = [legs[i][1:3] for i in nonlinear.tolist()]
+        # (bus, wye phase or delta leg) of each nonlinear leg, for the collapse guard's message
+        self.labels = [(b, "pabc"[c1] + ("" if w else "pabc"[c2])) for b, c1, c2, w in
+                       zip(*(col[nonlinear].tolist() for col in (bus, code1, code2, wye)))]
         self.is_pq = share[nonlinear] == _P
         pq, cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
         self.jac = _Legs(legs_nl.t[pq], n)
@@ -303,10 +340,8 @@ class CompiledCircuit:
     def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
         parts = _element_triplets(network, imap)
-        shunts = network.shunts
-        rr = imap.v_index([sh.bus for sh in shunts for _ in sh.phases],
-                          [PHASE_CODE[ph] for sh in shunts for ph in sh.phases])
-        y = [y for sh in shunts for y in sh.y]
+        bus, code, y = _concat([(tile.bus_offset, cols) for tile, cols in network.per_tile(_shunt_columns)])
+        rr = imap.v_index(bus, code)
         parts.append((*_expand_pairs(rr, rr), _expand(y), _RELAXED))
 
         # constant-impedance ZIP share: values set by _take_demands
@@ -365,14 +400,14 @@ class CompiledCircuit:
         """
         legs = _demand_legs(network)
         gens = [g for g in network.generators if g.status and g.bus in self.imap.gen_q]
-        if ([leg[:4] for leg in legs], [g.bus for g in gens]) != self.keys:
+        if not (np.array_equal(legs[0], self.keys[0]) and [g.bus for g in gens] == self.keys[1]):
             raise ValueError("the network's demand legs or generators differ from the compiled ones")
         self._take_demands(legs, gens)
 
     def _take_demands(self, legs, gens) -> None:
-        share, sign, s = (np.array([leg[i] for leg in legs], dtype=t) for i, t in ((0, int), (3, float), (4, complex)))
-        # delta legs (two-letter labels) see sqrt(3) pu at nominal
-        vref2 = np.array([3.0 if len(leg[2]) == 2 else 1.0 for leg in legs])
+        (_, share, _, _, wye, sign), s = legs[0].T, legs[1]
+        # delta legs see sqrt(3) pu at nominal
+        vref2 = np.where(wye, 1.0, 3.0)
         pq, cu, z = (share == k for k in (_P, _I, _Z))
         # P of the constant-power legs, then of the generators (whose Q is an unknown)
         self.p = np.concatenate([sign[pq] * s[pq].real, [-g.p_set for g in gens]])

@@ -365,6 +365,28 @@ def test_bad_list_argument_is_input_error(workdir, command, flags):
 
 
 @pytest.mark.parametrize(
+    "target, old, new",
+    [
+        ("feeder_medium.json", '"nominal_kv": 12.47', '"nominal_kv": 1' + "0" * 5000),
+        ("case9_stressed.json", '"bus": 5', '"bus": 1' + "0" * 5000),
+    ],
+    ids=["feeder", "map"],
+)
+def test_json_integer_past_digit_limit_is_input_error(workdir, target, old, new):
+    # json.loads raises a plain ValueError past 4,300 digits; it exited 4 as an internal error
+    text = (workdir / target).read_text()
+    assert old in text
+    (workdir / target).write_text(text.replace(old, new, 1))
+    coupling = workdir / "case9_stressed.json"
+    if target.startswith("feeder"):
+        coupling = workdir / "map.json"
+        coupling.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": target, "bus": 5}]}))
+    rc = run(["solve", "--case", workdir / "case9.m", "--coupling", coupling, "--out", workdir / "o"])
+    assert rc == EXIT_INPUT
+    assert target in json.loads((workdir / "o" / "error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize(
     "target, path, value, named",
     [
         ("feeder_medium.json", ("loads", 0, "connection"), "star", "loads[0]"),

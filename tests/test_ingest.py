@@ -88,6 +88,28 @@ class TestMatpower:
         with pytest.raises(CaseFormatError, match=r"^line 5: non-finite value nan in column 3 of case\.m$"):
             parse_transmission(write_case(tmp_path, body))
 
+    @pytest.mark.parametrize(
+        "old, new, column",
+        [
+            ("\t1\t3\t0\t0", "\t1.5\t3\t0\t0", 1),  # bus id
+            ("\t2\t1\t50", "\t2\t1.5\t50", 2),  # bus type
+            ("\t1\t0\t0\t300", "\t1.25\t0\t0\t300", 1),  # generator bus
+            ("\t100\t1\t250", "\t100\t0.5\t250", 8),  # generator status
+            ("\t1\t2\t0.01", "\t1\t2.5\t0.01", 2),  # branch to
+            ("\t0\t0\t1\t-360", "\t0\t0\t0.5\t-360", 11),  # branch status
+        ],
+        ids=["bus-id", "bus-type", "gen-bus", "gen-status", "branch-to", "branch-status"],
+    )
+    def test_non_integral_id_type_or_status_refused(self, tmp_path, old, new, column):
+        # unchecked, int() truncated these and a different case solved (exit 0)
+        assert MINI_CASE.count(old) == 1
+        with pytest.raises(CaseFormatError, match=rf"^line \d+: non-integral value [\d.]+ in column {column} of case\.m$"):
+            parse_transmission(write_case(tmp_path, MINI_CASE.replace(old, new)))
+
+    def test_integral_floats_kept(self, tmp_path):
+        net = parse_transmission(write_case(tmp_path, MINI_CASE.replace("\t2\t1\t50", "\t2.0\t1.0\t50")))
+        assert [(b.id, b.kind) for b in net.buses] == [(1, BusKind.SLACK), (2, BusKind.PQ)]
+
     def test_infinite_q_limits_kept(self, case9, tmp_path):
         # MATPOWER's "no limit"; NaN there is still refused
         body = case9.read_text().replace("\t300\t-300\t", "\tInf\t-Inf\t")
@@ -282,6 +304,16 @@ class TestCombined:
             {"feeder": "a.json", "bus": 2}, {"feeder": "b.json", "bus": 2}]}))
         with pytest.raises(CaseFormatError, match="coupled twice"):
             parse_coupling_map(p)
+
+    @pytest.mark.parametrize("bus", [5.5, "5", True], ids=["fraction", "string", "boolean"])
+    def test_coupling_bus_must_be_an_integer(self, tmp_path, bus):
+        # unchecked, int() took 5.5 and "5" as bus 5 and true as bus 1
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": "f1.json", "bus": bus}]}))
+        with pytest.raises(CaseFormatError, match=rf"^map\.json: couplings\[0\]: bad bus {bus!r}$"):
+            parse_coupling_map(p)
+        p.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": "f1.json", "bus": 5.0}]}))
+        assert parse_coupling_map(p).entries[0].bus == 5
 
 
 def _assert_same(a, b, where="network"):

@@ -1,0 +1,194 @@
+"""Networks that record their feeder templates (``Network.tiled``) check, lay out, compile and
+tear exactly as the same devices do in a network without the record, checked device by device."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from netgen import _zip_fractions, case27_with_feeders, random_transmission
+from tandem.gsn import tear
+from tandem.ingest import (
+    CouplingEntry,
+    CouplingMap,
+    FeederBranch,
+    FeederCapRec,
+    FeederDerRec,
+    FeederDoc,
+    FeederLoadRec,
+    FeederNode,
+    build_combined,
+    load_combined_case,
+)
+from tandem.netmodel import BusKind, Connection, ElementKind, Network, build_index_map, validate
+from tandem.stamping import CompiledCircuit
+
+MIXED = (("feeder_small", 1.0, 1.0), ("feeder_medium", 0.5, 1.0), ("feeder_stressed", 1.0, 0.0),
+         ("feeder_small", 1.2, 2.0), ("feeder_medium", 1.0, 1.0), ("feeder_stressed", 0.8, 1.0))
+
+
+def _rebuilt(net: Network) -> Network:
+    """The same devices in a network made by its constructor, which records no templates."""
+    return Network(**{f.name: getattr(net, f.name) for f in dataclasses.fields(net)})
+
+
+def _same(a, b, where):
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    elif isinstance(a, (list, tuple)) and any(isinstance(v, (np.ndarray, list)) for v in a):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _same(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where
+
+
+def _assert_same_map(a, b, where):
+    assert a == b, where
+    _same(a.bus_ids, b.bus_ids, f"{where}.bus_ids")
+    _same(a.slots, b.slots, f"{where}.slots")
+
+
+def _assert_same_circuit(a: CompiledCircuit, b: CompiledCircuit, where):
+    skip = {"imap", "plan", "jac", "z", "gens"}
+    assert vars(a).keys() == vars(b).keys()
+    for name in vars(a).keys() - skip:
+        _same(getattr(a, name), getattr(b, name), f"{where}.{name}")
+    for name in ("jac", "z"):
+        _same(getattr(a, name).t, getattr(b, name).t, f"{where}.{name}.t")
+
+
+def assert_matches_device_by_device(net: Network):
+    """validate, build_index_map, CompiledCircuit and tear of ``net`` equal those of its rebuild."""
+    plain = _rebuilt(net)
+    assert len(plain.tiles()) == 1
+    assert validate(net) == validate(plain)
+    imap, plain_imap = build_index_map(net), build_index_map(plain)
+    _assert_same_map(imap, plain_imap, "imap")
+    _assert_same_circuit(CompiledCircuit(net, imap), CompiledCircuit(plain, plain_imap), "circuit")
+    if net.ports:
+        for sub, plain_sub in zip(tear(net, imap).subs, tear(plain, plain_imap).subs, strict=True):
+            assert sub.network == plain_sub.network
+            _assert_same_map(sub.imap, plain_sub.imap, sub.name)
+            _same(sub.local_to_global, plain_sub.local_to_global, f"{sub.name}.local_to_global")
+            _assert_same_circuit(CompiledCircuit(sub.network, sub.imap),
+                                 CompiledCircuit(plain_sub.network, plain_sub.imap), sub.name)
+
+
+@pytest.fixture(scope="module")
+def k24(data_dir):
+    return case27_with_feeders(data_dir, [("feeder_medium", 1.0, 1.0)])
+
+
+@pytest.fixture(scope="module")
+def mixed(data_dir):
+    return case27_with_feeders(data_dir, MIXED)
+
+
+def test_repeated_feeders_copy_one_template(k24, mixed):
+    assert len(k24.tiles()) == 25 and len({id(t.template) for t in k24.tiles()[1:]}) == 1
+    assert len(mixed.tiles()) == 25 and len({id(t.template) for t in mixed.tiles()[1:]}) == 6
+
+
+@pytest.mark.parametrize("case", ["k24", "mixed", "case9_feeder1", "case9_feeder4", "case9_stressed"])
+def test_bundled_cases(request, data_dir, case):
+    """case27 with 24 copies of one feeder and with six distinct feeders cycled, and case9 with each
+    bundled coupling map (``case9_feeder4`` is four copies)."""
+    if case.startswith("case9"):
+        net = load_combined_case(data_dir / "case9.m", data_dir / f"{case}.json")
+    else:
+        net = request.getfixturevalue(case)
+    assert_matches_device_by_device(net)
+
+
+def _der_group(net):
+    return next(d.group for d in net.ders if d.group)
+
+
+VARIANTS = {
+    "loading-factor": lambda net: net.with_loading_factor(1.3),
+    "der-scale": lambda net: net.with_der_scale(0.5),
+    "der-scale-group": lambda net: net.with_der_scale(0.0, _der_group(net)),
+    "source-voltages": lambda net: net.with_source_voltages({net.buses[0].id: (1.05 + 0.01j,)}),
+    "without-element": lambda net: net.without_elements([net.elements[-3].id]),
+    "without-generator": lambda net: net.without_generators([net.generators[0].bus]),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("case", ["k24", "mixed"])
+def test_variants_never_keep_a_stale_record(request, case, variant):
+    """A variant changes device tuples the record describes; it must check, lay out and
+    compile as the same variant rebuilt device by device."""
+    net = VARIANTS[variant](request.getfixturevalue(case))
+    assert_matches_device_by_device(net)
+
+
+def random_doc(rng, name: str, n_node: int) -> FeederDoc:
+    """A random radial feeder document: mixed phase sets, wye and delta ZIP loads, capacitors, DERs."""
+    nodes = [FeederNode("n0", "abc", 12.47)]
+    doc = FeederDoc(name=name, head="n0", nominal_kv=12.47, nodes=nodes)
+    for i in range(1, n_node):
+        parent = nodes[int(rng.integers(0, len(nodes)))]
+        phases = parent.phases if rng.random() < 0.6 else "".join(
+            sorted(rng.choice(list(parent.phases), size=int(rng.integers(1, len(parent.phases) + 1)), replace=False)))
+        nodes.append(FeederNode(f"n{i}", phases, 12.47))
+        k = len(phases)
+        z = np.full((k, k), complex(rng.uniform(0.02, 0.1), rng.uniform(0.05, 0.2)))
+        np.fill_diagonal(z, complex(rng.uniform(0.1, 0.5), rng.uniform(0.2, 0.9)))
+        kind = ElementKind.TRANSFORMER if rng.random() < 0.1 else ElementKind.LINE
+        doc.branches.append(FeederBranch(parent.id, f"n{i}", phases, z, kind))
+        kw = tuple(rng.uniform(5.0, 40.0) for _ in range(3 if phases == "abc" else k))
+        if rng.random() < 0.6:
+            delta = phases == "abc" and rng.random() < 0.3
+            doc.loads.append(FeederLoadRec(f"n{i}", Connection.DELTA if delta else Connection.WYE, kw,
+                                           tuple(0.3 * p for p in kw), _zip_fractions(rng)))
+        if rng.random() < 0.2:
+            doc.capacitors.append(FeederCapRec(f"n{i}", tuple(rng.uniform(5.0, 30.0) for _ in range(k)), phases))
+        if rng.random() < 0.2:
+            doc.ders.append(FeederDerRec(f"n{i}", tuple(0.2 * p for p in kw[:k]), (0.0,) * k, "pv"))
+    return doc
+
+
+def random_repeated_case(rng) -> Network:
+    """A random transmission network with random feeders on its PQ buses, drawn with repeats
+    from two documents and two scale pairs, built by ``build_combined``."""
+    while True:
+        tnet = random_transmission(rng, int(rng.integers(4, 10)))
+        pq = [b.id for b in tnet.buses if b.kind is BusKind.PQ]
+        if len(pq) >= 3:
+            break
+    docs = {f"f{i}.json": random_doc(rng, f"f{i}", int(rng.integers(2, 9))) for i in range(2)}
+    scales = [(1.0, 1.0), (float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.0, 2.0)))]
+    entries = [CouplingEntry(f"f{int(rng.integers(0, 2))}.json", bus, *scales[int(rng.integers(0, 2))]) for bus in pq]
+    return build_combined(tnet, CouplingMap(entries), docs)
+
+
+def test_random_repeated_feeders():
+    rng = np.random.default_rng(1919)
+    copied = 0
+    for _ in range(24):
+        net = random_repeated_case(rng)
+        copied += len(net.tiles()) > 1
+        assert_matches_device_by_device(net)
+    assert copied >= 20
+
+
+def test_template_with_violations_copied_three_times(data_dir):
+    """An asymmetric impedance block and an island node in a template copied to three buses:
+    every violation is reported once per copy, with that copy's ids, as device by device."""
+    z = np.full((3, 3), 0.05 + 0.1j) + np.eye(3) * (0.3 + 0.6j)
+    asym = z.copy()
+    asym[0, 1] += 0.05
+    doc = FeederDoc("bad", "n0", 12.47, nodes=[FeederNode(f"n{i}", "abc", 12.47) for i in range(3)] + [
+        FeederNode("island", "a", 12.47)])
+    doc.branches = [FeederBranch("n0", "n1", "abc", asym), FeederBranch("n1", "n2", "abc", z)]
+    doc.loads = [FeederLoadRec("n2", Connection.WYE, (20.0,) * 3, (5.0,) * 3),
+                 FeederLoadRec("island", Connection.WYE, (10.0,), (2.0,))]
+    tnet = random_transmission(np.random.default_rng(3), 8)
+    pq = [b.id for b in tnet.buses if b.kind is BusKind.PQ][:3]
+    net = build_combined(tnet, CouplingMap([CouplingEntry("bad.json", bus) for bus in pq]), {"bad.json": doc})
+    assert len(net.tiles()) == 4
+    codes = [v.code for v in validate(net)]
+    assert codes.count("asym-block") == 3 and codes.count("no-head") == 3 and "disconnected" in codes
+    assert_matches_device_by_device(net)

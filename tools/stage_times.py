@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Time the set-up, solve and output stages of a direct k=24 solve, stage by stage.
+
+    PYTHONPATH=src python tools/stage_times.py [rounds]
+
+Two cases, case27 with ``feeder_medium`` on each of its 24 PQ buses:
+``copies`` (every feeder the same, so 23 of the 24 feeder blocks copy
+an earlier one) and ``distinct`` (24 distinct load scales, so no block
+is a copy).  For each case the script prints the share of copied feeder
+blocks and, per stage, the fastest of ``rounds`` (default 15) in-process
+runs, the stages interleaved round by round:
+
+- ``build_combined``: parsed inputs to the combined network;
+- ``validate`` and ``build_index_map`` on it;
+- ``CompiledCircuit``: the compile of the direct solve;
+- Newton on the compiled circuit (``solve_direct`` with the circuit);
+- ``solution.json`` text: ``solution_json(solution_dict(...))``;
+- ``tear``: the GSN partition into transmission and feeder side.
+
+BLAS is pinned to one thread, as in ``perfbench``.  Parsing is left out:
+it reads the same files in both cases.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from pathlib import Path  # noqa: E402
+
+from tandem.gsn import tear  # noqa: E402
+from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission  # noqa: E402
+from tandem.netmodel import BusKind, build_index_map, validate  # noqa: E402
+from tandem.newton import SolverOptions, solve_direct  # noqa: E402
+from tandem.results import solution_dict, solution_json  # noqa: E402
+from tandem.stamping import CompiledCircuit  # noqa: E402
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "tandem" / "data"
+STAGES = ("build_combined", "validate", "build_index_map", "CompiledCircuit", "Newton", "solution.json", "tear")
+
+
+def cases() -> dict:
+    """Name -> (transmission network, coupling map, feeder documents)."""
+    tnet = parse_transmission(DATA / "case27.m")
+    pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
+    docs = {"feeder_medium.json": parse_feeder_doc(DATA / "feeder_medium.json")}
+    scales = {"copies": [1.0] * len(pq), "distinct": [0.8 + 0.01 * k for k in range(len(pq))]}
+    return {name: (tnet, CouplingMap([CouplingEntry("feeder_medium.json", bus, s) for bus, s in zip(pq, ls)], DATA),
+                   docs) for name, ls in scales.items()}
+
+
+def copied_share(cmap: CouplingMap) -> tuple[int, int]:
+    """(feeder blocks that repeat an earlier entry's feeder and scales, all feeder blocks)."""
+    keys = [(e.feeder, repr(e.load_scale), repr(e.der_scale)) for e in cmap.entries]
+    return len(keys) - len(set(keys)), len(keys)
+
+
+def one_round(tnet, cmap, docs) -> dict[str, float]:
+    times = {}
+
+    def timed(stage, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        times[stage] = time.perf_counter() - start
+        return out
+
+    net = timed("build_combined", build_combined, tnet, cmap, docs)
+    violations = timed("validate", validate, net)
+    if violations:
+        raise SystemExit(f"stage_times: the case fails validation: {violations[0]}")
+    imap = timed("build_index_map", build_index_map, net)
+    circuit = timed("CompiledCircuit", CompiledCircuit, net, imap)
+    x, _ = timed("Newton", solve_direct, net, SolverOptions(), circuit=circuit)
+    timed("solution.json", lambda: solution_json(solution_dict(net, imap, x)))
+    timed("tear", tear, net, imap)
+    return times
+
+
+def main(argv: list[str]) -> int:
+    rounds = int(argv[0]) if argv else 15
+    inputs = cases()
+    best = {name: dict.fromkeys(STAGES, float("inf")) for name in inputs}
+    for _ in range(rounds):
+        for name, args in inputs.items():
+            for stage, t in one_round(*args).items():
+                best[name][stage] = min(best[name][stage], t)
+    for name, (_, cmap, _) in inputs.items():
+        copied, total = copied_share(cmap)
+        print(f"{name}: {copied} of {total} feeder blocks copied")
+    print(f"fastest of {rounds} rounds, ms")
+    print(f"{'stage':<16}" + "".join(f"{name:>12}" for name in inputs))
+    for stage in STAGES:
+        print(f"{stage:<16}" + "".join(f"{1e3 * best[name][stage]:>12.2f}" for name in inputs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
