@@ -29,6 +29,7 @@ from .ingest import (
     parse_feeder_doc,
     parse_transmission,
     build_combined,
+    read_text,
 )
 from .netmodel import BusKind, NetworkError, build_index_map, validate
 from .newton import SolveFailure, SolverOptions, solve_direct
@@ -56,8 +57,10 @@ def _solver_options(args) -> SolverOptions:
     values = {}
     if getattr(args, "options", None):
         try:
-            values = json.loads(Path(args.options).read_text())
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            values = json.loads(read_text(args.options))
+        except CaseFormatError as exc:
+            raise InputError(f"solver options: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError
             raise InputError(f"solver options file {args.options} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise InputError(f"solver options file {args.options} must hold a JSON object")
@@ -97,22 +100,13 @@ def _gsn_options(args, out_dir: Path | None) -> GsnOptions:
 
 
 def _load_network(args):
-    case = Path(args.case)
-    if not case.exists():
-        raise InputError(f"case file {case} not found")
-    tnet = parse_transmission(case)
+    tnet = parse_transmission(args.case)
     if args.coupling:
-        cpath = Path(args.coupling)
-        if not cpath.exists():
-            raise InputError(f"coupling map {cpath} not found")
-        cmap = parse_coupling_map(cpath)
+        cmap = parse_coupling_map(args.coupling)
         docs = {}
         for entry in cmap.entries:
-            fpath = cmap.feeder_path(entry)
-            if not fpath.exists():
-                raise InputError(f"feeder file {fpath} not found")
             if entry.feeder not in docs:
-                docs[entry.feeder] = parse_feeder_doc(fpath)
+                docs[entry.feeder] = parse_feeder_doc(cmap.feeder_path(entry))
         net = build_combined(tnet, cmap, docs, keep_bus_load=args.keep_bus_load)
     else:
         net = tnet
@@ -152,7 +146,8 @@ def cmd_solve(args) -> int:
     net = _load_network(args)
     x, rep_dict, imap = _solve(net, args, opts, gsn)
 
-    (out_dir / "solution.json").write_text(solution_json(solution_dict(net, imap, x)) + "\n")
+    sol = solution_dict(net, imap, x)
+    (out_dir / "solution.json").write_text(solution_json(sol) + "\n")
     (out_dir / "report.json").write_text(json.dumps(rep_dict, indent=2) + "\n")
 
     lines = ["tandem solve summary", f"case: {args.case}", f"solver: {args.solver}"]
@@ -166,7 +161,7 @@ def cmd_solve(args) -> int:
     ext = poi_extremes(net, imap, x)
     if ext is None:
         lines.append("ports: 0 (POI-free network)")
-        mags = [(abs(imap.voltage(x, b.id, ph)), b.id, ph) for b in net.buses for ph in b.phases]
+        mags = [(node["vm"], node["bus"], node["phase"]) for node in sol["nodes"]]
         hi, lo = max(mags), min(mags)
         lines.append(f"max voltage: bus {hi[1]} phase {hi[2]}  {hi[0]:.4f}")
         lines.append(f"min voltage: bus {lo[1]} phase {lo[2]}  {lo[0]:.4f}")
@@ -384,18 +379,12 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    case = Path(args.case)
-    if not case.exists():
-        raise InputError(f"case file {case} not found")
-    feeder = Path(args.feeder)
-    if not feeder.exists():
-        raise InputError(f"feeder file {feeder} not found")
     counts = _number_list(args.counts, int, "--counts")
     if not counts or any(k <= 0 for k in counts):
         raise InputError("counts must be positive integers")
     opts, gsn = _solver_options(args), _gsn_options(args, None)
 
-    tnet = parse_transmission(case)
+    tnet, feeder = parse_transmission(args.case), Path(args.feeder)
     doc = parse_feeder_doc(feeder)
 
     pq_buses = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .netmodel import (
     DEVICES,
+    PHASE_CODE,
     PHASE_ROTATION,
     POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
@@ -260,8 +261,8 @@ def solve_gsn(
     # topology, so each block compiles once for the whole solve
     t_circuit = CompiledCircuit(transmission.network, transmission.imap)
     f_circuit = CompiledCircuit(feeders.network, feeders.imap)
-    poi = np.array([transmission.imap.vr[(p.transmission_bus, POSITIVE_SEQUENCE)] for p in ports])
-    head = np.array([[feeders.imap.vr[(p.feeder_head, ph)] for ph in THREE_PHASE] for p in ports])
+    poi = transmission.imap.v_index([p.transmission_bus for p in ports], PHASE_CODE[POSITIVE_SEQUENCE])
+    head = feeders.imap.v_index([[p.feeder_head] for p in ports], [PHASE_CODE[ph] for ph in THREE_PHASE])
     current = np.array([[feeders.imap.source_current[(p.feeder_head, ph)] for ph in THREE_PHASE] for p in ports])
     rotation = np.array([PHASE_ROTATION[ph] for ph in THREE_PHASE])
     weights = [POS_SEQ_WEIGHT[ph] for ph in THREE_PHASE]

@@ -55,6 +55,15 @@ class CaseFormatError(ValueError):
         self.line = line
 
 
+def read_text(path) -> str:
+    """The text of input file ``path``; one that cannot be read as UTF-8 text (missing, a
+    directory, bytes that are not UTF-8) is a CaseFormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CaseFormatError(f"cannot read {path}: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 # MATPOWER transmission cases
 # ----------------------------------------------------------------------
@@ -123,7 +132,7 @@ def _numbers(row: str, line: int, name: str, read=(), inf_ok=(), ints=()) -> lis
 def parse_transmission(path) -> Network:
     """Parse a MATPOWER case file into a per-unit positive-sequence network."""
     path = Path(path)
-    sections = _read_matrices(path.read_text())
+    sections = _read_matrices(read_text(path))
 
     for name, (_, _, line) in sections.items():
         if name not in _KNOWN_SECTIONS:
@@ -317,8 +326,9 @@ def _integral(v) -> int:
 
 
 def _json_object(path: Path) -> dict:
+    text = read_text(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(text)
     except ValueError as exc:  # also an integer literal past Python's 4,300-digit limit
         raise CaseFormatError(f"{path.name}: {exc}", getattr(exc, "lineno", None)) from exc
     if not isinstance(raw, dict):

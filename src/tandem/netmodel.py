@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import bisect
 import cmath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -350,7 +348,7 @@ class Network:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexMap:
     """Bijection from network quantities to positions in the real unknown vector.
 
@@ -361,23 +359,31 @@ class IndexMap:
     then the port source currents last.  Transmission variables always
     precede distribution variables so the coupling structure is
     bordered block diagonal with the transmission block first.  Phase
-    k of a bus sits at V_R = first + 2k, V_I = V_R + 1; ``slots`` holds
-    V_R by sorted ``bus_ids`` row and ``PHASE_CODE`` column (-1: absent).
+    k of a bus sits at V_R = first + 2k, V_I = V_R + 1; ``slots``, the
+    only record of the nodal unknowns, holds V_R by sorted ``bus_ids``
+    row and ``PHASE_CODE`` column (-1: absent).
     """
 
     n: int
-    vr: dict[tuple[int, str], int]
-    vi: dict[tuple[int, str], int]
-    bus_ids: np.ndarray = field(compare=False)  # derived from vr, as is slots
-    slots: np.ndarray = field(compare=False)
+    bus_ids: np.ndarray
+    slots: np.ndarray
     source_current: dict[tuple[int, str], tuple[int, int]]  # (bus, phase) -> (iR, iI)
     gen_q: dict[int, int]  # bus -> Q index
     port_current: dict[tuple[int, str], tuple[int, int]]  # (port id, phase) -> (iR, iI)
     blocks: tuple[tuple[str, int, int], ...]  # (name, start, stop) in order
     feeder_of_bus: dict[int, int]  # distribution bus -> feeder block ordinal
 
+    def __eq__(self, other) -> bool:
+        """Field by field, the arrays by dtype, shape and value."""
+        if not isinstance(other, IndexMap):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all((a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   else a == b for a, b in pairs)
+
     def v_pair(self, bus_id: int, phase: str) -> tuple[int, int]:
-        return self.vr[(bus_id, phase)], self.vi[(bus_id, phase)]
+        vr = int(self.v_index(bus_id, PHASE_CODE[phase]))
+        return vr, vr + 1
 
     def v_index(self, buses, phases) -> np.ndarray:
         """V_R index of each (bus id, phase code) pair, broadcast over arrays; V_I is one more.
@@ -394,7 +400,8 @@ class IndexMap:
         return vr
 
     def voltage(self, x: np.ndarray, bus_id: int, phase: str) -> complex:
-        return complex(x[self.vr[(bus_id, phase)]], x[self.vi[(bus_id, phase)]])
+        vr, vi = self.v_pair(bus_id, phase)
+        return complex(x[vr], x[vi])
 
     def block(self, name: str) -> tuple[int, int]:
         for bname, start, stop in self.blocks:
@@ -455,9 +462,10 @@ def _structural_violations(network: Network) -> list[Violation]:
     ]
 
 
-def _run(buses) -> tuple[list[int], list[str]]:
-    """(bus id, phase) of every phase of ``buses`` in order, as two lists."""
-    return [b.id for b in buses for _ in b.phases], [ph for b in buses for ph in b.phases]
+def _run(buses) -> tuple[np.ndarray, np.ndarray]:
+    """(bus id, phase code) of every phase of ``buses`` in order, as two arrays."""
+    codes = [PHASE_CODE[ph] for b in buses for ph in b.phases]
+    return np.array([b.id for b in buses for _ in b.phases], dtype=np.int64), np.array(codes, dtype=np.int64)
 
 
 def _layout(t: Network):
@@ -486,27 +494,26 @@ def build_index_map(network: Network) -> IndexMap:
 def tiled_index_map(network: Network) -> IndexMap:
     """``build_index_map`` without its structural check, for a part of a checked network: each
     distinct template laid out once, the layout tiled over its copies (a head no port drives
-    brings its source currents into its feeder block)."""
+    brings its source currents into its feeder block) and the slot table written once."""
     ported = network.ported_heads()
-    vr: dict[tuple[int, str], int] = {}
-    vi: dict[tuple[int, str], int] = {}
     source_current: dict[tuple[int, str], tuple[int, int]] = {}
     gen_q: dict[int, int] = {}
     port_current: dict[tuple[int, str], tuple[int, int]] = {}
     blocks: list[tuple[str, int, int]] = []
     feeder_of_bus: dict[int, int] = {}
+    nodal: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (V_R, bus id, phase code) per run
     pos = 0
 
     def put(run, offset: int, sources: bool = False) -> None:
         nonlocal pos
-        ids, phases = run
-        keys, at = list(zip(map(offset.__add__, ids), phases)), range(pos, pos + 2 * len(phases), 2)
+        ids, codes = run[0] + offset, run[1]
+        at = np.arange(pos, pos + 2 * len(codes), 2)
         if sources:
-            source_current.update(zip(keys, zip(at, range(pos + 1, at.stop, 2))))
+            keys = zip(ids.tolist(), map("pabc".__getitem__, codes.tolist()))
+            source_current.update(zip(keys, zip(at.tolist(), (at + 1).tolist())))
         else:
-            vr.update(zip(keys, at))
-            vi.update(zip(keys, range(pos + 1, at.stop, 2)))
-        pos = at.stop
+            nodal.append((at, ids, codes))
+        pos += 2 * len(codes)
 
     laid = network.per_tile(_layout)
     # transmission block, all in the first tile: nodal voltages, slack currents, PV reactive unknowns
@@ -523,7 +530,7 @@ def tiled_index_map(network: Network) -> IndexMap:
         for run, heads in comps:
             f_start, fi = pos, len(blocks) - 1
             put(run, tile.bus_offset)
-            feeder_of_bus.update(zip(map(tile.bus_offset.__add__, run[0]), repeat(fi)))
+            feeder_of_bus.update(dict.fromkeys((run[0] + tile.bus_offset).tolist(), fi))
             put(_run([h for h in heads if h.id + tile.bus_offset not in ported]), tile.bus_offset, sources=True)
             blocks.append((f"feeder:{fi}", f_start, pos))
 
@@ -535,16 +542,13 @@ def tiled_index_map(network: Network) -> IndexMap:
             pos += 2
     blocks.append(("ports", p_start, pos))
 
-    bus = np.fromiter(map(itemgetter(0), vr), np.int64, len(vr))
-    code = np.fromiter(map(PHASE_CODE.__getitem__, map(itemgetter(1), vr)), np.int64, len(vr))
+    vr, bus, code = (np.concatenate(run) for run in zip(*nodal))
     bus_ids = np.concatenate([ids + tile.bus_offset for tile, (*_, ids) in laid])
     slots = np.full((len(bus_ids), len(PHASE_CODE)), -1, dtype=np.int64)
-    slots[np.searchsorted(bus_ids, bus), code] = np.fromiter(vr.values(), np.int64, len(vr))
+    slots[np.searchsorted(bus_ids, bus), code] = vr
 
     return IndexMap(
         n=pos,
-        vr=vr,
-        vi=vi,
         bus_ids=bus_ids,
         slots=slots,
         source_current=source_current,
@@ -557,12 +561,10 @@ def tiled_index_map(network: Network) -> IndexMap:
 
 def initial_state(network: Network, imap: IndexMap, flat: bool = False) -> np.ndarray:
     """Initial unknown vector: bus v0 (or flat start), zero auxiliary variables."""
+    v = np.array([v for b in network.buses for v in (flat_voltages(b.phases) if flat else b.v0)], dtype=complex)
+    vr = imap.v_index(*_run(network.buses))
     x = np.zeros(imap.n)
-    for b in network.buses:
-        v = flat_voltages(b.phases) if flat else b.v0
-        for ph, vph in zip(b.phases, v):
-            x[imap.vr[(b.id, ph)]] = vph.real
-            x[imap.vi[(b.id, ph)]] = vph.imag
+    x[vr], x[vr + 1] = v.real, v.imag
     return x
 
 

@@ -2,37 +2,25 @@
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 
 import numpy as np
 
-from .netmodel import (
-    POS_SEQ_WEIGHT,
-    POSITIVE_SEQUENCE,
-    THREE_PHASE,
-    IndexMap,
-    Network,
-)
+from .netmodel import PHASE_CODE, POS_SEQ_WEIGHT, POSITIVE_SEQUENCE, THREE_PHASE, IndexMap, Network
 
 
 def solution_dict(network: Network, imap: IndexMap, x: np.ndarray) -> dict:
-    """Per-node voltage magnitude and angle per phase, JSON-ready."""
-    nodes = []
-    for b in sorted(network.buses, key=lambda b: b.id):
-        for ph in b.phases:
-            v = imap.voltage(x, b.id, ph)
-            nodes.append(
-                {
-                    "bus": b.id,
-                    "label": network.label(b.id),
-                    "phase": ph,
-                    "vm": abs(v),
-                    "va_deg": math.degrees(cmath.phase(v)),
-                }
-            )
-    return {"schema": 1, "base_mva": network.base_mva, "nodes": nodes}
+    """Per-node voltage magnitude and angle per phase, JSON-ready: the nodes of ``imap``'s
+    slot table in row-major order, so by bus id and then phase."""
+    rows, codes = np.nonzero(imap.slots >= 0)
+    vr = imap.slots[rows, codes]
+    re, im = x[vr], x[vr + 1]
+    # hypot and atan2 of each node are abs() and cmath.phase() of its complex voltage, bit for bit
+    nodes = zip(imap.bus_ids[rows].tolist(), codes.tolist(), np.hypot(re, im).tolist(), re.tolist(), im.tolist())
+    return {"schema": 1, "base_mva": network.base_mva, "nodes": [
+        {"bus": bus, "label": network.label(bus), "phase": "pabc"[code], "vm": vm,
+         "va_deg": math.degrees(math.atan2(i, r))} for bus, code, vm, r, i in nodes]}
 
 
 def solution_json(sol: dict) -> str:
@@ -48,11 +36,9 @@ def solution_json(sol: dict) -> str:
 
 def poi_voltages(network: Network, imap: IndexMap, x: np.ndarray) -> list[tuple[int, float]]:
     """(bus id, |V|) at every point of interconnection, sorted by bus id."""
-    out = []
-    for p in sorted(network.ports, key=lambda p: p.id):
-        v = imap.voltage(x, p.transmission_bus, POSITIVE_SEQUENCE)
-        out.append((p.transmission_bus, abs(v)))
-    return sorted(out)
+    buses = [p.transmission_bus for p in network.ports]
+    vr = imap.v_index(buses, PHASE_CODE[POSITIVE_SEQUENCE])
+    return sorted(zip(buses, np.hypot(x[vr], x[vr + 1]).tolist()))
 
 
 def poi_extremes(network: Network, imap: IndexMap, x: np.ndarray) -> dict | None:

@@ -388,9 +388,10 @@ class CompiledCircuit:
         """Constant per-phase complex current consumptions by bus (a torn subcircuit's
         boundary drive) on the right-hand side of the KCL rows; None clears them."""
         per_bus = (injections or {}).items()
-        rows = [i for bus, per in per_bus for ph in per for i in self.imap.v_pair(bus, ph)]
-        vals = [v for _, per in per_bus for cur in per.values() for v in (-cur.real, -cur.imag)]
-        self.inj_rows, self.inj_vals = np.array(rows, dtype=np.int64), np.array(vals, dtype=float)
+        buses, codes = [bus for bus, per in per_bus for _ in per], [PHASE_CODE[ph] for _, per in per_bus for ph in per]
+        vr = self.imap.v_index(buses, codes)
+        cur = np.array([cur for _, per in per_bus for cur in per.values()], dtype=complex)
+        self.inj_rows, self.inj_vals = np.ravel([vr, vr + 1], order="F"), np.ravel([-cur.real, -cur.imag], order="F")
 
     def set_demands(self, network: Network) -> None:
         """Take load, DER and generator values from ``network``, which has this circuit's legs.

@@ -196,6 +196,13 @@ def random_repeated_feeders(rng) -> Network:
     return out
 
 
+# (feeder, load scale, DER scale) cycled over case27's PQ buses: six distinct feeders
+MIXED = (
+    ("feeder_small", 1.0, 1.0), ("feeder_medium", 0.5, 1.0), ("feeder_stressed", 1.0, 0.0),
+    ("feeder_small", 1.2, 2.0), ("feeder_medium", 1.0, 1.0), ("feeder_stressed", 0.8, 1.0),
+)
+
+
 def case27_with_feeders(data_dir: Path, entries) -> Network:
     """case27 with the (feeder name, load scale, DER scale) ``entries``, cycled, on its PQ buses."""
     tnet = parse_transmission(data_dir / "case27.m")
@@ -213,8 +220,9 @@ def random_state(rng, network: Network, imap, vm_range=(0.7, 1.3), ang_spread=0.
         for ph, vflat in zip(b.phases, flat_voltages(b.phases)):
             vm = rng.uniform(*vm_range)
             ang = np.angle(vflat) + rng.uniform(-ang_spread, ang_spread)
-            x[imap.vr[(b.id, ph)]] = vm * np.cos(ang)
-            x[imap.vi[(b.id, ph)]] = vm * np.sin(ang)
+            vr, vi = imap.v_pair(b.id, ph)
+            x[vr] = vm * np.cos(ang)
+            x[vi] = vm * np.sin(ang)
     for ir, ii in imap.source_current.values():
         x[ir] = rng.uniform(-1, 1)
         x[ii] = rng.uniform(-1, 1)

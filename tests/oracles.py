@@ -19,6 +19,7 @@ import numpy as np
 
 from tandem.netmodel import (
     ALPHA,
+    PHASE_CODE,
     PHASE_ROTATION,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
@@ -96,10 +97,13 @@ def dense_mismatch(
     res = np.zeros(imap.n)
     xi = freeze_secant_at if freeze_secant_at is not None else x
 
-    def volt(state, bus, ph):
-        return complex(state[imap.vr[(bus, ph)]], state[imap.vi[(bus, ph)]])
-
     kcl = {(b.id, ph): 0.0 + 0.0j for b in network.buses for ph in b.phases}
+    # V_R index of each node, from one gather through the map's slot table
+    at = dict(zip(kcl, imap.v_index([bus for bus, _ in kcl], [PHASE_CODE[ph] for _, ph in kcl]).tolist()))
+
+    def volt(state, bus, ph):
+        i = at[(bus, ph)]
+        return complex(state[i], state[i + 1])
 
     for el in network.elements:
         yff, yft, ytf, ytt = _element_blocks(el, lam, gamma, shunt_relax)
@@ -196,9 +200,9 @@ def dense_mismatch(
             res[ii] = dv.imag
         kcl[(port.transmission_bus, POSITIVE_SEQUENCE)] += ip
 
-    for (bus, ph), cur in kcl.items():
-        res[imap.vr[(bus, ph)]] = cur.real
-        res[imap.vi[(bus, ph)]] = cur.imag
+    for key, cur in kcl.items():
+        res[at[key]] = cur.real
+        res[at[key] + 1] = cur.imag
     return res
 
 

@@ -55,7 +55,8 @@ def identify_feedback_feedforward(
         pattern = _jacobian_pattern(partition.network, partition.imap)
     pattern = pattern.tocsr()
 
-    nodal = set(imap.vr.values()) | set(imap.vi.values())
+    vr = imap.slots[imap.slots >= 0]
+    nodal = set(vr.tolist()) | set((vr + 1).tolist())
     scan_fb: set[int] = set()
     scan_ff: set[int] = set()
     t_start, t_stop = imap.block("transmission")

@@ -101,11 +101,11 @@ def terminal_currents(load, volts):
     imap = build_index_map(net)
     x = np.zeros(imap.n)
     for ph, v in volts.items():
-        x[imap.vr[(1, ph)]], x[imap.vi[(1, ph)]] = v.real, v.imag
+        x[list(imap.v_pair(1, ph))] = v.real, v.imag
     st_ = stamp_nonlinear(CompiledCircuit(net, imap), x)
     sys_ = assemble([st_], imap.n)
     c = sys_.matrix @ x - sys_.rhs
-    return {ph: complex(c[imap.vr[(1, ph)]], c[imap.vi[(1, ph)]]) for ph in "abc"}, st_
+    return {ph: imap.voltage(c, 1, ph) for ph in "abc"}, st_
 
 
 class TestThreePhase:
@@ -206,17 +206,16 @@ class TestLinearStamps:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.normal(size=imap.n)
-            v1 = complex(x[imap.vr[(1, "p")]], x[imap.vi[(1, "p")]])
-            v2 = complex(x[imap.vr[(2, "p")]], x[imap.vi[(2, "p")]])
+            v1, v2 = imap.voltage(x, 1, "p"), imap.voltage(x, 2, "p")
             cur = y * (v1 - v2)
             got = m @ x
             # KCL rows also carry the slack source current unknowns
             isrc = complex(x[imap.source_current[(1, "p")][0]],
                            x[imap.source_current[(1, "p")][1]])
-            assert complex(got[imap.vr[(1, "p")]], got[imap.vi[(1, "p")]]) == pytest.approx(
+            assert imap.voltage(got, 1, "p") == pytest.approx(
                 cur - isrc, abs=1e-12
             )
-            assert complex(got[imap.vr[(2, "p")]], got[imap.vi[(2, "p")]]) == pytest.approx(
+            assert imap.voltage(got, 2, "p") == pytest.approx(
                 -cur, abs=1e-12
             )
 
@@ -328,10 +327,10 @@ class TestCouplingPort:
         m = assemble([st_], imap.n).matrix.toarray()
         rng = np.random.default_rng(1)
         x = rng.normal(size=imap.n)
-        vp = complex(x[imap.vr[(2, "p")]], x[imap.vi[(2, "p")]])
+        vp = imap.voltage(x, 2, "p")
         for ph, rot in zip("abc", (1, ALPHA**2, ALPHA)):
             rr, ri = imap.port_current[(0, ph)]
-            vh = complex(x[imap.vr[(10, ph)]], x[imap.vi[(10, ph)]])
+            vh = imap.voltage(x, 10, ph)
             got = complex((m @ x)[rr], (m @ x)[ri])
             assert got == pytest.approx(vh - rot * vp, abs=1e-12)
 

@@ -463,3 +463,24 @@ def test_invalid_network_is_input_error(workdir):
     assert run(["solve", "--case", case, "--out", out]) == EXIT_INPUT
     error = json.loads((out / "error.json").read_text())["error"]
     assert error == "invalid network:\n  [no-slack] transmission network has no slack bus"
+
+
+@pytest.mark.parametrize("target", ["case", "feeder", "options", "case-bytes"])
+def test_unreadable_input_is_input_error(workdir, target):
+    # a directory, or a byte that is not UTF-8 in a MATPOWER comment, exited 4 as an internal error
+    (workdir / "adir").mkdir()
+    case, coupling, named, extra = workdir / "case9.m", workdir / "case9_feeder1.json", "adir", []
+    if target == "case":
+        case = workdir / "adir"
+    elif target == "feeder":
+        coupling = workdir / "map.json"
+        coupling.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": "adir", "bus": 5}]}))
+    elif target == "options":
+        extra = ["--options", workdir / "adir"]
+    else:
+        lines = (workdir / "case9.m").read_bytes().split(b"\n")
+        case, named = workdir / "case9_latin1.m", "case9_latin1.m"
+        case.write_bytes(b"\n".join([lines[0], b"% caf\xe9 \xff", *lines[1:]]))
+    rc = run(["solve", "--case", case, "--coupling", coupling, *extra, "--out", workdir / "o"])
+    assert rc == EXIT_INPUT
+    assert named in json.loads((workdir / "o" / "error.json").read_text())["error"]

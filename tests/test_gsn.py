@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netgen import case27_with_feeders, random_combined, random_repeated_feeders
+from netgen import MIXED, case27_with_feeders, random_combined, random_repeated_feeders
 from oracles import dense_mismatch
 from splitting import (
     build_augmented_splitting,
@@ -40,13 +40,6 @@ def combined1(data_dir):
 @pytest.fixture(scope="module")
 def combined4(data_dir):
     return load_combined_case(data_dir / "case9.m", data_dir / "case9_feeder4.json")
-
-
-# (feeder, load scale, DER scale) cycled over case27's PQ buses: six distinct feeders
-MIXED = (
-    ("feeder_small", 1.0, 1.0), ("feeder_medium", 0.5, 1.0), ("feeder_stressed", 1.0, 0.0),
-    ("feeder_small", 1.2, 2.0), ("feeder_medium", 1.0, 1.0), ("feeder_stressed", 0.8, 1.0),
-)
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +100,9 @@ class TestTear:
             port_at_head = {p.feeder_head: p.id for p in net.ports}
             for sub in part.subs:
                 l2g, local = sub.local_to_global, sub.imap
-                for key, li in local.vr.items():
-                    assert l2g[li] == imap.vr[key]
-                for key, li in local.vi.items():
-                    assert l2g[li] == imap.vi[key]
+                rows, codes = np.nonzero(local.slots >= 0)
+                li, gi = local.slots[rows, codes], imap.v_index(local.bus_ids[rows], codes)
+                assert l2g[li].tolist() == gi.tolist() and l2g[li + 1].tolist() == (gi + 1).tolist()
                 for bus, li in local.gen_q.items():
                     assert l2g[li] == imap.gen_q[bus]
                 for (bus, ph), pair in local.source_current.items():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from netgen import MIXED, case27_with_feeders, random_combined
+from tandem.ingest import load_combined_case
 from tandem.netmodel import (
     PHASE_CODE,
     Bus,
@@ -80,6 +82,45 @@ def nine_bus_with_feeder():
     )
 
 
+LAYOUT_CASES = ["nine-bus", "case9_feeder1", "case9_feeder4", "case9_stressed", "k24", "mixed"]
+
+
+def layout_case(data_dir, case: str) -> Network:
+    """``nine_bus_with_feeder``, case9 with a bundled coupling map, or case27 with 24 copies of one
+    feeder (``k24``) or six distinct feeders cycled (``mixed``)."""
+    if case == "nine-bus":
+        return nine_bus_with_feeder()
+    if case.startswith("case9"):
+        return load_combined_case(data_dir / "case9.m", data_dir / f"{case}.json")
+    return case27_with_feeders(data_dir, [("feeder_medium", 1.0, 1.0)] if case == "k24" else MIXED)
+
+
+def assert_layout(net: Network, imap) -> None:
+    """The slot table holds each (bus, phase) of ``net`` once; the slots, the slots + 1, the
+    source, reactive and port unknowns cover range(n) once; transmission slots lie in the
+    transmission block, each feeder bus's in its feeder block, the port currents last."""
+    rows, codes = np.nonzero(imap.slots >= 0)
+    vr, bus = imap.slots[rows, codes], imap.bus_ids[rows]
+    assert imap.bus_ids.tolist() == sorted(b.id for b in net.buses)
+    nodes = sorted((b.id, PHASE_CODE[ph]) for b in net.buses for ph in b.phases)
+    assert sorted(zip(bus.tolist(), codes.tolist())) == nodes
+
+    ports = [i for pair in imap.port_current.values() for i in pair]
+    aux = [i for pair in imap.source_current.values() for i in pair] + list(imap.gen_q.values()) + ports
+    every = np.concatenate([vr, vr + 1, np.array(aux, dtype=np.int64)])
+    assert np.sort(every).tolist() == list(range(imap.n))
+
+    t_stop = imap.block("transmission")[1]
+    for b, i in zip(bus.tolist(), vr.tolist()):
+        if net.bus(b).kind.is_transmission:
+            assert i + 1 < t_stop, b
+        else:
+            start, stop = imap.block(f"feeder:{imap.feeder_of_bus[b]}")
+            assert start <= i and i + 1 < stop, b
+    p_start, p_stop = imap.block("ports")
+    assert p_stop == imap.n and all(p_start <= i < p_stop for i in ports)
+
+
 class TestIndexMap:
     def test_two_bus_count(self):
         # 4 nodal unknowns plus the slack source current pair
@@ -93,7 +134,7 @@ class TestIndexMap:
         )
         imap = build_index_map(net)
         # 6 nodal + 6 head-source currents (standalone head acts as the source)
-        assert len([k for k in imap.vr]) * 2 == 6
+        assert np.count_nonzero(imap.slots >= 0) * 2 == 6
         assert imap.n == 12
 
     def test_combined_count_matches_enumeration(self):
@@ -115,36 +156,10 @@ class TestIndexMap:
     def test_deterministic(self):
         a = build_index_map(nine_bus_with_feeder())
         b = build_index_map(nine_bus_with_feeder())
-        assert a.vr == b.vr and a.vi == b.vi
+        assert a == b  # n, bus_ids and slots too
         assert a.source_current == b.source_current
         assert a.gen_q == b.gen_q and a.port_current == b.port_current
         assert a.blocks == b.blocks
-
-    def test_transmission_before_distribution(self):
-        net = nine_bus_with_feeder()
-        imap = build_index_map(net)
-        t_stop = imap.block("transmission")[1]
-        for (bus, _ph), idx in imap.vr.items():
-            if net.bus(bus).kind.is_distribution:
-                assert idx >= t_stop
-            else:
-                assert idx < t_stop
-        # port currents are the trailing border block
-        p_start, p_stop = imap.block("ports")
-        assert p_stop == imap.n
-        assert all(
-            p_start <= i < p_stop for pair in imap.port_current.values() for i in pair
-        )
-
-    def test_bijection(self):
-        net = nine_bus_with_feeder()
-        imap = build_index_map(net)
-        seen = []
-        seen += list(imap.vr.values()) + list(imap.vi.values())
-        seen += [i for pair in imap.source_current.values() for i in pair]
-        seen += list(imap.gen_q.values())
-        seen += [i for pair in imap.port_current.values() for i in pair]
-        assert sorted(seen) == list(range(imap.n))
 
     def test_duplicate_bus_rejected(self):
         net = Network(
@@ -168,16 +183,38 @@ class TestIndexMap:
             build_index_map(net)
         assert [v.code for v in validate(net)] == ["dangling"]
 
-    def test_slot_table_gathers_the_dict_indices(self):
+    @pytest.mark.parametrize("case", LAYOUT_CASES)
+    def test_layout_invariants(self, data_dir, case):
+        net = layout_case(data_dir, case)
+        assert_layout(net, build_index_map(net))
+
+    def test_layout_invariants_random(self):
+        rng = np.random.default_rng(2020)
+        feeders = ported = 0
+        for _ in range(30):
+            net = random_combined(rng)
+            assert_layout(net, build_index_map(net))
+            feeders += bool(net.distribution_buses())
+            ported += bool(net.ports)
+        assert feeders >= 12 and ported >= 5
+
+    def test_equality_compares_the_slot_table(self):
         imap = build_index_map(nine_bus_with_feeder())
-        keys = list(imap.vr)
-        vr = imap.v_index([bus for bus, _ in keys], [PHASE_CODE[ph] for _, ph in keys])
-        assert vr.tolist() == list(imap.vr.values())
-        assert (vr + 1).tolist() == [imap.vi[key] for key in keys]
+        swapped = imap.slots.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        assert replace(imap, slots=imap.slots.copy()) == imap
+        assert replace(imap, slots=swapped) != imap
+        assert replace(imap, slots=imap.slots.astype(np.int32)) != imap
+        assert replace(imap, bus_ids=imap.bus_ids + 1) != imap
+
+    def test_v_index_names_a_missing_pair(self):
+        imap = build_index_map(nine_bus_with_feeder())
         with pytest.raises(KeyError, match="21, 'p'"):  # a three-phase bus has no 'p'
             imap.v_index([[5, 21]], [[0, 0]])
         with pytest.raises(KeyError, match="99, 'a'"):  # no such bus
             imap.v_index([20, 99], PHASE_CODE["a"])
+        with pytest.raises(KeyError, match="5, 'a'"):
+            imap.v_pair(5, "a")
 
 
 class TestValidate:
@@ -298,8 +335,6 @@ def _add(net, **devices):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_index_count_formula_random(seed):
     """n = 2*(sum of phases) + 2*(slack phases) + #PV + 6*#ports on random nets."""
-    from netgen import random_combined
-
     rng = np.random.default_rng(seed)
     net = random_combined(rng)
     imap = build_index_map(net)
@@ -313,8 +348,9 @@ def test_initial_state_flat():
     net = nine_bus_with_feeder()
     imap = build_index_map(net)
     x = initial_state(net, imap, flat=True)
-    assert x[imap.vr[(5, "p")]] == 1.0 and x[imap.vi[(5, "p")]] == 0.0
-    vb = complex(x[imap.vr[(21, "b")]], x[imap.vi[(21, "b")]])
+    vr, vi = imap.v_pair(5, "p")
+    assert x[vr] == 1.0 and x[vi] == 0.0
+    vb = imap.voltage(x, 21, "b")
     assert abs(vb - flat_voltages("abc")[1]) < 1e-15
     for pair in imap.source_current.values():
         assert x[pair[0]] == 0.0 and x[pair[1]] == 0.0

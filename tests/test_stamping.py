@@ -190,8 +190,7 @@ def _feeder(loads=(), ders=()):
 
 def _zero(imap, x, bus, phase):
     x = x.copy()
-    x[imap.vr[(bus, phase)]] = 0.0
-    x[imap.vi[(bus, phase)]] = 0.0
+    x[list(imap.v_pair(bus, phase))] = 0.0
     return x
 
 
@@ -219,8 +218,7 @@ def test_collapse_guard_names_delta_leg(zip_fractions):
     imap = build_index_map(net)
     x = initial_state(net, imap)
     # V_c = V_b leaves leg bc with zero voltage
-    x[imap.vr[(12, "c")]] = x[imap.vr[(12, "b")]]
-    x[imap.vi[(12, "c")]] = x[imap.vi[(12, "b")]]
+    x[list(imap.v_pair(12, "c"))] = x[list(imap.v_pair(12, "b"))]
     err = _collapse(net, x)
     assert (err.bus, err.phase) == (12, "bc")
 

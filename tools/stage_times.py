@@ -12,6 +12,7 @@ runs, the stages interleaved round by round:
 
 - ``build_combined``: parsed inputs to the combined network;
 - ``validate`` and ``build_index_map`` on it;
+- ``initial_state``: the start vector from the case voltages;
 - ``CompiledCircuit``: the compile of the direct solve;
 - Newton on the compiled circuit (``solve_direct`` with the circuit);
 - ``solution.json`` text: ``solution_json(solution_dict(...))``;
@@ -34,13 +35,14 @@ from pathlib import Path  # noqa: E402
 
 from tandem.gsn import tear  # noqa: E402
 from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission  # noqa: E402
-from tandem.netmodel import BusKind, build_index_map, validate  # noqa: E402
+from tandem.netmodel import BusKind, build_index_map, initial_state, validate  # noqa: E402
 from tandem.newton import SolverOptions, solve_direct  # noqa: E402
 from tandem.results import solution_dict, solution_json  # noqa: E402
 from tandem.stamping import CompiledCircuit  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "tandem" / "data"
-STAGES = ("build_combined", "validate", "build_index_map", "CompiledCircuit", "Newton", "solution.json", "tear")
+STAGES = ("build_combined", "validate", "build_index_map", "initial_state", "CompiledCircuit", "Newton",
+          "solution.json", "tear")
 
 
 def cases() -> dict:
@@ -73,6 +75,7 @@ def one_round(tnet, cmap, docs) -> dict[str, float]:
     if violations:
         raise SystemExit(f"stage_times: the case fails validation: {violations[0]}")
     imap = timed("build_index_map", build_index_map, net)
+    timed("initial_state", initial_state, net, imap)
     circuit = timed("CompiledCircuit", CompiledCircuit, net, imap)
     x, _ = timed("Newton", solve_direct, net, SolverOptions(), circuit=circuit)
     timed("solution.json", lambda: solution_json(solution_dict(net, imap, x)))
