@@ -161,6 +161,33 @@ class TestIndexMap:
         assert a.gen_q == b.gen_q and a.port_current == b.port_current
         assert a.blocks == b.blocks
 
+    def test_transmission_before_distribution(self):
+        net = nine_bus_with_feeder()
+        imap = build_index_map(net)
+        t_stop = imap.block("transmission")[1]
+        for b in net.buses:
+            for ph in b.phases:
+                vr, vi = imap.v_pair(b.id, ph)
+                if b.kind.is_distribution:
+                    assert vr >= t_stop and vi >= t_stop
+                else:
+                    assert vr < t_stop and vi < t_stop
+        # port currents are the trailing border block
+        p_start, p_stop = imap.block("ports")
+        assert p_stop == imap.n
+        assert all(
+            p_start <= i < p_stop for pair in imap.port_current.values() for i in pair
+        )
+
+    def test_bijection(self):
+        net = nine_bus_with_feeder()
+        imap = build_index_map(net)
+        seen = [i for b in net.buses for ph in b.phases for i in imap.v_pair(b.id, ph)]
+        seen += [i for pair in imap.source_current.values() for i in pair]
+        seen += list(imap.gen_q.values())
+        seen += [i for pair in imap.port_current.values() for i in pair]
+        assert sorted(seen) == list(range(imap.n))
+
     def test_duplicate_bus_rejected(self):
         net = Network(
             base_mva=100.0,
