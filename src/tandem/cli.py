@@ -290,26 +290,22 @@ def cmd_pvcurve(args) -> int:
 
     columns: dict[str, dict[float, float]] = {name: {} for name, _, _ in scenarios}
     for name, der, cont in scenarios:
-        imap = None
+        # one network, index map and direct circuit per scenario; a load factor is a value set on the circuit
+        base = net.with_der_scale(der)
+        if cont:
+            base = base.without_elements(contingency[0]).without_generators(contingency[1])
+        imap = build_index_map(base)
+        circuit = None if args.solver == "gsn" else CompiledCircuit(base, imap)
         for lf in lfs:
-            case = net.with_loading_factor(lf).with_der_scale(der)
-            if cont:
-                case = case.without_elements(contingency[0]).without_generators(contingency[1])
-            if imap is None:  # one index map and direct circuit per scenario
-                imap = build_index_map(case)
-                circuit = None if args.solver == "gsn" else CompiledCircuit(case, imap)
             try:
                 if circuit is None:
-                    x, _ = solve_gsn(case, opts, gsn, imap=imap)
+                    x, _ = solve_gsn(base.with_loading_factor(lf), opts, gsn, imap=imap)
                 else:
-                    try:
-                        circuit.set_demands(case)
-                    except ValueError:  # a zero load factor drops the load legs
-                        circuit = CompiledCircuit(case, imap)
-                    x, _ = solve_direct(case, opts, circuit=circuit)
+                    circuit.set_load_factor(lf)
+                    x, _ = solve_direct(base, opts, circuit=circuit)
             except (SolveFailure, GsnError):
                 break  # past the nose; the scenario stops here
-            columns[name][lf] = dict(poi_voltages(case, imap, x))[poi_bus]
+            columns[name][lf] = dict(poi_voltages(base, imap, x))[poi_bus]
 
     header = PVCURVE_HEADER + "".join(f",{name}" for name, _, _ in scenarios)
     rows = [header]

@@ -150,6 +150,9 @@ def parse_transmission(path) -> Network:
 
     if "bus" not in sections:
         raise CaseFormatError("missing mpc.bus")
+    kind, matrix, line = sections["bus"]
+    if kind != "matrix" or not matrix[0]:
+        raise CaseFormatError("mpc.bus must be a matrix with at least one row", line)
 
     gen_rows: list[tuple[list[float], int]] = []
     if "gen" in sections:

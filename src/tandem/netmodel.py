@@ -391,9 +391,13 @@ class IndexMap:
         Raises KeyError naming the first pair the map does not hold.
         """
         buses = np.asarray(buses, dtype=np.int64)
-        rows = np.minimum(np.searchsorted(self.bus_ids, buses), len(self.bus_ids) - 1)
-        vr = self.slots[rows, phases]
-        missing = (self.bus_ids[rows] != buses) | (vr < 0)
+        if len(self.bus_ids):
+            rows = np.minimum(np.searchsorted(self.bus_ids, buses), len(self.bus_ids) - 1)
+            vr = self.slots[rows, phases]
+            missing = (self.bus_ids[rows] != buses) | (vr < 0)
+        else:  # no row to search: the map holds no pair
+            vr = np.full(np.broadcast(buses, phases).shape, -1, dtype=np.int64)
+            missing = vr < 0
         if missing.any():
             bus, phase = (np.broadcast_to(a, missing.shape)[missing][0] for a in (buses, phases))
             raise KeyError((int(bus), "pabc"[phase]))

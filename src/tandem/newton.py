@@ -225,27 +225,25 @@ class HomotopySchedule:
 
 
 def enforce_q_limits(
-    network: Network,
-    imap: IndexMap,
+    circuit: CompiledCircuit,
     x: np.ndarray,
     modes: dict[int, str],
     switch_counts: dict[int, int],
 ) -> list[dict]:
-    """PV buses violating a reactive bound become PQ at that bound; switched
-    buses whose voltage recovers past the setpoint switch back.
+    """PV buses of the circuit's generators violating a reactive bound become PQ
+    at that bound; switched buses whose voltage recovers past the setpoint
+    switch back.
 
     A bus that has switched more than five times is frozen at its limit.
     Returns the applied switches; an empty list ends the outer loop.
     """
     switches: list[dict] = []
-    for g in network.generators:
-        if not g.status or g.bus not in imap.gen_q:
-            continue
+    for g, qi in zip(circuit.gens, circuit.gq.tolist()):
         if switch_counts.get(g.bus, 0) > _MAX_SWITCHES_PER_BUS:
             continue
         mode = modes.get(g.bus, "pv")
         if mode == "pv":
-            qg = x[imap.gen_q[g.bus]]
+            qg = x[qi]
             new = None
             if qg > g.q_max + _Q_EPS:
                 new = "qmax"
@@ -254,7 +252,7 @@ def enforce_q_limits(
             if new:
                 switches.append({"bus": g.bus, "from": "pv", "to": new, "q": float(qg)})
         else:
-            vm = abs(imap.voltage(x, g.bus, POSITIVE_SEQUENCE))
+            vm = abs(circuit.imap.voltage(x, g.bus, POSITIVE_SEQUENCE))
             back = (mode == "qmax" and vm > g.v_set + _Q_EPS) or (
                 mode == "qmin" and vm < g.v_set - _Q_EPS
             )
@@ -367,8 +365,10 @@ def solve_direct(
 
     ``injections`` maps a bus id to constant per-phase complex current
     consumption (the boundary drive of a torn subproblem).  A ``circuit``
-    compiled from ``network``, or set to its sources and demands, is solved
-    as it stands on its own index map; otherwise ``network`` is compiled.
+    compiled from ``network``, or from a network of its topology whose
+    values it was then set to, is solved as it stands on its own index
+    map, ``network`` giving only the initial state; otherwise ``network``
+    is compiled.
     """
     options = options or SolverOptions()
     circuit = circuit or CompiledCircuit(network, build_index_map(network))
@@ -382,7 +382,7 @@ def solve_direct(
 
     for _ in range(_MAX_CONTROL_ROUNDS):
         x = _solve_with_continuation(circuit, x, options, modes, vmask, report)
-        switches = enforce_q_limits(network, imap, x, modes, switch_counts)
+        switches = enforce_q_limits(circuit, x, modes, switch_counts)
         if not switches:
             break
         report.q_switch_log.extend(switches)

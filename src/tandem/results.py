@@ -1,4 +1,4 @@
-"""Solution extraction: per-node voltages, POI summaries, port power checks."""
+"""Solution extraction: per-node voltages and POI summaries."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .netmodel import PHASE_CODE, POS_SEQ_WEIGHT, POSITIVE_SEQUENCE, THREE_PHASE, IndexMap, Network
+from .netmodel import PHASE_CODE, POSITIVE_SEQUENCE, IndexMap, Network
 
 
 def solution_dict(network: Network, imap: IndexMap, x: np.ndarray) -> dict:
@@ -52,25 +52,3 @@ def poi_extremes(network: Network, imap: IndexMap, x: np.ndarray) -> dict | None
         "max": {"node": hi[0], "magnitude": hi[1]},
         "min": {"node": lo[0], "magnitude": lo[1]},
     }
-
-
-def port_power_balance(network: Network, imap: IndexMap, x: np.ndarray, port) -> tuple[complex, complex]:
-    """Complex power leaving the transmission bus through the port and total
-    power entering the feeder head.
-
-    The head voltages are purely positive-sequence, so the head total
-    equals three times the sequence-domain product; both sides express
-    the same physical power under the per-phase base convention.
-    """
-    vp = imap.voltage(x, port.transmission_bus, POSITIVE_SEQUENCE)
-    currents = {
-        ph: complex(x[imap.port_current[(port.id, ph)][0]], x[imap.port_current[(port.id, ph)][1]])
-        for ph in THREE_PHASE
-    }
-    ip = sum(POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
-    s_tx = vp * ip.conjugate()
-    s_head = sum(
-        imap.voltage(x, port.feeder_head, ph) * currents[ph].conjugate() for ph in THREE_PHASE
-    )
-    return s_tx, s_head
-

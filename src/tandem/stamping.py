@@ -185,20 +185,21 @@ _LABEL_KEYS = {label: (PHASE_CODE[label[0]], PHASE_CODE[label[-1]], len(label) =
 
 
 def _legs(devices, sign: float) -> list[np.ndarray]:
-    """[keys, s] of the legs of each ZIP share of ``devices`` in stamping order, ``keys`` a row (bus,
-    share, first and last terminal phase code, wye, sign) per leg; a leg is a wye phase or a delta
-    leg, and power and current legs of zero demand are left out."""
-    keys, demand = [], []
+    """[keys, f, s] of the legs of each ZIP share of ``devices`` in stamping order, ``keys`` a row
+    (bus, share, first and last terminal phase code, wye, sign) per leg, its demand f * s the ZIP
+    fraction f of the device's phase or delta-leg demand s; power and current legs of zero demand
+    are left out."""
+    keys, fractions, demand = [], [], []
     for dev in devices:
         delta = getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE
         labels = _DELTA_LEGS if delta else dev.phases
         for share, f in enumerate(getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))):
             for label, s in zip(labels, dev.s) if f != 0.0 else ():
-                fs = f * s
-                if share == _Z or fs != 0:
+                if share == _Z or f * s != 0:
                     keys += (dev.bus, share, *_LABEL_KEYS[label], sign)
-                    demand.append(fs)
-    return [np.array(keys, dtype=float).reshape(-1, 6), np.array(demand, dtype=complex)]
+                    fractions.append(f)
+                    demand.append(s)
+    return [np.array(keys, dtype=float).reshape(-1, 6), np.array(fractions, dtype=float), np.array(demand, dtype=complex)]
 
 
 def _demand_legs(network: Network) -> list[np.ndarray]:
@@ -278,21 +279,22 @@ class CompiledCircuit:
     in, constant-current legs a signed magnitude and the demand angle.
     Index bounds are checked here, once.  ``plan`` caches the scatter
     of the pattern from the first assembly on, into a dense array on
-    systems small enough for the dense kernel.  Source voltages,
-    demands and boundary injections are values a solve sets on a
-    compiled circuit (``set_sources``, ``set_demands``,
-    ``set_injections``); a generator at a reactive limit pins its Q at
-    that bound.
+    systems small enough for the dense kernel.  Source voltages, a load
+    factor and boundary injections are values a solve sets on a
+    compiled circuit (``set_sources``, ``set_load_factor``,
+    ``set_injections``).  ``gens``, the in-service generators with a
+    reactive unknown, and ``gq``, those unknowns, are the solve's only
+    record of its live generators; one at a reactive limit pins its Q
+    at that bound.
     """
 
     def __init__(self, network: Network, imap: IndexMap):
         n = imap.n
         self.imap = imap
         self.plan = AssemblyPlan(dense=True)
-        legs = _demand_legs(network)
-        gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
-        self.keys = legs[0], [g.bus for g in gens]
-        bus, share, code1, code2, wye = legs[0][:, :5].T.astype(np.int64)
+        keys, self._f, self._s = _demand_legs(network)
+        self.gens = gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
+        bus, share, code1, code2, wye = keys[:, :5].T.astype(np.int64)
         wye = wye.astype(bool)
         t = _leg_terminals(bus, code1, code2, wye, imap)
         self._compile_linear(network, imap, t[share == _Z])
@@ -315,7 +317,12 @@ class CompiledCircuit:
         self.t_pq = np.concatenate([legs_nl.t[pq].T, gen_t], axis=1)
         self.t_cu = legs_nl.t[cu].T.copy()
         self.npq = len(pq)
-        self._take_demands(legs, gens)
+        # share, sign and nominal |V|^2 per leg: delta legs see sqrt(3) pu at nominal
+        self._legs = share, keys[:, 5], np.where(wye, 1.0, 3.0)
+        self._p_set = np.array([g.p_set for g in gens])
+        self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
+        self._modes_seen = None  # the gen_modes behind the cached _pv, _q_pin
+        self._take_demands(self._f * self._s, -self._p_set)
 
         jac_rows, jac_cols = self.jac.block_pattern()
         self.nl_rows = np.concatenate([jac_rows, gr, gi, gr, gi, gr, gi, gq, gq, gq])
@@ -393,34 +400,28 @@ class CompiledCircuit:
         cur = np.array([cur for _, per in per_bus for cur in per.values()], dtype=complex)
         self.inj_rows, self.inj_vals = np.ravel([vr, vr + 1], order="F"), np.ravel([-cur.real, -cur.imag], order="F")
 
-    def set_demands(self, network: Network) -> None:
-        """Take load, DER and generator values from ``network``, which has this circuit's legs.
+    def set_load_factor(self, lf: float) -> None:
+        """Scale the compiled loads' demands and generators' P by ``lf``; DERs keep theirs.
 
-        One compile then serves a whole sweep scenario.  Raises ValueError
-        on other legs (a zero scale drops legs) or generators.
+        A leg's demand is f * (lf * s), so the stamps are bitwise a fresh compile's of
+        ``network.with_loading_factor(lf)``; at lf = 0 the legs that compile would leave
+        out stay at zero demand, the same system in value.
         """
-        legs = _demand_legs(network)
-        gens = [g for g in network.generators if g.status and g.bus in self.imap.gen_q]
-        if not (np.array_equal(legs[0], self.keys[0]) and [g.bus for g in gens] == self.keys[1]):
-            raise ValueError("the network's demand legs or generators differ from the compiled ones")
-        self._take_demands(legs, gens)
+        load = self._legs[1] > 0  # DER legs have the sign -1
+        self._take_demands(self._f * np.where(load, lf * self._s, self._s), -(lf * self._p_set))
 
-    def _take_demands(self, legs, gens) -> None:
-        (_, share, _, _, wye, sign), s = legs[0].T, legs[1]
-        # delta legs see sqrt(3) pu at nominal
-        vref2 = np.where(wye, 1.0, 3.0)
+    def _take_demands(self, s: np.ndarray, gen_p: np.ndarray) -> None:
+        """Set the leg values from the per-leg demands ``s`` and the generators' P from ``gen_p``."""
+        share, sign, vref2 = self._legs
         pq, cu, z = (share == k for k in (_P, _I, _Z))
         # P of the constant-power legs, then of the generators (whose Q is an unknown)
-        self.p = np.concatenate([sign[pq] * s[pq].real, [-g.p_set for g in gens]])
+        self.p = np.concatenate([sign[pq] * s[pq].real, gen_p])
         self.q = sign[pq] * s[pq].imag
         self.mag = sign[cu] * (np.abs(s[cu]) / np.sqrt(vref2[cu]))
         self.angle = np.angle(s[cu])
         # admittance drawing the demand at nominal voltage
         y = s[z].conj() / vref2[z]
         self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
-        self.gens = gens
-        self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
-        self._modes_seen = None  # the gen_modes behind the cached _pv, _q_pin
 
     # -- per-state evaluation ------------------------------------------
 

@@ -21,6 +21,7 @@ from tandem.netmodel import (
     ALPHA,
     PHASE_CODE,
     PHASE_ROTATION,
+    POS_SEQ_WEIGHT,
     POSITIVE_SEQUENCE,
     THREE_PHASE,
     BusKind,
@@ -374,6 +375,27 @@ def sequence_to_phase_6x6() -> np.ndarray:
 
 def phase_to_sequence_6x6() -> np.ndarray:
     return real_expansion(np.linalg.inv(A3))
+
+
+def port_power_balance(network: Network, imap: IndexMap, x: np.ndarray, port) -> tuple[complex, complex]:
+    """Complex power leaving the transmission bus through the port and total
+    power entering the feeder head.
+
+    The head voltages are purely positive-sequence, so the head total
+    equals three times the sequence-domain product; both sides express
+    the same physical power under the per-phase base convention.
+    """
+    vp = imap.voltage(x, port.transmission_bus, POSITIVE_SEQUENCE)
+    currents = {
+        ph: complex(x[imap.port_current[(port.id, ph)][0]], x[imap.port_current[(port.id, ph)][1]])
+        for ph in THREE_PHASE
+    }
+    ip = sum(POS_SEQ_WEIGHT[ph] * currents[ph] for ph in THREE_PHASE) / 3.0
+    s_tx = vp * ip.conjugate()
+    s_head = sum(
+        imap.voltage(x, port.feeder_head, ph) * currents[ph].conjugate() for ph in THREE_PHASE
+    )
+    return s_tx, s_head
 
 
 # ----------------------------------------------------------------------

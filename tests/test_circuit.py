@@ -11,6 +11,7 @@ from oracles import (
     eval_pq,
     fd_jacobian,
     phase_to_sequence_6x6,
+    port_power_balance,
     real_expansion,
     sequence_to_phase_6x6,
 )
@@ -392,7 +393,6 @@ class TestCouplingPort:
 
     def test_port_power_balance_at_solution(self):
         from tandem.newton import SolverOptions, solve_direct
-        from tandem.results import port_power_balance
 
         net = self.port_net()
         imap = build_index_map(net)

@@ -236,8 +236,9 @@ class TestPvcurve:
         assert max(der) > max(base)  # and extends the convergent range
         assert (out / "pvcurve.svg").read_text().startswith("<svg")
 
-    def test_one_compile_per_scenario(self, workdir, monkeypatch):
-        # each DER scenario compiles one circuit; every load factor refreshes it
+    @pytest.fixture()
+    def compiled(self, monkeypatch):
+        """One entry per CompiledCircuit built while the test runs."""
         import tandem.cli
         import tandem.gsn
         import tandem.newton
@@ -252,6 +253,10 @@ class TestPvcurve:
 
         for module in (tandem.stamping, tandem.newton, tandem.gsn, tandem.cli):
             monkeypatch.setattr(module, "CompiledCircuit", Counting, raising=False)
+        return compiled
+
+    def test_one_compile_per_scenario(self, workdir, compiled):
+        # each DER scenario compiles one circuit and sets each load factor on it
         rc = run(["pvcurve", "--case", workdir / "case9.m",
                   "--coupling", workdir / "case9_stressed.json",
                   "--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1",
@@ -259,14 +264,30 @@ class TestPvcurve:
         assert rc == EXIT_OK
         assert len(compiled) == 2
 
-    def test_zero_load_factor_start(self, workdir):
-        # the zero point has no load legs, so the next point compiles again
+    def test_zero_load_factor_start(self, workdir, compiled):
+        # the zero point sets the load legs to zero demand on the scenario's one circuit
         out = workdir / "pv"
         rc = run(["pvcurve", "--case", workdir / "case9.m",
                   "--coupling", workdir / "case9_stressed.json",
                   "--lf-start", "0.0", "--lf-stop", "0.2", "--lf-step", "0.1", "--out", out])
         assert rc == EXIT_OK
         assert len((out / "pvcurve.csv").read_text().splitlines()) == 4
+        assert len(compiled) == 1
+
+    def test_gsn_sweep_matches_direct(self, workdir):
+        # the GSN sweep solves a network variant per point, the direct one sets a load factor
+        args = ["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                "--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1"]
+        rows = {}
+        for solver in ("direct", "gsn"):
+            assert run([*args, "--solver", solver, "--out", workdir / solver]) == EXIT_OK
+            rows[solver] = [row.split(",") for row in (workdir / solver / "pvcurve.csv").read_text().splitlines()]
+        direct, gsn = rows["direct"], rows["gsn"]
+        assert [[cell == "" for cell in row] for row in gsn] == [[cell == "" for cell in row] for row in direct]
+        assert [row[0] for row in gsn] == [row[0] for row in direct]
+        for row_d, row_g in zip(direct[1:], gsn[1:]):
+            for d, g in zip(row_d[1:], row_g[1:]):
+                assert d == g == "" or float(g) == pytest.approx(float(d), abs=1e-3)
 
     def test_contingency_column_lower(self, workdir):
         # drop one of the two corridors into the POI bus: the contingency
@@ -484,3 +505,14 @@ def test_unreadable_input_is_input_error(workdir, target):
     rc = run(["solve", "--case", case, "--coupling", coupling, *extra, "--out", workdir / "o"])
     assert rc == EXIT_INPUT
     assert named in json.loads((workdir / "o" / "error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("bus", ["[\n]", "5"])
+def test_case_without_bus_rows_is_input_error(workdir, bus):
+    # a bus matrix with no rows passed validation and exited 4 from the POI-free summary; a scalar
+    # failed to unpack and exited 4
+    case = workdir / "case_empty.m"
+    case.write_text(f"function mpc = case_empty\nmpc.baseMVA = 100;\nmpc.bus = {bus};\nmpc.gen = [];\nmpc.branch = [];\n")
+    out = workdir / "o"
+    assert run(["solve", "--case", case, "--out", out]) == EXIT_INPUT
+    assert json.loads((out / "error.json").read_text())["error"] == "line 3: mpc.bus must be a matrix with at least one row"

@@ -242,6 +242,10 @@ class TestIndexMap:
             imap.v_index([20, 99], PHASE_CODE["a"])
         with pytest.raises(KeyError, match="5, 'a'"):
             imap.v_pair(5, "a")
+        empty = build_index_map(Network(100.0, ()))  # no bus row to search
+        with pytest.raises(KeyError, match="1, 'p'"):
+            empty.v_index([1, 2], PHASE_CODE["p"])
+        assert empty.v_index([], PHASE_CODE["p"]).shape == (0,)
 
 
 class TestValidate:

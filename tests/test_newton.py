@@ -28,6 +28,7 @@ from tandem.newton import (
     solve_direct,
     voltage_index_mask,
 )
+from tandem.stamping import CompiledCircuit
 
 Y = np.array([[1 / complex(0.01, 0.1)]])
 
@@ -217,7 +218,7 @@ class TestQLimits:
         imap = build_index_map(net)
         x, rep = solve_direct(net, SolverOptions())
         assert rep.q_switch_log == []
-        switches = enforce_q_limits(net, imap, x, {}, {})
+        switches = enforce_q_limits(CompiledCircuit(net, imap), x, {}, {})
         assert switches == []
 
     def test_violation_switches_to_qmax(self):
@@ -226,7 +227,7 @@ class TestQLimits:
         x = initial_state(net, imap)
         x[imap.gen_q[3]] = 0.3  # pretend converged Q above the bound
         modes, counts = {}, {3: 0}
-        switches = enforce_q_limits(net, imap, x, modes, counts)
+        switches = enforce_q_limits(CompiledCircuit(net, imap), x, modes, counts)
         assert switches == [{"bus": 3, "from": "pv", "to": "qmax", "q": pytest.approx(0.3)}]
         assert modes[3] == "qmax"
 
@@ -249,7 +250,7 @@ class TestQLimits:
         x = initial_state(net, imap)
         modes, counts = {}, {3: 6}
         x[imap.gen_q[3]] = 0.5
-        assert enforce_q_limits(net, imap, x, modes, counts) == []
+        assert enforce_q_limits(CompiledCircuit(net, imap), x, modes, counts) == []
 
 
 class TestSolveDirect:

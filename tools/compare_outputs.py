@@ -29,7 +29,10 @@ path (its own bundled data):
 - ``tandem solve --homotopy on`` (continuation from lambda = 1 down to 0)
   on ``case_radial7`` and on case9 with ``case9_stressed``;
 - the ``tandem pvcurve`` sweep of case9 with ``case9_stressed``
-  (load factor 1.0-3.0 step 0.1, DER scale 0 and 1).
+  (load factor 1.0-3.0 step 0.1, DER scale 0 and 1) under ``direct`` and
+  ``gsn`` (``pvcurve-stressed`` and ``pvcurve-stressed-gsn``), and the
+  direct sweep from load factor 0.0 with ``--contingency branch:1``
+  (``pvcurve-zero-contingency``).
 
 ``compare A B`` prints one line per file: ``identical`` when the bytes
 match, otherwise the largest voltage difference |dV| in pu for
@@ -84,6 +87,13 @@ MIXED_ENTRIES = (
 )
 HOMOTOPY_RUNS = ("case_radial7", "case9+case9_stressed")  # solved again under --homotopy on
 PVCURVE_ARGS = ["--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1"]
+# output directory: extra pvcurve arguments, each sweep of case9 + case9_stressed
+PVCURVE_RUNS = {
+    "pvcurve-stressed": PVCURVE_ARGS,
+    "pvcurve-stressed-gsn": [*PVCURVE_ARGS, "--solver", "gsn"],
+    "pvcurve-zero-contingency": ["--lf-start", "0.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1",
+                                 "--contingency", "branch:1"],
+}
 
 
 def _write_case27_map(data: Path, path: Path, entries) -> None:
@@ -133,9 +143,9 @@ def snapshot(out: Path) -> int:
                 case_args = runs.get(name, ["--case", f"{name}.m"])
                 rc = main(["solve", *case_args, "--homotopy", "on", "--out", str(out / name / "direct-homotopy")])
                 failed += rc != 0
-            rc = main(["pvcurve", *runs["case9+case9_stressed"], *PVCURVE_ARGS,
-                       "--out", str(out / "pvcurve-stressed")])
-            failed += rc != 0
+            for name, pv_args in PVCURVE_RUNS.items():
+                rc = main(["pvcurve", *runs["case9+case9_stressed"], *pv_args, "--out", str(out / name)])
+                failed += rc != 0
     finally:
         os.chdir(cwd)
     files = sum(1 for p in out.rglob("*") if p.is_file())
