@@ -137,27 +137,20 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     """
     imap = imap or build_index_map(network)
     ports = sorted(network.ports, key=lambda p: p.id)
-    parts = {name: ([], {k: [] for k in DEVICES}) for name in ("transmission", "feeders")}
-    start = dict.fromkeys(DEVICES, 0)
+    parts: dict[str, list[Tile]] = {"transmission": [], "feeders": []}
     for tile, sides in network.per_tile(_sides):
-        shifted = tile.bus_offset or tile.element_offset  # copies of a feeder; else its template's devices
         for name, part in sides.items():
-            parts[name][0].append(Tile(part, tile.bus_offset, tile.element_offset))
-            for k in DEVICES:
-                copies = getattr(network, k)[start[k]:start[k] + len(getattr(tile.template, k))]
-                parts[name][1][k] += copies if shifted else getattr(part, k)
-        for k in DEVICES:
-            start[k] += len(getattr(tile.template, k))
+            parts[name].append(Tile(part, tile.bus_offset, tile.element_offset))
     heads: dict[str, list] = {}  # feeder block -> its ports' current indices
     for p in ports:
         heads.setdefault(f"feeder:{imap.feeder_of_bus[p.feeder_head]}", []).extend(
             i for ph in THREE_PHASE for i in imap.port_current[(p.id, ph)])
 
     subs: list[SubCircuit] = []
-    for name, (tiles, devices) in parts.items():
+    for name, tiles in parts.items():
         if not tiles:  # no transmission side, or no feeders
             continue
-        sub_net = Network.tiled(tiles, base_mva=network.base_mva, labels=network.labels, **devices)
+        sub_net = Network.tiled(tiles, base_mva=network.base_mva, labels=network.labels)
         sub_imap = tiled_index_map(sub_net)
         if name == "transmission":
             kind, sub_ports = "transmission", tuple(network.ports)
@@ -273,11 +266,12 @@ def solve_gsn(
     # from each feeder's lumped demand
     boundary = np.zeros((len(ports), 1 + len(THREE_PHASE)), dtype=complex)
     demand: dict[int, list] = {}  # feeder block ordinal -> [loads, DERs, shunts]
-    for k, devices in enumerate((network.loads, network.ders, network.shunts)):
-        for d in devices:
-            if d.bus in imap.feeder_of_bus:
-                s = sum(y.conjugate() for y in d.y) if k == 2 else sum(d.s)
-                demand.setdefault(imap.feeder_of_bus[d.bus], [0, 0, 0])[k] += s
+    for tile in network.tiles():  # read per tile, so no copied device is built
+        for k, devices in enumerate((tile.template.loads, tile.template.ders, tile.template.shunts)):
+            for d in devices:
+                if (fb := imap.feeder_of_bus.get(d.bus + tile.bus_offset)) is not None:
+                    s = sum(y.conjugate() for y in d.y) if k == 2 else sum(d.s)
+                    demand.setdefault(fb, [0, 0, 0])[k] += s
     for k, p in enumerate(ports):
         boundary[k, 0] = transmission.network.bus(p.transmission_bus).v0[0]
         loads, ders, shunts = demand.get(imap.feeder_of_bus[p.feeder_head], (0, 0, 0))

@@ -18,7 +18,7 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +153,9 @@ def parse_transmission(path) -> Network:
     kind, matrix, line = sections["bus"]
     if kind != "matrix" or not matrix[0]:
         raise CaseFormatError("mpc.bus must be a matrix with at least one row", line)
+    for name in ("gen", "branch"):
+        if sections.get(name, ("matrix",))[0] != "matrix":
+            raise CaseFormatError(f"mpc.{name} must be a matrix", sections[name][2])
 
     gen_rows: list[tuple[list[float], int]] = []
     if "gen" in sections:
@@ -696,16 +699,6 @@ def _id_stride(tnet: Network, docs) -> int:
     return stride
 
 
-def _copies(devices, **shifts) -> list:
-    """Copies of the frozen ``devices`` with ``shifts`` added to the named fields, set field by
-    field without the dataclass constructor: a template's devices were checked when built."""
-    out = [object.__new__(type(d)) for d in devices]
-    for c, d in zip(out, devices):
-        for k, v in d.__dict__.items():
-            object.__setattr__(c, k, v + shifts[k] if k in shifts else v)
-    return out
-
-
 def build_combined(
     tnet: Network,
     coupling: CouplingMap,
@@ -717,8 +710,10 @@ def build_combined(
     At each coupled bus the transmission-side static load is removed
     (the feeder replaces the aggregate) unless ``keep_bus_load``;
     coupled buses must be PQ buses and appear at most once.  The result
-    records its tiles: the transmission case, then each feeder block as
-    a copy of its template (see ``Network.tiled``).
+    records its tiles, the transmission case, then each feeder block as
+    a copy of its template, and builds its devices from them when they
+    are first read (see ``Network.tiled``); a case with a transmission
+    device naming a bus outside it is built at once as its own tile.
     """
     kinds = {b.id: b.kind for b in tnet.buses}
     coupled: set[int] = set()
@@ -739,7 +734,7 @@ def build_combined(
     # a transmission device naming a bus outside the case would reach into a copy
     closed = all({e.from_bus, e.to_bus} <= kinds.keys() for e in tnet.elements) and all(
         d.bus in kinds for name in DEVICES[2:] for d in devices[name])
-    parts: list = [{name: list(v) for name, v in devices.items()}]  # runs of devices built in place, and tiles
+    parts: list = [devices]  # runs of devices built in place, and tiles
     ports, labels = [], dict(tnet.labels)
 
     # a feeder and scales used once is built in place, in the run of such blocks it follows;
@@ -758,7 +753,6 @@ def build_combined(
                 parts.append({name: [] for name in DEVICES})
             for name in DEVICES:
                 parts[-1][name] += getattr(fnet, name)
-                devices[name] += getattr(fnet, name)
             offset = 0
         else:
             if key not in templates:
@@ -766,16 +760,14 @@ def build_combined(
                                                 load_scale=entry.load_scale, der_scale=entry.der_scale)
             fnet = templates[key]
             parts.append(Tile(fnet, offset, next_element))
-            shifts = {"buses": {"id": offset}, "elements": {"id": next_element, "from_bus": offset, "to_bus": offset}}
-            for name in DEVICES:
-                devices[name] += _copies(getattr(fnet, name), **shifts.get(name, {"bus": offset}))
         next_element += len(fnet.elements)
         labels.update(zip(map(offset.__add__, fnet.labels), fnet.labels.values()))
         head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
         ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head + offset))
 
-    tiles = [p if isinstance(p, Tile) else Tile(Network(tnet.base_mva, **p)) for p in parts] if closed else ()
-    return Network.tiled(tiles, base_mva=tnet.base_mva, ports=ports, labels=labels, **devices)
+    net = Network.tiled([p if isinstance(p, Tile) else Tile(Network(tnet.base_mva, **p)) for p in parts],
+                        base_mva=tnet.base_mva, ports=ports, labels=labels)
+    return net if closed else replace(net)  # the devices built now, the network its own one tile
 
 
 def load_combined_case(

@@ -237,23 +237,38 @@ class Tile:
     bus_offset: int = 0
     element_offset: int = 0
 
+    def shifted(self, name: str, devices) -> list:
+        """``devices`` (some of the template's tuple ``name``) as this tile holds them: at an offset, copies
+        with ids and bus references shifted, made without the constructor, which checked the originals."""
+        if not (self.bus_offset or self.element_offset):
+            return list(devices)
+        off = self.bus_offset
+        shifts = {"buses": {"id": off}, "elements": {"id": self.element_offset, "from_bus": off, "to_bus": off}}
+        shifts = shifts.get(name, {"bus": off})
+        out = [object.__new__(type(d)) for d in devices]
+        for c, d in zip(out, devices):
+            vars(c).update(vars(d), **{k: v + getattr(d, k) for k, v in shifts.items()})
+        return out
+
 
 @dataclass(frozen=True)
 class Network:
     """Immutable combined network on one MVA base.
 
-    ``tiles()`` are the templates its devices copy, recorded by ``Network.tiled``
-    as an attribute, not a field: ``dataclasses.replace`` and so every variant
-    drop it, and a network without it is its own one tile.
+    ``tiles()`` are the templates its devices copy.  ``Network.tiled`` records them as an
+    attribute, not a field, and builds each device tuple from them the first time it is read:
+    ``dataclasses.replace`` reads every tuple, so a variant holds its devices and drops the
+    record, and a network without it is its own one tile.
     """
 
     base_mva: float
     buses: tuple[Bus, ...]
-    elements: tuple[SeriesElement, ...] = ()
-    loads: tuple[Load, ...] = ()
-    shunts: tuple[Shunt, ...] = ()
-    generators: tuple[Generator, ...] = ()
-    ders: tuple[DerInjection, ...] = ()
+    # no class-level default, which would hide __getattr__ from a tiled network's unbuilt tuples
+    elements: tuple[SeriesElement, ...] = field(default_factory=tuple)
+    loads: tuple[Load, ...] = field(default_factory=tuple)
+    shunts: tuple[Shunt, ...] = field(default_factory=tuple)
+    generators: tuple[Generator, ...] = field(default_factory=tuple)
+    ders: tuple[DerInjection, ...] = field(default_factory=tuple)
     ports: tuple[CouplingPort, ...] = ()
     labels: dict[int, str] = field(default_factory=dict)
 
@@ -263,15 +278,26 @@ class Network:
 
     @classmethod
     def tiled(cls, tiles: Iterable[Tile], **fields) -> "Network":
-        """A network whose device tuples concatenate, tile by tile, each template's devices with
-        the tile's offsets.  Only the first tile may hold transmission buses, the tiles' bus
-        ids increase from tile to tile, and a template's devices name only its own buses."""
-        net = cls(**fields)
+        """A network with the non-device ``fields`` whose device tuples, built when first read, join the
+        ``tiles``' devices (``Tile.shifted``).  ``tiles`` is not empty, only the first may hold transmission
+        buses, bus ids increase from tile to tile, and a template's devices name only its own buses."""
+        net = cls(buses=(), **fields)
+        for name in DEVICES:
+            del vars(net)[name]
         object.__setattr__(net, "_tiles", tuple(tiles))
         return net
 
+    def __getattr__(self, name: str):
+        """A tiled network's device tuple ``name``, built from its tiles at the first read and kept."""
+        tiles = vars(self).get("_tiles")
+        if tiles is None or name not in DEVICES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        devices = tuple(d for tile in tiles for d in tile.shifted(name, getattr(tile.template, name)))
+        object.__setattr__(self, name, devices)
+        return devices
+
     def tiles(self) -> tuple[Tile, ...]:
-        return getattr(self, "_tiles", None) or (Tile(self),)
+        return vars(self).get("_tiles") or (Tile(self),)
 
     def per_tile(self, fn: Callable[["Network"], object]) -> list[tuple[Tile, object]]:
         """(tile, fn(tile.template)) per tile, ``fn`` evaluated once per distinct template."""
@@ -299,18 +325,17 @@ class Network:
         return {p.feeder_head for p in self.ports}
 
     def source_buses(self) -> list[Bus]:
-        """Buses driven by an ideal voltage source at their v0.
+        """Buses driven by an ideal voltage source at their v0, read per tile.
 
         Slack buses always; feeder heads only when no port drives them
         (a standalone feeder is solvable with its head held at v0,
         which is exactly how the torn subproblems are built).
         """
         ported = self.ported_heads()
-        out, start = [], 0
-        for tile, picks in self.per_tile(lambda t: [i for i, b in enumerate(t.buses) if b.kind in _SOURCE_KINDS]):
-            out += [b for b in map(self.buses.__getitem__, (start + i for i in picks))
-                    if b.kind is BusKind.SLACK or b.id not in ported]
-            start += len(tile.template.buses)
+        out = []
+        for tile, sources in self.per_tile(lambda t: [b for b in t.buses if b.kind in _SOURCE_KINDS]):
+            out += tile.shifted("buses", [b for b in sources if b.kind is BusKind.SLACK
+                                          or b.id + tile.bus_offset not in ported])
         return out
 
     # -- derived immutable copies -------------------------------------
@@ -564,9 +589,15 @@ def tiled_index_map(network: Network) -> IndexMap:
 
 
 def initial_state(network: Network, imap: IndexMap, flat: bool = False) -> np.ndarray:
-    """Initial unknown vector: bus v0 (or flat start), zero auxiliary variables."""
-    v = np.array([v for b in network.buses for v in (flat_voltages(b.phases) if flat else b.v0)], dtype=complex)
-    vr = imap.v_index(*_run(network.buses))
+    """Initial unknown vector: bus v0 (or flat start), zero auxiliary variables; read per tile."""
+    def start(t: Network):
+        v = [v for b in t.buses for v in (flat_voltages(b.phases) if flat else b.v0)]
+        return np.array(v, dtype=complex), _run(t.buses)
+
+    parts = network.per_tile(start)
+    v = np.concatenate([v for _, (v, _) in parts])
+    vr = imap.v_index(np.concatenate([ids + tile.bus_offset for tile, (_, (ids, _)) in parts]),
+                      np.concatenate([codes for _, (_, (_, codes)) in parts]))
     x = np.zeros(imap.n)
     x[vr], x[vr + 1] = v.real, v.imag
     return x

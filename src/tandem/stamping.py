@@ -293,7 +293,8 @@ class CompiledCircuit:
         self.imap = imap
         self.plan = AssemblyPlan(dense=True)
         keys, self._f, self._s = _demand_legs(network)
-        self.gens = gens = [g for g in network.generators if g.status and g.bus in imap.gen_q]
+        self.gens = gens = [g for tile, live in network.per_tile(lambda t: [g for g in t.generators if g.status])
+                            for g in tile.shifted("generators", live) if g.bus in imap.gen_q]
         bus, share, code1, code2, wye = keys[:, :5].T.astype(np.int64)
         wye = wye.astype(bool)
         t = _leg_terminals(bus, code1, code2, wye, imap)

@@ -1,14 +1,25 @@
-"""Deterministic random-network construction for oracle-based checks."""
+"""Deterministic network construction for oracle-based checks: random networks, the
+one-``feeder_network``-per-copy reference of ``build_combined``, and a field-by-field,
+type-by-type comparison of two networks."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission
+from tandem.ingest import (
+    CouplingEntry,
+    CouplingMap,
+    _id_stride,
+    build_combined,
+    feeder_network,
+    parse_feeder_doc,
+    parse_transmission,
+)
 
 from tandem.netmodel import (
     POSITIVE_SEQUENCE,
@@ -210,6 +221,47 @@ def case27_with_feeders(data_dir: Path, entries) -> Network:
     couplings = [CouplingEntry(f"{name}.json", bus, ls, ds) for bus, (name, ls, ds) in zip(pq, itertools.cycle(entries))]
     docs = {f"{name}.json": parse_feeder_doc(data_dir / f"{name}.json") for name, _, _ in entries}
     return build_combined(tnet, CouplingMap(couplings, data_dir), docs)
+
+
+def _assert_same(a, b, where="network"):
+    """Equal field by field and of the same types; numpy arrays equal byte for byte."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for k in a:
+            _assert_same(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert a == b, where
+
+
+def _combined_per_copy(tnet, cmap, docs, keep_bus_load):
+    """Reference combination: one feeder_network call per coupling entry."""
+    coupled = {e.bus for e in cmap.entries}
+    stride = _id_stride(tnet, docs.values())
+    parts = {"buses": list(tnet.buses), "elements": list(tnet.elements), "shunts": list(tnet.shunts),
+             "loads": [ld for ld in tnet.loads if keep_bus_load or ld.bus not in coupled], "ders": list(tnet.ders)}
+    labels, ports = dict(tnet.labels), []
+    next_element = max(e.id for e in tnet.elements) + 1
+    for k, entry in enumerate(cmap.entries):
+        fnet = feeder_network(docs[entry.feeder], tnet.base_mva, bus_offset=stride * (k + 1),
+                              load_scale=entry.load_scale, der_scale=entry.der_scale, element_offset=next_element)
+        next_element += len(fnet.elements)
+        for name, items in parts.items():
+            items += getattr(fnet, name)
+        labels.update(fnet.labels)
+        head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
+        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head))
+    return Network(base_mva=tnet.base_mva, generators=tnet.generators, ports=tuple(ports), labels=labels,
+                   **{name: tuple(items) for name, items in parts.items()})
 
 
 def random_state(rng, network: Network, imap, vm_range=(0.7, 1.3), ang_spread=0.5) -> np.ndarray:

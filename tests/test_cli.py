@@ -516,3 +516,16 @@ def test_case_without_bus_rows_is_input_error(workdir, bus):
     out = workdir / "o"
     assert run(["solve", "--case", case, "--out", out]) == EXIT_INPUT
     assert json.loads((out / "error.json").read_text())["error"] == "line 3: mpc.bus must be a matrix with at least one row"
+
+
+@pytest.mark.parametrize("section", ["gen", "branch"])
+def test_scalar_gen_or_branch_is_input_error(workdir, section):
+    # a scalar failed to unpack as a matrix's rows and exited 4
+    text = (workdir / "case9.m").read_text()
+    start = text.index(f"mpc.{section} = [")
+    case = workdir / "case_scalar.m"
+    case.write_text(text[:start] + f"mpc.{section} = 5;" + text[text.index("];", start) + 2:])
+    line = text[:start].count("\n") + 1
+    out = workdir / "o"
+    assert run(["solve", "--case", case, "--out", out]) == EXIT_INPUT
+    assert json.loads((out / "error.json").read_text())["error"] == f"line {line}: mpc.{section} must be a matrix"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +7,6 @@ from tandem.ingest import (
     CaseFormatError,
     CouplingEntry,
     CouplingMap,
-    _id_stride,
     build_combined,
     feeder_network,
     parse_coupling_map,
@@ -16,7 +14,9 @@ from tandem.ingest import (
     parse_feeder_doc,
     parse_transmission,
 )
-from tandem.netmodel import BusKind, Connection, CouplingPort, ElementKind, Network, validate
+from tandem.netmodel import BusKind, Connection, ElementKind, validate
+
+from netgen import _assert_same, _combined_per_copy
 
 
 def write_case(tmp_path, body, name="case.m"):
@@ -314,47 +314,6 @@ class TestCombined:
             parse_coupling_map(p)
         p.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": "f1.json", "bus": 5.0}]}))
         assert parse_coupling_map(p).entries[0].bus == 5
-
-
-def _assert_same(a, b, where="network"):
-    """Equal field by field and of the same types; numpy arrays equal byte for byte."""
-    assert type(a) is type(b), where
-    if dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
-    elif isinstance(a, np.ndarray):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
-    elif isinstance(a, (tuple, list)):
-        assert len(a) == len(b), where
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_same(x, y, f"{where}[{i}]")
-    elif isinstance(a, dict):
-        assert list(a) == list(b), where
-        for k in a:
-            _assert_same(a[k], b[k], f"{where}[{k!r}]")
-    else:
-        assert a == b, where
-
-
-def _combined_per_copy(tnet, cmap, docs, keep_bus_load):
-    """Reference combination: one feeder_network call per coupling entry."""
-    coupled = {e.bus for e in cmap.entries}
-    stride = _id_stride(tnet, docs.values())
-    parts = {"buses": list(tnet.buses), "elements": list(tnet.elements), "shunts": list(tnet.shunts),
-             "loads": [ld for ld in tnet.loads if keep_bus_load or ld.bus not in coupled], "ders": list(tnet.ders)}
-    labels, ports = dict(tnet.labels), []
-    next_element = max(e.id for e in tnet.elements) + 1
-    for k, entry in enumerate(cmap.entries):
-        fnet = feeder_network(docs[entry.feeder], tnet.base_mva, bus_offset=stride * (k + 1),
-                              load_scale=entry.load_scale, der_scale=entry.der_scale, element_offset=next_element)
-        next_element += len(fnet.elements)
-        for name, items in parts.items():
-            items += getattr(fnet, name)
-        labels.update(fnet.labels)
-        head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
-        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head))
-    return Network(base_mva=tnet.base_mva, generators=tnet.generators, ports=tuple(ports), labels=labels,
-                   **{name: tuple(items) for name, items in parts.items()})
 
 
 @pytest.mark.parametrize("keep_bus_load", [False, True])

@@ -1,13 +1,24 @@
 """Networks that record their feeder templates (``Network.tiled``) check, lay out, compile and
 tear exactly as the same devices do in a network without the record, checked device by device."""
 
+import argparse
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from netgen import MIXED, _zip_fractions, case27_with_feeders, random_transmission
-from tandem.gsn import tear
+from netgen import (
+    MIXED,
+    _assert_same,
+    _combined_per_copy,
+    _zip_fractions,
+    case27_with_feeders,
+    random_repeated_feeders,
+    random_transmission,
+)
+from tandem.cli import _load_network, _solve
+from tandem.gsn import GsnOptions, tear
 from tandem.ingest import (
     CouplingEntry,
     CouplingMap,
@@ -19,8 +30,21 @@ from tandem.ingest import (
     FeederNode,
     build_combined,
     load_combined_case,
+    parse_coupling_map,
+    parse_feeder_doc,
+    parse_transmission,
 )
-from tandem.netmodel import BusKind, Connection, ElementKind, Network, build_index_map, validate
+from tandem.netmodel import (
+    DEVICES,
+    BusKind,
+    Connection,
+    ElementKind,
+    Network,
+    build_index_map,
+    initial_state,
+    validate,
+)
+from tandem.newton import SolverOptions
 from tandem.stamping import CompiledCircuit
 
 
@@ -183,3 +207,57 @@ def test_template_with_violations_copied_three_times(data_dir):
     codes = [v.code for v in validate(net)]
     assert codes.count("asym-block") == 3 and codes.count("no-head") == 3 and "disconnected" in codes
     assert_matches_device_by_device(net)
+
+
+def _bundled(request, data_dir, case) -> Network:
+    if case.startswith("case9"):
+        return load_combined_case(data_dir / "case9.m", data_dir / f"{case}.json")
+    return request.getfixturevalue(case)
+
+
+def test_direct_solve_builds_no_copied_device(data_dir, tmp_path):
+    """Loading and directly solving case27 with 24 copies of ``feeder_medium``, as ``tandem solve``
+    does, reads no device tuple of the combined network; the first read of each equals, in type
+    and value, the tuple of one ``feeder_network`` per copy."""
+    tnet = parse_transmission(data_dir / "case27.m")
+    pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
+    coupling = tmp_path / "k24.json"
+    feeder = str(data_dir / "feeder_medium.json")
+    coupling.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": feeder, "bus": bus} for bus in pq]}))
+    args = argparse.Namespace(case=data_dir / "case27.m", coupling=coupling, keep_bus_load=False, solver="direct")
+    net = _load_network(args)
+    _, report, _ = _solve(net, args, SolverOptions(), GsnOptions())
+    assert report["converged"] and len(net.tiles()) == 25
+    assert not vars(net).keys() & set(DEVICES)
+    cmap = parse_coupling_map(coupling)
+    reference = _combined_per_copy(tnet, cmap, {feeder: parse_feeder_doc(feeder)}, keep_bus_load=False)
+    for name in DEVICES:
+        _assert_same(getattr(net, name), getattr(reference, name), name)
+        assert name in vars(net)
+
+
+def _assert_same_readers(net: Network):
+    """``initial_state`` (case voltages and flat start) and ``source_buses``, which read ``net``
+    per tile, equal those of its device-by-device rebuild bit for bit."""
+    imap = build_index_map(net)
+    starts = [initial_state(net, imap, flat).tobytes() for flat in (False, True)]
+    sources = net.source_buses()
+    plain = _rebuilt(net)
+    assert starts == [initial_state(plain, imap, flat).tobytes() for flat in (False, True)]
+    _assert_same(sources, plain.source_buses(), "source_buses")
+
+
+@pytest.mark.parametrize("case", ["k24", "mixed", "case9_feeder1", "case9_feeder4", "case9_stressed"])
+def test_per_tile_readers_bundled(request, data_dir, case):
+    _assert_same_readers(_bundled(request, data_dir, case))
+
+
+def test_per_tile_readers_random():
+    """On ``netgen.random_repeated_feeders`` (each a network of its own one tile), and on networks
+    whose repeated feeders ``build_combined`` tiles, some with un-ported feeder heads as sources."""
+    rng = np.random.default_rng(2222)
+    for _ in range(12):
+        _assert_same_readers(random_repeated_feeders(rng))
+        net = random_repeated_case(rng)
+        _assert_same_readers(net)
+        _assert_same_readers(Network.tiled(net.tiles(), base_mva=net.base_mva, ports=net.ports[1:]))

@@ -16,7 +16,10 @@ runs, the stages interleaved round by round:
 - ``CompiledCircuit``: the compile of the direct solve;
 - Newton on the compiled circuit (``solve_direct`` with the circuit);
 - ``solution.json`` text: ``solution_json(solution_dict(...))``;
-- ``tear``: the GSN partition into transmission and feeder side.
+- ``tear``: the GSN partition into transmission and feeder side;
+- ``devices``: the first read of the combined network's six device
+  tuples, which ``build_combined`` leaves to be built from the tiles
+  when read (no stage above reads them).
 
 BLAS is pinned to one thread, as in ``perfbench``.  Parsing is left out:
 it reads the same files in both cases.
@@ -35,14 +38,14 @@ from pathlib import Path  # noqa: E402
 
 from tandem.gsn import tear  # noqa: E402
 from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission  # noqa: E402
-from tandem.netmodel import BusKind, build_index_map, initial_state, validate  # noqa: E402
+from tandem.netmodel import DEVICES, BusKind, build_index_map, initial_state, validate  # noqa: E402
 from tandem.newton import SolverOptions, solve_direct  # noqa: E402
 from tandem.results import solution_dict, solution_json  # noqa: E402
 from tandem.stamping import CompiledCircuit  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "tandem" / "data"
 STAGES = ("build_combined", "validate", "build_index_map", "initial_state", "CompiledCircuit", "Newton",
-          "solution.json", "tear")
+          "solution.json", "tear", "devices")
 
 
 def cases() -> dict:
@@ -80,6 +83,7 @@ def one_round(tnet, cmap, docs) -> dict[str, float]:
     x, _ = timed("Newton", solve_direct, net, SolverOptions(), circuit=circuit)
     timed("solution.json", lambda: solution_json(solution_dict(net, imap, x)))
     timed("tear", tear, net, imap)
+    timed("devices", lambda: [getattr(net, name) for name in DEVICES])
     return times
 
 
