@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
+import os
+import pickle
 import shutil
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -269,6 +274,67 @@ def _svg_plot(path: Path, series: dict[str, list[tuple[float, float]]], x_label:
     path.write_text("\n".join(parts) + "\n")
 
 
+def _processes(tasks: int) -> int:
+    """One per CPU in the affinity set, up to ``tasks``; 1 where fork is missing or other threads run."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
+def _fork_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, the items dealt round-robin over ``_processes`` processes.
+
+    The caller runs its own share, item 0 first.  Each forked child pickles its share's outcomes, up
+    to its first exception, down a pipe and leaves by ``os._exit``.  The lowest-numbered item's
+    exception is raised, as by the loop; a child that leaves no outcome is an internal error.  Every
+    child is killed and reaped before the call returns or raises.
+    """
+    procs = _processes(len(items))
+    if procs < 2:
+        return [fn(item) for item in items]
+
+    def share(first: int) -> dict:
+        done = {}  # item number: (True, result) or (False, exception)
+        for i in range(first, len(items), procs):
+            try:
+                done[i] = True, fn(items[i])
+            except Exception as exc:
+                done[i] = False, exc
+                break
+        return done
+
+    children = []
+    try:
+        for first in range(1, procs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(w, "wb") as pipe:
+                        pipe.write(pickle.dumps(share(first)))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, first, open(r, "rb")))
+        done = share(0)
+        for pid, first, pipe in children if done[0][0] else ():  # an exception at item 0 wins over any child's
+            data = pipe.read()
+            done.update(pickle.loads(data) if data else
+                        {first: (False, RuntimeError(f"pvcurve worker {pid} exited without a result"))})
+    finally:
+        for pid, _, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(len(items)):
+        ok, result = done[i]  # every item before a child's first exception has an outcome
+        if not ok:
+            raise result
+        results.append(result)
+    return results
+
+
 def cmd_pvcurve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,14 +354,15 @@ def cmd_pvcurve(args) -> int:
         for s in der_scales:
             scenarios.append((f"v_poi_cont_der{s:g}", s, True))
 
-    columns: dict[str, dict[float, float]] = {name: {} for name, _, _ in scenarios}
-    for name, der, cont in scenarios:
+    def sweep(scenario) -> dict[float, float]:
         # one network, index map and direct circuit per scenario; a load factor is a value set on the circuit
+        _, der, cont = scenario
         base = net.with_der_scale(der)
         if cont:
             base = base.without_elements(contingency[0]).without_generators(contingency[1])
         imap = build_index_map(base)
         circuit = None if args.solver == "gsn" else CompiledCircuit(base, imap)
+        column = {}
         for lf in lfs:
             try:
                 if circuit is None:
@@ -305,8 +372,10 @@ def cmd_pvcurve(args) -> int:
                     x, _ = solve_direct(base, opts, circuit=circuit)
             except (SolveFailure, GsnError):
                 break  # past the nose; the scenario stops here
-            columns[name][lf] = dict(poi_voltages(base, imap, x))[poi_bus]
+            column[lf] = dict(poi_voltages(base, imap, x))[poi_bus]
+        return column
 
+    columns = {name: column for (name, _, _), column in zip(scenarios, _fork_map(sweep, scenarios))}
     header = PVCURVE_HEADER + "".join(f",{name}" for name, _, _ in scenarios)
     rows = [header]
     for lf in lfs:
@@ -435,6 +504,7 @@ def _add_common(p: argparse.ArgumentParser, coupling: bool = True):
     p.add_argument("--out", default=".", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tandem",
                                  description="Combined transmission and distribution power flow")

@@ -301,9 +301,10 @@ class Network:
 
     def per_tile(self, fn: Callable[["Network"], object]) -> list[tuple[Tile, object]]:
         """(tile, fn(tile.template)) per tile, ``fn`` evaluated once per distinct template."""
-        done = {id(tile.template): tile.template for tile in self.tiles()}
+        tiles = self.tiles()
+        done = {id(tile.template): tile.template for tile in tiles}
         done = {key: fn(template) for key, template in done.items()}
-        return [(tile, done[id(tile.template)]) for tile in self.tiles()]
+        return [(tile, done[id(tile.template)]) for tile in tiles]
 
     def bus(self, bus_id: int) -> Bus:
         try:

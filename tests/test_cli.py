@@ -1,6 +1,8 @@
 import json
 import logging
+import os
 import shutil
+import threading
 import time
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from netgen import case27_with_feeders
 from tandem.cli import BENCH_HEADER, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from tandem.ingest import load_combined_case
-from tandem.netmodel import build_index_map
+from tandem.netmodel import Network, NetworkError, build_index_map
 from tandem.newton import solve_direct
 from tandem.results import solution_dict, solution_json
 
@@ -255,17 +257,29 @@ class TestPvcurve:
             monkeypatch.setattr(module, "CompiledCircuit", Counting, raising=False)
         return compiled
 
-    def test_one_compile_per_scenario(self, workdir, compiled):
-        # each DER scenario compiles one circuit and sets each load factor on it
-        rc = run(["pvcurve", "--case", workdir / "case9.m",
-                  "--coupling", workdir / "case9_stressed.json",
-                  "--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1",
-                  "--der-scale", "0,1", "--out", workdir / "pv"])
-        assert rc == EXIT_OK
-        assert len(compiled) == 2
+    @staticmethod
+    def processes(monkeypatch, count):
+        """Sweep the scenarios on ``count`` processes at most, whatever the host's CPUs and threads."""
+        import tandem.cli
 
-    def test_zero_load_factor_start(self, workdir, compiled):
+        monkeypatch.setattr(tandem.cli, "_processes", lambda tasks: min(tasks, count))
+
+    def test_one_compile_per_scenario(self, workdir, compiled, monkeypatch):
+        # each DER scenario compiles one circuit and sets each load factor on it; counted in
+        # this process, so on one process, and then forked, where this process compiles its share
+        args = ["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                "--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", "--der-scale", "0,1"]
+        self.processes(monkeypatch, 1)
+        assert run([*args, "--out", workdir / "serial"]) == EXIT_OK
+        assert len(compiled) == 2
+        compiled.clear()
+        self.processes(monkeypatch, 2)
+        assert run([*args, "--out", workdir / "forked"]) == EXIT_OK
+        assert len(compiled) == 1
+
+    def test_zero_load_factor_start(self, workdir, compiled, monkeypatch):
         # the zero point sets the load legs to zero demand on the scenario's one circuit
+        self.processes(monkeypatch, 1)
         out = workdir / "pv"
         rc = run(["pvcurve", "--case", workdir / "case9.m",
                   "--coupling", workdir / "case9_stressed.json",
@@ -273,6 +287,101 @@ class TestPvcurve:
         assert rc == EXIT_OK
         assert len((out / "pvcurve.csv").read_text().splitlines()) == 4
         assert len(compiled) == 1
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def sweep_both_ways(self, workdir, monkeypatch, flags):
+        """(exit code, {file name: bytes}) of one run on one process and of one forked run."""
+        args = ["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                "--lf-start", "1.0", "--lf-stop", "3.0", "--lf-step", "0.1", *flags]
+        outcomes = []
+        for count in (1, 2):
+            self.processes(monkeypatch, count)
+            out = workdir / f"p{count}"
+            outcomes.append((run([*args, "--out", out]), {f.name: f.read_bytes() for f in out.iterdir()}))
+            self.assert_no_child()
+        return outcomes
+
+    @pytest.mark.parametrize("solver", ["direct", "gsn"])
+    @pytest.mark.parametrize("contingency", [[], ["--contingency", "branch:1"]], ids=["2", "4"])
+    def test_forked_sweep_matches_serial(self, workdir, monkeypatch, solver, contingency):
+        serial, forked = self.sweep_both_ways(workdir, monkeypatch,
+                                              ["--der-scale", "0,1", "--solver", solver, *contingency])
+        assert serial == forked
+        assert serial[0] == EXIT_OK and sorted(serial[1]) == ["pvcurve.csv", "pvcurve.svg"]
+
+    @pytest.mark.parametrize("error, code", [(NetworkError, EXIT_INPUT), (KeyError, 4)])
+    def test_child_exception_matches_serial(self, workdir, monkeypatch, error, code):
+        # forked, this process fails at scale 2 and the child at scale 1: scale 1's error wins, as serially
+        with_der_scale = Network.with_der_scale
+
+        def failing(net, scale):
+            if scale >= 1:
+                raise error(f"no network at DER scale {scale:g}")
+            return with_der_scale(net, scale)
+
+        monkeypatch.setattr(Network, "with_der_scale", failing)
+        serial, forked = self.sweep_both_ways(workdir, monkeypatch, ["--der-scale", "0,1,2"])
+        assert serial == forked
+        assert serial[0] == code and list(serial[1]) == ["error.json"]
+        assert "DER scale 1" in json.loads(serial[1]["error.json"])["error"]
+
+    def test_child_without_outcome_is_internal_error(self, workdir, monkeypatch):
+        parent, with_der_scale = os.getpid(), Network.with_der_scale
+
+        def dying(net, scale):
+            if os.getpid() != parent:
+                os._exit(0)
+            return with_der_scale(net, scale)
+
+        monkeypatch.setattr(Network, "with_der_scale", dying)
+        self.processes(monkeypatch, 2)
+        out = workdir / "pv"
+        rc = run(["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                  "--der-scale", "0,1", "--out", out])
+        self.assert_no_child()
+        assert rc == 4 and [f.name for f in out.iterdir()] == ["error.json"]
+        assert "without a result" in json.loads((out / "error.json").read_text())["error"]
+
+    def test_failure_at_first_scenario_kills_children(self, workdir, monkeypatch):
+        # the first scenario's error wins at once: the child, stuck in its scenario, is killed
+        parent, with_der_scale = os.getpid(), Network.with_der_scale
+
+        def stuck(net, scale):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif scale == 0:
+                raise NetworkError("no network at DER scale 0")
+            return with_der_scale(net, scale)
+
+        monkeypatch.setattr(Network, "with_der_scale", stuck)
+        self.processes(monkeypatch, 2)
+        t0 = time.perf_counter()
+        rc = run(["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                  "--der-scale", "0,1", "--out", workdir / "pv"])
+        assert time.perf_counter() - t0 < 30
+        self.assert_no_child()
+        assert rc == EXIT_INPUT
+
+    def test_process_count(self, monkeypatch):
+        import tandem.cli
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [tandem.cli._processes(n) for n in (1, 2, 5)] == [1, 2, 3]
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            assert tandem.cli._processes(5) == 1  # fork copies only the calling thread
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert tandem.cli._processes(5) == 1
 
     def test_gsn_sweep_matches_direct(self, workdir):
         # the GSN sweep solves a network variant per point, the direct one sets a load factor
