@@ -21,6 +21,7 @@ import signal
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -285,21 +286,20 @@ def _fork_map(fn, items: list) -> list:
     """``[fn(item) for item in items]``, the items dealt round-robin over ``_processes`` processes.
 
     The caller runs its own share, item 0 first.  Each forked child pickles its share's outcomes, up
-    to its first exception, down a pipe and leaves by ``os._exit``.  The lowest-numbered item's
-    exception is raised, as by the loop; a child that leaves no outcome is an internal error.  Every
-    child is killed and reaped before the call returns or raises.
+    to its first exception and that exception's traceback text, down a pipe and leaves by
+    ``os._exit``.  The lowest-numbered item's exception is raised, as by the loop, a child's with
+    its traceback text as its cause; a child that leaves no outcome is an internal error.  Every
+    child is killed and reaped before the call returns or raises.  On one process no child is forked.
     """
     procs = _processes(len(items))
-    if procs < 2:
-        return [fn(item) for item in items]
 
     def share(first: int) -> dict:
-        done = {}  # item number: (True, result) or (False, exception)
+        done = {}  # item number: (True, result, None) or (False, exception, a child's traceback text)
         for i in range(first, len(items), procs):
             try:
-                done[i] = True, fn(items[i])
+                done[i] = True, fn(items[i]), None
             except Exception as exc:
-                done[i] = False, exc
+                done[i] = False, exc, traceback.format_exc() if first else None
                 break
         return done
 
@@ -320,7 +320,7 @@ def _fork_map(fn, items: list) -> list:
         for pid, first, pipe in children if done[0][0] else ():  # an exception at item 0 wins over any child's
             data = pipe.read()
             done.update(pickle.loads(data) if data else
-                        {first: (False, RuntimeError(f"pvcurve worker {pid} exited without a result"))})
+                        {first: (False, RuntimeError(f"pvcurve worker {pid} exited without a result"), None)})
     finally:
         for pid, _, pipe in children:
             pipe.close()
@@ -328,8 +328,10 @@ def _fork_map(fn, items: list) -> list:
             os.waitpid(pid, 0)
     results = []
     for i in range(len(items)):
-        ok, result = done[i]  # every item before a child's first exception has an outcome
+        ok, result, trace = done[i]  # every item before a child's first exception has an outcome
         if not ok:
+            if trace:  # pickling dropped the child's frames: chain them, as text, for a logged stack
+                raise result from RuntimeError(f"item {i}, in a forked process:\n{trace}")
             raise result
         results.append(result)
     return results

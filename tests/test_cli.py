@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import shutil
 import threading
 import time
@@ -301,7 +302,10 @@ class TestPvcurve:
         for count in (1, 2):
             self.processes(monkeypatch, count)
             out = workdir / f"p{count}"
-            outcomes.append((run([*args, "--out", out]), {f.name: f.read_bytes() for f in out.iterdir()}))
+            with monkeypatch.context() as m:
+                if count == 1:
+                    m.delattr(os, "fork")  # one process forks nothing
+                outcomes.append((run([*args, "--out", out]), {f.name: f.read_bytes() for f in out.iterdir()}))
             self.assert_no_child()
         return outcomes
 
@@ -314,7 +318,7 @@ class TestPvcurve:
         assert serial[0] == EXIT_OK and sorted(serial[1]) == ["pvcurve.csv", "pvcurve.svg"]
 
     @pytest.mark.parametrize("error, code", [(NetworkError, EXIT_INPUT), (KeyError, 4)])
-    def test_child_exception_matches_serial(self, workdir, monkeypatch, error, code):
+    def test_child_exception_matches_serial(self, workdir, monkeypatch, caplog, error, code):
         # forked, this process fails at scale 2 and the child at scale 1: scale 1's error wins, as serially
         with_der_scale = Network.with_der_scale
 
@@ -328,6 +332,8 @@ class TestPvcurve:
         assert serial == forked
         assert serial[0] == code and list(serial[1]) == ["error.json"]
         assert "DER scale 1" in json.loads(serial[1]["error.json"])["error"]
+        if code == 4:  # the logged internal error shows the frames the child's pickled exception lost
+            assert re.search(r"item 1, in a forked process:\n.*in failing\n", caplog.text, re.S)
 
     def test_child_without_outcome_is_internal_error(self, workdir, monkeypatch):
         parent, with_der_scale = os.getpid(), Network.with_der_scale
