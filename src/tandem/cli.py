@@ -307,7 +307,12 @@ def _fork_map(fn, items: list) -> list:
     try:
         for first in range(1, procs):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
                 try:
                     with open(w, "wb") as pipe:

@@ -13,6 +13,7 @@ equations need no conversion factors.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import logging
 import math
@@ -586,10 +587,16 @@ def feeder_network(
         )
         labels[node_index[n.id]] = f"{doc.name}/{n.id}"
 
+    # one inverse per group of same-size blocks; a group with a singular block goes block by block
+    y_series = {}
+    for shape in {br.z_ohms.shape for br in doc.branches}:
+        group = [i for i, br in enumerate(doc.branches) if br.z_ohms.shape == shape]
+        with contextlib.suppress(np.linalg.LinAlgError):
+            y_series.update(zip(group, np.linalg.inv(np.stack([doc.branches[i].z_ohms for i in group]) / z_base)))
     elements = []
     for i, br in enumerate(doc.branches):
         try:
-            y_pu = np.linalg.inv(br.z_ohms / z_base)
+            y_pu = y_series[i] if i in y_series else np.linalg.inv(br.z_ohms / z_base)
             if not np.all(np.isfinite(y_pu)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:

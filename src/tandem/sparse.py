@@ -2,8 +2,8 @@
 
 The MNA matrices here are unsymmetric and indefinite, so the solve uses
 LU with pivoting.  Assembly sums duplicate triplets in triplet order
-through a scatter cached per sparsity pattern, so iterations on the same
-pattern only pay for one ``bincount``.
+through a scatter cached per sparsity pattern; within a Newton attempt
+an iteration only adds the nonlinear triplets to the kept linear sums.
 
 Two kernels share that scheme, chosen by the system size:
 
@@ -14,11 +14,12 @@ Two kernels share that scheme, chosen by the system size:
   (CSC construction, ordering, symbolic analysis) outweigh the dense
   kernel's O(n^3) arithmetic;
 * any larger system, and every system of a plain plan or ``assemble``,
-  fills a CSC matrix that SuperLU factors the way circuit LU codes such
-  as KLU do: columns ordered by minimum degree on the pattern of A + A^T
-  (MNA matrices are close to structurally symmetric), and a diagonal
-  pivot kept while it is at least ``DIAG_PIVOT_THRESH`` times the largest
-  entry of its column, else the largest entry (threshold pivoting).
+  fills a CSC matrix on its plan's fixed pattern that SuperLU factors the
+  way circuit LU codes such as KLU do: columns ordered once per plan by
+  minimum degree on the pattern of A + A^T (MNA matrices are close to
+  structurally symmetric), and a diagonal pivot kept while it is at least
+  ``DIAG_PIVOT_THRESH`` times the largest entry of its column, else the
+  largest entry (threshold pivoting).
 
 Both kernels sum every entry from the same triplets in the same order,
 so the assembled values are bitwise equal; only the LU differs.
@@ -37,38 +38,45 @@ SOLVE_TOL = 1e-10
 _REFINE_STEPS = 3
 
 # Largest system a dense plan assembles into an n x n array and factors
-# with LAPACK: the largest measured size where the dense kernel won.
-# tools/dense_crossover.py times one whole Newton iteration (assemble,
-# residual, factor with refinement) on leading blocks of the case27 +
-# 24 x feeder_medium Jacobian, BLAS on 1 thread; medians of 3 runs on a
-# shared 2-vCPU x86-64 host, in microseconds, SuperLU before and after the
-# ordering below:
+# with LAPACK.  tools/dense_crossover.py times one whole Newton iteration
+# (assemble, residual, factor with refinement) on leading blocks of the
+# case27 + 24 x feeder_medium Jacobian, BLAS on 1 thread; medians of 3
+# runs on a shared 2-vCPU x86-64 host, in microseconds:
 #
-#     n                 50   100   150   200   225   250   300   400
-#     SuperLU, COLAMD  219   309   427   513   520   617   857  1058
-#     SuperLU          203   286   364   438   479   683   537   680
-#     LAPACK            59   104   198   422   556   820  1139  2065
+#     n          50   100   150   200   225   250   300   400
+#     SuperLU   142   169   195   237   246   263   285   327
+#     LAPACK     52    99   194   352   465   614   966  2050
+#
+# 200 was the crossover before a plan kept its ordering; now it is ~150.
 DENSE_MAX_N = 200
 
-# SuperLU's column ordering and diagonal pivot threshold.  ``tools/
-# dense_crossover.py orderings`` factors the whole 2,698-unknown Jacobian
-# above (best of 60 interleaved rounds, same host; fill is the nonzeros of
-# L plus U; the residual is relative, after refinement):
+# SuperLU's column ordering, diagonal pivot threshold and panel size.
+# ``tools/dense_crossover.py orderings`` factors the whole 2,698-unknown
+# Jacobian above (best of 60 interleaved rounds, same host, panel size 1;
+# fill is the nonzeros of L plus U; the residual is relative, after
+# refinement; ``reused`` is a plan's later factor, in the order its first
+# MMD_AT_PLUS_A factor learned):
 #
 #     permc_spec     thresh  splu ms   fill   residual
-#     COLAMD         1.0      3.63    79,671   5.7e-15
-#     COLAMD         0.1      3.21    73,753   2.8e-14
-#     COLAMD         0.01     3.24    73,723   5.4e-14
-#     MMD_AT_PLUS_A  1.0      2.57    54,141   6.9e-15
-#     MMD_AT_PLUS_A  0.1      1.93    41,260   8.5e-15
-#     MMD_AT_PLUS_A  0.01     1.91    41,260   8.5e-15
-#     MMD_ATA        1.0      3.86    54,713   6.9e-15
-#     MMD_ATA        0.1      3.20    41,308   2.2e-14
-#     MMD_ATA        0.01     3.25    42,110   1.9e-14
+#     COLAMD         1.0      3.26    80,806   6.6e-15
+#     COLAMD         0.1      2.78    74,939   1.4e-14
+#     COLAMD         0.01     2.74    74,937   1.2e-14
+#     MMD_AT_PLUS_A  1.0      2.27    54,157   7.7e-15
+#     MMD_AT_PLUS_A  0.1      1.65    41,258   2.1e-14
+#     MMD_AT_PLUS_A  0.01     1.61    41,258   2.1e-14
+#     MMD_ATA        1.0      3.66    54,654   3.7e-15
+#     MMD_ATA        0.1      3.07    40,829   6.5e-15
+#     MMD_ATA        0.01     3.03    41,633   1.6e-14
+#     reused         0.1      1.23    41,259   6.2e-15
 #
-# 0.01 buys nothing over 0.1 here and admits smaller pivots.
+# 0.01 buys nothing over 0.1 here and admits smaller pivots.  By panel
+# size (SuperLU's default is 10), a first and a reused factor take, in ms:
+#
+#     panel_size   1: 1.50, 1.18   2: 1.52, 1.20   4: 1.55, 1.24
+#                  8: 1.56, 1.26  10: 1.56, 1.24  16: 1.61, 1.33
 PERMC_SPEC = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.1
+PANEL_SIZE = 1
 
 # Largest growth max|A| max|x| / max|b| a solve may return.  It bounds
 # cond(A) from below (up to a factor n), so an answer past it has lost
@@ -90,10 +98,11 @@ class SparseSystem:
     n: int
     matrix: sp.csc_matrix | np.ndarray
     rhs: np.ndarray
+    ordering: _Ordering | None = None  # a CSC matrix's, shared by the systems of its plan
 
 
 def _concat(parts, dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
 def _same_pattern(old, new) -> bool:
@@ -103,74 +112,74 @@ def _same_pattern(old, new) -> bool:
     return all(a is b or np.array_equal(a, b) for a, b in zip(old[1] + old[2], new[1] + new[2]))
 
 
+def _checked(stamps, key, first: int):
+    """Values, rhs rows and rhs values of ``stamps``, which start at triplet ``first`` of ``key``."""
+    vals = _concat([st.vals for st in stamps], float)
+    rhs_rows = _concat([st.rhs_rows for st in stamps], np.int64)
+    rhs_vals = _concat([st.rhs_vals for st in stamps], float)
+    if rhs_rows.size and (rhs_rows.min() < 0 or rhs_rows.max() >= key[0]):
+        raise IndexError("rhs row outside system")
+    if not np.isfinite(vals).all():
+        k = first + np.flatnonzero(~np.isfinite(vals))[0]
+        raise ValueError(f"non-finite stamp at ({np.concatenate(key[1])[k]},{np.concatenate(key[2])[k]})")
+    if not np.isfinite(rhs_vals).all():
+        raise ValueError("non-finite rhs stamp")
+    return vals, rhs_rows, rhs_vals
+
+
 class AssemblyPlan:
     """Caches the triplet scatter of one sparsity pattern.
 
     The pattern is keyed on the stamp sets' index arrays.  A compiled
     circuit hands out the same arrays on every iteration, so the key
-    check is an identity test and assembly is one ``bincount`` into the
-    cached slots: CSC positions, or with ``dense`` and at most
-    ``DENSE_MAX_N`` unknowns, the flat ``row * n + col`` positions of an
-    n x n array.  Index bounds are checked when a pattern is built,
-    finite values on every call.
+    check is an identity test.  The slots are positions in the data of
+    the whole CSC pattern, explicit zeros kept, or with ``dense`` and at
+    most ``DENSE_MAX_N`` unknowns the flat ``row * n + col`` positions of
+    an n x n array.  While the first stamp set is the same object (a
+    Newton attempt's linear stamps), its sums are kept and a call adds
+    the other sets' triplets to a copy in order (``np.add.at``): the bits
+    of one ``bincount``.  Index bounds are checked when a pattern is
+    built, finite values whenever a stamp set is summed.
     """
 
     def __init__(self, dense: bool = False):
         self.dense = dense
         self._key = None
-        self._flat = None  # triplet -> flat position in the dense array
-        self._slot = None  # triplet -> position in the CSC data array
-        self._template = None  # the pattern's CSC structure
-        self._col = None  # column of each CSC position
+        self._first = None  # (first stamp set, its matrix sums, its rhs sums)
 
     def _build(self, key) -> None:
         n, rows, cols = key
         r, c = _concat(rows, np.int64), _concat(cols, np.int64)
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise IndexError("triplet index outside system")
-        self._key = key
+        self._key, self._first = key, None
         if self.dense and n <= DENSE_MAX_N:
-            self._flat, self._slot = r * n + c, None
+            self._slot, self._template = r * n + c, None
             return
-        self._flat = None
         width = max(n, 1)
         flat = c * width + r
         del r, c  # keep the sort's transient memory low on large systems
         pos, self._slot = np.unique(flat, return_inverse=True)
-        self._col = pos // width
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col, minlength=n))])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(pos // width, minlength=n))])
         self._template = sp.csc_matrix((np.zeros(pos.size), pos % width, indptr), shape=(n, n))
+        self._ordering = _Ordering()
 
     def assemble(self, stamps, n: int) -> SparseSystem:
         key = (n, tuple(st.rows for st in stamps), tuple(st.cols for st in stamps))
         if not _same_pattern(self._key, key):
             self._build(key)
-        vals = _concat([st.vals for st in stamps], float)
-        rhs_rows = _concat([st.rhs_rows for st in stamps], np.int64)
-        rhs_vals = _concat([st.rhs_vals for st in stamps], float)
-        if rhs_rows.size and (rhs_rows.min() < 0 or rhs_rows.max() >= n):
-            raise IndexError("rhs row outside system")
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"non-finite stamp at ({np.concatenate(key[1])[k]},{np.concatenate(key[2])[k]})")
-        if not np.isfinite(rhs_vals).all():
-            raise ValueError("non-finite rhs stamp")
-        rhs = np.bincount(rhs_rows, weights=rhs_vals, minlength=n)
-        if self._flat is not None:
-            matrix = np.bincount(self._flat, weights=vals, minlength=n * n).reshape(n, n)
-            return SparseSystem(n=n, matrix=matrix, rhs=rhs)
-        t = self._template
-        data = np.bincount(self._slot, weights=vals, minlength=t.nnz)
-        indices, indptr = t.indices, t.indptr
-        # positions with no nonzero triplet at this state (say, the voltage row
-        # of a generator held at a Q limit) stay out of the LU's structure
-        live = np.bincount(self._slot[vals != 0.0], minlength=t.nnz).astype(bool)
-        if not live.all():
-            data, indices = data[live], indices[live]
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(self._col[live], minlength=n))])
-        matrix = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-        return SparseSystem(n=n, matrix=matrix, rhs=rhs)
+        t, m = self._template, stamps[0].vals.size
+        if self._first is None or self._first[0] is not stamps[0]:
+            vals, rhs_rows, rhs_vals = _checked(stamps[:1], key, 0)
+            self._first = (stamps[0], np.bincount(self._slot[:m], vals, n * n if t is None else t.nnz),
+                           np.bincount(rhs_rows, rhs_vals, n))
+        vals, rhs_rows, rhs_vals = _checked(stamps[1:], key, m)
+        data, rhs = self._first[1].copy(), self._first[2].copy()
+        np.add.at(data, self._slot[m:], vals)
+        np.add.at(rhs, rhs_rows, rhs_vals)
+        if t is None:
+            return SparseSystem(n, data.reshape(n, n), rhs)
+        return SparseSystem(n, sp.csc_matrix((data, t.indices, t.indptr), shape=(n, n)), rhs, self._ordering)
 
 
 def assemble(stamps, n: int) -> SparseSystem:
@@ -185,11 +194,33 @@ def _dense_lu(m: np.ndarray):
     return lambda b: dgetrs(lu, piv, b)[0]
 
 
-def _sparse_lu(m):
+def _splu(m, permc_spec: str):
     try:
-        return spla.splu(m.tocsc(), permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH).solve
+        return spla.splu(m.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=DIAG_PIVOT_THRESH, panel_size=PANEL_SIZE)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
+
+
+class _Ordering:
+    """A CSC pattern's column order: the first factor orders by ``PERMC_SPEC`` and keeps ``perm_c``;
+    later ones gather the data into the pattern permuted symmetrically by ``q = argsort(perm_c)``
+    and factor it in natural order (the same columns and diagonals, so the same pivots and fill)."""
+
+    perm = gather = None
+
+    def lu(self, m):
+        if self.perm is None:
+            lu = _splu(m, PERMC_SPEC)
+            self.perm = lu.perm_c
+            return lu.solve
+        if self.gather is None:  # built at the second factor, so a plan that factors once pays nothing
+            q = np.argsort(self.perm)
+            ids = sp.csc_matrix((np.arange(1.0, m.nnz + 1), m.indices, m.indptr), shape=m.shape)[q][:, q]
+            ids.sort_indices()
+            self.gather = ids.data.astype(np.int64) - 1, ids.indices, ids.indptr, q
+        g, indices, indptr, q = self.gather
+        lu = _splu(sp.csc_matrix((m.data[g], indices, indptr), shape=m.shape), "NATURAL")
+        return lambda b: lu.solve(b[q])[self.perm]
 
 
 def factor_solve(system: SparseSystem) -> np.ndarray:
@@ -203,7 +234,7 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
     m, b = system.matrix, system.rhs
     if m.shape[0] == 0:
         return np.zeros(0)
-    solve = _dense_lu(m) if isinstance(m, np.ndarray) else _sparse_lu(m)
+    solve = _dense_lu(m) if isinstance(m, np.ndarray) else (system.ordering or _Ordering()).lu(m)
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
@@ -227,7 +258,9 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
 
 
 def dump_matrix_market(system: SparseSystem, path) -> None:
-    """Write the assembled matrix in MatrixMarket coordinate form (debug aid)."""
+    """Write the assembled matrix's nonzero entries in MatrixMarket coordinate form (debug aid)."""
     from scipy.io import mmwrite
 
-    mmwrite(str(path), sp.coo_matrix(system.matrix))
+    matrix = sp.coo_matrix(system.matrix)
+    matrix.eliminate_zeros()  # the explicit zeros of a plan's pattern
+    mmwrite(str(path), matrix)

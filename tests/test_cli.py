@@ -372,6 +372,20 @@ class TestPvcurve:
         self.assert_no_child()
         assert rc == EXIT_INPUT
 
+    def test_failed_fork_closes_its_pipe(self, workdir, monkeypatch):
+        def no_fork():
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.processes(monkeypatch, 2)
+        fds = set(os.listdir("/proc/self/fd"))
+        out = workdir / "pv"
+        rc = run(["pvcurve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_stressed.json",
+                  "--der-scale", "0,1", "--out", out])
+        assert rc == 4 and "resource temporarily unavailable" in (out / "error.json").read_text()
+        assert set(os.listdir("/proc/self/fd")) <= fds
+        self.assert_no_child()
+
     def test_process_count(self, monkeypatch):
         import tandem.cli
 

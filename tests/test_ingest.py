@@ -203,6 +203,27 @@ class TestFeeder:
         with pytest.raises(CaseFormatError, match="singular"):
             parse_feeder(write_feeder(tmp_path, doc))
 
+    def test_first_singular_block_named(self, tmp_path):
+        # the inverses are taken per group of same-size blocks; the error still names the first
+        # singular branch in document order, here the third of four, before a singular 1x1 block
+        doc = json.loads(json.dumps(FEEDER_DOC))
+        doc["nodes"] += [{"id": "n4", "phases": "abc", "kv": 12.47}, {"id": "n5", "phases": "c", "kv": 12.47}]
+        doc["lines"] += [
+            {"from": "n2", "to": "n4", "phases": "abc", "length_miles": 1.0,
+             "z_ohms_per_mile": [[[0.1, 0.2]] * 3] * 3},
+            {"from": "n4", "to": "n5", "phases": "c", "length_miles": 1.0, "z_ohms_per_mile": [[[0.0, 0.0]]]},
+        ]
+        with pytest.raises(CaseFormatError, match="f1: singular impedance block on n2-n4"):
+            parse_feeder(write_feeder(tmp_path, doc))
+
+    def test_stacked_inverses_match_block_by_block(self, data_dir):
+        doc = parse_feeder_doc(data_dir / "feeder_medium.json")
+        net = feeder_network(doc, base_mva=100.0)
+        z_base = doc.nominal_kv**2 / 100.0
+        assert len({br.z_ohms.shape for br in doc.branches}) > 1
+        for br, el in zip(doc.branches, net.elements):
+            assert el.y_series.tobytes() == np.linalg.inv(br.z_ohms / z_base).tobytes()
+
     def test_phase_mismatch_rejected(self, tmp_path):
         doc = json.loads(json.dumps(FEEDER_DOC))
         doc["lines"][1]["phases"] = "c"  # n3 only carries b

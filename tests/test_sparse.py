@@ -360,3 +360,111 @@ def test_floating_island_with_a_roundoff_pivot_raises():
         system = assemble([_mna(rng, n_nodes, n_src, 0.0, 10)], n_nodes + n_src + 10)
         with pytest.raises(SingularSystemError):
             factor_solve(system)
+
+
+# ----------------------------------------------------------------------
+# one pattern, one ordering and one linear sum per plan
+# ----------------------------------------------------------------------
+
+
+def test_later_factors_reuse_the_learned_ordering(monkeypatch):
+    # a plan's first factor orders by PERMC_SPEC, every later one in natural order on the
+    # gathered matrix, also after a generator's switch to its Q limit zeroes part of its row
+    rng = np.random.default_rng(2024)
+    net = random_transmission(rng, 120)
+    imap = build_index_map(net)
+    circuit = CompiledCircuit(net, imap)
+    assert imap.n > DENSE_MAX_N and circuit.gens
+    bus, specs, splu = circuit.gens[0].bus, [], spla.splu
+
+    def recording(m, permc_spec, **kwargs):
+        specs.append(permc_spec)
+        return splu(m, permc_spec=permc_spec, **kwargs)
+
+    patterns, zeros = set(), {}
+    for mode in ("pv", "pv", "qmax", "qmax", "pv"):
+        x = random_state(rng, net, imap, vm_range=(0.9, 1.1), ang_spread=0.2)
+        stamps = [circuit.linear(None), circuit.nonlinear(x, {bus: mode})]
+        system = circuit.plan.assemble(stamps, imap.n)
+        patterns.add((system.matrix.indices.tobytes(), system.matrix.indptr.tobytes(), id(system.ordering)))
+        zeros[mode] = tuple(np.flatnonzero(system.matrix.data == 0.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(spla, "splu", recording)
+            got = factor_solve(system)
+        want = factor_solve(assemble(stamps, imap.n))  # a fresh plan orders afresh
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert specs == [PERMC_SPEC] + ["NATURAL"] * 4
+    assert len(patterns) == 1 and zeros["pv"] != zeros["qmax"]  # one pattern, its zeros moved
+
+
+def _varied(rng, size):
+    return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+
+
+def _array(matrix) -> np.ndarray:
+    return matrix.toarray() if sp.issparse(matrix) else matrix
+
+
+@pytest.mark.parametrize("n, dense", [(40, True), (DENSE_MAX_N + 10, False)])
+def test_attempt_assembly_bitwise_equals_one_bincount(n, dense):
+    # the kept linear sums plus the nonlinear triplets, two of them on one slot the linear
+    # stamps also fill, give the bits of one sum over every triplet in order
+    rng = np.random.default_rng(n)
+    k = 6 * n
+    rows, cols = np.append(rng.integers(0, n, k), [3, 3]), np.append(rng.integers(0, n, k), [5, 5])
+    linear = StampSet(rows, cols, _varied(rng, k + 2), rng.integers(0, n, n), _varied(rng, n))
+    nl_rows, nl_cols, nl_rhs_rows = np.array([3, 3, 7]), np.array([5, 5, 1]), np.array([3, 3])
+    plan, kept = AssemblyPlan(dense=True), None
+    for _ in range(3):
+        nonlinear = StampSet(nl_rows, nl_cols, _varied(rng, 3), nl_rhs_rows, _varied(rng, 2))
+        got = plan.assemble([linear, nonlinear], n)
+        kept = kept or plan._first
+        assert plan._first is kept  # the linear stamps are summed once
+        whole = StampSet(*(np.concatenate([getattr(linear, f), getattr(nonlinear, f)])
+                           for f in ("rows", "cols", "vals", "rhs_rows", "rhs_vals")))
+        want = AssemblyPlan(dense=True).assemble([whole], n)
+        assert isinstance(got.matrix, np.ndarray) is dense
+        assert _array(got.matrix).tobytes() == _array(want.matrix).tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+
+
+@pytest.mark.parametrize("size", [8, 120])
+def test_new_linear_stamps_are_summed_afresh(size):
+    # each continuation step's lambda hands over a new linear stamp set
+    rng = np.random.default_rng(size)
+    net = random_transmission(rng, size)
+    imap = build_index_map(net)
+    circuit = CompiledCircuit(net, imap)
+    nonlinear = circuit.nonlinear(random_state(rng, net, imap, vm_range=(0.9, 1.1), ang_spread=0.2), {})
+    for lam in (0.0, 0.4, 0.4, 0.2):
+        stamps = [circuit.linear(HomotopyState(lam) if lam else None), nonlinear]
+        got, want = circuit.plan.assemble(stamps, imap.n), AssemblyPlan(dense=True).assemble(stamps, imap.n)
+        assert isinstance(got.matrix, np.ndarray) is (imap.n <= DENSE_MAX_N)
+        assert _array(got.matrix).tobytes() == _array(want.matrix).tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_nonfinite_linear_value_named_while_kept(dense):
+    plan = AssemblyPlan(dense=dense)
+    linear, nonlinear = stamps_from([(0, 0, 1.0), (2, 1, 2.0), (1, 1, 3.0)]), stamps_from([(1, 2, 1.0)])
+    plan.assemble([linear, nonlinear], 4)
+    bad = stamps_from([(0, 0, 1.0), (2, 1, float("nan")), (1, 1, 3.0)])
+    for _ in range(2):  # a rejected set is not kept
+        with pytest.raises(ValueError, match=r"non-finite stamp at \(2,1\)"):
+            plan.assemble([bad, nonlinear], 4)
+    with pytest.raises(ValueError, match=r"non-finite stamp at \(1,2\)"):
+        plan.assemble([linear, stamps_from([(1, 2, float("inf"))])], 4)
+    with pytest.raises(ValueError, match="non-finite rhs stamp"):
+        plan.assemble([linear, stamps_from([(1, 2, 1.0)], rhs=[(0, float("nan"))])], 4)
+
+
+def test_matrix_market_dump_leaves_out_explicit_zeros(tmp_path):
+    plan = AssemblyPlan()
+    plan.assemble([stamps_from([(0, 0, 1.5), (1, 1, 2.0), (2, 1, -2.0)])], 3)
+    system = plan.assemble([stamps_from([(0, 0, 1.5), (1, 1, 0.0), (2, 1, -2.0)])], 3)
+    assert system.matrix.nnz == 3  # the plan's pattern keeps the zero
+    out = tmp_path / "system.mtx"
+    dump_matrix_market(system, out)
+    back = mmread(str(out))
+    assert back.nnz == 2 and np.array_equal(back.toarray(), system.matrix.toarray())

@@ -22,8 +22,13 @@ sweeps the sparse kernel's SuperLU settings instead, on the whole 2,698
 unknown Jacobian: for each column ordering (``permc_spec``) and diagonal
 pivot threshold it prints the best ``splu`` time of interleaved rounds,
 the fill (nonzeros of L plus U) and the residual ``factor_solve`` reaches
-after refinement.  These set ``tandem.sparse.PERMC_SPEC`` and
-``DIAG_PIVOT_THRESH``.
+after refinement, then the same for the ordering a plan learns at its
+first factor and reuses on later ones (``reused``).  A second table sweeps
+SuperLU's ``panel_size`` on the kernel's ordering and threshold: the best
+time of a plan's first, learning factor and of a later factor on the
+learned ordering, each with the permutation and CSC construction it
+needs.  These set ``tandem.sparse.PERMC_SPEC``, ``DIAG_PIVOT_THRESH`` and
+``PANEL_SIZE``.
 """
 
 from __future__ import annotations
@@ -42,15 +47,16 @@ import numpy as np  # noqa: E402
 SIZES = (50, 75, 100, 125, 150, 175, 200, 225, 250, 275, 300, 400)
 ORDERINGS = ("COLAMD", "MMD_AT_PLUS_A", "MMD_ATA")
 THRESHOLDS = (1.0, 0.1, 0.01)
+PANEL_SIZES = (1, 2, 4, 8, 10, 16)  # 10 is SuperLU's default
 
 
 def k24_system():
-    """(stamp set, state) of the converged case27 + 24 x feeder_medium system."""
+    """([linear, nonlinear] stamp sets, state) of the converged case27 + 24 x feeder_medium system."""
     import tandem
     from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission
     from tandem.netmodel import BusKind, build_index_map
     from tandem.newton import solve_direct
-    from tandem.stamping import CompiledCircuit, StampSet
+    from tandem.stamping import CompiledCircuit
 
     data = Path(tandem.__file__).resolve().parent / "data"
     tnet = parse_transmission(data / "case27.m")
@@ -60,36 +66,39 @@ def k24_system():
     imap = build_index_map(net)
     circuit = CompiledCircuit(net, imap)
     x, _ = solve_direct(net, circuit=circuit)
-    lin, nl = circuit.linear(None), circuit.nonlinear(x, {})
-    stamps = StampSet(*(np.concatenate([getattr(lin, f), getattr(nl, f)])
-                        for f in ("rows", "cols", "vals", "rhs_rows", "rhs_vals")))
-    return stamps, x
+    return [circuit.linear(None), circuit.nonlinear(x, {})], x
 
 
 def leading_block(stamps, n: int):
     from tandem.stamping import StampSet
 
-    keep = (stamps.rows < n) & (stamps.cols < n)
-    rkeep = stamps.rhs_rows < n
-    return StampSet(stamps.rows[keep], stamps.cols[keep], stamps.vals[keep],
-                    stamps.rhs_rows[rkeep], stamps.rhs_vals[rkeep])
+    blocks = []
+    for st in stamps:
+        keep = (st.rows < n) & (st.cols < n)
+        rkeep = st.rhs_rows < n
+        blocks.append(StampSet(st.rows[keep], st.cols[keep], st.vals[keep], st.rhs_rows[rkeep], st.rhs_vals[rkeep]))
+    return blocks
 
 
-def iteration_us(st, n: int, x: np.ndarray, dense: bool, rounds: int = 7, reps: int = 40) -> float:
-    """Best per-iteration time in microseconds of assemble + residual + factor_solve."""
+def iteration_us(stamps, n: int, x: np.ndarray, dense: bool, rounds: int = 7, reps: int = 40) -> float:
+    """Best per-iteration time in microseconds of assemble + residual + factor_solve.
+
+    As within one Newton attempt, the linear stamp set is the same object on
+    every call and the sparse kernel factors on its plan's learned ordering.
+    """
     from tandem import sparse
 
     saved = sparse.DENSE_MAX_N
     sparse.DENSE_MAX_N = n if dense else -1
     try:
         plan = sparse.AssemblyPlan(dense=True)
-        system = plan.assemble([st], n)  # builds the cached pattern
-        sparse.factor_solve(system)
+        system = plan.assemble(stamps, n)  # builds the cached pattern
+        sparse.factor_solve(system)  # learns the ordering
         best = np.inf
         for _ in range(rounds):
             t0 = time.perf_counter()
             for _ in range(reps):
-                system = plan.assemble([st], n)
+                system = plan.assemble(stamps, n)
                 np.abs(system.matrix @ x - system.rhs).max()
                 sparse.factor_solve(system)
             best = min(best, (time.perf_counter() - t0) / reps)
@@ -98,32 +107,69 @@ def iteration_us(st, n: int, x: np.ndarray, dense: bool, rounds: int = 7, reps: 
     return best * 1e6
 
 
+def _best_ms(cases: dict, rounds: int) -> dict:
+    """Best time in ms of each case's call, over rounds interleaved so that host drift falls on all alike."""
+    best = dict.fromkeys(cases, np.inf)
+    for _ in range(rounds):
+        for key, call in cases.items():
+            t0 = time.perf_counter()
+            call()
+            best[key] = min(best[key], time.perf_counter() - t0)
+    return {key: t * 1e3 for key, t in best.items()}
+
+
 def orderings(stamps, n: int, rounds: int = 60) -> None:
-    """Print splu time, fill and refined residual per (ordering, threshold) on the whole system."""
+    """Print splu time, fill and refined residual per (ordering, threshold) on the whole system, then
+    the learning and the reusing factor's time per panel size."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     from tandem import sparse
 
-    system = sparse.assemble([stamps], n)
-    settings = [(spec, thresh) for spec in ORDERINGS for thresh in THRESHOLDS]
-    best = dict.fromkeys(settings, np.inf)
-    for _ in range(rounds):  # interleaved, so host drift falls on every setting alike
-        for spec, thresh in settings:
-            t0 = time.perf_counter()
-            spla.splu(system.matrix, permc_spec=spec, diag_pivot_thresh=thresh)
-            best[spec, thresh] = min(best[spec, thresh], time.perf_counter() - t0)
+    system = sparse.AssemblyPlan().assemble(stamps, n)
+    learned = system.ordering
+    sparse.factor_solve(system)  # learns the ordering
+    sparse.factor_solve(system)  # builds its gather
+    g, indices, indptr, _ = learned.gather
+    settings = {(spec, thresh): (system.matrix, spec, thresh) for spec in ORDERINGS for thresh in THRESHOLDS}
+    settings["reused", sparse.DIAG_PIVOT_THRESH] = (
+        sp.csc_matrix((system.matrix.data[g], indices, indptr), shape=(n, n)), "NATURAL", sparse.DIAG_PIVOT_THRESH)
+
+    def splu(m, spec, thresh):
+        return spla.splu(m, permc_spec=spec, diag_pivot_thresh=thresh, panel_size=sparse.PANEL_SIZE)
+
+    best = _best_ms({key: lambda args=args: splu(*args) for key, args in settings.items()}, rounds)
     scale = max(1.0, float(np.abs(system.rhs).max()))
     print("permc_spec,diag_pivot_thresh,splu_ms,lu_nnz,refined_residual")
-    saved = sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH
+    saved = sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH, sparse.PANEL_SIZE
     try:
-        for spec, thresh in settings:
-            lu = spla.splu(system.matrix, permc_spec=spec, diag_pivot_thresh=thresh)
-            sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH = spec, thresh
-            x = sparse.factor_solve(system)
+        for (spec, thresh), args in settings.items():
+            lu = splu(*args)
+            if spec == "reused":
+                x = sparse.factor_solve(system)
+            else:
+                sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH = spec, thresh
+                x = sparse.factor_solve(sparse.SparseSystem(n, system.matrix, system.rhs))  # orders afresh
+            sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH = saved[:2]
             resid = float(np.abs(system.matrix @ x - system.rhs).max()) / scale
-            print(f"{spec},{thresh},{best[spec, thresh] * 1e3:.2f},{lu.L.nnz + lu.U.nnz},{resid:.1e}")
+            print(f"{spec},{thresh},{best[spec, thresh]:.2f},{lu.L.nnz + lu.U.nnz},{resid:.1e}")
+        print("panel_size,learning_factor_ms,reusing_factor_ms")
+        cases = {}
+        for size in PANEL_SIZES:
+            def learn(size=size):
+                sparse.PANEL_SIZE = size
+                sparse._Ordering().lu(system.matrix)
+
+            def reuse(size=size):
+                sparse.PANEL_SIZE = size
+                learned.lu(system.matrix)
+
+            cases[size, "learn"], cases[size, "reuse"] = learn, reuse
+        best = _best_ms(cases, rounds)
+        for size in PANEL_SIZES:
+            print(f"{size},{best[size, 'learn']:.2f},{best[size, 'reuse']:.2f}")
     finally:
-        sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH = saved
+        sparse.PERMC_SPEC, sparse.DIAG_PIVOT_THRESH, sparse.PANEL_SIZE = saved
 
 
 def main(argv: list[str]) -> int:
