@@ -8,6 +8,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -132,12 +133,12 @@ def _solve(net, args, opts: SolverOptions, gsn: GsnOptions):
     return x, rep.to_dict(), imap
 
 
-def _write_error(out_dir: Path | None, code: int, message: str) -> None:
-    record = {"schema": 1, "error": message, "exit_code": code}
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")
+def _write_error(out_dir: Path, code: int, message: str) -> None:
+    """The message on stderr and, where it can be written, in ``out_dir``/error.json; never raises."""
     print(f"error: {message}", file=sys.stderr)
+    record = {"schema": 1, "error": message, "exit_code": code}
+    with contextlib.suppress(OSError):
+        (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +148,6 @@ def _write_error(out_dir: Path | None, code: int, message: str) -> None:
 
 def cmd_solve(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     opts, gsn = _solver_options(args), _gsn_options(args, out_dir)
     net = _load_network(args)
     x, rep_dict, imap = _solve(net, args, opts, gsn)
@@ -344,7 +344,6 @@ def _fork_map(fn, items: list) -> list:
 
 def cmd_pvcurve(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     opts, gsn = _solver_options(args), _gsn_options(args, None)
     net = _load_network(args)
     if not net.ports:
@@ -413,7 +412,6 @@ def _sha256(path: Path) -> str:
 
 def cmd_generate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     net = _load_network(args)  # also validates the coupling map
     if not args.coupling:
         raise InputError("generate needs a coupling map")
@@ -450,7 +448,6 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     counts = _number_list(args.counts, int, "--counts")
     if not counts or any(k <= 0 for k in counts):
         raise InputError("counts must be positive integers")
@@ -551,7 +548,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     # on the package logger: basicConfig leaves a root logger that already has handlers alone
     logging.getLogger("tandem").setLevel(logging.INFO if args.verbose else logging.WARNING)
-    out_dir = Path(args.out) if getattr(args, "out", None) else None
+    out_dir = Path(args.out)
+    try:  # the one place the output directory is made; one that cannot be is an input error
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _write_error(out_dir, EXIT_INPUT, f"cannot make output directory {out_dir}: {exc}")
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (InputError, CaseFormatError, NetworkError, FileNotFoundError) as exc:

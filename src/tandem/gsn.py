@@ -109,8 +109,10 @@ class Partition:
 
 def _sides(t: Network) -> dict[str, Network]:
     """Template ``t``'s part on each side that has buses: an element on the side of both its
-    ends, a device on its bus's."""
+    ends, a device on its bus's; a template on one side is its own part."""
     side = {b.id: "transmission" if b.kind.is_transmission else "feeders" for b in t.buses}
+    if len(names := set(side.values())) == 1:
+        return {names.pop(): t}
     parts = {name: {k: [] for k in DEVICES} for name in ("transmission", "feeders")}
     for b in t.buses:
         parts[side[b.id]]["buses"].append(b)
@@ -140,7 +142,7 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
     parts: dict[str, list[Tile]] = {"transmission": [], "feeders": []}
     for tile, sides in network.per_tile(_sides):
         for name, part in sides.items():
-            parts[name].append(Tile(part, tile.bus_offset, tile.element_offset))
+            parts[name].append(Tile(part, tile.bus_offset, tile.element_offset, tile.load_scale, tile.der_scale))
     heads: dict[str, list] = {}  # feeder block -> its ports' current indices
     for p in ports:
         heads.setdefault(f"feeder:{imap.feeder_of_bus[p.feeder_head]}", []).extend(
@@ -159,8 +161,8 @@ def tear(network: Network, imap: IndexMap | None = None) -> Partition:
             kind, sub_ports = "feeder", tuple(ports)
             blocks = [b for b in imap.blocks if b[0].startswith("feeder:")]
             internal = np.arange(blocks[0][1], blocks[-1][2], dtype=np.int64)
-            local_to_global = np.array([i for b, lo, hi in blocks for i in (*range(lo, hi), *heads.get(b, ()))],
-                                       dtype=np.int64)
+            local_to_global = np.concatenate([ix for b, lo, hi in blocks for ix in (
+                np.arange(lo, hi), np.array(heads.get(b, ()), dtype=np.int64))])
         if len(local_to_global) != sub_imap.n:
             raise InternalConsistencyError(f"{name}: {len(local_to_global)} mapped unknowns for "
                                            f"{sub_imap.n} local ones")
@@ -267,10 +269,11 @@ def solve_gsn(
     boundary = np.zeros((len(ports), 1 + len(THREE_PHASE)), dtype=complex)
     demand: dict[int, list] = {}  # feeder block ordinal -> [loads, DERs, shunts]
     for tile in network.tiles():  # read per tile, so no copied device is built
-        for k, devices in enumerate((tile.template.loads, tile.template.ders, tile.template.shunts)):
-            for d in devices:
+        for k, name in enumerate(("loads", "ders", "shunts")):
+            scale = tile.scale(name)
+            for d in getattr(tile.template, name) if scale is not None else ():
                 if (fb := imap.feeder_of_bus.get(d.bus + tile.bus_offset)) is not None:
-                    s = sum(y.conjugate() for y in d.y) if k == 2 else sum(d.s)
+                    s = sum((scale * y).conjugate() for y in d.y) if k == 2 else sum(scale * v for v in d.s)
                     demand.setdefault(fb, [0, 0, 0])[k] += s
     for k, p in enumerate(ports):
         boundary[k, 0] = transmission.network.bus(p.transmission_bus).v0[0]

@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -548,23 +547,17 @@ def parse_feeder_doc(path) -> FeederDoc:
     return doc
 
 
-def feeder_network(
-    doc: FeederDoc,
-    base_mva: float = DEFAULT_BASE_MVA,
-    bus_offset: int = 0,
-    load_scale: float = 1.0,
-    der_scale: float = 1.0,
-    element_offset: int = 0,
-) -> Network:
-    """Instantiate a feeder document as a per-unit three-phase network.
+def feeder_network(doc: FeederDoc, base_mva: float = DEFAULT_BASE_MVA) -> Network:
+    """Instantiate a feeder document as a per-unit three-phase network, bus and element ids from 0.
 
     Per-phase powers land on the per-phase base (base_mva / 3), so a
     balanced feeder totaling S MW draws S / base_mva from the port.
+    A load of zero power is left out.
     """
     z_base = doc.nominal_kv**2 / base_mva  # ohm, identical per phase on the LN base
     s_base_phase_kw = base_mva * 1000.0 / 3.0
 
-    node_index = {n.id: bus_offset + i for i, n in enumerate(doc.nodes)}
+    node_index = {n.id: i for i, n in enumerate(doc.nodes)}
     load_nodes = {lo.node for lo in doc.loads}
 
     buses = []
@@ -603,7 +596,7 @@ def feeder_network(
             raise CaseFormatError(f"{doc.name}: singular impedance block on {br.from_node}-{br.to_node}") from None
         elements.append(
             SeriesElement(
-                id=element_offset + i,
+                id=i,
                 from_bus=node_index[br.from_node],
                 to_bus=node_index[br.to_node],
                 kind=br.kind,
@@ -615,27 +608,20 @@ def feeder_network(
     def s_pu(kw, kvar):
         return tuple(complex(p, q) / s_base_phase_kw for p, q in zip(kw, kvar))
 
+    phases_of = {n.id: n.phases for n in doc.nodes}
     loads = []
     for lo in doc.loads:
-        node = next(n for n in doc.nodes if n.id == lo.node)
-        phases = "abc" if lo.connection is Connection.DELTA else node.phases
-        s = tuple(load_scale * v for v in s_pu(lo.kw, lo.kvar))
+        phases = "abc" if lo.connection is Connection.DELTA else phases_of[lo.node]
+        s = s_pu(lo.kw, lo.kvar)
         if any(v != 0 for v in s):
             loads.append(
                 Load(bus=node_index[lo.node], phases=phases, s=s,
                      connection=lo.connection, zip_fractions=lo.zip_fractions)
             )
-
-    shunts = []
-    for cp in doc.capacitors:
-        y = tuple(1j * load_scale * q / s_base_phase_kw for q in cp.kvar)
-        shunts.append(Shunt(bus=node_index[cp.node], phases=cp.phases, y=y))
-
-    ders = []
-    for de in doc.ders:
-        node = next(n for n in doc.nodes if n.id == de.node)
-        s = tuple(der_scale * v for v in s_pu(de.kw, de.kvar))
-        ders.append(DerInjection(bus=node_index[de.node], phases=node.phases, s=s, group=de.group))
+    shunts = [Shunt(bus=node_index[cp.node], phases=cp.phases, y=tuple(1j * q / s_base_phase_kw for q in cp.kvar))
+              for cp in doc.capacitors]
+    ders = [DerInjection(bus=node_index[de.node], phases=phases_of[de.node], s=s_pu(de.kw, de.kvar), group=de.group)
+            for de in doc.ders]
 
     return Network(
         base_mva=base_mva,
@@ -683,7 +669,9 @@ def parse_coupling_map(path) -> CouplingMap:
     raw = _json_object(path)
     entries = []
     seen_buses = set()
-    for i, e in enumerate(raw.get("couplings", [])):
+    if not isinstance(couplings := raw.get("couplings", []), list):
+        raise CaseFormatError(f"{path.name}: couplings must be a list of records, got {couplings!r}")
+    for i, e in enumerate(couplings):
         where = f"{path.name}: couplings[{i}]"
         entry = CouplingEntry(
             feeder=_field(e, "feeder", str, where),
@@ -718,9 +706,10 @@ def build_combined(
     (the feeder replaces the aggregate) unless ``keep_bus_load``;
     coupled buses must be PQ buses and appear at most once.  The result
     records its tiles, the transmission case, then each feeder block as
-    a copy of its template, and builds its devices from them when they
-    are first read (see ``Network.tiled``); a case with a transmission
-    device naming a bus outside it is built at once as its own tile.
+    a copy of its document's one template at the entry's load and DER
+    scales, and builds its devices from them when they are first read
+    (see ``Network.tiled``); a case with a transmission device naming a
+    bus outside it is built at once as its own tile.
     """
     kinds = {b.id: b.kind for b in tnet.buses}
     coupled: set[int] = set()
@@ -741,39 +730,21 @@ def build_combined(
     # a transmission device naming a bus outside the case would reach into a copy
     closed = all({e.from_bus, e.to_bus} <= kinds.keys() for e in tnet.elements) and all(
         d.bus in kinds for name in DEVICES[2:] for d in devices[name])
-    parts: list = [devices]  # runs of devices built in place, and tiles
+    tiles = [Tile(Network(tnet.base_mva, **devices))]
     ports, labels = [], dict(tnet.labels)
-
-    # a feeder and scales used once is built in place, in the run of such blocks it follows;
-    # one used more is built once with bus and element ids from 0, each block a tile
-    # copying it (the scales' reprs key it, as 0.0 and -0.0 scale to zeros of different sign)
-    keys = [(e.feeder, repr(e.load_scale), repr(e.der_scale)) for e in coupling.entries]
-    uses = Counter(keys)
-    templates: dict[tuple[str, str, str], Network] = {}
+    templates: dict[str, Network] = {}  # feeder document -> its one network, ids from 0
     next_element = max((e.id for e in tnet.elements), default=-1) + 1
-    for k, (key, entry) in enumerate(zip(keys, coupling.entries)):
-        offset = stride * (k + 1)
-        if uses[key] == 1:
-            fnet = feeder_network(feeder_docs[entry.feeder], tnet.base_mva, offset, entry.load_scale,
-                                  entry.der_scale, next_element)
-            if isinstance(parts[-1], Tile):
-                parts.append({name: [] for name in DEVICES})
-            for name in DEVICES:
-                parts[-1][name] += getattr(fnet, name)
-            offset = 0
-        else:
-            if key not in templates:
-                templates[key] = feeder_network(feeder_docs[entry.feeder], base_mva=tnet.base_mva,
-                                                load_scale=entry.load_scale, der_scale=entry.der_scale)
-            fnet = templates[key]
-            parts.append(Tile(fnet, offset, next_element))
+    for k, entry in enumerate(coupling.entries):
+        if entry.feeder not in templates:
+            templates[entry.feeder] = feeder_network(feeder_docs[entry.feeder], tnet.base_mva)
+        fnet, offset = templates[entry.feeder], stride * (k + 1)
+        tiles.append(Tile(fnet, offset, next_element, entry.load_scale, entry.der_scale))
         next_element += len(fnet.elements)
         labels.update(zip(map(offset.__add__, fnet.labels), fnet.labels.values()))
         head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
         ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head + offset))
 
-    net = Network.tiled([p if isinstance(p, Tile) else Tile(Network(tnet.base_mva, **p)) for p in parts],
-                        base_mva=tnet.base_mva, ports=ports, labels=labels)
+    net = Network.tiled(tiles, base_mva=tnet.base_mva, ports=ports, labels=labels)
     return net if closed else replace(net)  # the devices built now, the network its own one tile
 
 

@@ -231,23 +231,38 @@ class Violation:
 
 @dataclass(frozen=True)
 class Tile:
-    """A run of a network's devices: ``template``'s, bus and element ids shifted by the offsets."""
+    """A run of a network's devices: ``template``'s, bus and element ids shifted by the offsets,
+    load powers and shunt admittances times ``load_scale`` and DER powers times ``der_scale``."""
 
     template: "Network"
     bus_offset: int = 0
     element_offset: int = 0
+    load_scale: float = 1.0
+    der_scale: float = 1.0
+
+    def scale(self, name: str) -> float | None:
+        """The factor on the values (``s``, or a shunt's ``y``) of the template's devices ``name`` in this
+        tile; None for loads at load scale 0 (either sign), as a tile then holds none of them."""
+        if name == "loads" and self.load_scale == 0:
+            return None
+        return {"loads": self.load_scale, "shunts": self.load_scale, "ders": self.der_scale}.get(name, 1.0)
 
     def shifted(self, name: str, devices) -> list:
-        """``devices`` (some of the template's tuple ``name``) as this tile holds them: at an offset, copies
-        with ids and bus references shifted, made without the constructor, which checked the originals."""
-        if not (self.bus_offset or self.element_offset):
+        """``devices`` (some of the template's tuple ``name``) as this tile holds them: at an offset or a
+        scale, copies with ids and bus references shifted and values scaled, made without the constructor,
+        which checked the originals."""
+        if (scale := self.scale(name)) is None:
+            return []
+        if not (self.bus_offset or self.element_offset or scale != 1):
             return list(devices)
-        off = self.bus_offset
+        off, value = self.bus_offset, "y" if name == "shunts" else "s"
         shifts = {"buses": {"id": off}, "elements": {"id": self.element_offset, "from_bus": off, "to_bus": off}}
         shifts = shifts.get(name, {"bus": off})
         out = [object.__new__(type(d)) for d in devices]
         for c, d in zip(out, devices):
             vars(c).update(vars(d), **{k: v + getattr(d, k) for k, v in shifts.items()})
+            if scale != 1:
+                vars(c)[value] = tuple(scale * v for v in vars(d)[value])
         return out
 
 
@@ -499,14 +514,15 @@ def _run(buses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(t: Network):
-    """A template's index-map layout in its own bus ids: ``_run`` of its transmission buses and
-    of their slack buses, its PV generators' buses, per feeder component its run and heads, and
-    its bus ids sorted."""
+    """A template's index-map layout in its own bus ids: ``_run`` of its transmission buses, their
+    slack buses, its PV generators' buses, per feeder component its run, bus ids and heads, and its
+    bus ids sorted."""
     trans = sorted(t.transmission_buses(), key=lambda b: b.id)
     gens = [g.bus for g in sorted(t.generators, key=lambda g: g.bus) if g.status and t.bus(g.bus).kind is BusKind.PV]
-    comps = [(_run(comp), [b for b in comp if b.kind is BusKind.FEEDER_HEAD]) for comp in _feeder_components(t)]
+    comps = [(_run(comp), np.array([b.id for b in comp], dtype=np.int64),
+              [b for b in comp if b.kind is BusKind.FEEDER_HEAD]) for comp in _feeder_components(t)]
     ids = np.array(sorted(b.id for b in t.buses), dtype=np.int64)
-    return _run(trans), _run([b for b in trans if b.kind is BusKind.SLACK]), gens, comps, ids
+    return _run(trans), [b for b in trans if b.kind is BusKind.SLACK], gens, comps, ids
 
 
 def build_index_map(network: Network) -> IndexMap:
@@ -527,52 +543,48 @@ def tiled_index_map(network: Network) -> IndexMap:
     brings its source currents into its feeder block) and the slot table written once."""
     ported = network.ported_heads()
     source_current: dict[tuple[int, str], tuple[int, int]] = {}
-    gen_q: dict[int, int] = {}
-    port_current: dict[tuple[int, str], tuple[int, int]] = {}
-    blocks: list[tuple[str, int, int]] = []
-    feeder_of_bus: dict[int, int] = {}
-    nodal: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (V_R, bus id, phase code) per run
     pos = 0
 
-    def put(run, offset: int, sources: bool = False) -> None:
+    def put_sources(buses, offset: int) -> None:
         nonlocal pos
-        ids, codes = run[0] + offset, run[1]
-        at = np.arange(pos, pos + 2 * len(codes), 2)
-        if sources:
-            keys = zip(ids.tolist(), map("pabc".__getitem__, codes.tolist()))
-            source_current.update(zip(keys, zip(at.tolist(), (at + 1).tolist())))
-        else:
-            nodal.append((at, ids, codes))
-        pos += 2 * len(codes)
+        for key in ((b.id + offset, ph) for b in buses for ph in b.phases):
+            source_current[key] = (pos, pos + 1)
+            pos += 2
 
     laid = network.per_tile(_layout)
     # transmission block, all in the first tile: nodal voltages, slack currents, PV reactive unknowns
     first, (trans, slack, gens, _, _) = laid[0]
-    put(trans, first.bus_offset)
-    put(slack, first.bus_offset, sources=True)
-    for bus in gens:
-        gen_q[bus + first.bus_offset] = pos
-        pos += 1
-    blocks.append(("transmission", 0, pos))
+    runs = [(0, first.bus_offset, trans, np.zeros(0, dtype=np.int64))]  # (first V_R, bus offset, run, feeder bus ids)
+    pos = 2 * len(trans[1])
+    put_sources(slack, first.bus_offset)
+    gen_q = {bus + first.bus_offset: pos + k for k, bus in enumerate(gens)}
+    pos += len(gens)
+    blocks = [("transmission", 0, pos)]
 
-    # one block per feeder component
+    # one block per feeder component: its nodal voltages, then the source currents of a head no port drives
     for tile, (*_, comps, _) in laid:
-        for run, heads in comps:
-            f_start, fi = pos, len(blocks) - 1
-            put(run, tile.bus_offset)
-            feeder_of_bus.update(dict.fromkeys((run[0] + tile.bus_offset).tolist(), fi))
-            put(_run([h for h in heads if h.id + tile.bus_offset not in ported]), tile.bus_offset, sources=True)
-            blocks.append((f"feeder:{fi}", f_start, pos))
+        for run, ids, heads in comps:
+            runs.append((pos, tile.bus_offset, run, ids))
+            pos += 2 * len(run[1])
+            put_sources([h for h in heads if h.id + tile.bus_offset not in ported], tile.bus_offset)
+            blocks.append((f"feeder:{len(blocks) - 1}", runs[-1][0], pos))
 
     # port source currents form the trailing border block
-    p_start = pos
-    for port in sorted(network.ports, key=lambda p: p.id):
-        for ph in THREE_PHASE:
-            port_current[(port.id, ph)] = (pos, pos + 1)
-            pos += 2
-    blocks.append(("ports", p_start, pos))
+    ports = sorted(network.ports, key=lambda p: p.id)
+    port_current = {(port.id, ph): (pos + 6 * k + 2 * j, pos + 6 * k + 2 * j + 1)
+                    for k, port in enumerate(ports) for j, ph in enumerate(THREE_PHASE)}
+    blocks.append(("ports", pos, pos + 6 * len(ports)))
+    pos += 6 * len(ports)
 
-    vr, bus, code = (np.concatenate(run) for run in zip(*nodal))
+    # V_R of phase j of a run is its first plus 2 j; the runs after the transmission one are the feeder blocks'
+    starts, offsets, runs, members = zip(*runs)
+    lengths = np.array([len(codes) for _, codes in runs])
+    bus = np.concatenate([ids for ids, _ in runs]) + np.repeat(offsets, lengths)
+    code = np.concatenate([codes for _, codes in runs])
+    vr = np.repeat(np.array(starts) - 2 * (np.cumsum(lengths) - lengths), lengths) + 2 * np.arange(len(code))
+    sizes = [len(ids) for ids in members]
+    members = np.concatenate(members) + np.repeat(offsets, sizes)
+    feeder_of_bus = dict(zip(members.tolist(), np.repeat(np.arange(len(sizes)) - 1, sizes).tolist()))
     bus_ids = np.concatenate([ids + tile.bus_offset for tile, (*_, ids) in laid])
     slots = np.full((len(bus_ids), len(PHASE_CODE)), -1, dtype=np.int64)
     slots[np.searchsorted(bus_ids, bus), code] = vr

@@ -187,25 +187,33 @@ _LABEL_KEYS = {label: (PHASE_CODE[label[0]], PHASE_CODE[label[-1]], len(label) =
 def _legs(devices, sign: float) -> list[np.ndarray]:
     """[keys, f, s] of the legs of each ZIP share of ``devices`` in stamping order, ``keys`` a row
     (bus, share, first and last terminal phase code, wye, sign) per leg, its demand f * s the ZIP
-    fraction f of the device's phase or delta-leg demand s; power and current legs of zero demand
-    are left out."""
+    fraction f of the device's phase or delta-leg demand s."""
     keys, fractions, demand = [], [], []
     for dev in devices:
         delta = getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != POSITIVE_SEQUENCE
         labels = _DELTA_LEGS if delta else dev.phases
         for share, f in enumerate(getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))):
             for label, s in zip(labels, dev.s) if f != 0.0 else ():
-                if share == _Z or f * s != 0:
-                    keys += (dev.bus, share, *_LABEL_KEYS[label], sign)
-                    fractions.append(f)
-                    demand.append(s)
+                keys += (dev.bus, share, *_LABEL_KEYS[label], sign)
+                fractions.append(f)
+                demand.append(s)
     return [np.array(keys, dtype=float).reshape(-1, 6), np.array(fractions, dtype=float), np.array(demand, dtype=complex)]
 
 
+def _scaled(network: Network, columns, name: str) -> list:
+    """(bus offset, [ids, *columns, values]) of ``columns(template)`` per tile, taken once per template,
+    ``values`` times the tile's ``scale(name)``; a tile whose scale is None is left out."""
+    return [(tile.bus_offset, [*cols[:-1], cols[-1] if scale == 1 else scale * cols[-1]])
+            for tile, cols in network.per_tile(columns) if (scale := tile.scale(name)) is not None]
+
+
 def _demand_legs(network: Network) -> list[np.ndarray]:
-    """``_legs`` of every tile's loads, then of every tile's DERs, each template's taken once."""
-    legs = network.per_tile(lambda t: (_legs(t.loads, 1.0), _legs(t.ders, -1.0)))
-    return _concat([(tile.bus_offset, per[i]) for i in (0, 1) for tile, per in legs], bus=_LEG_BUS)
+    """``_legs`` of every tile's loads, then of every tile's DERs, each template's taken once and its
+    demand scaled by the tile; power and current legs of zero demand are left out."""
+    keys, f, s = _concat(_scaled(network, lambda t: _legs(t.loads, 1.0), "loads")
+                         + _scaled(network, lambda t: _legs(t.ders, -1.0), "ders"), bus=_LEG_BUS)
+    keep = (keys[:, 1] == _Z) | (f * s != 0)
+    return [keys[keep], f[keep], s[keep]]
 
 
 def _element_columns(t: Network) -> dict[str, list[np.ndarray]]:
@@ -348,7 +356,7 @@ class CompiledCircuit:
     def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""
         parts = _element_triplets(network, imap)
-        bus, code, y = _concat([(tile.bus_offset, cols) for tile, cols in network.per_tile(_shunt_columns)])
+        bus, code, y = _concat(_scaled(network, _shunt_columns, "shunts"))
         rr = imap.v_index(bus, code)
         parts.append((*_expand_pairs(rr, rr), _expand(y), _RELAXED))
 

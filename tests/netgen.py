@@ -1,5 +1,5 @@
 """Deterministic network construction for oracle-based checks: random networks, the
-one-``feeder_network``-per-copy reference of ``build_combined``, and a field-by-field,
+copy-by-copy reference of ``build_combined``, and a field-by-field,
 type-by-type comparison of two networks."""
 
 from __future__ import annotations
@@ -207,20 +207,26 @@ def random_repeated_feeders(rng) -> Network:
     return out
 
 
-# (feeder, load scale, DER scale) cycled over case27's PQ buses: six distinct feeders
+# (feeder, load scale, DER scale) cycled over case27's PQ buses: six distinct entries of three feeders
 MIXED = (
     ("feeder_small", 1.0, 1.0), ("feeder_medium", 0.5, 1.0), ("feeder_stressed", 1.0, 0.0),
     ("feeder_small", 1.2, 2.0), ("feeder_medium", 1.0, 1.0), ("feeder_stressed", 0.8, 1.0),
 )
 
 
-def case27_with_feeders(data_dir: Path, entries) -> Network:
-    """case27 with the (feeder name, load scale, DER scale) ``entries``, cycled, on its PQ buses."""
+def case27_inputs(data_dir: Path, entries):
+    """(transmission network, coupling map, feeder documents) of case27 with the (feeder name, load
+    scale, DER scale) ``entries``, cycled, on its PQ buses."""
     tnet = parse_transmission(data_dir / "case27.m")
     pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
     couplings = [CouplingEntry(f"{name}.json", bus, ls, ds) for bus, (name, ls, ds) in zip(pq, itertools.cycle(entries))]
     docs = {f"{name}.json": parse_feeder_doc(data_dir / f"{name}.json") for name, _, _ in entries}
-    return build_combined(tnet, CouplingMap(couplings, data_dir), docs)
+    return tnet, CouplingMap(couplings, data_dir), docs
+
+
+def case27_with_feeders(data_dir: Path, entries) -> Network:
+    """``build_combined`` of ``case27_inputs``."""
+    return build_combined(*case27_inputs(data_dir, entries))
 
 
 def _assert_same(a, b, where="network"):
@@ -244,7 +250,10 @@ def _assert_same(a, b, where="network"):
 
 
 def _combined_per_copy(tnet, cmap, docs, keep_bus_load):
-    """Reference combination: one feeder_network call per coupling entry."""
+    """Reference combination: per coupling entry, its document's ``feeder_network`` copied device by
+    device with ``dataclasses.replace``, bus and element ids shifted, load powers and shunt admittances
+    times the entry's load scale (a load of zero power so left out, as ``feeder_network`` leaves one
+    out) and DER powers times its DER scale."""
     coupled = {e.bus for e in cmap.entries}
     stride = _id_stride(tnet, docs.values())
     parts = {"buses": list(tnet.buses), "elements": list(tnet.elements), "shunts": list(tnet.shunts),
@@ -252,14 +261,19 @@ def _combined_per_copy(tnet, cmap, docs, keep_bus_load):
     labels, ports = dict(tnet.labels), []
     next_element = max(e.id for e in tnet.elements) + 1
     for k, entry in enumerate(cmap.entries):
-        fnet = feeder_network(docs[entry.feeder], tnet.base_mva, bus_offset=stride * (k + 1),
-                              load_scale=entry.load_scale, der_scale=entry.der_scale, element_offset=next_element)
+        fnet, off = feeder_network(docs[entry.feeder], tnet.base_mva), stride * (k + 1)
+        ls, ds = entry.load_scale, entry.der_scale
+        parts["buses"] += [replace(b, id=b.id + off) for b in fnet.buses]
+        parts["elements"] += [replace(e, id=e.id + next_element, from_bus=e.from_bus + off, to_bus=e.to_bus + off)
+                              for e in fnet.elements]
+        loads = [replace(ld, bus=ld.bus + off, s=tuple(ls * v for v in ld.s)) for ld in fnet.loads]
+        parts["loads"] += [ld for ld in loads if any(v != 0 for v in ld.s)]
+        parts["shunts"] += [replace(sh, bus=sh.bus + off, y=tuple(ls * v for v in sh.y)) for sh in fnet.shunts]
+        parts["ders"] += [replace(d, bus=d.bus + off, s=tuple(ds * v for v in d.s)) for d in fnet.ders]
         next_element += len(fnet.elements)
-        for name, items in parts.items():
-            items += getattr(fnet, name)
-        labels.update(fnet.labels)
+        labels.update({bus + off: label for bus, label in fnet.labels.items()})
         head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
-        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head))
+        ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head + off))
     return Network(base_mva=tnet.base_mva, generators=tnet.generators, ports=tuple(ports), labels=labels,
                    **{name: tuple(items) for name, items in parts.items()})
 

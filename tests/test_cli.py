@@ -636,6 +636,17 @@ def test_unreadable_input_is_input_error(workdir, target):
     assert named in json.loads((workdir / "o" / "error.json").read_text())["error"]
 
 
+@pytest.mark.parametrize("command, inputs", [(c, ["--coupling", "case9_feeder1.json"]) for c in ("solve", "pvcurve", "generate")]
+                         + [("bench", ["--feeder", "feeder_small.json"])])
+def test_out_naming_a_file_is_input_error(workdir, capsys, command, inputs):
+    # mkdir raised FileExistsError, which exited 4; writing error.json then raised out of main()
+    out = workdir / "taken"
+    out.write_text("a regular file\n")
+    assert run([command, "--case", workdir / "case9.m", *inputs, "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot make output directory {out}: ")
+    assert out.read_text() == "a regular file\n"
+
+
 @pytest.mark.parametrize("bus", ["[\n]", "5"])
 def test_case_without_bus_rows_is_input_error(workdir, bus):
     # a bus matrix with no rows passed validation and exited 4 from the POI-free summary; a scalar

@@ -326,6 +326,14 @@ class TestCombined:
         with pytest.raises(CaseFormatError, match="coupled twice"):
             parse_coupling_map(p)
 
+    @pytest.mark.parametrize("couplings", [5, None, {"feeder": "f1.json", "bus": 2}], ids=["number", "null", "object"])
+    def test_couplings_must_be_a_list(self, tmp_path, couplings):
+        # unchecked, a number or null raised TypeError and an object was iterated by its keys
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({"schema": 1, "couplings": couplings}))
+        with pytest.raises(CaseFormatError, match=r"^map\.json: couplings must be a list of records, got "):
+            parse_coupling_map(p)
+
     @pytest.mark.parametrize("bus", [5.5, "5", True], ids=["fraction", "string", "boolean"])
     def test_coupling_bus_must_be_an_integer(self, tmp_path, bus):
         # unchecked, int() took 5.5 and "5" as bus 5 and true as bus 1
@@ -339,7 +347,7 @@ class TestCombined:
 
 @pytest.mark.parametrize("keep_bus_load", [False, True])
 def test_build_combined_matches_per_copy_feeders(data_dir, keep_bus_load):
-    """Repeated, interleaved and rescaled feeders build the same network as one feeder_network per copy."""
+    """Repeated, interleaved and rescaled feeders build the same network as the copy-by-copy reference."""
     tnet = parse_transmission(data_dir / "case27.m")
     pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
     names = ("feeder_small.json", "feeder_medium.json", "feeder_stressed.json")

@@ -13,6 +13,7 @@ from netgen import (
     _assert_same,
     _combined_per_copy,
     _zip_fractions,
+    case27_inputs,
     case27_with_feeders,
     random_repeated_feeders,
     random_transmission,
@@ -102,7 +103,8 @@ def mixed(data_dir):
 
 def test_repeated_feeders_copy_one_template(k24, mixed):
     assert len(k24.tiles()) == 25 and len({id(t.template) for t in k24.tiles()[1:]}) == 1
-    assert len(mixed.tiles()) == 25 and len({id(t.template) for t in mixed.tiles()[1:]}) == 6
+    # one template per feeder document: MIXED's six (feeder, scales) entries use three documents
+    assert len(mixed.tiles()) == 25 and len({id(t.template) for t in mixed.tiles()[1:]}) == 3
 
 
 @pytest.mark.parametrize("case", ["k24", "mixed", "case9_feeder1", "case9_feeder4", "case9_stressed"])
@@ -114,6 +116,36 @@ def test_bundled_cases(request, data_dir, case):
     else:
         net = request.getfixturevalue(case)
     assert_matches_device_by_device(net)
+
+
+# one feeder at load scales 1, 0 and -0 and DER scales 1 and 0: four tiles of one template, cycled
+ZERO_SCALES = (("feeder_medium", 1.0, 1.0), ("feeder_medium", 0.0, 1.0), ("feeder_medium", -0.0, 0.0),
+               ("feeder_medium", 1.0, 0.0))
+
+
+def test_zero_scales_tile_one_template(data_dir):
+    """Copies at load scale 0 (either sign) hold no loads, and the case checks, lays out, compiles
+    and tears as device by device, though each copy tiles the same template as those at scale 1."""
+    net = case27_with_feeders(data_dir, ZERO_SCALES)
+    feeders = net.tiles()[1:]
+    assert len({id(t.template) for t in feeders}) == 1 and {t.load_scale for t in feeders} == {0.0, 1.0}
+    assert_matches_device_by_device(net)
+    loaded = {ld.bus for ld in net.loads}
+    for tile in feeders:
+        buses = {b.id + tile.bus_offset for b in tile.template.buses}
+        assert bool(buses & loaded) == (tile.load_scale != 0), tile.bus_offset
+
+
+@pytest.mark.parametrize("entries", [MIXED, ZERO_SCALES], ids=["mixed", "zero-scales"])
+def test_first_read_matches_per_copy(data_dir, entries):
+    """The first read of each device tuple, the shunts' scaled capacitor admittances too, equals in type
+    and value the tuple of the copy-by-copy reference."""
+    tnet, cmap, docs = case27_inputs(data_dir, entries)
+    net, reference = build_combined(tnet, cmap, docs), _combined_per_copy(tnet, cmap, docs, keep_bus_load=False)
+    assert not vars(net).keys() & set(DEVICES)
+    assert any(sh.y != (0j,) * len(sh.phases) and net.bus(sh.bus).kind.is_distribution for sh in reference.shunts)
+    for name in DEVICES:
+        _assert_same(getattr(net, name), getattr(reference, name), name)
 
 
 def _der_group(net):
@@ -184,7 +216,7 @@ def test_random_repeated_feeders():
     copied = 0
     for _ in range(24):
         net = random_repeated_case(rng)
-        copied += len(net.tiles()) > 1
+        copied += len({id(t.template) for t in net.tiles()}) < len(net.tiles())  # a template tiled twice
         assert_matches_device_by_device(net)
     assert copied >= 20
 
@@ -218,7 +250,7 @@ def _bundled(request, data_dir, case) -> Network:
 def test_direct_solve_builds_no_copied_device(data_dir, tmp_path):
     """Loading and directly solving case27 with 24 copies of ``feeder_medium``, as ``tandem solve``
     does, reads no device tuple of the combined network; the first read of each equals, in type
-    and value, the tuple of one ``feeder_network`` per copy."""
+    and value, the tuple of the copy-by-copy reference."""
     tnet = parse_transmission(data_dir / "case27.m")
     pq = sorted(b.id for b in tnet.buses if b.kind is BusKind.PQ)
     coupling = tmp_path / "k24.json"

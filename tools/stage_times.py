@@ -4,11 +4,13 @@
     PYTHONPATH=src python tools/stage_times.py [rounds]
 
 Two cases, case27 with ``feeder_medium`` on each of its 24 PQ buses:
-``copies`` (every feeder the same, so 23 of the 24 feeder blocks copy
-an earlier one) and ``distinct`` (24 distinct load scales, so no block
-is a copy).  For each case the script prints the share of copied feeder
-blocks and, per stage, the fastest of ``rounds`` (default 15) in-process
-runs, the stages interleaved round by round:
+``copies`` (every feeder at scale 1) and ``distinct`` (24 distinct load
+scales).  Every feeder block is a tile of its document's one template,
+the scales carried by the tile, so in both cases 23 of the 24 blocks
+copy an earlier block's template.  For each case the script prints the
+share of copied feeder blocks, read from the combined network's tiles,
+and, per stage, the fastest of ``rounds`` (default 15) in-process runs,
+the stages interleaved round by round:
 
 - ``build_combined``: parsed inputs to the combined network;
 - ``validate`` and ``build_index_map`` on it;
@@ -38,7 +40,7 @@ from pathlib import Path  # noqa: E402
 
 from tandem.gsn import tear  # noqa: E402
 from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission  # noqa: E402
-from tandem.netmodel import DEVICES, BusKind, build_index_map, initial_state, validate  # noqa: E402
+from tandem.netmodel import DEVICES, BusKind, Network, build_index_map, initial_state, validate  # noqa: E402
 from tandem.newton import SolverOptions, solve_direct  # noqa: E402
 from tandem.results import solution_dict, solution_json  # noqa: E402
 from tandem.stamping import CompiledCircuit  # noqa: E402
@@ -58,10 +60,11 @@ def cases() -> dict:
                    docs) for name, ls in scales.items()}
 
 
-def copied_share(cmap: CouplingMap) -> tuple[int, int]:
-    """(feeder blocks that repeat an earlier entry's feeder and scales, all feeder blocks)."""
-    keys = [(e.feeder, repr(e.load_scale), repr(e.der_scale)) for e in cmap.entries]
-    return len(keys) - len(set(keys)), len(keys)
+def copied_share(net: Network) -> tuple[int, int]:
+    """(feeder blocks whose tile copies an earlier block's template, all feeder blocks) of a
+    combined network; its first tile is the transmission case."""
+    templates = [id(tile.template) for tile in net.tiles()[1:]]
+    return len(templates) - len(set(templates)), len(templates)
 
 
 def one_round(tnet, cmap, docs) -> dict[str, float]:
@@ -95,8 +98,8 @@ def main(argv: list[str]) -> int:
         for name, args in inputs.items():
             for stage, t in one_round(*args).items():
                 best[name][stage] = min(best[name][stage], t)
-    for name, (_, cmap, _) in inputs.items():
-        copied, total = copied_share(cmap)
+    for name, args in inputs.items():
+        copied, total = copied_share(build_combined(*args))
         print(f"{name}: {copied} of {total} feeder blocks copied")
     print(f"fastest of {rounds} rounds, ms")
     print(f"{'stage':<16}" + "".join(f"{name:>12}" for name in inputs))
