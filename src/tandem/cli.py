@@ -62,7 +62,7 @@ class InputError(ValueError):
 def _solver_options(args) -> SolverOptions:
     """The --options file's overrides, then the flags', checked once by SolverOptions."""
     values = {}
-    if getattr(args, "options", None):
+    if args.options:
         try:
             values = json.loads(read_text(args.options))
         except CaseFormatError as exc:
@@ -106,21 +106,23 @@ def _gsn_options(args, out_dir: Path | None) -> GsnOptions:
         raise InputError(f"bad gsn option: {exc}") from exc
 
 
-def _load_network(args):
-    tnet = parse_transmission(args.case)
-    if args.coupling:
-        cmap = parse_coupling_map(args.coupling)
-        docs = {}
-        for entry in cmap.entries:
-            if entry.feeder not in docs:
-                docs[entry.feeder] = parse_feeder_doc(cmap.feeder_path(entry))
-        net = build_combined(tnet, cmap, docs, keep_bus_load=args.keep_bus_load)
-    else:
-        net = tnet
+def _combined(tnet, cmap: CouplingMap | None, docs: dict, keep_bus_load: bool):
+    """``tnet`` with the map's feeders coupled (``tnet`` alone without a map), validated."""
+    net = tnet if cmap is None else build_combined(tnet, cmap, docs, keep_bus_load=keep_bus_load)
     violations = validate(net)
     if violations:
         raise InputError("invalid network:\n" + "\n".join(f"  {v}" for v in violations))
     return net
+
+
+def _load_network(args):
+    tnet = parse_transmission(args.case)
+    cmap = parse_coupling_map(args.coupling) if args.coupling else None
+    docs = {}
+    for entry in cmap.entries if cmap else ():
+        if entry.feeder not in docs:
+            docs[entry.feeder] = parse_feeder_doc(cmap.feeder_path(entry))
+    return _combined(tnet, cmap, docs, args.keep_bus_load)
 
 
 def _solve(net, args, opts: SolverOptions, gsn: GsnOptions):
@@ -464,9 +466,8 @@ def cmd_bench(args) -> int:
     for k in counts:
         entries = [CouplingEntry(feeder=feeder.name, bus=pq_buses[i]) for i in range(k)]
         cmap = CouplingMap(entries=entries, base_dir=feeder.parent)
-        net = build_combined(tnet, cmap, {feeder.name: doc})
+        net = _combined(tnet, cmap, {feeder.name: doc}, args.keep_bus_load)
         imap = build_index_map(net)
-        n = imap.n
         t0 = time.perf_counter()
         try:
             _, rep = solve_gsn(net, opts, gsn, imap=imap)
@@ -474,10 +475,10 @@ def cmd_bench(args) -> int:
             mean_inner = float(
                 np.mean([sum(d.values()) / max(1, len(d)) for d in rep.inner_iterations])
             )
-            rows.append(f"{k},{n},{wall:.4f},{rep.epochs},{mean_inner:.2f}")
+            rows.append(f"{k},{imap.n},{wall:.4f},{rep.epochs},{mean_inner:.2f}")
         except (SolveFailure, GsnError) as exc:
             wall = time.perf_counter() - t0
-            rows.append(f"{k},{n},{wall:.4f},,")
+            rows.append(f"{k},{imap.n},{wall:.4f},,")
             print(f"bench: k={k} failed: {exc}", file=sys.stderr)
         print(rows[-1], file=sys.stderr)
     (out_dir / "bench.csv").write_text("\n".join(rows) + "\n")
@@ -490,22 +491,28 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, coupling: bool = True):
+def _add_inputs(p: argparse.ArgumentParser, coupling: bool = True):
+    """Every command's flags: the case, its coupling, the output directory and the ignored --workers."""
     p.add_argument("--case", required=True, help="MATPOWER-style transmission case file")
     if coupling:
         p.add_argument("--coupling", help="coupling map JSON (feeder files resolved relative to it)")
-    p.add_argument("--solver", choices=("direct", "gsn"), default="direct")
+    p.add_argument("--keep-bus-load", action="store_true",
+                   help="keep the transmission bus load at coupled buses instead of replacing it")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for old scripts and ignored: gsn solves its feeders in one thread")
+    p.add_argument("--out", default=".", help="output directory")
+
+
+def _add_solver(p: argparse.ArgumentParser, choose: bool = True):
+    """The flags of the commands that solve; ``choose`` adds --solver (bench always runs gsn)."""
+    if choose:
+        p.add_argument("--solver", choices=("direct", "gsn"), default="direct")
     p.add_argument("--tol", type=float, default=None, help="inner mismatch tolerance (pu current)")
     p.add_argument("--outer-tol", type=float, default=None, help="gsn global-mismatch tolerance")
     p.add_argument("--dvmax", type=float, default=None, help="per-iteration voltage step cap (pu)")
     p.add_argument("--gamma", type=float, default=None, help="continuation admittance scale factor")
     p.add_argument("--homotopy", choices=("auto", "on", "off"), default=None)
-    p.add_argument("--keep-bus-load", action="store_true",
-                   help="keep the transmission bus load at coupled buses instead of replacing it")
     p.add_argument("--options", help="JSON file with solver option overrides")
-    p.add_argument("--out", default=".", help="output directory")
 
 
 @functools.cache
@@ -516,11 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one case and write solution/report/summary")
-    _add_common(p)
+    _add_inputs(p)
+    _add_solver(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("pvcurve", help="sweep the loading factor and record POI voltage")
-    _add_common(p)
+    _add_inputs(p)
+    _add_solver(p)
     p.add_argument("--lf-start", type=float, default=1.0)
     p.add_argument("--lf-stop", type=float, default=2.0)
     p.add_argument("--lf-step", type=float, default=0.05)
@@ -530,11 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pvcurve)
 
     p = sub.add_parser("generate", help="bundle a combined case with a manifest")
-    _add_common(p)
+    _add_inputs(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="scalability sweep over replicated feeder counts")
-    _add_common(p, coupling=False)
+    _add_inputs(p, coupling=False)
+    _add_solver(p, choose=False)
     p.add_argument("--feeder", required=True, help="feeder JSON replicated k times")
     p.add_argument("--counts", default="1,4,16", help="comma list of feeder counts")
     p.set_defaults(func=cmd_bench)

@@ -207,7 +207,7 @@ def _failing_feeder(circuit: CompiledCircuit, exc: SolveFailure, options: Solver
         linear, nonlinear = stamp_system(circuit, exc.x, hs)
     except VoltageCollapseError as collapse:
         return f"feeder:{imap.feeder_of_bus[collapse.bus]}"
-    system = circuit.plan.assemble([linear, nonlinear], imap.n)
+    system = circuit.plan.assemble([linear, nonlinear])
     resid = np.abs(system.matrix @ exc.x - system.rhs)
     blocks = [b for b in imap.blocks if b[0].startswith("feeder:")]
     return max(blocks, key=lambda b: resid[b[1]:b[2]].max(initial=0.0))[0]
@@ -319,7 +319,7 @@ def solve_gsn(
             boundary, injections = new, drive(new)
             t_circuit.set_injections(injections)
             linear, nonlinear = stamp_system(t_circuit, x_t, gen_modes=t_rep.gen_modes)
-            system = t_circuit.plan.assemble([linear, nonlinear], transmission.imap.n)
+            system = t_circuit.plan.assemble([linear, nonlinear])
             mismatch = max(float(np.abs(system.matrix @ x_t - system.rhs).max(initial=0.0)), f_rep.final_residual)
             iters = {transmission.name: t_rep.iterations, feeders.name: f_rep.iterations}
 

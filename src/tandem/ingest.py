@@ -318,10 +318,17 @@ def _field(rec, key: str, kind, where: str, default=_REQUIRED):
 
 
 def _finite(v) -> float:
-    """``float(v)``, refusing NaN and +-inf (JSON's NaN and Infinity, or 1e999) as a ValueError."""
-    if not math.isfinite(f := float(v)):
-        raise ValueError(f"non-finite {v!r}")
+    """A JSON number as a float; a string, a boolean, NaN or +-inf (JSON's NaN, Infinity, 1e999): ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(f := float(v)):
+        raise ValueError(f"not a finite number: {v!r}")
     return f
+
+
+def _text(v) -> str:
+    """A JSON string; any other value is a ValueError."""
+    if not isinstance(v, str):
+        raise ValueError(f"not a string: {v!r}")
+    return v
 
 
 def _integral(v) -> int:
@@ -345,14 +352,11 @@ def _json_object(path: Path) -> dict:
 
 
 def _complex_of(v, where: str) -> complex:
-    parts = [v, 0] if isinstance(v, (int, float)) else v
     try:
-        if isinstance(parts, (list, tuple)) and len(parts) == 2 and all(isinstance(t, (int, float)) for t in parts):
-            if cmath.isfinite(z := complex(*parts)):
-                return z
-    except OverflowError:  # an integer too large for a float
-        pass
-    raise CaseFormatError(f"{where}: expected finite number or [re, im] pair, got {v!r}")
+        real, imag = v if isinstance(v, list) else (v, 0)
+        return complex(_finite(real), _finite(imag))
+    except (ValueError, OverflowError):  # also an integer too large for a float
+        raise CaseFormatError(f"{where}: expected finite number or [re, im] pair, got {v!r}") from None
 
 
 def _matrix_of(m, k: int, where: str) -> np.ndarray:
@@ -493,7 +497,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         )
 
     def tuple_of(rec, key, k, where):
-        v = _field(rec, key, lambda v: [_finite(v)] * k if isinstance(v, (int, float)) else [_finite(t) for t in v],
+        v = _field(rec, key, lambda v: [_finite(t) for t in v] if isinstance(v, list) else [_finite(v)] * k,
                    where, [0.0] * k)
         if len(v) != k:
             raise CaseFormatError(f"{where}: {key} needs {k} entries")
@@ -674,7 +678,7 @@ def parse_coupling_map(path) -> CouplingMap:
     for i, e in enumerate(couplings):
         where = f"{path.name}: couplings[{i}]"
         entry = CouplingEntry(
-            feeder=_field(e, "feeder", str, where),
+            feeder=_field(e, "feeder", _text, where),
             bus=_field(e, "bus", _integral, where),
             load_scale=_field(e, "load_scale", _finite, where, 1.0),
             der_scale=_field(e, "der_scale", _finite, where, 1.0),

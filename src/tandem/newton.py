@@ -276,7 +276,6 @@ def _nr_attempt(circuit: CompiledCircuit, x0: np.ndarray, hs: HomotopyState | No
                 modes: dict[int, str], vmask: np.ndarray, residual_log: list[float]):
     """One NR run at fixed continuation state.  Returns (x, converged, reason)."""
     x = x0.copy()
-    n = circuit.imap.n
     linear = None
     history: list[float] = []
     for _ in range(options.max_iter):
@@ -285,7 +284,7 @@ def _nr_attempt(circuit: CompiledCircuit, x0: np.ndarray, hs: HomotopyState | No
         except VoltageCollapseError as exc:
             residual_log.extend(history)
             return x, False, f"collapse: {exc}"
-        system = circuit.plan.assemble([linear, nonlin], n)
+        system = circuit.plan.assemble([linear, nonlin])
         if options.debug_matrix_dir:
             from pathlib import Path
 

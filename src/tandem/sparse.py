@@ -2,8 +2,9 @@
 
 The MNA matrices here are unsymmetric and indefinite, so the solve uses
 LU with pivoting.  Assembly sums duplicate triplets in triplet order
-through a scatter cached per sparsity pattern; within a Newton attempt
-an iteration only adds the nonlinear triplets to the kept linear sums.
+through the scatter of a plan whose pattern is given once, when it is
+made; within a Newton attempt an iteration only adds the nonlinear
+triplets to the kept linear sums.
 
 Two kernels share that scheme, chosen by the system size:
 
@@ -105,55 +106,43 @@ def _concat(parts, dtype) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
-def _same_pattern(old, new) -> bool:
-    """Keys are (n, row arrays, column arrays); identical arrays skip the comparison."""
-    if old is None or old[0] != new[0] or len(old[1]) != len(new[1]):
-        return False
-    return all(a is b or np.array_equal(a, b) for a, b in zip(old[1] + old[2], new[1] + new[2]))
-
-
-def _checked(stamps, key, first: int):
-    """Values, rhs rows and rhs values of ``stamps``, which start at triplet ``first`` of ``key``."""
+def _checked(stamps, plan: AssemblyPlan, first: int):
+    """Values, rhs rows and rhs values of ``stamps``, which start at triplet ``first`` of ``plan``."""
     vals = _concat([st.vals for st in stamps], float)
     rhs_rows = _concat([st.rhs_rows for st in stamps], np.int64)
     rhs_vals = _concat([st.rhs_vals for st in stamps], float)
-    if rhs_rows.size and (rhs_rows.min() < 0 or rhs_rows.max() >= key[0]):
+    if rhs_rows.size and (rhs_rows.min() < 0 or rhs_rows.max() >= plan.n):
         raise IndexError("rhs row outside system")
     if not np.isfinite(vals).all():
         k = first + np.flatnonzero(~np.isfinite(vals))[0]
-        raise ValueError(f"non-finite stamp at ({np.concatenate(key[1])[k]},{np.concatenate(key[2])[k]})")
+        raise ValueError(f"non-finite stamp at ({np.concatenate(plan.rows)[k]},{np.concatenate(plan.cols)[k]})")
     if not np.isfinite(rhs_vals).all():
         raise ValueError("non-finite rhs stamp")
     return vals, rhs_rows, rhs_vals
 
 
 class AssemblyPlan:
-    """Caches the triplet scatter of one sparsity pattern.
+    """The triplet scatter of one sparsity pattern, given once: each stamp
+    set's ``rows`` and ``cols`` arrays, in stamping order, for ``n`` unknowns.
 
-    The pattern is keyed on the stamp sets' index arrays.  A compiled
-    circuit hands out the same arrays on every iteration, so the key
-    check is an identity test.  The slots are positions in the data of
-    the whole CSC pattern, explicit zeros kept, or with ``dense`` and at
-    most ``DENSE_MAX_N`` unknowns the flat ``row * n + col`` positions of
-    an n x n array.  While the first stamp set is the same object (a
-    Newton attempt's linear stamps), its sums are kept and a call adds
-    the other sets' triplets to a copy in order (``np.add.at``): the bits
-    of one ``bincount``.  Index bounds are checked when a pattern is
-    built, finite values whenever a stamp set is summed.
+    Their bounds are checked here; ``assemble`` takes only stamp sets that
+    carry these very arrays (an identity test), as a compiled circuit's do.
+    The slots are positions in the data of the whole CSC pattern, explicit
+    zeros kept, or with ``dense`` and at most ``DENSE_MAX_N`` unknowns the
+    flat ``row * n + col`` positions of an n x n array.  While the first
+    stamp set is the same object (a Newton attempt's linear stamps), its
+    sums are kept and a call adds the other sets' triplets to a copy in
+    order (``np.add.at``): the bits of one ``bincount``.  Finite values and
+    rhs rows are checked whenever a stamp set is summed.
     """
 
-    def __init__(self, dense: bool = False):
-        self.dense = dense
-        self._key = None
+    def __init__(self, n: int, rows, cols, dense: bool = False):
+        self.n, self.rows, self.cols = n, tuple(rows), tuple(cols)
         self._first = None  # (first stamp set, its matrix sums, its rhs sums)
-
-    def _build(self, key) -> None:
-        n, rows, cols = key
-        r, c = _concat(rows, np.int64), _concat(cols, np.int64)
+        r, c = _concat(self.rows, np.int64), _concat(self.cols, np.int64)
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise IndexError("triplet index outside system")
-        self._key, self._first = key, None
-        if self.dense and n <= DENSE_MAX_N:
+        if dense and n <= DENSE_MAX_N:
             self._slot, self._template = r * n + c, None
             return
         width = max(n, 1)
@@ -164,16 +153,16 @@ class AssemblyPlan:
         self._template = sp.csc_matrix((np.zeros(pos.size), pos % width, indptr), shape=(n, n))
         self._ordering = _Ordering()
 
-    def assemble(self, stamps, n: int) -> SparseSystem:
-        key = (n, tuple(st.rows for st in stamps), tuple(st.cols for st in stamps))
-        if not _same_pattern(self._key, key):
-            self._build(key)
-        t, m = self._template, stamps[0].vals.size
+    def assemble(self, stamps) -> SparseSystem:
+        if len(stamps) != len(self.rows) or not all(
+                st.rows is r and st.cols is c for st, r, c in zip(stamps, self.rows, self.cols)):
+            raise ValueError("stamp sets do not carry the plan's index arrays")
+        n, t, m = self.n, self._template, stamps[0].vals.size
         if self._first is None or self._first[0] is not stamps[0]:
-            vals, rhs_rows, rhs_vals = _checked(stamps[:1], key, 0)
+            vals, rhs_rows, rhs_vals = _checked(stamps[:1], self, 0)
             self._first = (stamps[0], np.bincount(self._slot[:m], vals, n * n if t is None else t.nnz),
                            np.bincount(rhs_rows, rhs_vals, n))
-        vals, rhs_rows, rhs_vals = _checked(stamps[1:], key, m)
+        vals, rhs_rows, rhs_vals = _checked(stamps[1:], self, m)
         data, rhs = self._first[1].copy(), self._first[2].copy()
         np.add.at(data, self._slot[m:], vals)
         np.add.at(rhs, rhs_rows, rhs_vals)
@@ -184,7 +173,7 @@ class AssemblyPlan:
 
 def assemble(stamps, n: int) -> SparseSystem:
     """Sum triplet/rhs contributions into a compressed-column system."""
-    return AssemblyPlan().assemble(stamps, n)
+    return AssemblyPlan(n, [st.rows for st in stamps], [st.cols for st in stamps]).assemble(stamps)
 
 
 def _dense_lu(m: np.ndarray):

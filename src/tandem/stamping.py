@@ -285,11 +285,11 @@ class CompiledCircuit:
     Every ZIP leg is a row of index and parameter arrays: constant-power
     legs carry (p, q) with the ZIP fraction and the load/DER sign folded
     in, constant-current legs a signed magnitude and the demand angle.
-    Index bounds are checked here, once.  ``plan`` caches the scatter
-    of the pattern from the first assembly on, into a dense array on
-    systems small enough for the dense kernel.  Source voltages, a load
-    factor and boundary injections are values a solve sets on a
-    compiled circuit (``set_sources``, ``set_load_factor``,
+    ``plan``, made last from the linear and nonlinear index arrays,
+    checks their bounds once and fixes the pattern's scatter, into a
+    dense array on systems small enough for the dense kernel.  Source
+    voltages, a load factor and boundary injections are values a solve
+    sets on a compiled circuit (``set_sources``, ``set_load_factor``,
     ``set_injections``).  ``gens``, the in-service generators with a
     reactive unknown, and ``gq``, those unknowns, are the solve's only
     record of its live generators; one at a reactive limit pins its Q
@@ -299,7 +299,6 @@ class CompiledCircuit:
     def __init__(self, network: Network, imap: IndexMap):
         n = imap.n
         self.imap = imap
-        self.plan = AssemblyPlan(dense=True)
         keys, self._f, self._s = _demand_legs(network)
         self.gens = gens = [g for tile, live in network.per_tile(lambda t: [g for g in t.generators if g.status])
                             for g in tile.shifted("generators", live) if g.bus in imap.gen_q]
@@ -348,10 +347,7 @@ class CompiledCircuit:
         pos[np.concatenate([pq, cu])] = np.arange(nlegs)
         rhs_take = (np.arange(4) * nlegs + pos[:, None])[legs_nl.rhs_mask]
         self.rhs_take = np.concatenate([rhs_take, 4 * nlegs + np.arange(3 * ng)])
-
-        for idx in (self.lin_rows, self.lin_cols, self.src_rhs_rows, self.nl_rows, self.nl_cols, self.nl_rhs_rows):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise IndexError(f"stamp index outside system of size {n}")
+        self.plan = AssemblyPlan(n, (self.lin_rows, self.nl_rows), (self.lin_cols, self.nl_cols), dense=True)
 
     def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
         """Linear triplets in stamping order: elements, shunts, Z loads, sources, ports."""

@@ -495,6 +495,59 @@ class TestBench:
         assert rc == EXIT_INPUT
 
 
+    def test_invalid_feeder_is_input_error_as_in_solve(self, workdir):
+        # unvalidated, bench solved a feeder with an unconnected node, failed to converge and exited 0
+        doc = json.loads((workdir / "feeder_small.json").read_text())
+        doc["nodes"].append({"id": "island", "phases": "a"})
+        (workdir / "feeder_small.json").write_text(json.dumps(doc))
+        (workdir / "map.json").write_text(json.dumps({"schema": 1, "couplings": [
+            {"feeder": "feeder_small.json", "bus": 4}]}))  # bus 4 is case9's first PQ bus, as in bench
+        assert run(["solve", "--case", workdir / "case9.m", "--coupling", workdir / "map.json",
+                    "--out", workdir / "s"]) == EXIT_INPUT
+        assert run(["bench", "--case", workdir / "case9.m", "--feeder", workdir / "feeder_small.json",
+                    "--counts", "1", "--out", workdir / "b"]) == EXIT_INPUT
+        errors = [json.loads((workdir / out / "error.json").read_text())["error"] for out in ("s", "b")]
+        assert errors[0] == errors[1] and "[no-head]" in errors[0] and "[disconnected]" in errors[0]
+        assert not (workdir / "b" / "bench.csv").exists()
+
+    @pytest.mark.parametrize("flag", [[], ["--keep-bus-load"]], ids=["default", "keep"])
+    def test_keep_bus_load_reaches_build_combined(self, workdir, monkeypatch, flag):
+        import tandem.cli
+
+        seen, build = [], tandem.cli.build_combined
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["keep_bus_load"])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(tandem.cli, "build_combined", recording)
+        assert run(["bench", "--case", workdir / "case9.m", "--feeder", workdir / "feeder_small.json",
+                    "--counts", "1,2", *flag, "--out", workdir / "b"]) == EXIT_OK
+        assert seen == [bool(flag)] * 2
+
+
+@pytest.mark.parametrize("command, input_flag, name, flag", [
+    ("generate", "--coupling", "case9_feeder1.json", ["--tol", "1e-6"]),
+    ("generate", "--coupling", "case9_feeder1.json", ["--solver", "direct"]),
+    ("bench", "--feeder", "feeder_small.json", ["--solver", "direct"]),
+], ids=["generate-tol", "generate-solver", "bench-solver"])
+def test_flag_the_command_does_not_read_is_refused(workdir, capsys, command, input_flag, name, flag):
+    # each command takes only the flags it reads; generate took every solver flag and bench --solver
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--case", workdir / "case9.m", input_flag, workdir / name, *flag, "--out", workdir / "o"])
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_coupling_value_of_the_wrong_json_type_is_input_error(workdir):
+    # "load_scale": "0.5" solved as 0.5 and exited 0
+    (workdir / "map.json").write_text(json.dumps({"schema": 1, "couplings": [
+        {"feeder": "feeder_small.json", "bus": 5, "load_scale": "0.5"}]}))
+    assert run(["solve", "--case", workdir / "case9.m", "--coupling", workdir / "map.json",
+                "--out", workdir / "o"]) == EXIT_INPUT
+    assert json.loads((workdir / "o" / "error.json").read_text())["error"] == "map.json: couplings[0]: bad load_scale '0.5'"
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [

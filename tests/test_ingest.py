@@ -250,6 +250,25 @@ class TestFeeder:
         z_ohm = z_pu * z_base
         assert np.allclose(z_ohm, doc.branches[0].z_ohms, rtol=1e-12)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kw", "300"), ("kw", True), ("kvar", ["30", 35, 25]), ("kw", [100, False, 90]), ("zip", "100"),
+        ("zip", [True, False, False]),
+    ], ids=["string", "boolean", "string-item", "boolean-item", "zip-string", "zip-booleans"])
+    def test_load_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        # unchecked, a string was read digit by digit ("300" as 3, 0, 0) and true as 1.0
+        doc = json.loads(json.dumps(FEEDER_DOC))
+        doc["loads"][0][field] = value
+        with pytest.raises(CaseFormatError, match=rf"^f1\.json: loads\[0\]: bad {field} "):
+            parse_feeder_doc(write_feeder(tmp_path, doc))
+
+    @pytest.mark.parametrize("entry", [[0.05, True], True, "0.05", ["0.05", 0.12]],
+                             ids=["boolean-part", "boolean", "string", "string-part"])
+    def test_impedance_entries_must_be_json_numbers(self, tmp_path, entry):
+        doc = json.loads(json.dumps(FEEDER_DOC))
+        doc["lines"][1]["z_ohms_per_mile"] = [[entry]]
+        with pytest.raises(CaseFormatError, match=r"expected finite number or \[re, im\] pair"):
+            parse_feeder_doc(write_feeder(tmp_path, doc))
+
     def test_bundled_feeders_clean(self, data_dir):
         for name in ("feeder_small.json", "feeder_medium.json", "feeder_stressed.json"):
             net = parse_feeder(data_dir / name)
@@ -332,6 +351,17 @@ class TestCombined:
         p = tmp_path / "map.json"
         p.write_text(json.dumps({"schema": 1, "couplings": couplings}))
         with pytest.raises(CaseFormatError, match=r"^map\.json: couplings must be a list of records, got "):
+            parse_coupling_map(p)
+
+    @pytest.mark.parametrize("field, value", [("load_scale", "0.5"), ("load_scale", True), ("der_scale", False),
+                                              ("feeder", 5), ("feeder", ["f1.json"])],
+                             ids=["load_scale-string", "load_scale-boolean", "der_scale-boolean", "feeder-number",
+                                  "feeder-list"])
+    def test_coupling_values_must_have_their_json_type(self, tmp_path, field, value):
+        # unchecked, "0.5" read as 0.5, true as 1.0, false as 0.0 and 5 as the file "5"
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({"schema": 1, "couplings": [{"feeder": "f1.json", "bus": 2, field: value}]}))
+        with pytest.raises(CaseFormatError, match=rf"^map\.json: couplings\[0\]: bad {field} "):
             parse_coupling_map(p)
 
     @pytest.mark.parametrize("bus", [5.5, "5", True], ids=["fraction", "string", "boolean"])

@@ -33,6 +33,11 @@ def stamps_from(triplets, rhs=()):
     return StampSet(rows, cols, vals, rhs_rows, rhs_vals)
 
 
+def plan_of(stamps, n, dense=True):
+    """A plan whose pattern is ``stamps``' index arrays."""
+    return AssemblyPlan(n, [st.rows for st in stamps], [st.cols for st in stamps], dense=dense)
+
+
 def test_duplicates_summed():
     sys_ = assemble([stamps_from([(0, 0, 1.0), (0, 0, 2.0)])], 4)
     assert sys_.matrix[0, 0] == 3.0
@@ -77,26 +82,26 @@ def test_random_assembly_matches_dense_sum(seed):
 
 
 def test_assembly_plan_value_update_reuses_pattern():
-    plan = AssemblyPlan()
     a = stamps_from([(0, 0, 1.0), (1, 1, 2.0), (0, 1, 3.0), (0, 0, 4.0)])
-    s1 = plan.assemble([a], 4)
-    key1 = plan._key
-    b = stamps_from([(0, 0, 5.0), (1, 1, 6.0), (0, 1, 7.0), (0, 0, 8.0)])
-    s2 = plan.assemble([b], 4)
-    assert plan._key == key1  # symbolic pattern reused
+    plan = plan_of([a], 4, dense=False)
+    plan.assemble([a])
+    template1 = plan._template
+    b = StampSet(a.rows, a.cols, [5.0, 6.0, 7.0, 8.0])
+    s2 = plan.assemble([b])
+    assert plan._template is template1  # symbolic pattern reused
     assert s2.matrix[0, 0] == 13.0 and s2.matrix[0, 1] == 7.0
 
 
 def test_assembly_plan_matches_plain_assemble():
     rng = np.random.default_rng(11)
     n = 30
-    plan = AssemblyPlan()
     rows = rng.integers(0, n, size=200)
     cols = rng.integers(0, n, size=200)
+    plan = AssemblyPlan(n, [rows], [cols])
     for _ in range(3):
         vals = rng.normal(size=200)
         st_ = StampSet(rows, cols, vals)
-        got = plan.assemble([st_], n)
+        got = plan.assemble([st_])
         want = assemble([st_], n)
         assert np.allclose(got.matrix.toarray(), want.matrix.toarray(), atol=0)
 
@@ -176,13 +181,12 @@ def test_dense_assembly_bitwise_equals_csc():
         imap = build_index_map(net)
         circuit = CompiledCircuit(net, imap)
         gens = [g.bus for g in circuit.gens]
-        plan = AssemblyPlan(dense=True)
         for lam in (0.0, 0.3):
             for j in range(3):
                 x = random_state(rng, net, imap)
                 modes = {bus: _MODE_CYCLE[(i + j + k) % len(_MODE_CYCLE)] for i, bus in enumerate(gens)}
                 stamps = [circuit.linear(HomotopyState(lam) if lam else None), circuit.nonlinear(x, modes)]
-                dense, csc = plan.assemble(stamps, imap.n), assemble(stamps, imap.n)
+                dense, csc = circuit.plan.assemble(stamps), assemble(stamps, imap.n)
                 assert isinstance(dense.matrix, np.ndarray) and sp.issparse(csc.matrix)
                 assert dense.matrix.tobytes() == csc.matrix.toarray().tobytes()
                 assert dense.rhs.tobytes() == csc.rhs.tobytes()
@@ -197,7 +201,7 @@ def _diagonally_dominant(rng, n):
 @pytest.mark.parametrize("n, dense", [(DENSE_MAX_N, True), (DENSE_MAX_N + 1, False)])
 def test_dense_and_sparse_solves_agree_at_the_bound(n, dense):
     st_ = _diagonally_dominant(np.random.default_rng(n), n)
-    system = AssemblyPlan(dense=True).assemble([st_], n)
+    system = plan_of([st_], n).assemble([st_])
     assert isinstance(system.matrix, np.ndarray) is dense
     got, want = factor_solve(system), factor_solve(assemble([st_], n))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -213,7 +217,8 @@ def test_dense_and_sparse_solves_agree_at_the_bound(n, dense):
     ],
 )
 def test_dense_singular_raises_without_warning(triplets):
-    system = AssemblyPlan(dense=True).assemble([stamps_from(triplets)], 4)
+    stamps = [stamps_from(triplets)]
+    system = plan_of(stamps, 4).assemble(stamps)
     assert isinstance(system.matrix, np.ndarray)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -222,19 +227,34 @@ def test_dense_singular_raises_without_warning(triplets):
 
 
 def test_dense_nonfinite_rejected_on_every_call():
-    plan = AssemblyPlan(dense=True)
-    assert isinstance(plan.assemble([stamps_from([(0, 0, 1.0), (1, 1, 2.0)])], 4).matrix, np.ndarray)
+    rows, cols = np.array([0, 1]), np.array([0, 1])
+    plan = AssemblyPlan(4, [rows], [cols], dense=True)
+    assert isinstance(plan.assemble([StampSet(rows, cols, [1.0, 2.0])]).matrix, np.ndarray)
     with pytest.raises(ValueError, match=r"non-finite stamp at \(1,1\)"):
-        plan.assemble([stamps_from([(0, 0, 1.0), (1, 1, float("inf"))])], 4)
-    with pytest.raises(ValueError):
-        plan.assemble([stamps_from([(0, 0, 1.0), (1, 1, 2.0)], rhs=[(0, float("nan"))])], 4)
-    with pytest.raises(IndexError):
-        plan.assemble([stamps_from([(0, 4, 1.0)])], 4)
+        plan.assemble([StampSet(rows, cols, [1.0, float("inf")])])
+    with pytest.raises(ValueError, match="non-finite rhs stamp"):
+        plan.assemble([StampSet(rows, cols, [1.0, 2.0], [0], [float("nan")])])
+    with pytest.raises(IndexError):  # matrix indices are checked once, when the plan is made
+        AssemblyPlan(4, [np.array([0])], [np.array([4])], dense=True)
+    with pytest.raises(IndexError, match="rhs row outside system"):
+        plan.assemble([StampSet(rows, cols, [1.0, 2.0], [4], [1.0])])
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_plan_refuses_stamps_without_its_index_arrays(dense):
+    rows, cols = np.array([0, 1, 1]), np.array([0, 1, 0])
+    plan = AssemblyPlan(2, [rows], [cols], dense=dense)
+    vals = [1.0, 2.0, 3.0]
+    for stamps in ([StampSet(rows.copy(), cols, vals)], [StampSet(rows, cols.copy(), vals)],
+                   [StampSet(rows, cols, vals)] * 2, []):
+        with pytest.raises(ValueError, match="index arrays"):
+            plan.assemble(stamps)
+    assert _array(plan.assemble([StampSet(rows, cols, vals)]).matrix).tolist() == [[1.0, 0.0], [3.0, 2.0]]
 
 
 def test_dense_matrix_market_dump_reads_back(tmp_path):
     st_ = stamps_from([(0, 0, 1.5), (1, 0, -2.0), (2, 2, 0.25), (0, 0, 0.5)])
-    system = AssemblyPlan(dense=True).assemble([st_], 3)
+    system = plan_of([st_], 3).assemble([st_])
     assert isinstance(system.matrix, np.ndarray)
     out = tmp_path / "system.mtx"
     dump_matrix_market(system, out)
@@ -269,7 +289,7 @@ def _kernel_gap(stamps, n) -> float:
     sparse_x = factor_solve(assemble(stamps, n))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tandem.sparse, "DENSE_MAX_N", n)
-        system = AssemblyPlan(dense=True).assemble(stamps, n)
+        system = plan_of(stamps, n).assemble(stamps)
         assert isinstance(system.matrix, np.ndarray)
         dense_x = factor_solve(system)
     return np.abs(sparse_x - dense_x).max() / np.abs(dense_x).max()
@@ -385,7 +405,7 @@ def test_later_factors_reuse_the_learned_ordering(monkeypatch):
     for mode in ("pv", "pv", "qmax", "qmax", "pv"):
         x = random_state(rng, net, imap, vm_range=(0.9, 1.1), ang_spread=0.2)
         stamps = [circuit.linear(None), circuit.nonlinear(x, {bus: mode})]
-        system = circuit.plan.assemble(stamps, imap.n)
+        system = circuit.plan.assemble(stamps)
         patterns.add((system.matrix.indices.tobytes(), system.matrix.indptr.tobytes(), id(system.ordering)))
         zeros[mode] = tuple(np.flatnonzero(system.matrix.data == 0.0))
         with monkeypatch.context() as patch:
@@ -414,15 +434,15 @@ def test_attempt_assembly_bitwise_equals_one_bincount(n, dense):
     rows, cols = np.append(rng.integers(0, n, k), [3, 3]), np.append(rng.integers(0, n, k), [5, 5])
     linear = StampSet(rows, cols, _varied(rng, k + 2), rng.integers(0, n, n), _varied(rng, n))
     nl_rows, nl_cols, nl_rhs_rows = np.array([3, 3, 7]), np.array([5, 5, 1]), np.array([3, 3])
-    plan, kept = AssemblyPlan(dense=True), None
+    plan, kept = AssemblyPlan(n, (rows, nl_rows), (cols, nl_cols), dense=True), None
     for _ in range(3):
         nonlinear = StampSet(nl_rows, nl_cols, _varied(rng, 3), nl_rhs_rows, _varied(rng, 2))
-        got = plan.assemble([linear, nonlinear], n)
+        got = plan.assemble([linear, nonlinear])
         kept = kept or plan._first
         assert plan._first is kept  # the linear stamps are summed once
         whole = StampSet(*(np.concatenate([getattr(linear, f), getattr(nonlinear, f)])
                            for f in ("rows", "cols", "vals", "rhs_rows", "rhs_vals")))
-        want = AssemblyPlan(dense=True).assemble([whole], n)
+        want = plan_of([whole], n).assemble([whole])
         assert isinstance(got.matrix, np.ndarray) is dense
         assert _array(got.matrix).tobytes() == _array(want.matrix).tobytes()
         assert got.rhs.tobytes() == want.rhs.tobytes()
@@ -438,7 +458,7 @@ def test_new_linear_stamps_are_summed_afresh(size):
     nonlinear = circuit.nonlinear(random_state(rng, net, imap, vm_range=(0.9, 1.1), ang_spread=0.2), {})
     for lam in (0.0, 0.4, 0.4, 0.2):
         stamps = [circuit.linear(HomotopyState(lam) if lam else None), nonlinear]
-        got, want = circuit.plan.assemble(stamps, imap.n), AssemblyPlan(dense=True).assemble(stamps, imap.n)
+        got, want = circuit.plan.assemble(stamps), plan_of(stamps, imap.n).assemble(stamps)
         assert isinstance(got.matrix, np.ndarray) is (imap.n <= DENSE_MAX_N)
         assert _array(got.matrix).tobytes() == _array(want.matrix).tobytes()
         assert got.rhs.tobytes() == want.rhs.tobytes()
@@ -446,23 +466,24 @@ def test_new_linear_stamps_are_summed_afresh(size):
 
 @pytest.mark.parametrize("dense", [True, False])
 def test_nonfinite_linear_value_named_while_kept(dense):
-    plan = AssemblyPlan(dense=dense)
     linear, nonlinear = stamps_from([(0, 0, 1.0), (2, 1, 2.0), (1, 1, 3.0)]), stamps_from([(1, 2, 1.0)])
-    plan.assemble([linear, nonlinear], 4)
-    bad = stamps_from([(0, 0, 1.0), (2, 1, float("nan")), (1, 1, 3.0)])
+    plan = plan_of([linear, nonlinear], 4, dense=dense)
+    plan.assemble([linear, nonlinear])
+    bad = StampSet(linear.rows, linear.cols, [1.0, float("nan"), 3.0])
     for _ in range(2):  # a rejected set is not kept
         with pytest.raises(ValueError, match=r"non-finite stamp at \(2,1\)"):
-            plan.assemble([bad, nonlinear], 4)
+            plan.assemble([bad, nonlinear])
     with pytest.raises(ValueError, match=r"non-finite stamp at \(1,2\)"):
-        plan.assemble([linear, stamps_from([(1, 2, float("inf"))])], 4)
+        plan.assemble([linear, StampSet(nonlinear.rows, nonlinear.cols, [float("inf")])])
     with pytest.raises(ValueError, match="non-finite rhs stamp"):
-        plan.assemble([linear, stamps_from([(1, 2, 1.0)], rhs=[(0, float("nan"))])], 4)
+        plan.assemble([linear, StampSet(nonlinear.rows, nonlinear.cols, [1.0], [0], [float("nan")])])
 
 
 def test_matrix_market_dump_leaves_out_explicit_zeros(tmp_path):
-    plan = AssemblyPlan()
-    plan.assemble([stamps_from([(0, 0, 1.5), (1, 1, 2.0), (2, 1, -2.0)])], 3)
-    system = plan.assemble([stamps_from([(0, 0, 1.5), (1, 1, 0.0), (2, 1, -2.0)])], 3)
+    first = stamps_from([(0, 0, 1.5), (1, 1, 2.0), (2, 1, -2.0)])
+    plan = plan_of([first], 3, dense=False)
+    plan.assemble([first])
+    system = plan.assemble([StampSet(first.rows, first.cols, [1.5, 0.0, -2.0])])
     assert system.matrix.nnz == 3  # the plan's pattern keeps the zero
     out = tmp_path / "system.mtx"
     dump_matrix_market(system, out)

@@ -11,7 +11,7 @@ one ``feeder_medium`` on each of its 24 PQ buses (2,698 unknowns), taken
 at the converged state: the transmission block, then whole and partial
 feeder blocks.  For each size the script times, best of several rounds,
 what a Newton iteration does with the assembled system: assembly from
-the triplets through a cached plan, the residual ``A x - b``, and
+the triplets through a plan made once, the residual ``A x - b``, and
 ``factor_solve`` (LU plus iterative refinement).  BLAS is pinned to one
 thread, as in ``perfbench``.  To time both kernels at every size the
 script moves ``DENSE_MAX_N`` out of the way for each one.
@@ -91,14 +91,14 @@ def iteration_us(stamps, n: int, x: np.ndarray, dense: bool, rounds: int = 7, re
     saved = sparse.DENSE_MAX_N
     sparse.DENSE_MAX_N = n if dense else -1
     try:
-        plan = sparse.AssemblyPlan(dense=True)
-        system = plan.assemble(stamps, n)  # builds the cached pattern
+        plan = sparse.AssemblyPlan(n, [st.rows for st in stamps], [st.cols for st in stamps], dense=True)
+        system = plan.assemble(stamps)
         sparse.factor_solve(system)  # learns the ordering
         best = np.inf
         for _ in range(rounds):
             t0 = time.perf_counter()
             for _ in range(reps):
-                system = plan.assemble(stamps, n)
+                system = plan.assemble(stamps)
                 np.abs(system.matrix @ x - system.rhs).max()
                 sparse.factor_solve(system)
             best = min(best, (time.perf_counter() - t0) / reps)
@@ -126,7 +126,7 @@ def orderings(stamps, n: int, rounds: int = 60) -> None:
 
     from tandem import sparse
 
-    system = sparse.AssemblyPlan().assemble(stamps, n)
+    system = sparse.assemble(stamps, n)
     learned = system.ordering
     sparse.factor_solve(system)  # learns the ordering
     sparse.factor_solve(system)  # builds its gather
