@@ -115,14 +115,19 @@ def _combined(tnet, cmap: CouplingMap | None, docs: dict, keep_bus_load: bool):
     return net
 
 
-def _load_network(args):
+def _inputs(args):
+    """(transmission network, coupling map or None, feeder documents by file) of the files in ``args``."""
     tnet = parse_transmission(args.case)
     cmap = parse_coupling_map(args.coupling) if args.coupling else None
     docs = {}
     for entry in cmap.entries if cmap else ():
         if entry.feeder not in docs:
             docs[entry.feeder] = parse_feeder_doc(cmap.feeder_path(entry))
-    return _combined(tnet, cmap, docs, args.keep_bus_load)
+    return tnet, cmap, docs
+
+
+def _load_network(args):
+    return _combined(*_inputs(args), args.keep_bus_load)
 
 
 def _solve(net, args, opts: SolverOptions, gsn: GsnOptions):
@@ -164,6 +169,7 @@ def cmd_solve(args) -> int:
         lines.append(f"final residual: {rep_dict['final_residual']:.3e}")
     if "epochs" in rep_dict:
         lines.append(f"epochs: {rep_dict['epochs']}")
+        lines.append(f"global residual: {rep_dict['global_residual']:.3e}")
     if "iterations" in rep_dict:
         lines.append(f"iterations: {rep_dict['iterations']}")
     ext = poi_extremes(net, imap, x)
@@ -414,11 +420,11 @@ def _sha256(path: Path) -> str:
 
 def cmd_generate(args) -> int:
     out_dir = Path(args.out)
-    net = _load_network(args)  # also validates the coupling map
-    if not args.coupling:
+    tnet, cmap, docs = _inputs(args)
+    net = _combined(tnet, cmap, docs, args.keep_bus_load)
+    if cmap is None:
         raise InputError("generate needs a coupling map")
     case = Path(args.case)
-    cmap = parse_coupling_map(Path(args.coupling))
 
     copied = {}
     for src in [case, Path(args.coupling)] + [cmap.feeder_path(e) for e in cmap.entries]:

@@ -324,6 +324,13 @@ def _finite(v) -> float:
     return f
 
 
+def _positive(v) -> float:
+    """A JSON number above zero as a float; anything else is a ValueError."""
+    if (f := _finite(v)) <= 0:
+        raise ValueError(f"not positive: {v!r}")
+    return f
+
+
 def _text(v) -> str:
     """A JSON string; any other value is a ValueError."""
     if not isinstance(v, str):
@@ -439,9 +446,9 @@ def parse_feeder_doc(path) -> FeederDoc:
         raise CaseFormatError(f"{path.name}: missing head or nodes")
 
     doc = FeederDoc(
-        name=raw.get("name", path.stem),
-        head=str(raw["head"]),
-        nominal_kv=_field(raw, "nominal_kv", _finite, path.name),
+        name=_field(raw, "name", _text, path.name, path.stem),
+        head=_field(raw, "head", _text, path.name),
+        nominal_kv=_field(raw, "nominal_kv", _positive, path.name),
     )
 
     def records(key):
@@ -453,7 +460,7 @@ def parse_feeder_doc(path) -> FeederDoc:
     seen_nodes: dict[str, FeederNode] = {}
     for i, nd in records("nodes"):
         where = f"{path.name}: nodes[{i}]"
-        node_id = _field(nd, "id", str, where)
+        node_id = _field(nd, "id", _text, where)
         node = FeederNode(
             id=node_id,
             phases=_phases_of(_field(nd, "phases", str, where), f"node {node_id}"),
@@ -469,7 +476,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         raise CaseFormatError(f"{path.name}: head node must carry phases abc")
 
     def endpoints(rec, what, where):
-        f, t = _field(rec, "from", str, where), _field(rec, "to", str, where)
+        f, t = _field(rec, "from", _text, where), _field(rec, "to", _text, where)
         if f not in seen_nodes or t not in seen_nodes:
             raise CaseFormatError(f"{path.name}: {what} references unknown node {f if f not in seen_nodes else t}")
         phases = _phases_of(_field(rec, "phases", str, where), f"{what} {f}-{t}")
@@ -482,7 +489,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         where = f"{path.name}: lines[{i}]"
         f, t, phases = endpoints(li, "line", where)
         z = _matrix_of(_field(li, "z_ohms_per_mile", list, where), len(phases), f"{path.name}: line {f}-{t}")
-        length = _field(li, "length_miles", _finite, where, 1.0)
+        length = _field(li, "length_miles", _positive, where, 1.0)
         doc.branches.append(FeederBranch(f, t, phases, z * length, ElementKind.LINE))
 
     for i, tr in records("transformers"):
@@ -504,7 +511,7 @@ def parse_feeder_doc(path) -> FeederDoc:
         return tuple(v)
 
     def node_of(rec, what, where):
-        node = _field(rec, "node", str, where)
+        node = _field(rec, "node", _text, where)
         if node not in seen_nodes:
             raise CaseFormatError(f"{path.name}: {what} references unknown node {node}")
         return node
@@ -544,7 +551,7 @@ def parse_feeder_doc(path) -> FeederDoc:
                 node=node,
                 kw=tuple_of(de, "kw", k, where),
                 kvar=tuple_of(de, "kvar", k, where),
-                group=_field(de, "group", str, where, ""),
+                group=_field(de, "group", _text, where, ""),
             )
         )
 

@@ -24,7 +24,6 @@ pass, the approach of MATPOWER's makeYbus/dSbus_dV.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .netmodel import (
 )
 from .sparse import AssemblyPlan
 
-# Voltage-collapse guard: below this magnitude the PQ model denominator
+# Voltage-collapse guard: at |V|^2 <= EPS_V^2 on a leg the PQ model denominator
 # is meaningless and the step limiter is expected to intervene.
 EPS_V = 1e-6
 
@@ -56,10 +55,12 @@ _DELTA_LEGS = ("ab", "bc", "ca")
 _SCALED, _RELAXED, _REST = 0, 1, 2
 _P, _I, _Z = 0, 1, 2  # ZIP shares: constant power, current and impedance
 _GROUND = np.zeros(1)  # the state's padding slot n, a wye leg's second terminal
+# part of [a, b, c, d, -a, -b, -c, -d] behind each of a leg's 16 block entries: +J, -J, -J, +J
+_BLOCK_PART = np.tile(np.arange(4), 4) + 4 * np.repeat([0, 1, 1, 0], 4)
 
 
 class VoltageCollapseError(ArithmeticError):
-    """|V| fell below the collapse guard at a load terminal."""
+    """|V| fell below the collapse guard at a load, DER or generator terminal."""
 
     def __init__(self, bus, phase, vmag2):
         super().__init__(f"voltage collapse guard at bus {bus} phase {phase}: |V|^2 = {vmag2:.3e}")
@@ -151,26 +152,36 @@ class _Legs:
     ``t`` holds (R1, I1, R2, I2) per leg; a wye leg's second terminal is
     the ground slot n of a state padded with one zero.  A leg with the
     2x2 block J stamps +J on (1, 1) and (2, 2) and -J on (1, 2) and
-    (2, 1), and a right-hand side h at terminal 1 is -h at terminal 2.
+    (2, 1), and a right-hand side h at terminal 1 is -h at terminal 2;
+    a wye leg stamps only at terminal 1.  ``block_rows``/``block_cols``
+    and ``rhs_rows`` are those stamp positions, leg by leg, and the
+    integer takes pick each one's value from the per-part arrays
+    [a, b, c, d, -a, -b, -c, -d] and [hr, hi, -hr, -hi].
     """
 
     def __init__(self, t: np.ndarray, n: int):
         self.t = t
         node2 = t[:, 2] < n
         every = np.ones_like(node2)
-        self.block_mask = np.repeat(np.stack([every, node2, node2, node2], axis=1), 4, axis=1)
-        self.rhs_mask = np.stack([every, every, node2, node2], axis=1)
-
-    def block_pattern(self):
-        r1, i1, r2, i2 = self.t.T
+        block_mask = np.repeat(np.stack([every, node2, node2, node2], axis=1), 4, axis=1)
+        rhs_mask = np.stack([every, every, node2, node2], axis=1)
+        r1, i1, r2, i2 = t.T
         rows = np.stack([r1, r1, i1, i1, r1, r1, i1, i1, r2, r2, i2, i2, r2, r2, i2, i2], axis=1)
         cols = np.stack([r1, i1, r1, i1, r2, i2, r2, i2, r1, i1, r1, i1, r2, i2, r2, i2], axis=1)
-        return rows[self.block_mask], cols[self.block_mask]
+        self.block_rows, self.block_cols, self.rhs_rows = rows[block_mask], cols[block_mask], t[rhs_mask]
+        leg = np.arange(len(t))[:, None]
+        self.block_take = (_BLOCK_PART * len(t) + leg)[block_mask]
+        self.rhs_take = (np.arange(4) * len(t) + leg)[rhs_mask]
 
-    def block_values(self, j_rr, j_ri, j_ir, j_ii):
-        """Values on ``block_pattern`` for per-leg blocks [[j_rr, j_ri], [j_ir, j_ii]]."""
-        j = np.stack([j_rr, j_ri, j_ir, j_ii], axis=1)
-        return np.concatenate([j, -j, -j, j], axis=1)[self.block_mask]
+    def block_values(self, a, b, c, d):
+        """Values on the block positions for per-leg blocks [[a, b], [c, d]]."""
+        j = np.concatenate([a, b, c, d])
+        return np.concatenate([j, -j])[self.block_take]
+
+    def rhs_values(self, hr, hi):
+        """Values on ``rhs_rows`` for per-leg right-hand sides (hr, hi) at terminal 1."""
+        h = np.concatenate([hr, hi])
+        return np.concatenate([h, -h])[self.rhs_take]
 
 
 def _concat(parts, bus=1) -> list[np.ndarray]:
@@ -282,9 +293,14 @@ class CompiledCircuit:
     scaled (series self terms, times 1 + lam gamma), relaxed (line
     charging and shunts, times 1 - lam) or rest (mutual phase couplings,
     constant-impedance load shares, sources and ports).
-    Every ZIP leg is a row of index and parameter arrays: constant-power
-    legs carry (p, q) with the ZIP fraction and the load/DER sign folded
-    in, constant-current legs a signed magnitude and the demand angle.
+    Loads, DERs and generators are one ``_Legs`` array, ``jac``: the ZIP
+    legs that are not constant impedance in device order, then each
+    generator as a wye leg to ground.  Every leg stamps its 2x2 Jacobian
+    block and its (h, -h) right-hand side.  Constant-power legs carry
+    (p, q) with the ZIP fraction and the load/DER sign folded in, a
+    generator its -P and its reactive unknown, and constant-current legs
+    p = q = 0 with a signed magnitude and the demand angle, so their
+    block is zero (the secant update).
     ``plan``, made last from the linear and nonlinear index arrays,
     checks their bounds once and fixes the pattern's scatter, into a
     dense array on systems small enough for the dense kernel.  Source
@@ -308,45 +324,29 @@ class CompiledCircuit:
         self._compile_linear(network, imap, t[share == _Z])
 
         nonlinear = np.flatnonzero(share != _Z)
-        legs_nl = _Legs(t[nonlinear], n)
-        # (bus, wye phase or delta leg) of each nonlinear leg, for the collapse guard's message
-        self.labels = [(b, "pabc"[c1] + ("" if w else "pabc"[c2])) for b, c1, c2, w in
-                       zip(*(col[nonlinear].tolist() for col in (bus, code1, code2, wye)))]
-        self.is_pq = share[nonlinear] == _P
-        pq, cu = np.flatnonzero(self.is_pq), np.flatnonzero(~self.is_pq)
-        self.jac = _Legs(legs_nl.t[pq], n)
-
         gr = imap.v_index([g.bus for g in gens], PHASE_CODE[POSITIVE_SEQUENCE])
         gi = gr + 1
         self.gq = gq = np.array([imap.gen_q[g.bus] for g in gens], dtype=np.int64)
-        # (R1, I1, R2, I2) gather rows, slot n being ground: constant-power legs, then
-        # the generators as demands of -(P + jQ) on a wye leg; constant-current legs
-        gen_t = np.stack([gr, gi, np.full_like(gr, n), np.full_like(gr, n)])
-        self.t_pq = np.concatenate([legs_nl.t[pq].T, gen_t], axis=1)
-        self.t_cu = legs_nl.t[cu].T.copy()
-        self.npq = len(pq)
+        # the ZIP legs that are not constant impedance, in device order, then the
+        # generators as demands of -(P + jQ) on a wye leg to ground
+        gen_t = np.stack([gr, gi, np.full_like(gr, n), np.full_like(gr, n)], axis=1)
+        self.jac = legs = _Legs(np.concatenate([t[nonlinear], gen_t]), n)
+        self.terminals = legs.t.T.copy()  # (R1, I1, R2, I2) gather rows, slot n being ground
+        self.cu = np.flatnonzero(share[nonlinear] == _I)
+        # (bus, wye phase or delta leg) of each leg, for the collapse guard's message
+        self.labels = [(b, "pabc"[c1] + ("" if w else "pabc"[c2])) for b, c1, c2, w in
+                       zip(*(col[nonlinear].tolist() for col in (bus, code1, code2, wye)))]
+        self.labels += [(g.bus, POSITIVE_SEQUENCE) for g in gens]
         # share, sign and nominal |V|^2 per leg: delta legs see sqrt(3) pu at nominal
-        self._legs = share, keys[:, 5], np.where(wye, 1.0, 3.0)
+        self._zip = share, keys[:, 5], np.where(wye, 1.0, 3.0)
         self._p_set = np.array([g.p_set for g in gens])
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
         self._modes_seen = None  # the gen_modes behind the cached _pv, _q_pin
         self._take_demands(self._f * self._s, -self._p_set)
 
-        jac_rows, jac_cols = self.jac.block_pattern()
-        self.nl_rows = np.concatenate([jac_rows, gr, gi, gr, gi, gr, gi, gq, gq, gq])
-        self.nl_cols = np.concatenate([jac_cols, gr, gr, gi, gi, gq, gq, gr, gi, gq])
-        self.nl_rhs_rows = np.concatenate([legs_nl.t[legs_nl.rhs_mask], gr, gi, gq])
-        # nonlinear() computes values share by share; these takes put them in stamping
-        # order: Jacobian blocks [[a, b], [c, d]] as +J, -J, -J, +J from [a, b, c, d, -a, -b,
-        # -c, -d] per share, leg right-hand sides (h, -h) at terminals 1 and 2
-        npq, nlegs, ng = len(pq), len(nonlinear), len(gens)
-        part = np.tile(np.arange(4), 4) + 4 * np.repeat([0, 1, 1, 0], 4)
-        jac_take = (part * npq + np.arange(npq)[:, None])[self.jac.block_mask]
-        self.val_take = np.concatenate([jac_take, 8 * npq + np.arange(9 * ng)])
-        pos = np.empty(nlegs, dtype=np.int64)
-        pos[np.concatenate([pq, cu])] = np.arange(nlegs)
-        rhs_take = (np.arange(4) * nlegs + pos[:, None])[legs_nl.rhs_mask]
-        self.rhs_take = np.concatenate([rhs_take, 4 * nlegs + np.arange(3 * ng)])
+        self.nl_rows = np.concatenate([legs.block_rows, gr, gi, gq, gq, gq])
+        self.nl_cols = np.concatenate([legs.block_cols, gq, gq, gr, gi, gq])
+        self.nl_rhs_rows = np.concatenate([legs.rhs_rows, gq])
         self.plan = AssemblyPlan(n, (self.lin_rows, self.nl_rows), (self.lin_cols, self.nl_cols), dense=True)
 
     def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
@@ -358,10 +358,9 @@ class CompiledCircuit:
 
         # constant-impedance ZIP share: values set by _take_demands
         self.z = _Legs(z_terminals, imap.n)
-        z_rows, z_cols = self.z.block_pattern()
         start = sum(len(part[2]) for part in parts)
-        self.z_slice = slice(start, start + len(z_rows))
-        parts.append((z_rows, z_cols, np.zeros(len(z_rows)), _REST))
+        self.z_slice = slice(start, start + len(self.z.block_rows))
+        parts.append((self.z.block_rows, self.z.block_cols, np.zeros(len(self.z.block_rows)), _REST))
 
         # ideal sources: voltage rows owned by the source current unknowns,
         # injection into the node KCL
@@ -412,16 +411,17 @@ class CompiledCircuit:
         ``network.with_loading_factor(lf)``; at lf = 0 the legs that compile would leave
         out stay at zero demand, the same system in value.
         """
-        load = self._legs[1] > 0  # DER legs have the sign -1
+        load = self._zip[1] > 0  # DER legs have the sign -1
         self._take_demands(self._f * np.where(load, lf * self._s, self._s), -(lf * self._p_set))
 
     def _take_demands(self, s: np.ndarray, gen_p: np.ndarray) -> None:
         """Set the leg values from the per-leg demands ``s`` and the generators' P from ``gen_p``."""
-        share, sign, vref2 = self._legs
-        pq, cu, z = (share == k for k in (_P, _I, _Z))
-        # P of the constant-power legs, then of the generators (whose Q is an unknown)
-        self.p = np.concatenate([sign[pq] * s[pq].real, gen_p])
-        self.q = sign[pq] * s[pq].imag
+        share, sign, vref2 = self._zip
+        cu, z = share == _I, share == _Z
+        # P and Q of every leg, zero on the constant-current ones, then the generators' P
+        # (their Q is an unknown)
+        self.p = np.concatenate([np.where(share == _P, sign * s.real, 0.0)[~z], gen_p])
+        self.q = np.where(share == _P, sign * s.imag, 0.0)[~z]
         self.mag = sign[cu] * (np.abs(s[cu]) / np.sqrt(vref2[cu]))
         self.angle = np.angle(s[cu])
         # admittance drawing the demand at nominal voltage
@@ -438,65 +438,38 @@ class CompiledCircuit:
         return StampSet(self.lin_rows, self.lin_cols, vals, rhs_rows, rhs_vals)
 
     def nonlinear(self, x: np.ndarray, gen_modes: dict) -> StampSet:
-        xp = np.concatenate((x, _GROUND))
-        x1r, x1i, x2r, x2i = xp[self.t_pq]
-        c1r, c1i, c2r, c2i = xp[self.t_cu]
+        x1r, x1i, x2r, x2i = np.concatenate((x, _GROUND))[self.terminals]
         vr, vi = x1r - x2r, x1i - x2i
-        cvr, cvi = c1r - c2r, c1i - c2i
         m2 = vr * vr + vi * vi
-        if (m2 <= EPS_V * EPS_V).any() or (np.hypot(cvr, cvi) <= EPS_V).any():
-            self._raise_collapse(vr, vi, cvr, cvi)
+        if (m2 <= EPS_V * EPS_V).any():
+            self._raise_collapse(m2)
 
-        # constant-power share and generators: J on the left, J.x_k - c(x_k) on the right
-        k, qg = self.npq, x[self.gq]
-        parts = pq_partials(self.p, np.concatenate([self.q, -qg]), vr, vi)
-        ir, ii, a, b, c, d = (v[:k] for v in parts)
-        gir, gii, ga, gb, gc, gd = (v[k:] for v in parts)
-        x1r, x1i, x2r, x2i = x1r[:k], x1i[:k], x2r[:k], x2i[:k]
+        # every leg: J on the left, J.x_k - c(x_k) on the right
+        k, qg = len(self.q), x[self.gq]
+        ir, ii, a, b, c, d = pq_partials(self.p, np.concatenate([self.q, -qg]), vr, vi)
+        # constant-current legs (p = q = 0): fixed magnitude at the demand's power-factor
+        # angle off the present voltage angle; a zero Jacobian block (secant update)
+        theta = np.arctan2(vi[self.cu], vr[self.cu]) - self.angle
+        ir[self.cu], ii[self.cu] = self.mag * np.cos(theta), self.mag * np.sin(theta)
         hr = -ir + a * x1r + b * x1i - a * x2r - b * x2i
         hi = -ii + c * x1r + d * x1i - c * x2r - d * x2i
-        # constant-current share: fixed magnitude at the demand's power-factor
-        # angle off the present voltage angle; no Jacobian entry (secant update)
-        theta = np.arctan2(cvi, cvr) - self.angle
-        chr_ = -(self.mag * np.cos(theta))
-        chi = -(self.mag * np.sin(theta))
 
         gvr, gvi, gm2 = vr[k:], vi[k:], m2[k:]
         dq_r, dq_i = -gvi / gm2, gvr / gm2
+        hr[k:] += dq_r * qg
+        hi[k:] += dq_i * qg
         pv, q_pin = self._gen_rows(gen_modes)
         # pv: |V|^2 = Vset^2 linearized, 2 vr V_R + 2 vi V_I = Vset^2 + vr^2 + vi^2;
         # at a limit the row pins Q at the bound instead
-        jac = np.concatenate([a, b, c, d])
-        vals = np.concatenate(
-            [jac, -jac, ga, gc, gb, gd, dq_r, dq_i,
-             np.where(pv, 2.0 * gvr, 0.0), np.where(pv, 2.0 * gvi, 0.0), np.where(pv, 0.0, 1.0)]
-        )
-        h = np.concatenate([hr, chr_, hi, chi])
-        rhs = np.concatenate(
-            [
-                h, -h,
-                -gir + ga * gvr + gb * gvi + dq_r * qg,
-                -gii + gc * gvr + gd * gvi + dq_i * qg,
-                np.where(pv, self.gen_v2 + gm2, q_pin),
-            ]
-        )
-        return StampSet(self.nl_rows, self.nl_cols, vals[self.val_take], self.nl_rhs_rows, rhs[self.rhs_take])
+        vals = np.concatenate([self.jac.block_values(a, b, c, d), dq_r, dq_i, np.where(pv, 2.0 * gvr, 0.0),
+                               np.where(pv, 2.0 * gvi, 0.0), np.where(pv, 0.0, 1.0)])
+        rhs = np.concatenate([self.jac.rhs_values(hr, hi), np.where(pv, self.gen_v2 + gm2, q_pin)])
+        return StampSet(self.nl_rows, self.nl_cols, vals, self.nl_rhs_rows, rhs)
 
-    def _raise_collapse(self, vr_pq, vi_pq, vr_cu, vi_cu):
-        """Raise VoltageCollapseError naming the first load leg below the guard in
-        device order, else the first generator."""
-        k = self.npq
-        vr, vi = np.empty(len(self.is_pq)), np.empty(len(self.is_pq))
-        vr[self.is_pq], vr[~self.is_pq] = vr_pq[:k], vr_cu
-        vi[self.is_pq], vi[~self.is_pq] = vi_pq[:k], vi_cu
-        m2 = vr * vr + vi * vi
-        low = np.where(self.is_pq, m2 <= EPS_V * EPS_V, np.hypot(vr, vi) <= EPS_V)
-        if low.any():
-            j = int(np.argmax(low))
-            raise VoltageCollapseError(*self.labels[j], m2[j] if self.is_pq[j] else math.hypot(vr[j], vi[j]) ** 2)
-        gm2 = vr_pq[k:] * vr_pq[k:] + vi_pq[k:] * vi_pq[k:]
-        j = int(np.argmax(gm2 <= EPS_V * EPS_V))
-        raise VoltageCollapseError(self.gens[j].bus, POSITIVE_SEQUENCE, gm2[j])
+    def _raise_collapse(self, m2):
+        """Raise VoltageCollapseError naming the first leg below the guard, in device order."""
+        j = int(np.argmax(m2 <= EPS_V * EPS_V))
+        raise VoltageCollapseError(*self.labels[j], m2[j])
 
     def _gen_rows(self, gen_modes: dict):
         """(pv mask, pinned Q) per generator, rebuilt only when the modes change."""
@@ -556,8 +529,8 @@ def stamp_nonlinear(circuit: CompiledCircuit, x: np.ndarray, gen_modes: dict[int
     ``gen_modes`` maps a generator bus to 'pv' (default), 'qmax' or
     'qmin'; at a limit the voltage-magnitude row is replaced by a row
     pinning the reactive unknown at that bound.  Raises
-    VoltageCollapseError naming the first load terminal (in device
-    order) below the guard.
+    VoltageCollapseError naming the first load or DER terminal (in
+    device order), else generator, with |V|^2 <= EPS_V^2.
     """
     return circuit.nonlinear(x, gen_modes or {})
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import tandem.cli
 from netgen import case27_with_feeders
 from tandem.cli import BENCH_HEADER, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from tandem.ingest import load_combined_case
@@ -66,6 +67,15 @@ class TestSolve:
 
         d, g = magnitudes(poi_lines(out_d)), magnitudes(poi_lines(out_g))
         assert d == pytest.approx(g, abs=1e-3)
+
+    def test_gsn_summary_names_global_residual(self, workdir):
+        out = workdir / "gsn"
+        assert run(["solve", "--case", workdir / "case9.m", "--coupling", workdir / "case9_feeder1.json",
+                    "--solver", "gsn", "--out", out]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert f"global residual: {report['global_residual']:.3e}" in lines
+        assert lines[lines.index(f"epochs: {report['epochs']}") + 1].startswith("global residual: ")
 
     def test_missing_case_input_error(self, workdir):
         rc = run(["solve", "--case", workdir / "nope.m", "--out", workdir / "o"])
@@ -462,6 +472,20 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["couplings"]) == manifest["ports"] == 4
 
+    def test_coupling_map_parsed_once(self, workdir, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return parse(path)
+
+        parse = tandem.cli.parse_coupling_map
+        monkeypatch.setattr(tandem.cli, "parse_coupling_map", counting)
+        rc = run(["generate", "--case", workdir / "case9.m",
+                  "--coupling", workdir / "case9_feeder4.json", "--out", workdir / "bundle"])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+
     def test_malformed_map_rejected(self, workdir):
         bad = workdir / "bad_map.json"
         bad.write_text(json.dumps({"schema": 1, "couplings": [
@@ -607,10 +631,12 @@ def test_json_integer_past_digit_limit_is_input_error(workdir, target, old, new)
         ("map.json", ("couplings", 0, "load_scale"), float("nan"), "couplings[0]: bad load_scale nan"),
         ("feeder_medium.json", ("loads", 0, "kw"), float("inf"), "loads[0]: bad kw inf"),
         ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile"), [[[10**400, 0]]], "expected finite number"),
+        # a negative length negated the line's impedance, and the case solved with exit 0
+        ("feeder_medium.json", ("lines", 0, "length_miles"), -1, "lines[0]: bad length_miles -1"),
     ],
     ids=["star-load", "no-nominal-kv", "kw-text", "node-without-id", "line-without-from",
          "entry-without-bus", "bus-text", "map-list", "nodes-number", "loads-number", "z-flat-row",
-         "load-scale-nan", "kw-infinity", "z-int-overflow"],
+         "load-scale-nan", "kw-infinity", "z-int-overflow", "negative-length"],
 )
 def test_bad_feeder_or_map_record_is_input_error(workdir, target, path, value, named):
     """A malformed record exits 2 with a message naming the file and the record, value None dropping the key."""

@@ -169,6 +169,17 @@ FEEDER_DOC = {
 }
 
 
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` (keys and list indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    rec = doc
+    for part in parents:
+        rec = rec[part]
+    rec[key] = value
+    return doc
+
+
 def write_feeder(tmp_path, doc, name="f1.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -268,6 +279,30 @@ class TestFeeder:
         doc["lines"][1]["z_ohms_per_mile"] = [[entry]]
         with pytest.raises(CaseFormatError, match=r"expected finite number or \[re, im\] pair"):
             parse_feeder_doc(write_feeder(tmp_path, doc))
+
+    @pytest.mark.parametrize("path, named", [
+        (("name",), "bad name"), (("head",), "bad head"), (("nodes", 1, "id"), "nodes[1]: bad id"),
+        (("lines", 0, "from"), "lines[0]: bad from"), (("lines", 1, "to"), "lines[1]: bad to"),
+        (("loads", 0, "node"), "loads[0]: bad node"), (("capacitors", 0, "node"), "capacitors[0]: bad node"),
+        (("ders", 0, "node"), "ders[0]: bad node"), (("ders", 0, "group"), "ders[0]: bad group"),
+    ], ids=["name", "head", "node-id", "line-from", "line-to", "load-node", "capacitor-node", "der-node", "der-group"])
+    def test_names_must_be_json_strings(self, tmp_path, path, named):
+        # unchecked, a number was read through str(): a document with ids 100, 101, ... parsed, as "100", ...
+        doc = _with(FEEDER_DOC, path, 100)
+        with pytest.raises(CaseFormatError) as info:
+            parse_feeder_doc(write_feeder(tmp_path, doc))
+        assert str(info.value) == f"f1.json: {named} 100"
+
+    @pytest.mark.parametrize("path, value, named", [
+        (("nominal_kv",), -12.47, "bad nominal_kv -12.47"), (("nominal_kv",), 0, "bad nominal_kv 0"),
+        (("lines", 0, "length_miles"), -1, "lines[0]: bad length_miles -1"),
+        (("lines", 1, "length_miles"), 0.0, "lines[1]: bad length_miles 0.0"),
+    ], ids=["negative-kv", "zero-kv", "negative-length", "zero-length"])
+    def test_lengths_and_nominal_kv_must_be_positive(self, tmp_path, path, value, named):
+        # unchecked, a negative length negated the line's impedance and the case solved
+        with pytest.raises(CaseFormatError) as info:
+            parse_feeder_doc(write_feeder(tmp_path, _with(FEEDER_DOC, path, value)))
+        assert str(info.value) == f"f1.json: {named}"
 
     def test_bundled_feeders_clean(self, data_dir):
         for name in ("feeder_small.json", "feeder_medium.json", "feeder_stressed.json"):

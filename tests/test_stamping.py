@@ -20,9 +20,10 @@ from tandem.netmodel import (
     initial_state,
 )
 from tandem.gsn import tear
+from tandem.ingest import parse_transmission
 from tandem.newton import SolveFailure, SolverOptions, solve_direct
 from tandem.sparse import assemble
-from tandem.stamping import CompiledCircuit, HomotopyState, VoltageCollapseError, stamp_system
+from tandem.stamping import CompiledCircuit, HomotopyState, VoltageCollapseError, stamp_nonlinear, stamp_system
 
 _MODE_CYCLE = ("pv", "qmax", "pv", "qmin")
 
@@ -261,3 +262,32 @@ def test_collapse_reason_in_lambda_trajectory():
     reason = info.value.report.lambda_trajectory[0]["reason"]
     assert reason.startswith("collapse:") and "bus 12 phase a" in reason
 
+
+def test_collapse_guard_names_generator(case9):
+    net = parse_transmission(case9)
+    imap = build_index_map(net)
+    assert 2 in imap.gen_q
+    err = _collapse(net, _zero(imap, initial_state(net, imap), 2, "p"))
+    assert (err.bus, err.phase) == (2, "p")
+
+
+def test_collapse_guard_names_constant_current_leg_ahead_of_power_leg():
+    # the constant-current load comes first in the device list; both collapse
+    net = _feeder(loads=[Load(12, "abc", S3, Connection.WYE, (0.0, 1.0, 0.0)), Load(11, "abc", S3)])
+    imap = build_index_map(net)
+    err = _collapse(net, _zero(imap, _zero(imap, initial_state(net, imap), 11, "a"), 12, "c"))
+    assert (err.bus, err.phase) == (12, "c")
+
+
+@pytest.mark.parametrize("connection", [Connection.WYE, Connection.DELTA])
+def test_constant_current_leg_stamps_a_zero_block(connection):
+    """A pure constant-current load stamps each leg's 2x2 blocks, all zero (the secant update)."""
+    net = _feeder([Load(12, "abc", S3, connection, (0.0, 1.0, 0.0))])
+    imap = build_index_map(net)
+    st_ = stamp_nonlinear(CompiledCircuit(net, imap), initial_state(net, imap))
+    pairs = [(ph, ph) for ph in "abc"] if connection is Connection.WYE else [
+        (p1, p2) for leg in ("ab", "bc", "ca") for p1 in leg for p2 in leg]
+    want = {(imap.v_pair(12, p1)[r], imap.v_pair(12, p2)[c]) for p1, p2 in pairs for r in (0, 1) for c in (0, 1)}
+    assert set(zip(st_.rows.tolist(), st_.cols.tolist())) == want
+    assert not st_.vals.any()
+    assert st_.rhs_vals.any()
