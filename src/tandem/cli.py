@@ -159,8 +159,7 @@ def cmd_solve(args) -> int:
     net = _load_network(args)
     x, rep_dict, imap = _solve(net, args, opts, gsn)
 
-    sol = solution_dict(net, imap, x)
-    (out_dir / "solution.json").write_text(solution_json(sol) + "\n")
+    (out_dir / "solution.json").write_text(solution_json(net, imap, x) + "\n")
     (out_dir / "report.json").write_text(json.dumps(rep_dict, indent=2) + "\n")
 
     lines = ["tandem solve summary", f"case: {args.case}", f"solver: {args.solver}"]
@@ -175,7 +174,7 @@ def cmd_solve(args) -> int:
     ext = poi_extremes(net, imap, x)
     if ext is None:
         lines.append("ports: 0 (POI-free network)")
-        mags = [(node["vm"], node["bus"], node["phase"]) for node in sol["nodes"]]
+        mags = [(node["vm"], node["bus"], node["phase"]) for node in solution_dict(net, imap, x)["nodes"]]
         hi, lo = max(mags), min(mags)
         lines.append(f"max voltage: bus {hi[1]} phase {hi[2]}  {hi[0]:.4f}")
         lines.append(f"min voltage: bus {lo[1]} phase {lo[2]}  {lo[0]:.4f}")

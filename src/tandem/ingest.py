@@ -113,12 +113,15 @@ def _numbers(row: str, line: int, name: str, read=(), inf_ok=(), ints=()) -> lis
     """A matrix row's numbers.  NaN in a ``read`` column, +-inf outside the ``inf_ok``
     ones (MATPOWER's "no limit"), or a fraction in an ``ints`` column (ids, types and
     statuses) is a CaseFormatError naming file ``name``."""
-    out = []
-    for tok in row.replace(",", " ").split():
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise CaseFormatError(f"bad numeric token {tok!r}", line) from None
+    tokens = row.replace(",", " ").split()
+    try:
+        out = list(map(float, tokens))
+    except ValueError:  # name the first token float() refuses
+        for tok in tokens:
+            try:
+                float(tok)
+            except ValueError:
+                raise CaseFormatError(f"bad numeric token {tok!r}", line) from None
     if not all(map(math.isfinite, out)):
         for k in read:
             if k < len(out) and (math.isnan(out[k]) or math.isinf(out[k]) and k not in inf_ok):
@@ -369,10 +372,14 @@ def _complex_of(v, where: str) -> complex:
 def _matrix_of(m, k: int, where: str) -> np.ndarray:
     if not all(isinstance(row, list) for row in m):
         raise CaseFormatError(f"{where}: expected impedance rows as lists, got {m!r}")
-    arr = np.array([[_complex_of(v, where) for v in row] for row in m], dtype=complex)
+    rows = [[_complex_of(v, where) for v in row] for row in m]
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:
+        raise CaseFormatError(f"{where}: expected {k}x{k} impedance block, got rows of {lengths} entries")
+    arr = np.array(rows, dtype=complex)
     if arr.shape != (k, k):
         raise CaseFormatError(f"{where}: expected {k}x{k} impedance block, got {arr.shape}")
-    if not np.allclose(arr, arr.T, rtol=0, atol=1e-12):
+    if not (np.abs(arr - arr.T) <= 1e-12).all():  # the entries are finite: np.allclose(rtol=0, atol=1e-12)
         raise CaseFormatError(f"{where}: impedance block is not symmetric")
     return arr
 
@@ -441,63 +448,63 @@ class FeederDoc:
 def parse_feeder_doc(path) -> FeederDoc:
     """Parse and validate a feeder JSON document (physical units)."""
     path = Path(path)
-    raw = _json_object(path)
+    raw, name = _json_object(path), path.name
     if "head" not in raw or "nodes" not in raw:
-        raise CaseFormatError(f"{path.name}: missing head or nodes")
+        raise CaseFormatError(f"{name}: missing head or nodes")
 
     doc = FeederDoc(
-        name=_field(raw, "name", _text, path.name, path.stem),
-        head=_field(raw, "head", _text, path.name),
-        nominal_kv=_field(raw, "nominal_kv", _positive, path.name),
+        name=_field(raw, "name", _text, name, path.stem),
+        head=_field(raw, "head", _text, name),
+        nominal_kv=_field(raw, "nominal_kv", _positive, name),
     )
 
     def records(key):
         recs = raw.get(key, [])
         if not isinstance(recs, list):
-            raise CaseFormatError(f"{path.name}: {key} must be a list of records, got {recs!r}")
+            raise CaseFormatError(f"{name}: {key} must be a list of records, got {recs!r}")
         return enumerate(recs)
 
     seen_nodes: dict[str, FeederNode] = {}
     for i, nd in records("nodes"):
-        where = f"{path.name}: nodes[{i}]"
+        where = f"{name}: nodes[{i}]"
         node_id = _field(nd, "id", _text, where)
         node = FeederNode(
             id=node_id,
             phases=_phases_of(_field(nd, "phases", str, where), f"node {node_id}"),
-            kv=_field(nd, "kv", _finite, where, doc.nominal_kv),
+            kv=_field(nd, "kv", _positive, where, doc.nominal_kv),
         )
         if node.id in seen_nodes:
-            raise CaseFormatError(f"{path.name}: duplicate node {node.id}")
+            raise CaseFormatError(f"{name}: duplicate node {node.id}")
         seen_nodes[node.id] = node
         doc.nodes.append(node)
     if doc.head not in seen_nodes:
-        raise CaseFormatError(f"{path.name}: head node {doc.head} not defined")
+        raise CaseFormatError(f"{name}: head node {doc.head} not defined")
     if seen_nodes[doc.head].phases != "abc":
-        raise CaseFormatError(f"{path.name}: head node must carry phases abc")
+        raise CaseFormatError(f"{name}: head node must carry phases abc")
 
     def endpoints(rec, what, where):
         f, t = _field(rec, "from", _text, where), _field(rec, "to", _text, where)
         if f not in seen_nodes or t not in seen_nodes:
-            raise CaseFormatError(f"{path.name}: {what} references unknown node {f if f not in seen_nodes else t}")
+            raise CaseFormatError(f"{name}: {what} references unknown node {f if f not in seen_nodes else t}")
         phases = _phases_of(_field(rec, "phases", str, where), f"{what} {f}-{t}")
         for node in (f, t):
             if not set(phases) <= set(seen_nodes[node].phases):
-                raise CaseFormatError(f"{path.name}: {what} {f}-{t} phases {phases} not at {node}")
+                raise CaseFormatError(f"{name}: {what} {f}-{t} phases {phases} not at {node}")
         return f, t, phases
 
     for i, li in records("lines"):
-        where = f"{path.name}: lines[{i}]"
+        where = f"{name}: lines[{i}]"
         f, t, phases = endpoints(li, "line", where)
-        z = _matrix_of(_field(li, "z_ohms_per_mile", list, where), len(phases), f"{path.name}: line {f}-{t}")
+        z = _matrix_of(_field(li, "z_ohms_per_mile", list, where), len(phases), f"{name}: line {f}-{t}")
         length = _field(li, "length_miles", _positive, where, 1.0)
         doc.branches.append(FeederBranch(f, t, phases, z * length, ElementKind.LINE))
 
     for i, tr in records("transformers"):
-        where = f"{path.name}: transformers[{i}]"
+        where = f"{name}: transformers[{i}]"
         f, t, phases = endpoints(tr, "transformer", where)
         conn = str(tr.get("connection", "wye")).lower()
         if conn != "wye":
-            raise CaseFormatError(f"{path.name}: transformer {f}-{t}: only wye connections supported")
+            raise CaseFormatError(f"{name}: transformer {f}-{t}: only wye connections supported")
         z1 = complex(_field(tr, "r_ohms", _finite, where, 0.0), _field(tr, "x_ohms", _finite, where))
         doc.branches.append(
             FeederBranch(f, t, phases, np.eye(len(phases), dtype=complex) * z1, ElementKind.TRANSFORMER)
@@ -513,19 +520,19 @@ def parse_feeder_doc(path) -> FeederDoc:
     def node_of(rec, what, where):
         node = _field(rec, "node", _text, where)
         if node not in seen_nodes:
-            raise CaseFormatError(f"{path.name}: {what} references unknown node {node}")
+            raise CaseFormatError(f"{name}: {what} references unknown node {node}")
         return node
 
     for i, lo in records("loads"):
-        where = f"{path.name}: loads[{i}]"
+        where = f"{name}: loads[{i}]"
         node = node_of(lo, "load", where)
         conn = _field(lo, "connection", lambda v: Connection(str(v).lower()), where, Connection.WYE)
         k = 3 if conn is Connection.DELTA else len(seen_nodes[node].phases)
         if conn is Connection.DELTA and seen_nodes[node].phases != "abc":
-            raise CaseFormatError(f"{path.name}: delta load at {node} needs a three-phase node")
+            raise CaseFormatError(f"{name}: delta load at {node} needs a three-phase node")
         zf = _field(lo, "zip", lambda v: tuple(_finite(t) for t in v), where, (1.0, 0.0, 0.0))
         if len(zf) != 3 or abs(sum(zf) - 1.0) > 1e-12 or any(f < 0 or f > 1 for f in zf):
-            raise CaseFormatError(f"{path.name}: load at {node}: bad ZIP fractions {zf}")
+            raise CaseFormatError(f"{name}: load at {node}: bad ZIP fractions {zf}")
         doc.loads.append(
             FeederLoadRec(
                 node=node,
@@ -537,13 +544,13 @@ def parse_feeder_doc(path) -> FeederDoc:
         )
 
     for i, cp in records("capacitors"):
-        where = f"{path.name}: capacitors[{i}]"
+        where = f"{name}: capacitors[{i}]"
         node = node_of(cp, "capacitor", where)
         phases = seen_nodes[node].phases
         doc.capacitors.append(FeederCapRec(node=node, kvar=tuple_of(cp, "kvar", len(phases), where), phases=phases))
 
     for i, de in records("ders"):
-        where = f"{path.name}: ders[{i}]"
+        where = f"{name}: ders[{i}]"
         node = node_of(de, "DER", where)
         k = len(seen_nodes[node].phases)
         doc.ders.append(
@@ -591,17 +598,19 @@ def feeder_network(doc: FeederDoc, base_mva: float = DEFAULT_BASE_MVA) -> Networ
         )
         labels[node_index[n.id]] = f"{doc.name}/{n.id}"
 
-    # one inverse per group of same-size blocks; a group with a singular block goes block by block
+    # one inverse per group of same-size blocks; a group with a singular or non-finite block goes block by block
     y_series = {}
     for shape in {br.z_ohms.shape for br in doc.branches}:
         group = [i for i, br in enumerate(doc.branches) if br.z_ohms.shape == shape]
         with contextlib.suppress(np.linalg.LinAlgError):
-            y_series.update(zip(group, np.linalg.inv(np.stack([doc.branches[i].z_ohms for i in group]) / z_base)))
+            y = np.linalg.inv(np.stack([doc.branches[i].z_ohms for i in group]) / z_base)
+            if np.isfinite(y).all():
+                y_series.update(zip(group, y))
     elements = []
     for i, br in enumerate(doc.branches):
+        y_pu = y_series.get(i)
         try:
-            y_pu = y_series[i] if i in y_series else np.linalg.inv(br.z_ohms / z_base)
-            if not np.all(np.isfinite(y_pu)):
+            if y_pu is None and not np.isfinite(y_pu := np.linalg.inv(br.z_ohms / z_base)).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise CaseFormatError(f"{doc.name}: singular impedance block on {br.from_node}-{br.to_node}") from None
@@ -743,16 +752,16 @@ def build_combined(
         d.bus in kinds for name in DEVICES[2:] for d in devices[name])
     tiles = [Tile(Network(tnet.base_mva, **devices))]
     ports, labels = [], dict(tnet.labels)
-    templates: dict[str, Network] = {}  # feeder document -> its one network, ids from 0
+    templates: dict[str, tuple[Network, int]] = {}  # feeder document -> its one network, ids from 0, and head
     next_element = max((e.id for e in tnet.elements), default=-1) + 1
     for k, entry in enumerate(coupling.entries):
         if entry.feeder not in templates:
-            templates[entry.feeder] = feeder_network(feeder_docs[entry.feeder], tnet.base_mva)
-        fnet, offset = templates[entry.feeder], stride * (k + 1)
+            fnet = feeder_network(feeder_docs[entry.feeder], tnet.base_mva)
+            templates[entry.feeder] = fnet, next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
+        (fnet, head), offset = templates[entry.feeder], stride * (k + 1)
         tiles.append(Tile(fnet, offset, next_element, entry.load_scale, entry.der_scale))
         next_element += len(fnet.elements)
         labels.update(zip(map(offset.__add__, fnet.labels), fnet.labels.values()))
-        head = next(b.id for b in fnet.buses if b.kind is BusKind.FEEDER_HEAD)
         ports.append(CouplingPort(id=k, transmission_bus=entry.bus, feeder_head=head + offset))
 
     net = Network.tiled(tiles, base_mva=tnet.base_mva, ports=ports, labels=labels)

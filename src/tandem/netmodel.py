@@ -482,14 +482,18 @@ def _components(ids, edges) -> list[list[int]]:
 
 
 def _feeder_components(network: Network) -> list[list[Bus]]:
-    """Connected components of the distribution side, each a feeder block.
+    """Connected components of the distribution side, each a feeder block, found once per network
+    object and kept on it (``validate`` and the index map both read them).
 
     Components are ordered by their smallest bus id; buses inside a
     component are sorted by id.
     """
-    dist = {b.id: b for b in network.distribution_buses()}
-    edges = ((el.from_bus, el.to_bus) for el in network.elements)
-    return [[dist[i] for i in comp] for comp in _components(dist, edges)]
+    if (comps := vars(network).get("_feeder_components")) is None:
+        dist = {b.id: b for b in network.distribution_buses()}
+        edges = ((el.from_bus, el.to_bus) for el in network.elements)
+        comps = [[dist[i] for i in comp] for comp in _components(dist, edges)]
+        object.__setattr__(network, "_feeder_components", comps)
+    return comps
 
 
 def _structural_violations(network: Network) -> list[Violation]:
@@ -638,8 +642,8 @@ def _template_violations(network: Network):
     if network.transmission_buses() and not any(b.kind is BusKind.SLACK for b in network.buses):
         out.append(Violation("no-slack", "transmission network has no slack bus"))
 
-    # admittance checks once per phase set: a phase block is asymmetric unless every entry
-    # is within 1e-12 of its transpose (NaN never is)
+    # admittance checks once per phase set: a phase block is asymmetric unless every entry equals
+    # its transpose's or is within 1e-12 of it (np.isclose(rtol=0, atol=1e-12): NaN never is)
     groups: dict[str, list[int]] = {}
     for k, el in enumerate(network.elements):
         groups.setdefault(el.phases, []).append(k)
@@ -647,7 +651,9 @@ def _template_violations(network: Network):
     for phases, ks in groups.items():
         y = np.stack([network.elements[k].y_series for k in ks])
         if phases != POSITIVE_SEQUENCE:
-            asym[ks] = ~np.isclose(y, y.transpose(0, 2, 1), rtol=0, atol=1e-12).all(axis=(1, 2))
+            yt = y.transpose(0, 2, 1)
+            with np.errstate(invalid="ignore"):
+                asym[ks] = ~((y == yt) | (np.abs(y - yt) <= 1e-12)).all(axis=(1, 2))
         zero_self[ks] = (np.abs(np.diagonal(y, axis1=1, axis2=2)) <= 0).any(axis=1)
     for k, el in enumerate(network.elements):
         fb, tb = by_id.get(el.from_bus), by_id.get(el.to_bus)

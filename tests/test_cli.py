@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -633,10 +634,17 @@ def test_json_integer_past_digit_limit_is_input_error(workdir, target, old, new)
         ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile"), [[[10**400, 0]]], "expected finite number"),
         # a negative length negated the line's impedance, and the case solved with exit 0
         ("feeder_medium.json", ("lines", 0, "length_miles"), -1, "lines[0]: bad length_miles -1"),
+        # ragged impedance rows reached np.array, whose bare ValueError exited 4
+        ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile", 1), [], "line n1-n2: expected 3x3 impedance block"),
+        ("feeder_medium.json", ("lines", 0, "z_ohms_per_mile", 1), [[0.09, 0.3], [0.28, 0.66]],
+         "line n1-n2: expected 3x3 impedance block"),
+        # a node kv of 0 was reported as "bus 1", the node's index in its template
+        ("feeder_medium.json", ("nodes", 1, "kv"), 0, "nodes[1]: bad kv 0"),
     ],
     ids=["star-load", "no-nominal-kv", "kw-text", "node-without-id", "line-without-from",
          "entry-without-bus", "bus-text", "map-list", "nodes-number", "loads-number", "z-flat-row",
-         "load-scale-nan", "kw-infinity", "z-int-overflow", "negative-length"],
+         "load-scale-nan", "kw-infinity", "z-int-overflow", "negative-length", "z-empty-row", "z-short-row",
+         "zero-node-kv"],
 )
 def test_bad_feeder_or_map_record_is_input_error(workdir, target, path, value, named):
     """A malformed record exits 2 with a message naming the file and the record, value None dropping the key."""
@@ -669,11 +677,11 @@ def test_solution_writer_matches_json_dumps(data_dir, feeders):
     else:
         net = load_combined_case(data_dir / "case9.m", data_dir / f"{feeders}.json")
     x, _ = solve_direct(net)
-    sol = solution_dict(net, build_index_map(net), x)
-    assert solution_json(sol) == json.dumps(sol, indent=2)
+    imap = build_index_map(net)
+    assert solution_json(net, imap, x) == json.dumps(solution_dict(net, imap, x), indent=2)
     # an integer base and a label that needs escaping
-    sol = {**sol, "base_mva": 100, "nodes": [{**sol["nodes"][0], "label": 'b\u00e9 "1"'}]}
-    assert solution_json(sol) == json.dumps(sol, indent=2)
+    net = dataclasses.replace(net, base_mva=100, labels={**net.labels, int(imap.bus_ids[0]): 'b\u00e9 "1"'})
+    assert solution_json(net, imap, x) == json.dumps(solution_dict(net, imap, x), indent=2)
 
 
 def test_infinite_q_limits_still_solve(workdir):

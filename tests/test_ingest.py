@@ -1,7 +1,10 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tandem.ingest import (
     CaseFormatError,
@@ -14,7 +17,7 @@ from tandem.ingest import (
     parse_feeder_doc,
     parse_transmission,
 )
-from tandem.netmodel import BusKind, Connection, ElementKind, validate
+from tandem.netmodel import BusKind, Connection, ElementKind, NetworkError, build_index_map, validate
 
 from netgen import _assert_same, _combined_per_copy
 
@@ -81,6 +84,18 @@ class TestMatpower:
         body = MINI_CASE.replace("50\t20", "fifty\t20")
         with pytest.raises(CaseFormatError, match="line 5"):
             parse_transmission(write_case(tmp_path, body))
+
+    @pytest.mark.parametrize("columns", [(0,), (6,), (12,), (6, 12)], ids=["first", "middle", "last", "two"])
+    def test_bad_token_in_any_column_named_with_its_line(self, tmp_path, columns):
+        # a row is converted in one call; the message still names the row's first bad token and its line
+        lines = MINI_CASE.splitlines()
+        tokens = lines[4].rstrip(";").split()
+        for k in columns:
+            tokens[k] = f"x{k}"
+        lines[4] = "\t" + "\t".join(tokens) + ";"
+        with pytest.raises(CaseFormatError) as info:
+            parse_transmission(write_case(tmp_path, "\n".join(lines)))
+        assert str(info.value) == f"line 5: bad numeric token 'x{columns[0]}'"
 
     def test_non_finite_value_reports_line_and_file(self, tmp_path):
         # unchecked, a NaN load reached the stamps and the CLI exited 4
@@ -227,6 +242,26 @@ class TestFeeder:
         with pytest.raises(CaseFormatError, match="f1: singular impedance block on n2-n4"):
             parse_feeder(write_feeder(tmp_path, doc))
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_symmetry_test_is_allclose_against_the_transpose(self, tmp_path_factory, data):
+        """An impedance block is refused as asymmetric exactly when ``np.allclose(rtol=0, atol=1e-12)``
+        finds it not close to its transpose; offsets either side of 1e-12 by one ulp included."""
+        part = st.sampled_from([0.0, 0.05, 0.12]) | st.floats(-2, 2)
+        z = np.array([[complex(data.draw(part), data.draw(part)) for _ in range(3)] for _ in range(3)])
+        z = np.where(np.triu(np.ones((3, 3), dtype=bool)), z, z.T)
+        offsets = st.sampled_from([0.0, 5e-13, 1e-12, math.nextafter(1e-12, 0), math.nextafter(1e-12, 1), 2e-12])
+        for _ in range(data.draw(st.integers(0, 2))):
+            i, j, offset = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)), data.draw(offsets)
+            z[i, j] += offset * data.draw(st.sampled_from([1, -1, 1j, -1j]))
+        rows = [[[v.real, v.imag] for v in row] for row in z.tolist()]
+        path = write_feeder(tmp_path_factory.getbasetemp(), _with(FEEDER_DOC, ("lines", 0, "z_ohms_per_mile"), rows))
+        if np.allclose(z, z.T, rtol=0, atol=1e-12):
+            assert np.array_equal(parse_feeder_doc(path).branches[0].z_ohms, z)
+        else:
+            with pytest.raises(CaseFormatError, match=r"^f1\.json: line n1-n2: impedance block is not symmetric$"):
+                parse_feeder_doc(path)
+
     def test_stacked_inverses_match_block_by_block(self, data_dir):
         doc = parse_feeder_doc(data_dir / "feeder_medium.json")
         net = feeder_network(doc, base_mva=100.0)
@@ -297,12 +332,24 @@ class TestFeeder:
         (("nominal_kv",), -12.47, "bad nominal_kv -12.47"), (("nominal_kv",), 0, "bad nominal_kv 0"),
         (("lines", 0, "length_miles"), -1, "lines[0]: bad length_miles -1"),
         (("lines", 1, "length_miles"), 0.0, "lines[1]: bad length_miles 0.0"),
-    ], ids=["negative-kv", "zero-kv", "negative-length", "zero-length"])
+        # unchecked, a node kv of 0 was named "bus 1", the node's index in its template, not a record of the file
+        (("nodes", 1, "kv"), 0, "nodes[1]: bad kv 0"), (("nodes", 1, "kv"), -4.16, "nodes[1]: bad kv -4.16"),
+    ], ids=["negative-kv", "zero-kv", "negative-length", "zero-length", "zero-node-kv", "negative-node-kv"])
     def test_lengths_and_nominal_kv_must_be_positive(self, tmp_path, path, value, named):
         # unchecked, a negative length negated the line's impedance and the case solved
         with pytest.raises(CaseFormatError) as info:
             parse_feeder_doc(write_feeder(tmp_path, _with(FEEDER_DOC, path, value)))
         assert str(info.value) == f"f1.json: {named}"
+
+    @pytest.mark.parametrize("row", [[], [[0, 0], [0.05, 0.12]], [[0, 0], [0.05, 0.12], [0, 0], [0, 0]]],
+                             ids=["empty", "short", "long"])
+    def test_ragged_impedance_rows_named(self, tmp_path, row):
+        # unchecked, np.array of ragged rows raised a bare ValueError, and the CLI exited 4
+        doc = _with(FEEDER_DOC, ("lines", 0, "z_ohms_per_mile", 1), row)
+        with pytest.raises(CaseFormatError) as info:
+            parse_feeder_doc(write_feeder(tmp_path, doc))
+        got = f"got rows of [3, {len(row)}, 3] entries"
+        assert str(info.value) == f"f1.json: line n1-n2: expected 3x3 impedance block, {got}"
 
     def test_bundled_feeders_clean(self, data_dir):
         for name in ("feeder_small.json", "feeder_medium.json", "feeder_stressed.json"):
@@ -433,3 +480,35 @@ def test_build_combined_singular_block_names_branch(data_dir, tmp_path):
     cmap = CouplingMap([CouplingEntry("bad.json", 5), CouplingEntry("bad.json", 7)], tmp_path)
     with pytest.raises(CaseFormatError, match="feeder_small: singular impedance block on n2-n3"):
         build_combined(tnet, cmap, docs)
+
+
+def _json_paths(value, path=()):
+    """The path (keys and list indices) of every value inside JSON value ``value``, its own () first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                           lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+                           max_leaves=8)
+FEEDER_SMALL = json.loads((Path(__file__).resolve().parent.parent / "src" / "tandem" / "data" / "feeder_small.json")
+                          .read_text())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(list(_json_paths(FEEDER_SMALL))), JSON_VALUES)
+def test_any_one_feeder_value_replaced_fails_as_an_input_error(data_dir, tmp_path_factory, path, value):
+    """feeder_small.json with any one value replaced by any JSON value, at case9's bus 5: parsing, coupling,
+    validation and the index map either pass or raise CaseFormatError or NetworkError, never another error."""
+    doc = _with(FEEDER_SMALL, path, value) if path else value
+    feeder = write_feeder(tmp_path_factory.getbasetemp(), doc, "feeder_small.json")
+    try:
+        docs = {"feeder_small.json": parse_feeder_doc(feeder)}
+        net = build_combined(parse_transmission(data_dir / "case9.m"),
+                             CouplingMap([CouplingEntry("feeder_small.json", 5)], feeder.parent), docs)
+        validate(net)
+        build_index_map(net)
+    except (CaseFormatError, NetworkError):
+        pass

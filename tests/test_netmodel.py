@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from netgen import MIXED, case27_with_feeders, random_combined
 from tandem.ingest import load_combined_case
@@ -394,6 +395,31 @@ def test_loading_factor_scaling():
     g = next(g for g in net.generators if g.bus == 2)
     assert g.p_set == pytest.approx(1.2)
     assert g.v_set == pytest.approx(1.025)  # setpoints untouched
+
+
+# offsets onto one entry of a symmetric block: either side of 1e-12 by one ulp, and non-finite ones
+NEAR_TOLERANCE = st.sampled_from([0.0, 5e-13, 1e-12, math.nextafter(1e-12, 0), math.nextafter(1e-12, 1), 2e-12,
+                                  math.inf, math.nan]).flatmap(lambda d: st.sampled_from([d, -d]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["ab", "abc"]), st.data())
+def test_asym_block_is_isclose_against_the_transpose(phases, data):
+    """``asym-block`` flags exactly the blocks ``np.isclose(rtol=0, atol=1e-12)`` finds not close to their transpose:
+    equal infinities are close, NaN never is."""
+    k = len(phases)
+    part = st.sampled_from([0.0, 1.0, math.inf, -math.inf, math.nan]) | st.floats(-2, 2)
+    y = np.array([[complex(data.draw(part), data.draw(part)) for _ in range(k)] for _ in range(k)])
+    y = np.where(np.triu(np.ones((k, k), dtype=bool)), y, y.T)  # symmetric, infinities and NaN included
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j, offset = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1)), data.draw(NEAR_TOLERANCE)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            y[i, j] += offset if data.draw(st.booleans()) else complex(0, offset)
+    buses = (Bus(10, BusKind.FEEDER_HEAD, "abc", 12.47, flat_voltages("abc")),
+             Bus(11, BusKind.LOAD_NODE, "abc", 12.47, flat_voltages("abc")))
+    net = Network(100.0, buses, elements=(SeriesElement(0, 10, 11, ElementKind.LINE, phases, y),))
+    flagged = any(v.code == "asym-block" for v in validate(net))
+    assert flagged == (not np.isclose(y, y.T, rtol=0, atol=1e-12).all())
 
 
 def test_validate_violation_list_pinned():

@@ -29,7 +29,8 @@ def test_stage_times_reports_every_stage():
     assert lines[:3] == ["copies: 23 of 24 feeder blocks copied", "distinct: 23 of 24 feeder blocks copied",
                          "fastest of 1 rounds, ms"]
     stages = [line.split() for line in lines[4:]]
-    assert [s[0] for s in stages] == ["build_combined", "validate", "build_index_map", "initial_state",
-                                      "CompiledCircuit", "Newton", "solution.json", "tear", "devices"]
+    assert [s[0] for s in stages] == ["parse_transmission", "parse_feeder_doc", "build_combined", "validate",
+                                      "build_index_map", "initial_state", "CompiledCircuit", "Newton", "solution.json",
+                                      "tear", "devices"]
     assert all(float(t) > 0 for s in stages for t in s[1:])
 

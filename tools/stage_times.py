@@ -12,19 +12,22 @@ share of copied feeder blocks, read from the combined network's tiles,
 and, per stage, the fastest of ``rounds`` (default 15) in-process runs,
 the stages interleaved round by round:
 
+- ``parse_transmission``: ``case27.m`` to its network;
+- ``parse_feeder_doc``: ``feeder_medium.json`` to its document, once,
+  as the command line reads each distinct feeder file once;
 - ``build_combined``: parsed inputs to the combined network;
 - ``validate`` and ``build_index_map`` on it;
 - ``initial_state``: the start vector from the case voltages;
 - ``CompiledCircuit``: the compile of the direct solve;
 - Newton on the compiled circuit (``solve_direct`` with the circuit);
-- ``solution.json`` text: ``solution_json(solution_dict(...))``;
+- ``solution.json`` text: ``solution_json(network, imap, x)``;
 - ``tear``: the GSN partition into transmission and feeder side;
 - ``devices``: the first read of the combined network's six device
   tuples, which ``build_combined`` leaves to be built from the tiles
   when read (no stage above reads them).
 
-BLAS is pinned to one thread, as in ``perfbench``.  Parsing is left out:
-it reads the same files in both cases.
+BLAS is pinned to one thread, as in ``perfbench``.  Both cases parse the
+same files, so the two parse stages differ only by noise.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ from tandem.gsn import tear  # noqa: E402
 from tandem.ingest import CouplingEntry, CouplingMap, build_combined, parse_feeder_doc, parse_transmission  # noqa: E402
 from tandem.netmodel import DEVICES, BusKind, Network, build_index_map, initial_state, validate  # noqa: E402
 from tandem.newton import SolverOptions, solve_direct  # noqa: E402
-from tandem.results import solution_dict, solution_json  # noqa: E402
+from tandem.results import solution_json  # noqa: E402
 from tandem.stamping import CompiledCircuit  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "tandem" / "data"
-STAGES = ("build_combined", "validate", "build_index_map", "initial_state", "CompiledCircuit", "Newton",
-          "solution.json", "tear", "devices")
+STAGES = ("parse_transmission", "parse_feeder_doc", "build_combined", "validate", "build_index_map", "initial_state",
+          "CompiledCircuit", "Newton", "solution.json", "tear", "devices")
 
 
 def cases() -> dict:
@@ -76,6 +79,8 @@ def one_round(tnet, cmap, docs) -> dict[str, float]:
         times[stage] = time.perf_counter() - start
         return out
 
+    timed("parse_transmission", parse_transmission, DATA / "case27.m")
+    timed("parse_feeder_doc", parse_feeder_doc, DATA / "feeder_medium.json")
     net = timed("build_combined", build_combined, tnet, cmap, docs)
     violations = timed("validate", validate, net)
     if violations:
@@ -84,7 +89,7 @@ def one_round(tnet, cmap, docs) -> dict[str, float]:
     timed("initial_state", initial_state, net, imap)
     circuit = timed("CompiledCircuit", CompiledCircuit, net, imap)
     x, _ = timed("Newton", solve_direct, net, SolverOptions(), circuit=circuit)
-    timed("solution.json", lambda: solution_json(solution_dict(net, imap, x)))
+    timed("solution.json", solution_json, net, imap, x)
     timed("tear", tear, net, imap)
     timed("devices", lambda: [getattr(net, name) for name in DEVICES])
     return times
@@ -102,9 +107,9 @@ def main(argv: list[str]) -> int:
         copied, total = copied_share(build_combined(*args))
         print(f"{name}: {copied} of {total} feeder blocks copied")
     print(f"fastest of {rounds} rounds, ms")
-    print(f"{'stage':<16}" + "".join(f"{name:>12}" for name in inputs))
+    print(f"{'stage':<20}" + "".join(f"{name:>12}" for name in inputs))
     for stage in STAGES:
-        print(f"{stage:<16}" + "".join(f"{1e3 * best[name][stage]:>12.2f}" for name in inputs))
+        print(f"{stage:<20}" + "".join(f"{1e3 * best[name][stage]:>12.2f}" for name in inputs))
     return 0
 
 
