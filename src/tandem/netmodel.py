@@ -704,14 +704,15 @@ def _template_violations(network: Network):
             out.append(Violation("v-set", f"generator at bus {g.bus} has non-positive v_set"))
 
     # every feeder component needs exactly one head
-    after = []
-    for comp in _feeder_components(network):
+    after, feeders = [], _feeder_components(network)
+    for comp in feeders:
         heads = [b.id for b in comp if b.kind is BusKind.FEEDER_HEAD]
         if len(heads) == 0:
             after.append(Violation("no-head", f"feeder component {{{comp[0].id}...}} has no feeder head"))
         elif len(heads) > 1:
             after.append(Violation("multi-head", f"feeder component has {len(heads)} heads {heads}"))
-    comps = _components(by_id, ((el.from_bus, el.to_bus) for el in network.elements))
+    comps = ([[b.id for b in comp] for comp in feeders] if not network.transmission_buses()  # the same graph
+             else _components(by_id, ((el.from_bus, el.to_bus) for el in network.elements)))
     return out, after, by_id, {bus: c for c, comp in enumerate(comps) for bus in comp}
 
 

@@ -10,10 +10,10 @@ Two kernels share that scheme, chosen by the system size:
 
 * a plan made with ``dense=True`` (every compiled circuit's) scatters a
   system of at most ``DENSE_MAX_N`` unknowns straight into an n x n
-  array, which LAPACK's ``dgetrf``/``dgetrs`` factor and solve.  Below a
-  few hundred unknowns the fixed per-call costs of the sparse pipeline
-  (CSC construction, ordering, symbolic analysis) outweigh the dense
-  kernel's O(n^3) arithmetic;
+  array.  The plan orders its pattern once by reverse Cuthill-McKee on
+  A + A^T (Cuthill and McKee, 1969); LAPACK's banded LU (``dgbtrf``/
+  ``dgbtrs``, partial pivoting over the whole band) factors and solves
+  the permuted band, cheaper here than the sparse pipeline's fixed costs;
 * any larger system, and every system of a plain plan or ``assemble``,
   fills a CSC matrix on its plan's fixed pattern that SuperLU factors the
   way circuit LU codes such as KLU do: columns ordered once per plan by
@@ -33,22 +33,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 SOLVE_TOL = 1e-10
 _REFINE_STEPS = 3
 
 # Largest system a dense plan assembles into an n x n array and factors
-# with LAPACK.  tools/dense_crossover.py times one whole Newton iteration
+# on its RCM band.  tools/dense_crossover.py times a whole Newton iteration
 # (assemble, residual, factor with refinement) on leading blocks of the
-# case27 + 24 x feeder_medium Jacobian, BLAS on 1 thread; medians of 3
-# runs on a shared 2-vCPU x86-64 host, in microseconds:
+# case27 + 24 x feeder_medium Jacobian, BLAS on 1 thread, and a band plan's
+# set-up; medians of 3 runs on a shared 2-vCPU x86-64 host, in microseconds:
 #
-#     n          50   100   150   200   225   250   300   400
-#     SuperLU   142   169   195   237   246   263   285   327
-#     LAPACK     52    99   194   352   465   614   966  2050
+#     n          50   100   150   200   250   275   300   400
+#     kl = ku     9    13    23    23    23    23    23    23
+#     set-up    111   223   385   590   831   967  1122  1781
+#     SuperLU   144   160   186   223   253   265   279   321
+#     band       44    66   104   149   206   254   292   561
 #
-# 200 was the crossover before a plan kept its ordering; now it is ~150.
+# The band kernel wins up to about 280 unknowns.
 DENSE_MAX_N = 200
 
 # SuperLU's column ordering, diagonal pivot threshold and panel size.
@@ -99,7 +101,7 @@ class SparseSystem:
     n: int
     matrix: sp.csc_matrix | np.ndarray
     rhs: np.ndarray
-    ordering: _Ordering | None = None  # a CSC matrix's, shared by the systems of its plan
+    ordering: _Ordering | _Band | None = None  # its plan's, shared by the systems of the plan
 
 
 def _concat(parts, dtype) -> np.ndarray:
@@ -143,7 +145,7 @@ class AssemblyPlan:
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise IndexError("triplet index outside system")
         if dense and n <= DENSE_MAX_N:
-            self._slot, self._template = r * n + c, None
+            self._slot, self._template, self._ordering = r * n + c, None, _Band(n, r, c)
             return
         width = max(n, 1)
         flat = c * width + r
@@ -166,9 +168,8 @@ class AssemblyPlan:
         data, rhs = self._first[1].copy(), self._first[2].copy()
         np.add.at(data, self._slot[m:], vals)
         np.add.at(rhs, rhs_rows, rhs_vals)
-        if t is None:
-            return SparseSystem(n, data.reshape(n, n), rhs)
-        return SparseSystem(n, sp.csc_matrix((data, t.indices, t.indptr), shape=(n, n)), rhs, self._ordering)
+        matrix = data.reshape(n, n) if t is None else sp.csc_matrix((data, t.indices, t.indptr), shape=(n, n))
+        return SparseSystem(n, matrix, rhs, self._ordering)
 
 
 def assemble(stamps, n: int) -> SparseSystem:
@@ -176,11 +177,48 @@ def assemble(stamps, n: int) -> SparseSystem:
     return AssemblyPlan(n, [st.rows for st in stamps], [st.cols for st in stamps]).assemble(stamps)
 
 
-def _dense_lu(m: np.ndarray):
-    lu, piv, info = dgetrf(m)
-    if info != 0:  # info > 0: U[info-1, info-1] is exactly zero
-        raise SingularSystemError(f"matrix is exactly singular (dgetrf info {info})")
-    return lambda b: dgetrs(lu, piv, b)[0]
+def _rcm(pattern: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the graph of ``pattern | pattern.T`` (an n x n bool array): a
+    breadth-first search per component from its node of least degree, neighbours by degree, then index."""
+    sym = (pattern | pattern.T) & ~np.eye(len(pattern), dtype=bool)
+    deg = np.bincount(np.nonzero(sym)[0], minlength=len(sym)).tolist()
+    by_deg = sorted(range(len(deg)), key=deg.__getitem__)  # stable: by degree, then index
+    nbrs = np.array(by_deg)[np.nonzero(sym[:, by_deg])[1]].tolist()  # row by row, each in by_deg order
+    bounds = np.cumsum([0] + deg).tolist()
+    order, seen = [], [False] * len(deg)
+    for root in by_deg:
+        if not seen[root]:
+            seen[root], queue = True, [root]
+            for v in queue:  # the queue grows while it is read
+                for w in nbrs[bounds[v]:bounds[v + 1]]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+            order += queue
+    return np.array(order[::-1], dtype=np.int64)
+
+
+class _Band:
+    """A small pattern's RCM order ``p`` (inverse ``q``), the widths ``kl``, ``ku`` of A permuted by it, and the
+    gather from the n x n array into LAPACK band storage (``ld`` rows a column: ``kl`` for row swaps' fill)."""
+
+    def __init__(self, n: int, rows, cols):
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[rows, cols] = True
+        self.p = _rcm(pattern)
+        self.q = np.array(sorted(range(n), key=self.p.tolist().__getitem__))  # not np.argsort: +0.25 MB RSS
+        r, c = np.nonzero(pattern)
+        self.src, i, j = r * n + c, self.q[r], self.q[c]
+        self.kl, self.ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+        self.ld = 2 * self.kl + self.ku + 1
+        self.dst = j * self.ld + self.kl + self.ku + i - j
+
+    def lu(self, m: np.ndarray):
+        ab = np.bincount(self.dst, m.ravel()[self.src], len(m) * self.ld)  # the band's entries, the rest zero
+        lu, piv, info = dgbtrf(ab.reshape(len(m), self.ld).T, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:  # info > 0: U[info-1, info-1] is exactly zero
+            raise SingularSystemError(f"matrix is exactly singular (dgbtrf info {info})")
+        return lambda b: dgbtrs(lu, self.kl, self.ku, b[self.p], piv)[0][self.q]
 
 
 def _splu(m, permc_spec: str):
@@ -215,7 +253,8 @@ class _Ordering:
 def factor_solve(system: SparseSystem) -> np.ndarray:
     """LU solve with iterative refinement to a 1e-10 relative residual.
 
-    A dense matrix is factored by LAPACK, a sparse one by SuperLU.
+    A dense matrix is factored by LAPACK on its RCM band (its plan's, else
+    its nonzeros'), a sparse one by SuperLU.
     Raises SingularSystemError when the factorization fails, the answer
     grows past MAX_GROWTH or the refined residual cannot meet the bound
     (signals that limiting or continuation must escalate upstream).
@@ -223,7 +262,7 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
     m, b = system.matrix, system.rhs
     if m.shape[0] == 0:
         return np.zeros(0)
-    solve = _dense_lu(m) if isinstance(m, np.ndarray) else (system.ordering or _Ordering()).lu(m)
+    solve = (system.ordering or (_Band(len(m), *np.nonzero(m)) if isinstance(m, np.ndarray) else _Ordering())).lu(m)
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,53 @@ def test_any_one_feeder_value_replaced_fails_as_an_input_error(data_dir, tmp_pat
         docs = {"feeder_small.json": parse_feeder_doc(feeder)}
         net = build_combined(parse_transmission(data_dir / "case9.m"),
                              CouplingMap([CouplingEntry("feeder_small.json", 5)], feeder.parent), docs)
+        validate(net)
+        build_index_map(net)
+    except (CaseFormatError, NetworkError):
+        pass
+
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "tandem" / "data"
+CASE9_TOKENS = re.split(r"(\s+)", (DATA / "case9.m").read_text())  # tokens at even indices, space between
+TOKENS = st.sampled_from(sorted(set(CASE9_TOKENS[::2]))) | st.sampled_from(
+    ["", "nan", "inf", "-inf", "-1", "0", "0.5", "1e400", "[", "]", ";", "=", "%", "];", "mpc.bus", "mpc.gen",
+     "mpc.branch", "mpc.baseMVA", "1;2", "1,", "'x'"]) | st.text(max_size=4)
+FEEDER_SMALL_DOC = parse_feeder_doc(DATA / "feeder_small.json")
+COUPLING = {"schema": 1, "couplings": [{"feeder": "feeder_small.json", "bus": 5, "load_scale": 1.2, "der_scale": 0.5},
+                                       {"feeder": "feeder_small.json", "bus": 7}]}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, len(CASE9_TOKENS) // 2), TOKENS)
+def test_any_one_case9_token_replaced_fails_as_an_input_error(tmp_path_factory, k, token):
+    """case9.m with any one token replaced (by another of its tokens, a number, a bracket or any short text, the
+    empty one deleting it), coupled to feeder_small at buses 5 and 7: parsing, coupling, validation and the
+    index map either pass or raise CaseFormatError or NetworkError, never another error."""
+    tokens = list(CASE9_TOKENS)
+    tokens[2 * k] = token
+    case = write_case(tmp_path_factory.getbasetemp(), "".join(tokens), "case9.m")
+    cmap = CouplingMap([CouplingEntry("feeder_small.json", 5), CouplingEntry("feeder_small.json", 7)], DATA)
+    try:
+        net = build_combined(parse_transmission(case), cmap, {"feeder_small.json": FEEDER_SMALL_DOC})
+        validate(net)
+        build_index_map(net)
+    except (CaseFormatError, NetworkError):
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(list(_json_paths(COUPLING))), JSON_VALUES)
+def test_any_one_coupling_value_replaced_fails_as_an_input_error(tmp_path_factory, path, value):
+    """A coupling map of feeder_small at case9's buses 5 and 7 with any one value replaced by any JSON value:
+    parsing, the feeder documents it names, coupling, validation and the index map either pass or raise
+    CaseFormatError or NetworkError, never another error."""
+    doc = _with(COUPLING, path, value) if path else value
+    coupling = write_feeder(tmp_path_factory.getbasetemp(), doc, "coupling.json")
+    (coupling.parent / "feeder_small.json").write_text((DATA / "feeder_small.json").read_text())
+    try:
+        cmap = parse_coupling_map(coupling)
+        docs = {e.feeder: parse_feeder_doc(cmap.feeder_path(e)) for e in cmap.entries}
+        net = build_combined(parse_transmission(DATA / "case9.m"), cmap, docs)
         validate(net)
         build_index_map(net)
     except (CaseFormatError, NetworkError):

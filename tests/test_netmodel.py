@@ -364,6 +364,18 @@ def _add(net, **devices):
     return replace(net, **{name: (*getattr(net, name), dev) for name, dev in devices.items()})
 
 
+def test_feeder_template_graph_searched_once(data_dir, monkeypatch):
+    # k24 has two templates: case27, whose feeder graph (no bus) and whole graph (27 buses) are
+    # searched, and feeder_medium, whose whole graph is its feeder graph (24 buses), searched
+    # once; then the graph of the 25 components joined through the ports
+    import tandem.netmodel as netmodel
+
+    net, calls, components = layout_case(data_dir, "k24"), [], netmodel._components
+    monkeypatch.setattr(netmodel, "_components", lambda ids, edges: calls.append(len(ids)) or components(ids, edges))
+    assert validate(net) == []
+    assert sorted(calls) == [0, 24, 25, 27]
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_index_count_formula_random(seed):
     """n = 2*(sum of phases) + 2*(slack phases) + #PV + 6*#ports on random nets."""

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.io import mmread
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import tandem.sparse
 from netgen import case27_with_feeders, random_combined, random_feeder, random_state, random_transmission
@@ -209,21 +209,31 @@ def test_dense_and_sparse_solves_agree_at_the_bound(n, dense):
     assert np.allclose(got, np.linalg.solve(assemble([st_], n).matrix.toarray(), system.rhs), rtol=1e-12, atol=0)
 
 
+def _chain(n):
+    """A diagonally dominant tridiagonal system of ``n`` unknowns."""
+    return [(i, i, 4.0) for i in range(n)] + [(i + d, i + 1 - d, -1.0) for d in (0, 1) for i in range(n - 1)]
+
+
 @pytest.mark.parametrize(
     "triplets",
     [
         [(0, 0, 1.0), (1, 1, 1.0)],  # rows 2 and 3 empty
         [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)],
+        [t for t in _chain(30) if 12 not in t[:2]],  # row and column 12 empty
+        [t for t in _chain(30) if t[0] != 29] + [(29, c, v) for r, c, v in _chain(30) if r == 0],  # rows 0, 29 equal
     ],
 )
 def test_dense_singular_raises_without_warning(triplets):
+    # on the band kernel, with the plan's order and with the one a system made without a plan finds
+    n = max(4, 1 + max(r for r, _, _ in triplets))
     stamps = [stamps_from(triplets)]
-    system = plan_of(stamps, 4).assemble(stamps)
+    system = plan_of(stamps, n).assemble(stamps)
     assert isinstance(system.matrix, np.ndarray)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularSystemError):
-            factor_solve(system)
+    for system in (system, SparseSystem(n, system.matrix, system.rhs)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="dgbtrf"):
+                factor_solve(system)
 
 
 def test_dense_nonfinite_rejected_on_every_call():
@@ -262,23 +272,83 @@ def test_dense_matrix_market_dump_reads_back(tmp_path):
     assert np.array_equal(mmread(str(out)).toarray(), system.matrix)
 
 
+def _small_systems(seed, count):
+    """(circuit, stamps) of ``count`` random_combined networks at random states, each below DENSE_MAX_N."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net = random_combined(rng)
+        imap = build_index_map(net)
+        circuit = CompiledCircuit(net, imap)
+        assert imap.n <= DENSE_MAX_N
+        x = random_state(rng, net, imap, vm_range=(0.9, 1.1), ang_spread=0.2)
+        yield circuit, [circuit.linear(None), circuit.nonlinear(x, {})]
+
+
+def test_band_and_superlu_solves_agree_on_small_networks():
+    no_diagonal = 0
+    for circuit, stamps in _small_systems(2929, 40):
+        system = circuit.plan.assemble(stamps)
+        assert isinstance(system.matrix, np.ndarray) and isinstance(system.ordering, tandem.sparse._Band)
+        no_diagonal += int((np.diag(system.matrix) == 0).any())  # port-current rows have none
+        got, want = factor_solve(system), factor_solve(assemble(stamps, circuit.plan.n))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert no_diagonal >= 5
+
+
+def test_band_widths_cover_the_permuted_pattern():
+    for circuit, stamps in _small_systems(2930, 30):
+        band, n = circuit.plan._ordering, circuit.plan.n
+        assert sorted(band.p.tolist()) == list(range(n))
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[np.concatenate(circuit.plan.rows), np.concatenate(circuit.plan.cols)] = True
+        i, j = np.nonzero(pattern[band.p][:, band.p])
+        assert (i - j).max() == band.kl and (j - i).max() == band.ku  # covered, and no wider
+
+
+def test_rcm_finds_the_band_of_a_shuffled_tridiagonal_matrix():
+    n = 150
+    shuffle = np.random.default_rng(7).permutation(n)
+    rows, cols = np.r_[0:n, 1:n, 0:n - 1], np.r_[0:n, 0:n - 1, 1:n]
+    band = tandem.sparse._Band(n, shuffle[rows], shuffle[cols])
+    assert band.kl == band.ku == 1
+    assert band.p.tolist() == tandem.sparse._Band(n, shuffle[rows], shuffle[cols]).p.tolist()
+
+
+def test_band_order_is_computed_once_per_plan(monkeypatch):
+    calls, rcm = [], tandem.sparse._rcm
+    monkeypatch.setattr(tandem.sparse, "_rcm", lambda pattern: calls.append(1) or rcm(pattern))
+    net = random_transmission(np.random.default_rng(3), 12)
+    circuit = CompiledCircuit(net, build_index_map(net))
+    assert len(calls) == 1
+    x, report = solve_direct(net, circuit=circuit)
+    assert report.converged and report.iterations >= 3
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------------------
 # sparse kernel (minimum degree on A + A^T, diagonal-preferring threshold pivoting)
 # ----------------------------------------------------------------------
 
 
 def test_iterative_refinement_recovers_wilkinson_growth(monkeypatch):
-    # Wilkinson's growth matrix: partial pivoting doubles the last column at every step,
-    # so one dgetrf/dgetrs solve leaves a relative residual far above SOLVE_TOL
+    # Wilkinson's growth matrix W: partial pivoting doubles the last column at every step,
+    # so one dgbtrf/dgbtrs solve on its full band leaves a relative residual far above
+    # SOLVE_TOL.  W + W^T is a complete graph, whose RCM order reverses the indices, so the
+    # system is W reversed, which the band kernel permutes back to W
     n = 40
-    m = np.eye(n) - np.tril(np.ones((n, n)), -1)
-    m[:, -1] = 1.0
-    b = np.random.default_rng(0).standard_normal(n)
-    lu, piv, _ = dgetrf(m)
-    plain = dgetrs(lu, piv, b)[0]
+    w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    w[:, -1] = 1.0
+    m, b = w[::-1, ::-1].copy(), np.random.default_rng(0).standard_normal(n)
+    band = tandem.sparse._Band(n, *np.nonzero(m))
+    assert band.p.tolist() == list(range(n - 1, -1, -1)) and band.kl == band.ku == n - 1
+    i, j = np.nonzero(w)
+    ab = np.zeros((3 * n - 2, n))
+    ab[2 * n - 2 + i - j, j] = w[i, j]
+    lu, piv, _ = dgbtrf(ab, n - 1, n - 1)
+    plain = dgbtrs(lu, n - 1, n - 1, b[::-1], piv)[0][::-1]
     assert np.abs(m @ plain - b).max() / np.abs(b).max() > 1e-7
     solves = []
-    monkeypatch.setattr(tandem.sparse, "dgetrs", lambda *a: solves.append(1) or dgetrs(*a))
+    monkeypatch.setattr(tandem.sparse, "dgbtrs", lambda *a: solves.append(1) or dgbtrs(*a))
     x = factor_solve(SparseSystem(n=n, matrix=m, rhs=b))
     assert len(solves) == 2  # the solve and one refinement step
     assert np.abs(m @ x - b).max() / np.abs(b).max() < 1e-15

@@ -19,9 +19,18 @@ def _run(tool: str, *args: str) -> list[str]:
 
 def test_dense_crossover_times_both_kernels():
     header, row = _run("dense_crossover.py", "50")
-    assert header == "n,sparse_us,dense_us,dense/sparse"
-    n, *times = row.split(",")
-    assert n == "50" and all(math.isfinite(float(t)) and float(t) > 0 for t in times)
+    assert header == "n,kl,ku,plan_setup_us,sparse_us,band_us,band/sparse"
+    n, kl, ku, *times = row.split(",")
+    assert n == "50" and 0 < int(kl) < 49 and 0 < int(ku) < 49
+    assert all(math.isfinite(float(t)) and float(t) > 0 for t in times)
+
+
+def test_dense_crossover_splits_a_pvcurve_iteration():
+    lines = _run("dense_crossover.py", "pvcurve")
+    assert lines[:2] == ["n=100 kl=14 ku=14", "stage,us"]
+    stages = dict(line.split(",") for line in lines[2:])
+    assert list(stages) == ["stamp", "assemble", "factor", "iteration"]
+    assert all(float(t) > 0 for t in stages.values())
 
 
 def test_stage_times_reports_every_stage():

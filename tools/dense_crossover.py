@@ -1,20 +1,31 @@
 #!/usr/bin/env python3
-"""Time one Newton iteration on the dense and the sparse kernel, by system size.
+"""Time one Newton iteration on the band and the sparse kernel, by system size.
 
 The crossover it finds sets ``tandem.sparse.DENSE_MAX_N``: below it the
-dense LAPACK kernel is faster, above it SuperLU is.
+band kernel (LAPACK's banded LU on a reverse Cuthill-McKee order) is
+faster, above it SuperLU is.
 
     PYTHONPATH=src python tools/dense_crossover.py [n ...]
 
 The systems are leading principal blocks of the Jacobian of case27 with
 one ``feeder_medium`` on each of its 24 PQ buses (2,698 unknowns), taken
 at the converged state: the transmission block, then whole and partial
-feeder blocks.  For each size the script times, best of several rounds,
-what a Newton iteration does with the assembled system: assembly from
-the triplets through a plan made once, the residual ``A x - b``, and
-``factor_solve`` (LU plus iterative refinement).  BLAS is pinned to one
-thread, as in ``perfbench``.  To time both kernels at every size the
-script moves ``DENSE_MAX_N`` out of the way for each one.
+feeder blocks.  For each size the script prints the band widths ``kl``
+and ``ku`` of the block under its RCM order and the best time to make
+its band plan (the order, the widths and the gather), then times, best
+of several rounds, what a Newton iteration does with the assembled
+system on each kernel: assembly from the triplets through a plan made
+once, the residual ``A x - b``, and ``factor_solve`` (LU plus iterative
+refinement).  BLAS is pinned to one thread, as in ``perfbench``.  To
+make a band plan above ``DENSE_MAX_N`` the script raises the bound while
+it makes one.
+
+    PYTHONPATH=src python tools/dense_crossover.py pvcurve
+
+splits one Newton iteration of ``tandem pvcurve`` on case9 +
+``case9_stressed`` (100 unknowns, at the solution for load factor 1.0)
+into its stages, best of several rounds each: the nonlinear stamps on
+the attempt's kept linear stamps, the assembly, and ``factor_solve``.
 
     PYTHONPATH=src python tools/dense_crossover.py orderings
 
@@ -80,31 +91,76 @@ def leading_block(stamps, n: int):
     return blocks
 
 
-def iteration_us(stamps, n: int, x: np.ndarray, dense: bool, rounds: int = 7, reps: int = 40) -> float:
-    """Best per-iteration time in microseconds of assemble + residual + factor_solve.
+def band_plan(stamps, n: int, rounds: int = 20):
+    """(plan on the band kernel for the ``n`` unknowns of ``stamps``, best time in microseconds to make it)."""
+    from tandem import sparse
+
+    saved, sparse.DENSE_MAX_N = sparse.DENSE_MAX_N, n
+    try:
+        best = np.inf
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            plan = sparse.AssemblyPlan(n, [st.rows for st in stamps], [st.cols for st in stamps], dense=True)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        sparse.DENSE_MAX_N = saved
+    return plan, best * 1e6
+
+
+def iteration_us(plan, stamps, x: np.ndarray, rounds: int = 7, reps: int = 40) -> float:
+    """Best per-iteration time in microseconds of assemble + residual + factor_solve on ``plan``.
 
     As within one Newton attempt, the linear stamp set is the same object on
     every call and the sparse kernel factors on its plan's learned ordering.
     """
     from tandem import sparse
 
-    saved = sparse.DENSE_MAX_N
-    sparse.DENSE_MAX_N = n if dense else -1
-    try:
-        plan = sparse.AssemblyPlan(n, [st.rows for st in stamps], [st.cols for st in stamps], dense=True)
-        system = plan.assemble(stamps)
-        sparse.factor_solve(system)  # learns the ordering
-        best = np.inf
-        for _ in range(rounds):
+    sparse.factor_solve(plan.assemble(stamps))  # learns the ordering
+    best = np.inf
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            system = plan.assemble(stamps)
+            np.abs(system.matrix @ x - system.rhs).max()
+            sparse.factor_solve(system)
+        best = min(best, (time.perf_counter() - t0) / reps)
+    return best * 1e6
+
+
+def pvcurve(rounds: int = 7, reps: int = 200) -> None:
+    """Print the best time in microseconds of each stage of one Newton iteration of the pvcurve system."""
+    import tandem
+    from tandem.ingest import load_combined_case
+    from tandem.netmodel import build_index_map
+    from tandem.newton import solve_direct
+    from tandem.sparse import factor_solve
+    from tandem.stamping import CompiledCircuit, stamp_system
+
+    data = Path(tandem.__file__).resolve().parent / "data"
+    net = load_combined_case(data / "case9.m", data / "case9_stressed.json")
+    circuit = CompiledCircuit(net, build_index_map(net))
+    circuit.set_load_factor(1.0)
+    x, _ = solve_direct(net, circuit=circuit)
+    linear, nonlinear = stamp_system(circuit, x, None, {}, None)
+    system = circuit.plan.assemble([linear, nonlinear])
+    stages = {
+        "stamp": lambda: stamp_system(circuit, x, None, {}, linear),
+        "assemble": lambda: circuit.plan.assemble([linear, nonlinear]),
+        "factor": lambda: factor_solve(system),
+    }
+    best = dict.fromkeys(stages, np.inf)
+    for _ in range(rounds):
+        for name, call in stages.items():
             t0 = time.perf_counter()
             for _ in range(reps):
-                system = plan.assemble(stamps)
-                np.abs(system.matrix @ x - system.rhs).max()
-                sparse.factor_solve(system)
-            best = min(best, (time.perf_counter() - t0) / reps)
-    finally:
-        sparse.DENSE_MAX_N = saved
-    return best * 1e6
+                call()
+            best[name] = min(best[name], (time.perf_counter() - t0) / reps)
+    band = system.ordering
+    print(f"n={len(x)} kl={band.kl} ku={band.ku}")
+    print("stage,us")
+    for name, t in best.items():
+        print(f"{name},{t * 1e6:.1f}")
+    print(f"iteration,{sum(best.values()) * 1e6:.1f}")
 
 
 def _best_ms(cases: dict, rounds: int) -> dict:
@@ -173,25 +229,30 @@ def orderings(stamps, n: int, rounds: int = 60) -> None:
 
 
 def main(argv: list[str]) -> int:
-    from tandem.sparse import SingularSystemError
+    from tandem import sparse
 
     if argv[:1] == ["orderings"]:
         stamps, x = k24_system()
         orderings(stamps, len(x))
         return 0
+    if argv[:1] == ["pvcurve"]:
+        pvcurve()
+        return 0
     sizes = [int(a) for a in argv] or SIZES
     stamps, x = k24_system()
-    print("n,sparse_us,dense_us,dense/sparse")
+    print("n,kl,ku,plan_setup_us,sparse_us,band_us,band/sparse")
     for n in sizes:
         st = leading_block(stamps, n)
+        band, setup_us = band_plan(st, n)
         row = []
-        for dense in (False, True):
+        for plan in (sparse.AssemblyPlan(n, band.rows, band.cols), band):
             try:
-                row.append(iteration_us(st, n, x[:n], dense))
-            except SingularSystemError as exc:  # a cut that leaves a singular block is reported, not timed
+                row.append(iteration_us(plan, st, x[:n]))
+            except sparse.SingularSystemError as exc:  # a cut that leaves a singular block is reported, not timed
                 row.append(float("nan"))
-                print(f"n={n} {'dense' if dense else 'sparse'}: {exc}", file=sys.stderr)
-        print(f"{n},{row[0]:.0f},{row[1]:.0f},{row[1] / row[0]:.2f}")
+                print(f"n={n} {'sparse' if plan is not band else 'band'}: {exc}", file=sys.stderr)
+        print(f"{n},{band._ordering.kl},{band._ordering.ku},{setup_us:.0f},{row[0]:.0f},{row[1]:.0f},"
+              f"{row[1] / row[0]:.2f}")
     return 0
 
 
