@@ -141,7 +141,8 @@ def apply_voltage_limit(x: np.ndarray, dx: np.ndarray, options: SolverOptions, v
     out = x + dx
     if not options.limiting:
         return out
-    lim = x[vmask] + np.sign(dx[vmask]) * np.minimum(np.abs(dx[vmask]), options.dv_max)
+    xv, dxv = x[vmask], dx[vmask]
+    lim = xv + np.sign(dxv) * np.minimum(np.abs(dxv), options.dv_max)
     out[vmask] = np.clip(lim, V_MIN, V_MAX)
     return out
 

@@ -214,11 +214,13 @@ class _Band:
         self.dst = j * self.ld + self.kl + self.ku + i - j
 
     def lu(self, m: np.ndarray):
-        ab = np.bincount(self.dst, m.ravel()[self.src], len(m) * self.ld)  # the band's entries, the rest zero
+        """(solve, max|A|) of ``m``, whose entries off the pattern are zero."""
+        a = m.ravel()[self.src]
+        ab = np.bincount(self.dst, a, len(m) * self.ld)  # the band's entries, the rest zero
         lu, piv, info = dgbtrf(ab.reshape(len(m), self.ld).T, self.kl, self.ku, overwrite_ab=1)
         if info != 0:  # info > 0: U[info-1, info-1] is exactly zero
             raise SingularSystemError(f"matrix is exactly singular (dgbtrf info {info})")
-        return lambda b: dgbtrs(lu, self.kl, self.ku, b[self.p], piv)[0][self.q]
+        return lambda b: dgbtrs(lu, self.kl, self.ku, b[self.p], piv)[0][self.q], float(np.abs(a).max(initial=0.0))
 
 
 def _splu(m, permc_spec: str):
@@ -235,11 +237,12 @@ class _Ordering:
 
     perm = gather = None
 
-    def lu(self, m):
+    def lu(self, m):  # (solve, max|A|), as _Band.lu
+        a_max = float(np.abs(m.data).max(initial=0.0))
         if self.perm is None:
             lu = _splu(m, PERMC_SPEC)
             self.perm = lu.perm_c
-            return lu.solve
+            return lu.solve, a_max
         if self.gather is None:  # built at the second factor, so a plan that factors once pays nothing
             q = np.argsort(self.perm)
             ids = sp.csc_matrix((np.arange(1.0, m.nnz + 1), m.indices, m.indptr), shape=m.shape)[q][:, q]
@@ -247,7 +250,7 @@ class _Ordering:
             self.gather = ids.data.astype(np.int64) - 1, ids.indices, ids.indptr, q
         g, indices, indptr, q = self.gather
         lu = _splu(sp.csc_matrix((m.data[g], indices, indptr), shape=m.shape), "NATURAL")
-        return lambda b: lu.solve(b[q])[self.perm]
+        return lambda b: lu.solve(b[q])[self.perm], a_max
 
 
 def factor_solve(system: SparseSystem) -> np.ndarray:
@@ -262,12 +265,13 @@ def factor_solve(system: SparseSystem) -> np.ndarray:
     m, b = system.matrix, system.rhs
     if m.shape[0] == 0:
         return np.zeros(0)
-    solve = (system.ordering or (_Band(len(m), *np.nonzero(m)) if isinstance(m, np.ndarray) else _Ordering())).lu(m)
+    kernel = system.ordering or (_Band(len(m), *np.nonzero(m)) if isinstance(m, np.ndarray) else _Ordering())
+    solve, a_max = kernel.lu(m)
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     b_max = float(np.abs(b).max(initial=0.0))
-    growth = float(np.abs(m if isinstance(m, np.ndarray) else m.data).max(initial=0.0)) * float(np.abs(x).max())
+    growth = a_max * float(np.abs(x).max())
     if growth > MAX_GROWTH * b_max:
         raise SingularSystemError(f"solution growth max|A| max|x| / max|b| above {MAX_GROWTH:.0e}")
     scale = max(1.0, b_max)

@@ -55,8 +55,10 @@ _DELTA_LEGS = ("ab", "bc", "ca")
 _SCALED, _RELAXED, _REST = 0, 1, 2
 _P, _I, _Z = 0, 1, 2  # ZIP shares: constant power, current and impedance
 _GROUND = np.zeros(1)  # the state's padding slot n, a wye leg's second terminal
-# part of [a, b, c, d, -a, -b, -c, -d] behind each of a leg's 16 block entries: +J, -J, -J, +J
-_BLOCK_PART = np.tile(np.arange(4), 4) + 4 * np.repeat([0, 1, 1, 0], 4)
+# (real or imaginary part, sign) of a leg's complex coefficient w behind the entries a, b, c, d of its
+# 2x2 block [[a, b], [c, d]] on (V_R, V_I): dI = w dV for an impedance, dI = w conj(dV) for a power leg
+_W_DV = ((0, 1), (1, -1), (1, 1), (0, 1))
+_W_CONJ_DV = ((0, 1), (1, 1), (1, 1), (0, -1))
 
 
 class VoltageCollapseError(ArithmeticError):
@@ -91,19 +93,20 @@ class HomotopyState:
 
 @dataclass(frozen=True)
 class StampSet:
-    """Matrix triplets plus right-hand-side entries, as numpy arrays."""
+    """Matrix triplets plus right-hand-side entries, as numpy arrays; one given with its dtype is kept."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     rhs_rows: np.ndarray = ()
     rhs_vals: np.ndarray = ()
+    _dtypes = (("rows", np.int64), ("cols", np.int64), ("rhs_rows", np.int64), ("vals", float), ("rhs_vals", float))
 
     def __post_init__(self):
-        for name in ("rows", "cols", "rhs_rows"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        for name in ("vals", "rhs_vals"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name, dtype in self._dtypes:
+            value = getattr(self, name)
+            if type(value) is not np.ndarray or value.dtype != dtype:
+                object.__setattr__(self, name, np.asarray(value, dtype=dtype))
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +115,8 @@ class StampSet:
 
 
 def pq_partials(p, q, vr, vi):
-    """Current drawn by constant-PQ demands and its exact partials, elementwise.
+    """Current drawn by constant-PQ demands and its exact partials, elementwise in real arithmetic:
+    the test oracles' scalar model (``CompiledCircuit`` evaluates I = conj(S) / conj(V) in complex).
 
     Returns (ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi) for
 
@@ -154,12 +158,13 @@ class _Legs:
     2x2 block J stamps +J on (1, 1) and (2, 2) and -J on (1, 2) and
     (2, 1), and a right-hand side h at terminal 1 is -h at terminal 2;
     a wye leg stamps only at terminal 1.  ``block_rows``/``block_cols``
-    and ``rhs_rows`` are those stamp positions, leg by leg, and the
-    integer takes pick each one's value from the per-part arrays
-    [a, b, c, d, -a, -b, -c, -d] and [hr, hi, -hr, -hi].
+    and ``rhs_rows`` are those stamp positions, leg by leg.  With J made
+    of each leg's complex w as ``block`` says (``_W_DV``, ``_W_CONJ_DV``),
+    ``block_take`` and ``rhs_take`` pick each position's value from the
+    float view of the complex arrays [w, -w] and [h, -h].
     """
 
-    def __init__(self, t: np.ndarray, n: int):
+    def __init__(self, t: np.ndarray, n: int, block):
         self.t = t
         node2 = t[:, 2] < n
         every = np.ones_like(node2)
@@ -169,19 +174,12 @@ class _Legs:
         rows = np.stack([r1, r1, i1, i1, r1, r1, i1, i1, r2, r2, i2, i2, r2, r2, i2, i2], axis=1)
         cols = np.stack([r1, i1, r1, i1, r2, i2, r2, i2, r1, i1, r1, i1, r2, i2, r2, i2], axis=1)
         self.block_rows, self.block_cols, self.rhs_rows = rows[block_mask], cols[block_mask], t[rhs_mask]
-        leg = np.arange(len(t))[:, None]
-        self.block_take = (_BLOCK_PART * len(t) + leg)[block_mask]
-        self.rhs_take = (np.arange(4) * len(t) + leg)[rhs_mask]
-
-    def block_values(self, a, b, c, d):
-        """Values on the block positions for per-leg blocks [[a, b], [c, d]]."""
-        j = np.concatenate([a, b, c, d])
-        return np.concatenate([j, -j])[self.block_take]
-
-    def rhs_values(self, hr, hi):
-        """Values on ``rhs_rows`` for per-leg right-hand sides (hr, hi) at terminal 1."""
-        h = np.concatenate([hr, hi])
-        return np.concatenate([h, -h])[self.rhs_take]
+        # leg l's w (or h) at 2l and 2l + 1 of the float view, its negation 2 len(t) further on
+        part, sign = np.tile(block, (4, 1)).T
+        sign = sign * np.repeat([1, -1, -1, 1], 4)  # +J, -J, -J, +J
+        at, neg = 2 * np.arange(len(t))[:, None], 2 * len(t)
+        self.block_take = (at + part + np.where(sign < 0, neg, 0))[block_mask]
+        self.rhs_take = (at + [0, 1, neg, neg + 1])[rhs_mask]
 
 
 def _concat(parts, bus=1) -> list[np.ndarray]:
@@ -296,11 +294,11 @@ class CompiledCircuit:
     Loads, DERs and generators are one ``_Legs`` array, ``jac``: the ZIP
     legs that are not constant impedance in device order, then each
     generator as a wye leg to ground.  Every leg stamps its 2x2 Jacobian
-    block and its (h, -h) right-hand side.  Constant-power legs carry
-    (p, q) with the ZIP fraction and the load/DER sign folded in, a
-    generator its -P and its reactive unknown, and constant-current legs
-    p = q = 0 with a signed magnitude and the demand angle, so their
-    block is zero (the secant update).
+    block and its (h, -h) right-hand side, evaluated in complex arithmetic
+    over the array: a leg draws I = conj(S) / conj(V), ``cs`` holding
+    conj(S) with the ZIP fraction and load/DER sign folded in, and -P + jQ
+    for a generator, Q its reactive unknown.  Constant-current legs have
+    conj(S) = 0, so a zero block (the secant update), and draw I = c V / |V|.
     ``plan``, made last from the linear and nonlinear index arrays,
     checks their bounds once and fixes the pattern's scatter, into a
     dense array on systems small enough for the dense kernel.  Source
@@ -330,8 +328,9 @@ class CompiledCircuit:
         # the ZIP legs that are not constant impedance, in device order, then the
         # generators as demands of -(P + jQ) on a wye leg to ground
         gen_t = np.stack([gr, gi, np.full_like(gr, n), np.full_like(gr, n)], axis=1)
-        self.jac = legs = _Legs(np.concatenate([t[nonlinear], gen_t]), n)
-        self.terminals = legs.t.T.copy()  # (R1, I1, R2, I2) gather rows, slot n being ground
+        self.jac = legs = _Legs(np.concatenate([t[nonlinear], gen_t]), n, _W_CONJ_DV)
+        # (R1, I1) and (R2, I2) pairs leg by leg, slot n being ground: a gather viewed as complex V1, V2
+        self.terminals = legs.t.reshape(-1, 2, 2).transpose(1, 0, 2).reshape(2, -1).copy()
         self.cu = np.flatnonzero(share[nonlinear] == _I)
         # (bus, wye phase or delta leg) of each leg, for the collapse guard's message
         self.labels = [(b, "pabc"[c1] + ("" if w else "pabc"[c2])) for b, c1, c2, w in
@@ -341,12 +340,18 @@ class CompiledCircuit:
         self._zip = share, keys[:, 5], np.where(wye, 1.0, 3.0)
         self._p_set = np.array([g.p_set for g in gens])
         self.gen_v2 = np.array([g.v_set * g.v_set for g in gens])
-        self._modes_seen = None  # the gen_modes behind the cached _pv, _q_pin
+        self._modes_seen = None  # the gen_modes behind the cached _gen_rows
         self._take_demands(self._f * self._s, -self._p_set)
 
         self.nl_rows = np.concatenate([legs.block_rows, gr, gi, gq, gq, gq])
         self.nl_cols = np.concatenate([legs.block_cols, gq, gq, gr, gi, gq])
         self.nl_rhs_rows = np.concatenate([legs.rhs_rows, gq])
+        # the float view of [w, -w, j / conj(V), the pv rows' 2V, their Q pins] (generators' from 4 len(legs)
+        # on, two floats each) and of [h, -h, the generator rows' rhs]
+        at = 4 * len(legs.t) + 2 * np.arange(len(gens))
+        self.nl_take = np.concatenate([legs.block_take, at, at + 1, at + 2 * len(gens), at + 2 * len(gens) + 1,
+                                       at + 4 * len(gens)])
+        self.nl_rhs_take = np.concatenate([legs.rhs_take, at])
         self.plan = AssemblyPlan(n, (self.lin_rows, self.nl_rows), (self.lin_cols, self.nl_cols), dense=True)
 
     def _compile_linear(self, network: Network, imap: IndexMap, z_terminals: np.ndarray) -> None:
@@ -357,7 +362,7 @@ class CompiledCircuit:
         parts.append((*_expand_pairs(rr, rr), _expand(y), _RELAXED))
 
         # constant-impedance ZIP share: values set by _take_demands
-        self.z = _Legs(z_terminals, imap.n)
+        self.z = _Legs(z_terminals, imap.n, _W_DV)
         start = sum(len(part[2]) for part in parts)
         self.z_slice = slice(start, start + len(self.z.block_rows))
         parts.append((self.z.block_rows, self.z.block_cols, np.zeros(len(self.z.block_rows)), _REST))
@@ -418,15 +423,14 @@ class CompiledCircuit:
         """Set the leg values from the per-leg demands ``s`` and the generators' P from ``gen_p``."""
         share, sign, vref2 = self._zip
         cu, z = share == _I, share == _Z
-        # P and Q of every leg, zero on the constant-current ones, then the generators' P
-        # (their Q is an unknown)
-        self.p = np.concatenate([np.where(share == _P, sign * s.real, 0.0)[~z], gen_p])
-        self.q = np.where(share == _P, sign * s.imag, 0.0)[~z]
-        self.mag = sign[cu] * (np.abs(s[cu]) / np.sqrt(vref2[cu]))
-        self.angle = np.angle(s[cu])
+        # conj(S) of every leg, zero on the constant-current ones, then the generators' -P (the
+        # imaginary part, their reactive unknown, is set per state)
+        self.cs = np.concatenate([np.where(share == _P, sign * s, 0.0)[~z].conj(), gen_p])
+        # a constant-current leg's I = c V / |V|, c = mag e^(-j angle): |s| at nominal |V|, s's power factor
+        self.c = sign[cu] * s[cu].conj() / np.sqrt(vref2[cu])
         # admittance drawing the demand at nominal voltage
         y = s[z].conj() / vref2[z]
-        self.lin_vals[self.z_slice] = self.z.block_values(y.real, -y.imag, y.imag, y.real)
+        self.lin_vals[self.z_slice] = np.concatenate([y, -y]).view(float)[self.z.block_take]
 
     # -- per-state evaluation ------------------------------------------
 
@@ -438,32 +442,31 @@ class CompiledCircuit:
         return StampSet(self.lin_rows, self.lin_cols, vals, rhs_rows, rhs_vals)
 
     def nonlinear(self, x: np.ndarray, gen_modes: dict) -> StampSet:
-        x1r, x1i, x2r, x2i = np.concatenate((x, _GROUND))[self.terminals]
-        vr, vi = x1r - x2r, x1i - x2i
+        v1, v2 = np.concatenate((x, _GROUND))[self.terminals].view(complex)
+        v = v1 - v2
+        vr, vi = v.real, v.imag
         m2 = vr * vr + vi * vi
         if (m2 <= EPS_V * EPS_V).any():
             self._raise_collapse(m2)
 
-        # every leg: J on the left, J.x_k - c(x_k) on the right
-        k, qg = len(self.q), x[self.gq]
-        ir, ii, a, b, c, d = pq_partials(self.p, np.concatenate([self.q, -qg]), vr, vi)
-        # constant-current legs (p = q = 0): fixed magnitude at the demand's power-factor
-        # angle off the present voltage angle; a zero Jacobian block (secant update)
-        theta = np.arctan2(vi[self.cu], vr[self.cu]) - self.angle
-        ir[self.cu], ii[self.cu] = self.mag * np.cos(theta), self.mag * np.sin(theta)
-        hr = -ir + a * x1r + b * x1i - a * x2r - b * x2i
-        hi = -ii + c * x1r + d * x1i - c * x2r - d * x2i
-
-        gvr, gvi, gm2 = vr[k:], vi[k:], m2[k:]
-        dq_r, dq_i = -gvi / gm2, gvr / gm2
-        hr[k:] += dq_r * qg
-        hi[k:] += dq_i * qg
-        pv, q_pin = self._gen_rows(gen_modes)
+        # every leg: I = conj(S) / conj(V), and J, from dI = w conj(dV), on the left and J.x_k - I(x_k)
+        # on the right, h = w conj(V) - I
+        k, qg = len(self.cs) - len(self.gq), x[self.gq]
+        self.cs.imag[k:] = qg
+        inv = v / m2  # 1 / conj(V)
+        cur = self.cs * inv
+        w = -cur * inv
+        # constant-current legs: the demand's magnitude at its power-factor angle off the present
+        # voltage angle; a zero block (secant update)
+        cur[self.cu] = self.c * v[self.cu] / np.sqrt(m2[self.cu])
+        h = w * v.conj() - cur
+        dq = 1j * inv[k:]  # a generator's I by its reactive unknown
+        h[k:] += dq * qg
+        pv, two_v, pin, q_pin = self._gen_rows(gen_modes)
         # pv: |V|^2 = Vset^2 linearized, 2 vr V_R + 2 vi V_I = Vset^2 + vr^2 + vi^2;
         # at a limit the row pins Q at the bound instead
-        vals = np.concatenate([self.jac.block_values(a, b, c, d), dq_r, dq_i, np.where(pv, 2.0 * gvr, 0.0),
-                               np.where(pv, 2.0 * gvi, 0.0), np.where(pv, 0.0, 1.0)])
-        rhs = np.concatenate([self.jac.rhs_values(hr, hi), np.where(pv, self.gen_v2 + gm2, q_pin)])
+        vals = np.concatenate((w, -w, dq, two_v * v[k:], pin)).view(float)[self.nl_take]
+        rhs = np.concatenate((h, -h, np.where(pv, self.gen_v2 + m2[k:], q_pin))).view(float)[self.nl_rhs_take]
         return StampSet(self.nl_rows, self.nl_cols, vals, self.nl_rhs_rows, rhs)
 
     def _raise_collapse(self, m2):
@@ -472,13 +475,14 @@ class CompiledCircuit:
         raise VoltageCollapseError(*self.labels[j], m2[j])
 
     def _gen_rows(self, gen_modes: dict):
-        """(pv mask, pinned Q) per generator, rebuilt only when the modes change."""
+        """(pv mask, 2 or 0 on V, 0 or 1 on Q, pinned Q) per generator, rebuilt only when the modes change."""
         if self._modes_seen != gen_modes:
             modes = [gen_modes.get(g.bus, "pv") for g in self.gens]
-            self._pv = np.array([m == "pv" for m in modes], dtype=bool)
-            self._q_pin = np.array([g.q_max if m == "qmax" else g.q_min for g, m in zip(self.gens, modes)])
+            pv = np.array([m == "pv" for m in modes], dtype=bool)
+            q_pin = np.array([g.q_max if m == "qmax" else g.q_min for g, m in zip(self.gens, modes)])
+            self._rows = pv, np.where(pv, 2.0, 0.0), np.where(pv, 0.0, 1.0).astype(complex), q_pin
             self._modes_seen = dict(gen_modes)
-        return self._pv, self._q_pin
+        return self._rows
 
 
 # ----------------------------------------------------------------------

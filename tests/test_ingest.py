@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tandem.ingest import (
     CaseFormatError,
@@ -500,6 +500,7 @@ FEEDER_SMALL = json.loads((Path(__file__).resolve().parent.parent / "src" / "tan
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(list(_json_paths(FEEDER_SMALL))), JSON_VALUES)
+@example(path=("lines", 0, "z_ohms_per_mile", 1), value=[])  # a ragged impedance block, which 300 draws miss
 def test_any_one_feeder_value_replaced_fails_as_an_input_error(data_dir, tmp_path_factory, path, value):
     """feeder_small.json with any one value replaced by any JSON value, at case9's bus 5: parsing, coupling,
     validation and the index map either pass or raise CaseFormatError or NetworkError, never another error."""

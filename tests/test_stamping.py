@@ -23,7 +23,14 @@ from tandem.gsn import tear
 from tandem.ingest import parse_transmission
 from tandem.newton import SolveFailure, SolverOptions, solve_direct
 from tandem.sparse import assemble
-from tandem.stamping import CompiledCircuit, HomotopyState, VoltageCollapseError, stamp_nonlinear, stamp_system
+from tandem.stamping import (
+    CompiledCircuit,
+    HomotopyState,
+    VoltageCollapseError,
+    pq_partials,
+    stamp_nonlinear,
+    stamp_system,
+)
 
 _MODE_CYCLE = ("pv", "qmax", "pv", "qmin")
 
@@ -50,6 +57,97 @@ def test_homotopy_and_q_limit_states_match_dense_oracle():
                 want = dense_mismatch(net, imap, x, lam, 1e3, relax, modes)
                 worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-9
+
+
+def _reference_nonlinear(net, imap, x, modes):
+    """The nonlinear stamps of ``net`` at ``x``, leg by leg in real arithmetic: power legs and generators
+    through ``pq_partials``, constant-current legs as |I| at the demand's power-factor angle off the leg
+    voltage's.  Returns (rows, cols, vals, rhs rows, rhs values) in the stamp order (every leg's blocks,
+    then the generators' Q columns and rows) and the scale of each value's leg, for relative bounds."""
+    legs = []  # (terminal 1, terminal 2 or None, (a, b, c, d), (hr, hi))
+
+    def voltage(t):
+        return complex(x[t[0]], x[t[1]]) if t else 0j
+
+    for devices, sign in ((net.loads, 1.0), (net.ders, -1.0)):
+        for dev in devices:
+            delta = getattr(dev, "connection", Connection.WYE) is Connection.DELTA and dev.phases != "p"
+            labels = ("ab", "bc", "ca") if delta else dev.phases
+            f_p, f_i, _ = getattr(dev, "zip_fractions", (1.0, 0.0, 0.0))
+            for share, f in (("p", f_p), ("i", f_i)):
+                for label, s in zip(labels, dev.s):
+                    if f * s == 0:
+                        continue
+                    t1 = imap.v_pair(dev.bus, label[0])
+                    t2 = imap.v_pair(dev.bus, label[1]) if delta else None
+                    v = voltage(t1) - voltage(t2)
+                    if share == "p":
+                        d = sign * (f * s)
+                        ir, ii, a, b, c, dd = pq_partials(d.real, d.imag, v.real, v.imag)
+                        h = (a * v.real + b * v.imag - ir, c * v.real + dd * v.imag - ii)
+                        legs.append((t1, t2, (a, b, c, dd), h))
+                    else:
+                        mag = sign * abs(f * s) / (np.sqrt(3.0) if delta else 1.0)
+                        theta = np.arctan2(v.imag, v.real) - np.angle(f * s)
+                        legs.append((t1, t2, (0.0,) * 4, (-mag * np.cos(theta), -mag * np.sin(theta))))
+    gens = [g for g in net.generators if g.status and g.bus in imap.gen_q]
+    extra = [[] for _ in range(5)]  # (row, col, value) of the Q columns and the pv / pin rows
+    gen_rhs = []
+    for g in gens:
+        t1, qi = imap.v_pair(g.bus, "p"), imap.gen_q[g.bus]
+        v, qg = voltage(t1), x[qi]
+        ir, ii, a, b, c, d = pq_partials(-g.p_set, -qg, v.real, v.imag)
+        m2 = v.real ** 2 + v.imag ** 2
+        dq_r, dq_i = -v.imag / m2, v.real / m2
+        legs.append((t1, None, (a, b, c, d), (a * v.real + b * v.imag - ir + dq_r * qg,
+                                              c * v.real + d * v.imag - ii + dq_i * qg)))
+        mode = modes.get(g.bus, "pv")
+        pv = mode == "pv"
+        for out, triplet in zip(extra, ((t1[0], qi, dq_r), (t1[1], qi, dq_i), (qi, t1[0], 2 * v.real if pv else 0.0),
+                                        (qi, t1[1], 2 * v.imag if pv else 0.0), (qi, qi, 0.0 if pv else 1.0))):
+            out.append(triplet)
+        gen_rhs.append((qi, g.v_set ** 2 + m2 if pv else g.q_max if mode == "qmax" else g.q_min))
+    trip, rhs = [], []
+    for t1, t2, (a, b, c, d), (hr, hi) in legs:
+        scale = max(abs(a), abs(b), abs(c), abs(d), abs(hr), abs(hi))
+        blocks = [(t1, t1, 1.0)] if t2 is None else [(t1, t1, 1.0), (t1, t2, -1.0), (t2, t1, -1.0), (t2, t2, 1.0)]
+        for ta, tb, sgn in blocks:
+            trip += [(ta[0], tb[0], sgn * a, scale), (ta[0], tb[1], sgn * b, scale),
+                     (ta[1], tb[0], sgn * c, scale), (ta[1], tb[1], sgn * d, scale)]
+        rhs += [(t1[0], hr, scale), (t1[1], hi, scale)]
+        rhs += [] if t2 is None else [(t2[0], -hr, scale), (t2[1], -hi, scale)]
+    trip += [(r, c, val, abs(val)) for out in extra for r, c, val in out]
+    rhs += [(r, val, abs(val)) for r, val in gen_rhs]
+    rows, cols, vals, scale = np.array(trip, dtype=float).reshape(-1, 4).T
+    rhs_rows, rhs_vals, rhs_scale = np.array(rhs, dtype=float).reshape(-1, 3).T
+    return (rows, cols, vals, rhs_rows, rhs_vals), (scale, rhs_scale)
+
+
+def test_nonlinear_stamps_match_the_real_pq_model_leg_by_leg():
+    """``stamp_nonlinear``'s triplets and right-hand side, value by value in stamp order, are within 1e-12 of
+    each leg's largest value of the real formulas through ``pq_partials``, on random networks with delta legs,
+    constant-current shares and generators in pv, qmax and qmin."""
+    rng = np.random.default_rng(4409)
+    seen = dict.fromkeys(["delta", "current", "pv", "qmax", "qmin"], 0)
+    for k in range(300):
+        if k >= 40 and min(seen.values()) >= 10:
+            break
+        net = random_combined(rng)
+        imap = build_index_map(net)
+        x = random_state(rng, net, imap)
+        modes = {bus: ("pv", "qmax", "qmin")[(i + k) % 3] for i, bus in enumerate(sorted(imap.gen_q))}
+        want, (scale, rhs_scale) = _reference_nonlinear(net, imap, x, modes)
+        got = stamp_nonlinear(CompiledCircuit(net, imap), x, modes)
+        assert np.array_equal(got.rows, want[0]) and np.array_equal(got.cols, want[1])
+        assert np.array_equal(got.rhs_rows, want[3])
+        assert (np.abs(got.vals - want[2]) <= 1e-12 * scale).all()
+        assert (np.abs(got.rhs_vals - want[4]) <= 1e-12 * rhs_scale).all()
+        for ld in net.loads:
+            seen["delta"] += ld.connection is Connection.DELTA and ld.phases != "p"
+            seen["current"] += ld.zip_fractions[1] != 0
+        for mode in modes.values():
+            seen[mode] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _stamp_bytes(st):

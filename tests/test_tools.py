@@ -29,7 +29,7 @@ def test_dense_crossover_splits_a_pvcurve_iteration():
     lines = _run("dense_crossover.py", "pvcurve")
     assert lines[:2] == ["n=100 kl=14 ku=14", "stage,us"]
     stages = dict(line.split(",") for line in lines[2:])
-    assert list(stages) == ["stamp", "assemble", "factor", "iteration"]
+    assert list(stages) == ["stamp", "assemble", "residual", "factor", "limit", "iteration"]
     assert all(float(t) > 0 for t in stages.values())
 
 

@@ -25,7 +25,8 @@ it makes one.
 splits one Newton iteration of ``tandem pvcurve`` on case9 +
 ``case9_stressed`` (100 unknowns, at the solution for load factor 1.0)
 into its stages, best of several rounds each: the nonlinear stamps on
-the attempt's kept linear stamps, the assembly, and ``factor_solve``.
+the attempt's kept linear stamps, the assembly, the residual ``A x - b``,
+``factor_solve`` and the voltage step limiter, the whole iteration.
 
     PYTHONPATH=src python tools/dense_crossover.py orderings
 
@@ -132,21 +133,25 @@ def pvcurve(rounds: int = 7, reps: int = 200) -> None:
     import tandem
     from tandem.ingest import load_combined_case
     from tandem.netmodel import build_index_map
-    from tandem.newton import solve_direct
+    from tandem.newton import SolverOptions, apply_voltage_limit, solve_direct, voltage_index_mask
     from tandem.sparse import factor_solve
     from tandem.stamping import CompiledCircuit, stamp_system
 
     data = Path(tandem.__file__).resolve().parent / "data"
     net = load_combined_case(data / "case9.m", data / "case9_stressed.json")
-    circuit = CompiledCircuit(net, build_index_map(net))
+    imap = build_index_map(net)
+    circuit = CompiledCircuit(net, imap)
     circuit.set_load_factor(1.0)
     x, _ = solve_direct(net, circuit=circuit)
     linear, nonlinear = stamp_system(circuit, x, None, {}, None)
     system = circuit.plan.assemble([linear, nonlinear])
+    options, vmask, dx = SolverOptions(), voltage_index_mask(imap), factor_solve(system) - x
     stages = {
         "stamp": lambda: stamp_system(circuit, x, None, {}, linear),
         "assemble": lambda: circuit.plan.assemble([linear, nonlinear]),
+        "residual": lambda: float(np.abs(system.matrix @ x - system.rhs).max(initial=0.0)),
         "factor": lambda: factor_solve(system),
+        "limit": lambda: apply_voltage_limit(x, dx, options, vmask),
     }
     best = dict.fromkeys(stages, np.inf)
     for _ in range(rounds):
